@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -65,18 +66,34 @@ def _load_model_checked(path) -> ChainModel:
         raise CliError(EXIT_VALIDATION, f"invalid model: {err}") from None
 
 
+def _load_table(path, what):
+    """Numeric CSV table below one header line; every entry must be finite."""
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a table without rows; that is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as err:
+        raise CliError(EXIT_IO, f"cannot read {what}: {err}") from None
+    except ValueError as err:
+        raise CliError(EXIT_VALIDATION, f"malformed {what} CSV: {err}") from None
+    if raw.shape[0] == 0:
+        raise CliError(EXIT_VALIDATION, f"{what} has no data rows")
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        row, col = bad[0]
+        raise CliError(EXIT_VALIDATION, f"{what} data row {row + 1}, column {col + 1}: "
+                                        f"value {raw[row, col]} is not finite")
+    return raw
+
+
 def _read_traj(path, n, need=1):
     """Trajectory table: t plus n columns per provided derivative level.
 
     ``need`` is the number of required blocks (1 = q, 2 = q,qd, 3 =
     q,qd,qdd).  Returns (t, q, qd | None, qdd | None).
     """
-    try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as err:
-        raise CliError(EXIT_IO, f"cannot read trajectory: {err}") from None
-    except ValueError as err:
-        raise CliError(EXIT_VALIDATION, f"malformed trajectory CSV: {err}") from None
+    raw = _load_table(path, "trajectory")
     cols = raw.shape[1]
     blocks = (cols - 1) // n if n else 0
     if cols != 1 + blocks * n or blocks < 1 or blocks > 3:
@@ -119,6 +136,8 @@ def _parse_vector(text, n, name):
         vec = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise CliError(EXIT_VALIDATION, f"{name}: expected comma-separated floats") from None
+    if not np.all(np.isfinite(vec)):
+        raise CliError(EXIT_VALIDATION, f"{name}: values must be finite")
     if vec.size != n:
         raise CliError(EXIT_VALIDATION, f"{name}: expected {n} values, got {vec.size}")
     return vec
@@ -219,12 +238,7 @@ def cmd_idyn(args):
 def _torque_fn_from_file(path, n):
     if path is None:
         return None
-    try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as err:
-        raise CliError(EXIT_IO, f"cannot read torque file: {err}") from None
-    except ValueError as err:
-        raise CliError(EXIT_VALIDATION, f"malformed torque CSV: {err}") from None
+    raw = _load_table(path, "torque file")
     if raw.shape[1] != 1 + n:
         raise CliError(EXIT_VALIDATION,
                        f"torque file has {raw.shape[1]} columns, expected {1 + n}")
@@ -242,8 +256,11 @@ def cmd_simulate(args):
     q0 = _parse_vector(args.q0, n, "--q0")
     qd0 = _parse_vector(args.qd0, n, "--qd0")
     torque = _torque_fn_from_file(args.torques, n)
-    traj = integ.chain_simulate(model, q0, qd0, torque=torque, T=args.T, h=args.h,
-                                form=args.form, gravity=not args.no_gravity)
+    try:
+        traj = integ.chain_simulate(model, q0, qd0, torque=torque, T=args.T, h=args.h,
+                                    form=args.form, gravity=not args.no_gravity)
+    except ValueError as err:  # bad --T or --h; failures mid-run truncate instead
+        raise CliError(EXIT_VALIDATION, str(err)) from None
     blew_up = traj.times[-1] < args.T - 0.5 * args.h
 
     header = (["t"] + [f"q{j + 1}" for j in range(n)]
@@ -298,7 +315,14 @@ def _benchmark_chain(n):
 
 def cmd_benchmark(args):
     reps = [r.strip() for r in args.reps.split(",")]
-    sizes = [int(v) for v in args.n.split(",")]
+    try:
+        sizes = [int(v) for v in args.n.split(",")]
+    except ValueError:
+        raise CliError(EXIT_VALIDATION, "--n: expected comma-separated integers") from None
+    if min(sizes) < 1:
+        raise CliError(EXIT_VALIDATION, "--n: every chain size must be at least 1")
+    if args.trials < 1:
+        raise CliError(EXIT_VALIDATION, "--trials must be at least 1")
     header = ["rep", "n", "pred_screw", "pred_tensor", "pred_brackets",
               "pred_rot", "pred_trans", "meas_screw", "meas_tensor",
               "meas_brackets", "meas_rot", "meas_trans", "exact_match",

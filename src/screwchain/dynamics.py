@@ -3,6 +3,13 @@ recursive inverse dynamics with operation counting, closed-form equations of
 motion (mass matrix, Coriolis matrix, Christoffel symbols), forward dynamics,
 and the spatial-momentum phase-space form.
 
+Recursive Newton-Euler is one algorithm in three representations: the
+forward sweep of :mod:`screwchain.kinematics` followed by the one backward
+wrench sweep here.  ``idyn`` is the two sweeps; ``fdyn`` and
+``momentum_rhs`` take their bias forces from the same sweeps at zero joint
+acceleration (body and spatial representation respectively) and solve
+with the one composite-rigid-body mass matrix by a Cholesky factorization.
+
 Sign conventions: ``idyn`` returns the generalized joint forces required to
 realize the given motion, with gravity and user wrenches entering as external
 loads (so a static chain under gravity needs positive holding torques equal
@@ -15,10 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import ChainModel, SpatialInertia
-from .kinematics import JointState, Twist, _check_rep, fk_body_form, jacobian
+from .kinematics import (
+    JointState,
+    Twist,
+    _PLAIN,
+    _SweepOps,
+    _check_rep,
+    _forward_sweep,
+    _instantaneous_screws,
+    fk_body_form,
+    jacobian,
+)
 from .se3 import (
     Pose,
     ad_matrix,
@@ -64,10 +80,11 @@ class OpCountReport:
     translations_screw: int = 0
 
 
-class _Counter:
-    """Per-invocation counter wrapped around the algebra kernels.
+class _Counter(_SweepOps):
+    """Per-invocation operation counter of :func:`idyn`.
 
-    A fresh instance lives inside each idyn call (no shared state); the
+    A fresh instance lives inside each idyn call (no shared state) and the
+    forward and backward sweeps route their algebra through it.  The
     counted quantities are screw frame transformations (with the
     rotation/translation split the hybrid recursion cares about), inertia
     tensor congruences, and Lie brackets including their duals.
@@ -78,25 +95,8 @@ class _Counter:
     def __init__(self, rep, n):
         self.report = OpCountReport(rep=rep, n=n)
 
-    def xform(self, mat, s, kind="screw"):
-        self.report.frame_transforms_screw += 1
-        if kind == "rot":
-            self.report.rotations_screw += 1
-        elif kind == "trans":
-            self.report.translations_screw += 1
-        return mat @ s
-
-    def tensor(self, a_inv, m):
-        self.report.frame_transforms_tensor += 1
-        return a_inv.T @ m @ a_inv
-
-    def bracket(self, x, y):
-        self.report.lie_brackets += 1
-        return lie_bracket(x, y)
-
-    def cobracket(self, x, p):
-        self.report.lie_brackets += 1
-        return ad_matrix(x).T @ p
+    def count(self, field):
+        setattr(self.report, field, getattr(self.report, field) + 1)
 
 
 def predict_op_counts(rep: str, n: int) -> OpCountReport:
@@ -297,98 +297,74 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     _check_rep(rep)
     work_rep = "hybrid" if rep == "mixed" else rep
     n = model.n
-    q = np.asarray(q, dtype=float).reshape(n)
-    qd = np.asarray(qd, dtype=float).reshape(n)
-    qdd = np.asarray(qdd, dtype=float).reshape(n)
     cnt = _Counter(work_rep, n)
-
-    poses, rels = fk_body_form(model, q)
-    V = np.zeros((n, 6))
-    Vd = np.zeros((n, 6))
-    W = np.zeros((n, 6))
-    Q = np.zeros(n)
-
-    ext = np.zeros((n, 6))
-    if gravity:
-        ext += gravity_wrenches(model, poses, work_rep)
-    if applied is not None:
-        applied = np.asarray(applied, dtype=float).reshape(n, 6)
-        if rep == "mixed":
-            for i in range(n):
-                wa = applied[i].copy()
-                wa[:3] = poses[i].rot @ wa[:3]  # mixed torque part is body-fixed
-                ext[i] += wa
-        else:
-            ext += applied
-
-    if work_rep == "body":
-        ad_rel_inv = [adjoint(rels[i].inverse()) for i in range(n)]
+    cache = _forward_sweep(model, JointState(q, qd, qdd), work_rep, 1, cnt)
+    poses = cache.poses
+    if rep == "mixed" and applied is not None:
+        applied = np.array(applied, dtype=float).reshape(n, 6)
         for i in range(n):
-            p = model.parent[i]
-            x = model.joints[i].screw_body
-            if p < 0:
-                V[i] = x * qd[i]
-                Vd[i] = x * qdd[i]
-            else:
-                V[i] = cnt.xform(ad_rel_inv[i], V[p]) + x * qd[i]
-                Vd[i] = (cnt.xform(ad_rel_inv[i], Vd[p])
-                         - qd[i] * cnt.bracket(x, V[i]) + x * qdd[i])
-        for i in range(n - 1, -1, -1):
-            mb = model.inertia_body(i)
-            W[i] += mb @ Vd[i] - cnt.cobracket(V[i], mb @ V[i]) - ext[i]
-            Q[i] = model.joints[i].screw_body @ W[i]
-            p = model.parent[i]
-            if p >= 0:
-                W[p] += cnt.xform(ad_rel_inv[i].T, W[i])
-    elif work_rep == "spatial":
-        js = np.zeros((n, 6))
-        ms = [None] * n
-        for i in range(n):
-            p = model.parent[i]
-            js[i] = cnt.xform(adjoint(poses[i]), model.joints[i].screw_body)
-            if p < 0:
-                V[i] = js[i] * qd[i]
-                Vd[i] = js[i] * qdd[i]
-            else:
-                V[i] = V[p] + js[i] * qd[i]
-                Vd[i] = Vd[p] + js[i] * qdd[i] + cnt.bracket(V[p], V[i])
-        for i in range(n - 1, -1, -1):
-            m_s = cnt.tensor(adjoint(poses[i].inverse()), model.inertia_body(i))
-            W[i] += m_s @ Vd[i] - cnt.cobracket(V[i], m_s @ V[i]) - ext[i]
-            Q[i] = js[i] @ W[i]
-            p = model.parent[i]
-            if p >= 0:
-                W[p] += W[i]
-    else:  # hybrid
-        x0 = np.zeros((n, 6))
-        for i in range(n):
-            p = model.parent[i]
-            x0[i] = cnt.xform(adjoint_rot(poses[i].rot),
-                              model.joints[i].screw_body, kind="rot")
-            if p < 0:
-                V[i] = x0[i] * qd[i]
-                om_i = screw(V[i][:3], np.zeros(3))
-                Vd[i] = x0[i] * qdd[i] + cnt.bracket(om_i, x0[i]) * qd[i]
-            else:
-                ad_t = adjoint_trans(poses[p].trans - poses[i].trans)
-                V[i] = cnt.xform(ad_t, V[p], kind="trans") + x0[i] * qd[i]
-                om_i = screw(V[i][:3], np.zeros(3))
-                rdot_rel = screw(np.zeros(3), V[p][3:] - V[i][3:])
-                Vd[i] = (cnt.xform(ad_t, Vd[p], kind="trans")
-                         + cnt.bracket(rdot_rel, V[p])
-                         + cnt.bracket(om_i, x0[i]) * qd[i] + x0[i] * qdd[i])
-        for i in range(n - 1, -1, -1):
-            mh = cnt.tensor(adjoint_rot(poses[i].rot.T), model.inertia_body(i))
-            om_i = screw(V[i][:3], np.zeros(3))
-            W[i] += mh @ Vd[i] + cnt.bracket(om_i, mh @ om_i) - ext[i]
-            Q[i] = x0[i] @ W[i]
-            p = model.parent[i]
-            if p >= 0:
-                ad_t = adjoint_trans(poses[p].trans - poses[i].trans)
-                W[p] += cnt.xform(ad_t.T, W[i], kind="trans")
+            applied[i, :3] = poses[i].rot @ applied[i, :3]  # mixed torque part is body-fixed
+    ext = _loads(model, poses, work_rep, applied, gravity, work_rep)
+    Q, W = _backward_sweep(model, cache, _inertias(model, poses, work_rep, cnt), ext, cnt)
     if full:
         return IdynResult(Q, W, cnt.report, work_rep)
     return Q
+
+
+def _loads(model: ChainModel, poses, rep: str, applied, gravity: bool,
+           applied_rep: str) -> np.ndarray:
+    """Per-body external wrenches in ``rep``: gravity (unless disabled)
+    plus ``applied``, which is given in ``applied_rep``."""
+    n = model.n
+    ext = gravity_wrenches(model, poses, rep) if gravity else np.zeros((n, 6))
+    if applied is not None:
+        applied = np.asarray(applied, dtype=float).reshape(n, 6)
+        for i in range(n):
+            ext[i] += convert_wrench(applied[i], applied_rep, rep, poses[i])
+    return ext
+
+
+def _inertias(model: ChainModel, poses, rep: str, ops: _SweepOps = _PLAIN) -> list:
+    """Per-body 6x6 inertias in the representation of a sweep."""
+    n = model.n
+    if rep == "body":
+        return [model.inertia_body(i) for i in range(n)]
+    if rep == "spatial":
+        return [ops.tensor(adjoint(poses[i].inverse()), model.inertia_body(i))
+                for i in range(n)]
+    return [ops.tensor(adjoint_rot(poses[i].rot.T), model.inertia_body(i))
+            for i in range(n)]
+
+
+def _backward_sweep(model: ChainModel, cache, inertias, ext,
+                    ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray]:
+    """The one Newton-Euler wrench recursion, from the leaves to the roots,
+    in the representation of ``cache`` (a forward sweep's result).
+
+    Each body's balance (body and spatial: M Vdot - ad^T_V M V; hybrid:
+    M Vdot + [omega, M omega]) less its load ``ext`` joins the wrenches
+    its children transmit; the sum is projected on the joint screw and
+    carried to the parent.  Returns (joint forces, joint wrenches).
+    """
+    n = model.n
+    rep = cache.rep
+    V, Vd, x = cache.twists, cache.accels, cache.joint_screws
+    kind = "translations_screw" if rep == "hybrid" else None
+    W = np.zeros((n, 6))
+    Q = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        m = inertias[i]
+        if rep == "hybrid":
+            omega = screw(V[i][:3], np.zeros(3))
+            W[i] += m @ Vd[i] + ops.bracket(omega, m @ omega) - ext[i]
+        else:
+            W[i] += m @ Vd[i] - ops.cobracket(V[i], m @ V[i]) - ext[i]
+        Q[i] = x[i] @ W[i]
+        p = model.parent[i]
+        if p >= 0:
+            xf = cache.parent_transforms[i]
+            W[p] += W[i] if xf is None else ops.xform(xf.T, W[i], kind=kind)
+    return Q, W
 
 
 # --------------------------------------------------------------------------
@@ -403,12 +379,46 @@ def _blockdiag_inertia(model: ChainModel) -> np.ndarray:
     return mb
 
 
+def _mass_matrix(model: ChainModel, js, ms) -> np.ndarray:
+    """Composite-rigid-body mass matrix from the spatial joint screws
+    ``js`` and spatial body inertias ``ms``.
+
+    With Ic_k the inertia of the subtree rooted at body k (spatial
+    inertias add without transformation), M_jk = js_j . Ic_k js_k for
+    every j on the path to k and zero off the paths.
+    """
+    n = model.n
+    ic = np.array(ms, dtype=float)
+    for i in range(n - 1, -1, -1):
+        if model.parent[i] >= 0:
+            ic[model.parent[i]] += ic[i]
+    m = np.zeros((n, n))
+    for k in range(n):
+        path = list(model.path(k))
+        m[path, k] = m[k, path] = js[path] @ (ic[k] @ js[k])
+    return m
+
+
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
-    """Generalized mass matrix (J^b)^T blockdiag(M^b) J^b (symmetrized
-    against roundoff)."""
-    sj = jacobian(model, q, "body")
-    m = sj.J.T @ _blockdiag_inertia(model) @ sj.J
-    return 0.5 * (m + m.T)
+    """Generalized mass matrix by the composite-rigid-body algorithm."""
+    poses, _ = fk_body_form(model, q)
+    return _mass_matrix(model, _instantaneous_screws(model, poses, "spatial"),
+                        _inertias(model, poses, "spatial"))
+
+
+def _spd_solve(m, b) -> np.ndarray:
+    """Solve m x = b for a symmetric positive-definite m by Cholesky.
+
+    Raises ValueError when m or b holds a NaN or an infinity (which numpy
+    would carry through silently) or when m is not positive definite.
+    """
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
+        raise ValueError("array must not contain infs or NaNs")
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"matrix is not positive definite: {err}") from None
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 def coriolis_matrix(model: ChainModel, q, qd) -> np.ndarray:
@@ -489,11 +499,7 @@ def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
     n = model.n
     cache = accelerations(model, JointState(q, qd, qdd), "body")
     sj = jacobian(model, q, "body")
-    ext = np.zeros((n, 6))
-    if gravity:
-        ext += gravity_wrenches(model, cache.poses, "body")
-    if applied is not None:
-        ext += np.asarray(applied, dtype=float).reshape(n, 6)
+    ext = _loads(model, cache.poses, "body", applied, gravity, "body")
     stacked = np.zeros(6 * n)
     for i in range(n):
         mb = model.inertia_body(i)
@@ -505,61 +511,23 @@ def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
 
 def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
          gravity: bool = True) -> np.ndarray:
-    """Forward dynamics by the symmetric positive-definite mass-matrix
-    solve; raises on factorization failure (invalid inertia data).
+    """Forward dynamics qdd = M^-1 (tau - bias).
 
-    ``applied`` takes per-body external wrenches in body representation.
-    Everything is evaluated in one body-fixed sweep: Jacobian columns for
-    the mass matrix, then the zero-acceleration bias recursion.
+    The bias is :func:`idyn`'s body-fixed forward and backward sweep at
+    qdd = 0, M the composite-rigid-body mass matrix at the same poses,
+    and the solve a Cholesky factorization; raises ValueError when M is
+    not positive definite or tau - bias is not finite.  ``applied`` takes
+    per-body external wrenches in body representation.
     """
     n = model.n
     tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
-    qd = np.asarray(qd, dtype=float).reshape(n)
-    poses, rels = fk_body_form(model, q)
-    ad_rel_inv = [adjoint(rels[i].inverse()) for i in range(n)]
-
-    m = np.zeros((n, n))
-    cols = np.zeros((n, 6, n))
-    for i in range(n):
-        path = model.path(i)
-        ci_inv = poses[i].inverse()
-        for j in path:
-            cols[i, :, j] = adjoint(ci_inv @ poses[j]) @ model.joints[j].screw_body
-        mb = model.inertia_body(i)
-        block = cols[i][:, path]
-        m[np.ix_(path, path)] += block.T @ mb @ block
-    m = 0.5 * (m + m.T)
-    try:
-        factor = cho_factor(m)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"mass matrix is not positive definite: {err}") from None
-
-    ext = np.zeros((n, 6))
-    if gravity:
-        ext += gravity_wrenches(model, poses, "body")
-    if applied is not None:
-        ext += np.asarray(applied, dtype=float).reshape(n, 6)
-
-    V = np.zeros((n, 6))
-    Vd0 = np.zeros((n, 6))
-    W = np.zeros((n, 6))
-    bias = np.zeros(n)
-    for i in range(n):
-        p = model.parent[i]
-        x = model.joints[i].screw_body
-        if p < 0:
-            V[i] = x * qd[i]
-        else:
-            V[i] = ad_rel_inv[i] @ V[p] + x * qd[i]
-            Vd0[i] = ad_rel_inv[i] @ Vd0[p] - qd[i] * lie_bracket(x, V[i])
-    for i in range(n - 1, -1, -1):
-        mb = model.inertia_body(i)
-        W[i] += mb @ Vd0[i] - ad_matrix(V[i]).T @ (mb @ V[i]) - ext[i]
-        bias[i] = model.joints[i].screw_body @ W[i]
-        p = model.parent[i]
-        if p >= 0:
-            W[p] += ad_rel_inv[i].T @ W[i]
-    return cho_solve(factor, tau - bias)
+    cache = _forward_sweep(model, JointState(q, qd), "body", 1)
+    poses = cache.poses
+    bias, _ = _backward_sweep(model, cache, _inertias(model, poses, "body"),
+                              _loads(model, poses, "body", applied, gravity, "body"))
+    m = _mass_matrix(model, _instantaneous_screws(model, poses, "spatial"),
+                     _inertias(model, poses, "spatial"))
+    return _spd_solve(m, tau - bias)
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
@@ -567,10 +535,8 @@ def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
     from .kinematics import twists as _twists
 
     cache = _twists(model, q, qd, "spatial")
-    out = np.zeros((model.n, 6))
-    for i in range(model.n):
-        out[i] = spatial_inertia_of(model, cache.poses, i) @ cache.twists[i]
-    return out
+    return np.einsum("ijk,ik->ij", _inertias(model, cache.poses, "spatial"),
+                     cache.twists)
 
 
 def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
@@ -578,36 +544,28 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     """Phase-space right-hand side: rates of the spatial momenta and the
     joint velocities recovered from them.
 
-    The stacked relation M^s_i J^s_i qd = Pi_i is contracted with the
-    spatial Jacobian into the SPD system M(q) qd = (J^s)^T Pi; each
-    momentum rate is then the total spatial wrench on its body.  The
-    whole evaluation runs in one spatial sweep (applied wrenches are
-    taken in body representation, as in :func:`fdyn`).
+    The stacked relation M^s_i J^s_i qd = Pi_i contracted with the spatial
+    Jacobian is the SPD system M(q) qd = (J^s)^T Pi, with M the
+    composite-rigid-body mass matrix.  The bias is :func:`idyn`'s spatial
+    forward and backward sweep at qdd = 0, qdd = M^-1 (tau - bias), and
+    each momentum rate is its body's spatial Newton-Euler balance
+    M^s Vdot - ad^T_V M^s V.  ``tau`` may be a callable of the recovered
+    qd; applied wrenches are taken in body representation, as in
+    :func:`fdyn`.
     """
     n = model.n
     pi_stack = np.asarray(pi_stack, dtype=float).reshape(n, 6)
-    poses, _ = fk_body_form(model, q)
-    js = np.zeros((n, 6))
-    ms = []
-    for i in range(n):
-        js[i] = adjoint(poses[i]) @ model.joints[i].screw_body
-        ms.append(spatial_inertia_of(model, poses, i))
-
-    # generalized mass from the spatial factors: M = sum_l J_l^T M_l J_l
-    jstack = np.zeros((6 * n, n))
-    for i in range(n):
-        for j in model.path(i):
-            jstack[6 * i:6 * i + 6, j] = js[j]
-    m = np.zeros((n, n))
-    for i in range(n):
-        block = jstack[6 * i:6 * i + 6]
-        m += block.T @ ms[i] @ block
-    m = 0.5 * (m + m.T)
-    try:
-        factor = cho_factor(m)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"singular momentum solve: {err}") from None
-    qd = cho_solve(factor, jstack.T @ pi_stack.reshape(-1))
+    frames = fk_body_form(model, q)
+    poses = frames[0]
+    js = _instantaneous_screws(model, poses, "spatial")
+    ms = _inertias(model, poses, "spatial")
+    m = _mass_matrix(model, js, ms)
+    # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
+    sub = pi_stack.copy()
+    for i in range(n - 1, -1, -1):
+        if model.parent[i] >= 0:
+            sub[model.parent[i]] += sub[i]
+    qd = _spd_solve(m, np.einsum("ij,ij->i", js, sub))
     if tau is None:
         tau = np.zeros(n)
     elif callable(tau):
@@ -615,40 +573,19 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     else:
         tau = np.asarray(tau, dtype=float).reshape(n)
 
-    ext = np.zeros((n, 6))
-    if gravity:
-        ext += gravity_wrenches(model, poses, "spatial")
-    if applied is not None:
-        applied = np.asarray(applied, dtype=float).reshape(n, 6)
-        for i in range(n):
-            ext[i] += convert_wrench(applied[i], "body", "spatial", poses[i])
-
-    # twists, zero-qdd bias sweep, then the actual accelerations
-    V = np.zeros((n, 6))
-    Vd0 = np.zeros((n, 6))
+    cache = _forward_sweep(model, JointState(q, qd), "spatial", 1, frames=frames)
+    bias, _ = _backward_sweep(model, cache, ms,
+                              _loads(model, poses, "spatial", applied, gravity, "body"))
+    qdd = _spd_solve(m, tau - bias)
+    # accelerations are affine in qdd: add the joint terms to the bias sweep's
+    vd = js * qdd[:, None]
     for i in range(n):
-        p = model.parent[i]
-        if p < 0:
-            V[i] = js[i] * qd[i]
-        else:
-            V[i] = V[p] + js[i] * qd[i]
-            Vd0[i] = Vd0[p] + lie_bracket(V[p], V[i])
-    bias = np.zeros(n)
-    wacc = np.zeros((n, 6))
-    for i in range(n - 1, -1, -1):
-        wacc[i] += ms[i] @ Vd0[i] - ad_matrix(V[i]).T @ (ms[i] @ V[i]) - ext[i]
-        bias[i] = js[i] @ wacc[i]
-        p = model.parent[i]
-        if p >= 0:
-            wacc[p] += wacc[i]
-    qdd = cho_solve(factor, tau - bias)
-
-    pidot = np.zeros((n, 6))
-    Vd = np.zeros((n, 6))
-    for i in range(n):
-        p = model.parent[i]
-        Vd[i] = Vd0[i] + js[i] * qdd[i] + (Vd[p] - Vd0[p] if p >= 0 else 0.0)
-        pidot[i] = ms[i] @ Vd[i] - ad_matrix(V[i]).T @ (ms[i] @ V[i])
+        if model.parent[i] >= 0:
+            vd[i] += vd[model.parent[i]]
+    vd += cache.accels
+    V = cache.twists
+    pidot = np.array([ms[i] @ vd[i] - ad_matrix(V[i]).T @ (ms[i] @ V[i])
+                      for i in range(n)])
     return pidot, qd
 
 

@@ -4,7 +4,11 @@ spatial-momentum formulation with conservation diagnostics.
 
 Joint space is a plain vector space for the supported joints, so chain
 trajectories use ordinary RK4 on (q, qd) or on (q, spatial momenta); the
-Lie-group machinery is exercised by the absolute-motion integrators.
+Lie-group machinery is exercised by the absolute-motion integrators.  The
+right-hand sides are :func:`screwchain.dynamics.fdyn` and
+:func:`screwchain.dynamics.momentum_rhs`, which share the recursive
+sweeps, the mass matrix and the SPD solve of that module; the free body
+recovers its twist from the momentum with the same solve.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import BodyModel, ChainModel, spatial_inertia_body
-from .se3 import Pose, adjoint, dexp_inv, exp_se3, lie_bracket
+from .se3 import Pose, adjoint, dexp_inv, exp_se3
 from . import dynamics as dyn
+from .dynamics import _spd_solve
 from .kinematics import fk
 
 __all__ = [
@@ -118,17 +122,14 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
         ad_inv = adjoint(pose.inverse())
         return ad_inv.T @ mb @ ad_inv
 
+    steps = _step_count(T, h)
     ms0 = spatial_inertia_at(state.pose)
-    try:
-        cho_factor(ms0)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"degenerate spatial inertia: {err}") from None
     pi = ms0 @ state.twist  # held constant: momentum balance with zero wrench
+    _spd_solve(ms0, pi)  # fails early on a degenerate inertia or a non-finite twist
 
     def twist_field(_t, pose):
-        return cho_solve(cho_factor(spatial_inertia_at(pose)), pi)
+        return _spd_solve(spatial_inertia_at(pose), pi)
 
-    steps = int(round(T / h))
     times = np.linspace(0.0, steps * h, steps + 1)
     poses = [state.pose]
     twists = [state.twist]
@@ -161,6 +162,17 @@ class ChainTrajectory:
     form: str
 
 
+def _step_count(T, h) -> int:
+    """Number of fixed steps of size h covering [0, T]; rejects a step
+    that is not finite and positive and a span that is not finite and
+    non-negative."""
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"step size h must be finite and positive, got {h!r}")
+    if not (np.isfinite(T) and T >= 0.0):
+        raise ValueError(f"duration T must be finite and non-negative, got {T!r}")
+    return int(round(T / h))
+
+
 def _rk4(f, t, y, h, k1=None):
     if k1 is None:
         k1 = f(t, y)
@@ -179,10 +191,12 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     dynamics; ``form="momentum"`` advances (q, stacked spatial momenta)
     with the phase-space right-hand side.  ``torque`` is an optional
     callable (t, q, qd) -> generalized forces.  A non-finite state aborts
-    with the last valid samples kept.
+    with the last valid samples kept.  Raises ValueError unless h is
+    finite and positive and T finite and non-negative.
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
+    steps = _step_count(T, h)
     n = model.n
     q0 = np.asarray(q0, dtype=float).reshape(n)
     qd0 = np.asarray(qd0, dtype=float).reshape(n)
@@ -192,7 +206,6 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
             return np.zeros(n)
         return np.asarray(torque(t, q, qd), dtype=float).reshape(n)
 
-    steps = int(round(T / h))
     times = np.linspace(0.0, steps * h, steps + 1)
     qs = np.zeros((steps + 1, n))
     qds = np.zeros((steps + 1, n))

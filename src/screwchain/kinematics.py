@@ -23,6 +23,7 @@ import numpy as np
 from .model import ChainModel
 from .se3 import (
     Pose,
+    ad_matrix,
     adjoint,
     adjoint_rot,
     adjoint_trans,
@@ -100,7 +101,10 @@ class Twist:
 
 @dataclass
 class KinematicsCache:
-    """Per-body kinematic quantities from one forward sweep."""
+    """Per-body kinematic quantities from one forward sweep, with the
+    instantaneous joint screws and the screw transformations from each
+    parent's twist (None where there is none) that the backward wrench
+    sweep reuses."""
 
     rep: str
     poses: list[Pose]
@@ -108,6 +112,42 @@ class KinematicsCache:
     twists: np.ndarray
     accels: np.ndarray | None = None
     jerks: np.ndarray | None = None
+    joint_screws: np.ndarray | None = None
+    parent_transforms: list | None = None
+
+
+class _SweepOps:
+    """Screw transformations, inertia congruences and Lie brackets of the
+    recursive sweeps.  Each call reports itself to :meth:`count`, which
+    does nothing here; the operation counter of
+    :func:`screwchain.dynamics.idyn` overrides it, so the counts it
+    reports come from the sweep that actually ran."""
+
+    __slots__ = ()
+
+    def count(self, field):
+        """Hook for a counter; ``field`` names an ``OpCountReport`` field."""
+
+    def xform(self, mat, s, kind=None):
+        self.count("frame_transforms_screw")
+        if kind is not None:
+            self.count(kind)
+        return mat @ s
+
+    def tensor(self, a_inv, m):
+        self.count("frame_transforms_tensor")
+        return a_inv.T @ m @ a_inv
+
+    def bracket(self, x, y):
+        self.count("lie_brackets")
+        return lie_bracket(x, y)
+
+    def cobracket(self, x, p):
+        self.count("lie_brackets")
+        return ad_matrix(x).T @ p
+
+
+_PLAIN = _SweepOps()
 
 
 def fk(model: ChainModel, q) -> list[Pose]:
@@ -140,7 +180,8 @@ def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
     return poses, rels
 
 
-def _instantaneous_screws(model: ChainModel, poses, rep: str) -> np.ndarray:
+def _instantaneous_screws(model: ChainModel, poses, rep: str,
+                          ops: _SweepOps = _PLAIN) -> np.ndarray:
     """Current joint screws per joint: constant X_j (body), Ad_{C_j} X_j
     (spatial), or Ad_{R_j} X_j (hybrid)."""
     out = np.empty((model.n, 6))
@@ -149,9 +190,9 @@ def _instantaneous_screws(model: ChainModel, poses, rep: str) -> np.ndarray:
         if rep == "body":
             out[j] = x
         elif rep == "spatial":
-            out[j] = adjoint(poses[j]) @ x
+            out[j] = ops.xform(adjoint(poses[j]), x)
         else:  # hybrid
-            out[j] = adjoint_rot(poses[j].rot) @ x
+            out[j] = ops.xform(adjoint_rot(poses[j].rot), x, kind="rotations_screw")
     return out
 
 
@@ -241,57 +282,54 @@ def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
                            conv(cache.jerks))
 
 
-def _forward_sweep(model: ChainModel, state: JointState, rep: str,
-                   level: int) -> KinematicsCache:
-    """Shared body/spatial/hybrid propagation up to the requested level
-    (0 = twists, 1 = accelerations)."""
+def _forward_sweep(model: ChainModel, state: JointState, rep: str, level: int,
+                   ops: _SweepOps = _PLAIN, frames=None) -> KinematicsCache:
+    """The one body/spatial/hybrid forward recursion, up to the requested
+    level (0 = twists, 1 = accelerations).
+
+    ``frames`` takes the (poses, relative poses) of :func:`fk_body_form`
+    when the caller already has them.  Every screw transformation and
+    bracket goes through ``ops``.
+    """
     n = model.n
-    q = state.q
     qd = state.qd if state.qd is not None else np.zeros(n)
     qdd = state.qdd if state.qdd is not None else np.zeros(n)
-
-    poses, rels = fk_body_form(model, q)
+    poses, rels = fk_body_form(model, state.q) if frames is None else frames
+    x = _instantaneous_screws(model, poses, rep, ops)
+    xf = [None] * n
     V = np.zeros((n, 6))
     Vd = np.zeros((n, 6)) if level >= 1 else None
 
-    if rep == "body":
-        for i in range(n):
-            p = model.parent[i]
-            x = model.joints[i].screw_body
-            ad_rel = adjoint(rels[i].inverse())
-            V[i] = x * qd[i] if p < 0 else ad_rel @ V[p] + x * qd[i]
-            if level >= 1:
-                acc = x * qdd[i]
-                if p >= 0:
-                    acc = acc + ad_rel @ Vd[p] - qd[i] * lie_bracket(x, V[i])
-                Vd[i] = acc
-    elif rep == "spatial":
-        for i in range(n):
-            p = model.parent[i]
-            js = adjoint(poses[i]) @ model.joints[i].screw_body
-            V[i] = js * qd[i] if p < 0 else V[p] + js * qd[i]
-            if level >= 1:
-                acc = js * qdd[i]
-                if p >= 0:
-                    acc = acc + Vd[p] + lie_bracket(V[p], V[i])
-                Vd[i] = acc
-    else:  # hybrid
-        for i in range(n):
-            p = model.parent[i]
-            x0 = adjoint_rot(poses[i].rot) @ model.joints[i].screw_body
-            if p < 0:
-                V[i] = x0 * qd[i]
-            else:
-                ad_t = adjoint_trans(poses[p].trans - poses[i].trans)
-                V[i] = ad_t @ V[p] + x0 * qd[i]
-            if level >= 1:
+    for i in range(n):
+        p = model.parent[i]
+        V[i] = x[i] * qd[i]
+        if Vd is not None:
+            Vd[i] = x[i] * qdd[i]
+        if rep == "body":
+            if p >= 0:
+                xf[i] = adjoint(rels[i].inverse())
+                V[i] += ops.xform(xf[i], V[p])
+                if Vd is not None:
+                    Vd[i] += (ops.xform(xf[i], Vd[p])
+                              - qd[i] * ops.bracket(x[i], V[i]))
+        elif rep == "spatial":
+            if p >= 0:
+                V[i] += V[p]
+                if Vd is not None:
+                    Vd[i] += Vd[p] + ops.bracket(V[p], V[i])
+        else:  # hybrid
+            if p >= 0:
+                xf[i] = adjoint_trans(poses[p].trans - poses[i].trans)
+                V[i] += ops.xform(xf[i], V[p], kind="translations_screw")
+            if Vd is not None:
                 omega_i = screw(V[i][:3], np.zeros(3))
-                acc = x0 * qdd[i] + lie_bracket(omega_i, x0) * qd[i]
+                Vd[i] += ops.bracket(omega_i, x[i]) * qd[i]
                 if p >= 0:
                     rdot_rel = screw(np.zeros(3), V[p][3:] - V[i][3:])
-                    acc = acc + ad_t @ Vd[p] + lie_bracket(rdot_rel, V[p])
-                Vd[i] = acc
-    return KinematicsCache(rep, poses, rels, V, Vd)
+                    Vd[i] += (ops.xform(xf[i], Vd[p], kind="translations_screw")
+                              + ops.bracket(rdot_rel, V[p]))
+    return KinematicsCache(rep, poses, rels, V, Vd, joint_screws=x,
+                           parent_transforms=xf)
 
 
 def twists(model: ChainModel, q, qd, rep: str = "body") -> KinematicsCache:
@@ -355,7 +393,7 @@ def jerks(model: ChainModel, state: JointState, rep: str = "body") -> Kinematics
                                                lie_bracket(cols[k], cols[r])) * cjk * qd[r]
             jerk[i] = acc
     elif rep == "spatial":
-        js = _instantaneous_screws(model, poses, "spatial")
+        js = cache.joint_screws
         V, Vd = cache.twists, cache.accels
         for i in range(n):
             acc = np.zeros(6)
@@ -372,7 +410,7 @@ def jerks(model: ChainModel, state: JointState, rep: str = "body") -> Kinematics
                                    lie_bracket(V[j], js[j])) * qd[j]
             jerk[i] = acc
     else:  # hybrid
-        x0 = _instantaneous_screws(model, poses, "hybrid")
+        x0 = cache.joint_screws
         V, Vd = cache.twists, cache.accels
         for i in range(n):
             acc = np.zeros(6)

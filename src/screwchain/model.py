@@ -30,7 +30,6 @@ __all__ = [
     "screw_from_axis",
     "spatial_inertia_body",
     "binet_inertia",
-    "binet_spatial_inertia",
     "parse_model",
     "serialize_model",
     "load_model",
@@ -219,18 +218,6 @@ def spatial_inertia_body(body: BodyModel) -> SpatialInertia:
     return SpatialInertia(out, "body")
 
 
-def binet_spatial_inertia(body: BodyModel) -> SpatialInertia:
-    """Body-frame 6x6 inertia with the COM tensor replaced by its Binet form."""
-    m = body.mass
-    dh = hat3(body.com_offset)
-    out = np.zeros((6, 6))
-    out[:3, :3] = binet_inertia(body.inertia_com) - m * (dh @ dh)
-    out[:3, 3:] = m * dh
-    out[3:, :3] = -m * dh
-    out[3:, 3:] = m * np.eye(3)
-    return SpatialInertia(out, "body")
-
-
 class ChainModel:
     """Validated tree of bodies; immutable once constructed.
 
@@ -279,9 +266,6 @@ class ChainModel:
         self._inertia_body = tuple(
             spatial_inertia_body(b).matrix for b in self.bodies
         )
-        self._inertia_binet = tuple(
-            binet_spatial_inertia(b).matrix for b in self.bodies
-        )
 
     def children(self, i: int) -> tuple[int, ...]:
         return self._children[i]
@@ -302,9 +286,6 @@ class ChainModel:
     def inertia_body(self, i: int) -> np.ndarray:
         """Body-representation 6x6 inertia of body i (about its BFR)."""
         return self._inertia_body[i]
-
-    def inertia_body_binet(self, i: int) -> np.ndarray:
-        return self._inertia_binet[i]
 
     def dof(self) -> int:
         return self.n

@@ -163,7 +163,8 @@ class Pose:
     def __post_init__(self):
         rot = np.asarray(self.rot, dtype=float).reshape(3, 3)
         trans = np.asarray(self.trans, dtype=float).reshape(3)
-        if np.linalg.norm(rot.T @ rot - np.eye(3)) > _SKEW_ATOL:
+        # written so that a NaN or infinite entry fails the test too
+        if not np.linalg.norm(rot.T @ rot - np.eye(3)) <= _SKEW_ATOL:
             raise ValueError("Pose: rotation is not orthogonal")
         if np.linalg.det(rot) < 0.0:
             raise ValueError("Pose: not a proper rotation (det = -1)")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -182,7 +183,38 @@ def test_threaded_rows_identical_output(tmp_path, rng):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command, blocks", [("fk", 1), ("jacobian", 1),
+                                             ("idyn", 3)])
+def test_non_finite_trajectory_exit_2_names_row_and_column(tmp_path, capsys,
+                                                           command, blocks):
+    data = [np.zeros((3, 2)) for _ in range(blocks)]
+    data[0][1, 1] = np.nan
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, [0.0, 0.1, 0.2], data)
+    out = tmp_path / "o.csv"
+    assert run_cli(command, "--model", MODEL_2R, "--traj", str(traj),
+                   "--out", str(out)) == 2
+    assert "row 2, column 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_header_only_trajectory_exit_2_without_warning(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,q1,q2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fk", "--model", MODEL_2R, "--traj", str(traj),
+                       "--out", str(tmp_path / "o.csv")) == 2
+    assert "trajectory has no data rows" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- cmd simulate
+
+@pytest.mark.parametrize("bad", [["--h", "0"], ["--h=-1e-3"], ["--h", "nan"],
+                                 ["--T=-0.5"], ["--T", "inf"], ["--q0", "nan"]])
+def test_simulate_bad_arguments_exit_2(tmp_path, bad):
+    assert run_cli("simulate", "--model", MODEL_1R, *bad,
+                   "--out", str(tmp_path / "sim.csv")) == 2
 
 def test_simulate_equilibrium_stationary(tmp_path):
     out = tmp_path / "sim.csv"
@@ -297,6 +329,12 @@ def test_benchmark_counts_exact(tmp_path):
     assert hybrid10[header.index("pred_rot")] == "10"
     assert hybrid10[header.index("pred_tensor")] == "10"
     assert hybrid10[header.index("pred_brackets")] == "29"
+
+
+@pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "2,-1"], ["--n", "two"],
+                                 ["--trials", "0"]])
+def test_benchmark_bad_sizes_exit_2(tmp_path, bad):
+    assert run_cli("benchmark", *bad, "--out", str(tmp_path / "bench.csv")) == 2
 
 
 # --------------------------------------------------------------- entry point

@@ -433,6 +433,20 @@ def test_fdyn_inverse_round_trip(rng):
     assert worst < 1e-9
 
 
+def test_solves_reject_non_finite_input(rng):
+    # numpy carries NaN through a solve silently; the SPD solve must not
+    model = random_chain(rng, 3)
+    q, qd = rng.normal(size=3), rng.normal(size=3)
+    with pytest.raises(ValueError):
+        fdyn(model, q, qd, tau=[0.0, np.nan, 0.0])
+    with pytest.raises(ValueError):
+        fdyn(model, q, qd, tau=[np.inf, 0.0, 0.0])
+    pis = spatial_momenta(model, q, qd)
+    pis[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        momentum_rhs(model, q, pis)
+
+
 def test_fdyn_balanced_coriolis_gives_zero_accel(rng):
     model = random_chain(rng, 4, gravity=(0, 0, 0))
     q, qd = rng.normal(size=4), rng.normal(size=4)

@@ -235,3 +235,12 @@ def test_chain_simulate_rejects_bad_form():
     model, _ = pendulum_model()
     with pytest.raises(ValueError):
         chain_simulate(model, [0.0], [0.0], form="verlet")
+
+
+@pytest.mark.parametrize("T, h", [(1.0, 0.0), (1.0, -1e-3), (1.0, np.nan),
+                                  (1.0, np.inf), (-0.1, 1e-3), (np.inf, 1e-3),
+                                  (np.nan, 1e-3)])
+def test_chain_simulate_rejects_bad_step_or_duration(T, h):
+    model, _ = pendulum_model()
+    with pytest.raises(ValueError):
+        chain_simulate(model, [0.0], [0.0], T=T, h=h)

@@ -148,6 +148,16 @@ def test_pose_rejects_improper_rotation():
         Pose(flip, np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pose_rejects_non_finite_rotation(bad):
+    rot = np.eye(3)
+    rot[0, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        Pose(rot, np.zeros(3))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        Pose(np.full((3, 3), bad), np.zeros(3))
+
+
 # ------------------------------------------------------------------- adjoint
 
 def test_adjoint_identity():

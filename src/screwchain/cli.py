@@ -261,7 +261,6 @@ def cmd_simulate(args):
                                     form=args.form, gravity=not args.no_gravity)
     except ValueError as err:  # bad --T or --h; failures mid-run truncate instead
         raise CliError(EXIT_VALIDATION, str(err)) from None
-    blew_up = traj.times[-1] < args.T - 0.5 * args.h
 
     header = (["t"] + [f"q{j + 1}" for j in range(n)]
               + [f"qd{j + 1}" for j in range(n)] + [f"qdd{j + 1}" for j in range(n)])
@@ -277,10 +276,11 @@ def cmd_simulate(args):
         rrows = [[r.t, r.energy, float(np.linalg.norm(r.momentum_spatial)),
                   r.constraint_drift] for r in traj.reports]
         _write_csv(rep_path, rheader, rrows)
-    if blew_up:
+    if traj.abort_reason is not None:
         raise CliError(EXIT_NUMERICAL,
-                       f"simulation aborted at t={traj.times[-1]:g} "
-                       f"(non-finite state); partial output written")
+                       f"simulation aborted in step {traj.abort_step} from "
+                       f"t={traj.times[-1]:g}: {traj.abort_reason}; "
+                       f"partial output written")
     return EXIT_OK
 
 

@@ -573,7 +573,8 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     else:
         tau = np.asarray(tau, dtype=float).reshape(n)
 
-    cache = _forward_sweep(model, JointState(q, qd), "spatial", 1, frames=frames)
+    cache = _forward_sweep(model, JointState(q, qd), "spatial", 1, frames=frames,
+                           screws=js)
     bias, _ = _backward_sweep(model, cache, ms,
                               _loads(model, poses, "spatial", applied, gravity, "body"))
     qdd = _spd_solve(m, tau - bias)

@@ -154,12 +154,18 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
 
 @dataclass
 class ChainTrajectory:
+    """Samples of a chain run.  A run that aborted keeps the samples up
+    to ``times[abort_step]`` and says why in ``abort_reason``; both are
+    None for a run that reached T."""
+
     times: np.ndarray
     q: np.ndarray
     qd: np.ndarray
     qdd: np.ndarray
     reports: list[StepReport]
     form: str
+    abort_reason: str | None = None
+    abort_step: int | None = None
 
 
 def _step_count(T, h) -> int:
@@ -190,9 +196,12 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     ``form="state"`` advances (q, qd) with the mass-matrix forward
     dynamics; ``form="momentum"`` advances (q, stacked spatial momenta)
     with the phase-space right-hand side.  ``torque`` is an optional
-    callable (t, q, qd) -> generalized forces.  A non-finite state aborts
-    with the last valid samples kept.  Raises ValueError unless h is
-    finite and positive and T finite and non-negative.
+    callable (t, q, qd) -> generalized forces.  A step that fails (a
+    floating-point overflow, division by zero or invalid operation, a
+    mass matrix that is not positive definite, a non-finite state) aborts
+    the run; the samples before it are kept and the step and the reason
+    recorded.  Raises ValueError unless h is finite and positive and T
+    finite and non-negative.
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
@@ -209,7 +218,7 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     times = np.linspace(0.0, steps * h, steps + 1)
     qs = np.zeros((steps + 1, n))
     qds = np.zeros((steps + 1, n))
-    qdds = np.zeros((steps + 1, n))
+    qdds = np.full((steps + 1, n), np.nan)  # NaN where a failed step left no qdd
     reports: list[StepReport] = []
 
     def make_report(t, q, qd):
@@ -221,28 +230,22 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
         drift = max(float(np.linalg.norm(p.rot.T @ p.rot - np.eye(3))) for p in poses)
         return StepReport(t, energy, pis.sum(axis=0), drift)
 
+    def accel(t, q, qd):
+        return dyn.fdyn(model, q, qd, tau_at(t, q, qd), applied=applied,
+                        gravity=gravity)
+
     if form == "state":
         def f(t, y):
-            q, qd = y[:n], y[n:]
-            qdd = dyn.fdyn(model, q, qd, tau_at(t, q, qd), applied=applied,
-                           gravity=gravity)
-            return np.concatenate([qd, qdd])
+            return np.concatenate([y[n:], accel(t, y[:n], y[n:])])
 
-        y = np.concatenate([q0, qd0])
-        qs[0], qds[0] = q0, qd0
-        reports.append(make_report(0.0, q0, qd0))
-        for k in range(steps):
-            try:
-                f1 = f(times[k], y)
-                qdds[k] = f1[n:]
-                y = _rk4(f, times[k], y, h, k1=f1)
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-                return _truncate(times, qs, qds, qdds, reports, k, form)
-            if not np.all(np.isfinite(y)):
-                return _truncate(times, qs, qds, qdds, reports, k, form)
-            qs[k + 1], qds[k + 1] = y[:n], y[n:]
-            reports.append(make_report(times[k + 1], y[:n], y[n:]))
-        qdds[steps] = f(times[steps], y)[n:]
+        def pack(q, qd):
+            return np.concatenate([q, qd])
+
+        def advance(k, y):  # the recorded sample is RK4's first stage
+            return _rk4(f, times[k], y, h, k1=np.concatenate([qds[k], qdds[k]]))
+
+        def velocity(y):
+            return y[n:]
     else:
         def f(t, y):
             q, pis = y[:n], y[n:]
@@ -251,28 +254,35 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
                 applied=applied, gravity=gravity)
             return np.concatenate([qd, pidot.reshape(-1)])
 
-        pis0 = dyn.spatial_momenta(model, q0, qd0).reshape(-1)
-        y = np.concatenate([q0, pis0])
-        qs[0], qds[0] = q0, qd0
-        qdds[0] = dyn.fdyn(model, q0, qd0, tau_at(0.0, q0, qd0), applied=applied,
-                           gravity=gravity)
-        reports.append(make_report(0.0, q0, qd0))
-        for k in range(steps):
-            try:
-                y = _rk4(f, times[k], y, h)
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-                return _truncate(times, qs, qds, qdds, reports, k, form)
-            if not np.all(np.isfinite(y)):
-                return _truncate(times, qs, qds, qdds, reports, k, form)
-            q, pis = y[:n], y[n:]
-            _, qd = dyn.momentum_rhs(model, q, pis, gravity=gravity, applied=applied)
-            qs[k + 1], qds[k + 1] = q, qd
-            qdds[k + 1] = dyn.fdyn(model, q, qd, tau_at(times[k + 1], q, qd),
-                                   applied=applied, gravity=gravity)
-            reports.append(make_report(times[k + 1], q, qd))
+        def pack(q, qd):
+            return np.concatenate([q, dyn.spatial_momenta(model, q, qd).reshape(-1)])
+
+        def advance(k, y):
+            return _rk4(f, times[k], y, h)
+
+        def velocity(y):
+            return dyn.momentum_rhs(model, y[:n], y[n:], gravity=gravity,
+                                    applied=applied)[1]
+
+    def record(k, q, qd):
+        qs[k], qds[k] = q, qd
+        qdds[k] = accel(times[k], q, qd)
+        reports.append(make_report(times[k], q, qd))
+
+    k = 0
+    # floating-point faults raise, so the first one is the abort reason
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            y = pack(q0, qd0)
+            record(0, q0, qd0)
+            for k in range(steps):
+                y = advance(k, y)
+                if not np.all(np.isfinite(y)):
+                    raise ValueError("non-finite state")
+                record(k + 1, y[:n], velocity(y))
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
+            return ChainTrajectory(times[:k + 1], qs[:k + 1], qds[:k + 1],
+                                   qdds[:k + 1], reports[:k + 1], form,
+                                   abort_reason=str(err) or type(err).__name__,
+                                   abort_step=k)
     return ChainTrajectory(times, qs, qds, qdds, reports, form)
-
-
-def _truncate(times, qs, qds, qdds, reports, k, form):
-    return ChainTrajectory(times[:k + 1], qs[:k + 1], qds[:k + 1], qdds[:k + 1],
-                           reports, form)

@@ -1,5 +1,9 @@
 """POE forward kinematics, twist propagation, Jacobians, and derivatives.
 
+Twists, accelerations and jerks come from one recursive forward sweep per
+representation, each level the time derivative of the one below, O(n)
+in the number of bodies.
+
 Twist representations (the ``rep`` argument everywhere):
 
 * ``body``    -- measured and resolved in the body frame.
@@ -50,8 +54,6 @@ __all__ = [
     "DerivativeWorkspace",
     "accel_ik",
     "convert_twist",
-    "body_accel_matrix_form",
-    "spatial_accel_matrix_form",
 ]
 
 REPS = ("body", "spatial", "hybrid", "mixed")
@@ -283,157 +285,110 @@ def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
 
 
 def _forward_sweep(model: ChainModel, state: JointState, rep: str, level: int,
-                   ops: _SweepOps = _PLAIN, frames=None) -> KinematicsCache:
+                   ops: _SweepOps = _PLAIN, frames=None, screws=None) -> KinematicsCache:
     """The one body/spatial/hybrid forward recursion, up to the requested
-    level (0 = twists, 1 = accelerations).
+    level (0 = twists, 1 = accelerations, 2 = jerks).
 
-    ``frames`` takes the (poses, relative poses) of :func:`fk_body_form`
-    when the caller already has them.  Every screw transformation and
-    bracket goes through ``ops``.
+    Each level is the time derivative of the one below it, so every body
+    costs O(1) screw operations per level.  ``frames`` takes the (poses,
+    relative poses) of :func:`fk_body_form` and ``screws`` the joint
+    screws in ``rep`` when the caller already has them.  Every screw
+    transformation and bracket goes through ``ops``.
     """
     n = model.n
-    qd = state.qd if state.qd is not None else np.zeros(n)
-    qdd = state.qdd if state.qdd is not None else np.zeros(n)
+    qd, qdd, qddd = (np.zeros(n) if v is None else v
+                     for v in (state.qd, state.qdd, state.qddd))
     poses, rels = fk_body_form(model, state.q) if frames is None else frames
-    x = _instantaneous_screws(model, poses, rep, ops)
+    x = _instantaneous_screws(model, poses, rep, ops) if screws is None else screws
     xf = [None] * n
     V = np.zeros((n, 6))
     Vd = np.zeros((n, 6)) if level >= 1 else None
+    Vdd = np.zeros((n, 6)) if level >= 2 else None
+    zero3 = np.zeros(3)
 
     for i in range(n):
         p = model.parent[i]
         V[i] = x[i] * qd[i]
-        if Vd is not None:
+        if level >= 1:
             Vd[i] = x[i] * qdd[i]
+        if level >= 2:
+            Vdd[i] = x[i] * qddd[i]
         if rep == "body":
+            # d/dt Ad(rel_i^-1) = -qd_i ad(X_i) Ad(rel_i^-1)
             if p >= 0:
                 xf[i] = adjoint(rels[i].inverse())
                 V[i] += ops.xform(xf[i], V[p])
-                if Vd is not None:
-                    Vd[i] += (ops.xform(xf[i], Vd[p])
-                              - qd[i] * ops.bracket(x[i], V[i]))
+                if level >= 1:
+                    vd_p = ops.xform(xf[i], Vd[p])
+                    xv = ops.bracket(x[i], V[i])
+                    Vd[i] += vd_p - qd[i] * xv
+                if level >= 2:
+                    Vdd[i] += (ops.xform(xf[i], Vdd[p]) - qdd[i] * xv
+                               - qd[i] * ops.bracket(x[i], vd_p + Vd[i]))
         elif rep == "spatial":
+            # d/dt X^s_i = [V_p, X^s_i]
             if p >= 0:
                 V[i] += V[p]
-                if Vd is not None:
+                if level >= 1:
                     Vd[i] += Vd[p] + ops.bracket(V[p], V[i])
-        else:  # hybrid
+                if level >= 2:
+                    Vdd[i] += (Vdd[p] + ops.bracket(Vd[p], V[i])
+                               + ops.bracket(V[p], Vd[i] + qdd[i] * x[i]))
+        else:  # hybrid: d/dt X^h_i = [omega_i, X^h_i], d/dt Ad(r) = ad(r-dot)
             if p >= 0:
                 xf[i] = adjoint_trans(poses[p].trans - poses[i].trans)
                 V[i] += ops.xform(xf[i], V[p], kind="translations_screw")
-            if Vd is not None:
-                omega_i = screw(V[i][:3], np.zeros(3))
-                Vd[i] += ops.bracket(omega_i, x[i]) * qd[i]
+            if level >= 1:
+                omega_i = screw(V[i][:3], zero3)
+                wx = ops.bracket(omega_i, x[i])
+                Vd[i] += wx * qd[i]
                 if p >= 0:
-                    rdot_rel = screw(np.zeros(3), V[p][3:] - V[i][3:])
+                    rdot_rel = screw(zero3, V[p][3:] - V[i][3:])
                     Vd[i] += (ops.xform(xf[i], Vd[p], kind="translations_screw")
                               + ops.bracket(rdot_rel, V[p]))
-    return KinematicsCache(rep, poses, rels, V, Vd, joint_screws=x,
+            if level >= 2:
+                omegad_i = screw(Vd[i][:3], zero3)
+                Vdd[i] += (2.0 * qdd[i] * wx
+                           + qd[i] * (ops.bracket(omegad_i, x[i])
+                                      + ops.bracket(omega_i, wx)))
+                if p >= 0:
+                    rddot_rel = screw(zero3, Vd[p][3:] - Vd[i][3:])
+                    Vdd[i] += (ops.xform(xf[i], Vdd[p], kind="translations_screw")
+                               + 2.0 * ops.bracket(rdot_rel, Vd[p])
+                               + ops.bracket(rddot_rel, V[p]))
+    return KinematicsCache(rep, poses, rels, V, Vd, Vdd, joint_screws=x,
                            parent_transforms=xf)
+
+
+def _sweep(model: ChainModel, state: JointState, rep: str, level: int) -> KinematicsCache:
+    """:func:`_forward_sweep` in any of the four representations; mixed
+    is the view of the hybrid sweep."""
+    _check_rep(rep)
+    if rep == "mixed":
+        return _mixed_view(_forward_sweep(model, state, "hybrid", level))
+    return _forward_sweep(model, state, rep, level)
 
 
 def twists(model: ChainModel, q, qd, rep: str = "body") -> KinematicsCache:
     """Velocity-level forward sweep in the requested representation."""
-    _check_rep(rep)
-    state = JointState(np.asarray(q, float), np.asarray(qd, float))
-    if rep == "mixed":
-        return _mixed_view(_forward_sweep(model, state, "hybrid", 0))
-    return _forward_sweep(model, state, rep, 0)
+    return _sweep(model, JointState(np.asarray(q, float), np.asarray(qd, float)), rep, 0)
 
 
 def accelerations(model: ChainModel, state: JointState, rep: str = "body") -> KinematicsCache:
     """Acceleration-level forward sweep in the requested representation."""
-    _check_rep(rep)
-    if rep == "mixed":
-        return _mixed_view(_forward_sweep(model, state, "hybrid", 1))
-    return _forward_sweep(model, state, rep, 1)
+    return _sweep(model, state, rep, 1)
 
 
 def jerks(model: ChainModel, state: JointState, rep: str = "body") -> KinematicsCache:
-    """Jerk-level sweep; requires state.qddd.
+    """Jerk-level forward sweep in the requested representation; requires
+    state.qd, state.qdd and state.qddd.
 
-    Body and spatial jerks come from the nested-bracket closed forms of
-    the Jacobian derivatives; the hybrid jerk sums J qddd + 2 Jdot qdd +
-    Jddot qd with the analytic hybrid Jacobian time derivatives.
+    Each jerk is the time derivative of the acceleration recursion, one
+    O(1) step per body on top of its parent's jerk.
     """
-    _check_rep(rep)
-    if state.qddd is None:
-        raise ValueError("jerks: state.qddd is required")
-    if rep == "mixed":
-        return _mixed_view(jerks(model, state, "hybrid"))
-
-    n = model.n
-    qd, qdd, qddd = state.qd, state.qdd, state.qddd
-    if qd is None or qdd is None:
-        raise ValueError("jerks: state.qd and state.qdd are required")
-    cache = _forward_sweep(model, state, rep, 1)
-    poses = cache.poses
-    jerk = np.zeros((n, 6))
-
-    if rep == "body":
-        # d/dt of the bracket acceleration sum: quadratic terms from der1,
-        # cubic terms from differentiating each bracket argument again.
-        for i in range(n):
-            cols = _body_jacobian_columns(model, poses, i)
-            path = model.path(i)
-            acc = np.zeros(6)
-            for j in path:
-                acc += cols[j] * qddd[j]
-            for a, j in enumerate(path):
-                for k in path[a + 1:]:
-                    cjk = qd[j] * qd[k]
-                    acc += lie_bracket(cols[j], cols[k]) * (
-                        2.0 * qdd[j] * qd[k] + qd[j] * qdd[k])
-                    for r in path[a + 1:]:
-                        acc += lie_bracket(lie_bracket(cols[j], cols[r]),
-                                           cols[k]) * cjk * qd[r]
-                    for r in path:
-                        if r > k:
-                            acc += lie_bracket(cols[j],
-                                               lie_bracket(cols[k], cols[r])) * cjk * qd[r]
-            jerk[i] = acc
-    elif rep == "spatial":
-        js = cache.joint_screws
-        V, Vd = cache.twists, cache.accels
-        for i in range(n):
-            acc = np.zeros(6)
-            for j in model.path(i):
-                acc += js[j] * qddd[j]
-                acc += 2.0 * lie_bracket(V[j], js[j]) * qdd[j]
-                s = np.zeros(6)
-                for k in model.path(j):
-                    s += js[k] * qdd[k]
-                acc += lie_bracket(s, js[j]) * qd[j]
-                p = model.parent[j]
-                vp = V[p] if p >= 0 else np.zeros(6)
-                acc += lie_bracket(vp + V[j] - V[i],
-                                   lie_bracket(V[j], js[j])) * qd[j]
-            jerk[i] = acc
-    else:  # hybrid
-        x0 = cache.joint_screws
-        V, Vd = cache.twists, cache.accels
-        for i in range(n):
-            acc = np.zeros(6)
-            for j in model.path(i):
-                r_ij = poses[j].trans - poses[i].trans
-                rd_ij = V[j][3:] - V[i][3:]
-                rdd_ij = Vd[j][3:] - Vd[i][3:]
-                omega_j = screw(V[j][:3], np.zeros(3))
-                omegad_j = screw(Vd[j][:3], np.zeros(3))
-                col = adjoint_trans(r_ij) @ x0[j]
-                jdot = (lie_bracket(screw(np.zeros(3), rd_ij), x0[j])
-                        + adjoint_trans(r_ij) @ lie_bracket(omega_j, x0[j]))
-                jddot = (lie_bracket(screw(np.zeros(3), rdd_ij), x0[j])
-                         + 2.0 * lie_bracket(screw(np.zeros(3), rd_ij),
-                                             lie_bracket(omega_j, x0[j]))
-                         + adjoint_trans(r_ij)
-                         @ (lie_bracket(omegad_j, x0[j])
-                            + lie_bracket(omega_j, lie_bracket(omega_j, x0[j]))))
-                acc += col * qddd[j] + 2.0 * jdot * qdd[j] + jddot * qd[j]
-            jerk[i] = acc
-
-    cache.jerks = jerk
-    return cache
+    if state.qd is None or state.qdd is None or state.qddd is None:
+        raise ValueError("jerks: state.qd, state.qdd and state.qddd are required")
+    return _sweep(model, state, rep, 2)
 
 
 # --------------------------------------------------------------------------
@@ -648,40 +603,3 @@ def convert_twist(t: Twist, target_rep: str, poses) -> Twist:
     else:  # mixed
         out = screw(body[:3], r @ body[3:])
     return Twist(out, target_rep, t.body_index)
-
-
-# --------------------------------------------------------------------------
-# System matrix forms of the acceleration (test surfaces for the factored
-# expressions; the recursions above are the production path)
-# --------------------------------------------------------------------------
-
-def body_accel_matrix_form(model: ChainModel, q, qd, qdd) -> np.ndarray:
-    """Stacked body accelerations as J qdd - A a J qd, with
-    a = blockdiag(qd_i ad_{X_i})."""
-    n = model.n
-    sj = jacobian(model, q, "body")
-    a = np.zeros((6 * n, 6 * n))
-    from .se3 import ad_matrix
-    for i in range(n):
-        a[6 * i:6 * i + 6, 6 * i:6 * i + 6] = qd[i] * ad_matrix(model.joints[i].screw_body)
-    vdot = sj.J @ np.asarray(qdd, float) - sj.A @ a @ sj.J @ np.asarray(qd, float)
-    return vdot.reshape(n, 6)
-
-
-def spatial_accel_matrix_form(model: ChainModel, q, qd, qdd) -> np.ndarray:
-    """Stacked spatial accelerations as J qdd + L b blockdiag(J_i) qd with
-    L the lower block-triangular identity and b = blockdiag(ad_{V_i})."""
-    n = model.n
-    sj = jacobian(model, q, "spatial")
-    cache = twists(model, q, qd, "spatial")
-    from .se3 import ad_matrix
-    b = np.zeros((6 * n, 6 * n))
-    diag_j = np.zeros((6 * n, n))
-    L = np.zeros((6 * n, 6 * n))
-    for i in range(n):
-        b[6 * i:6 * i + 6, 6 * i:6 * i + 6] = ad_matrix(cache.twists[i])
-        diag_j[6 * i:6 * i + 6, i] = sj.X[6 * i:6 * i + 6, i]
-        for j in model.path(i):
-            L[6 * i:6 * i + 6, 6 * j:6 * j + 6] = np.eye(6)
-    vdot = sj.J @ np.asarray(qdd, float) + L @ b @ diag_j @ np.asarray(qd, float)
-    return vdot.reshape(n, 6)

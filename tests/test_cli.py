@@ -284,6 +284,25 @@ def test_simulate_blow_up_exit_3_with_partial_output(tmp_path):
     assert np.all(np.isfinite(data[:, :3]))  # t, q, qd columns
 
 
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_simulate_abort_names_step_and_reason(tmp_path, capsys, form):
+    out = tmp_path / "sim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the reason replaces numpy's warnings
+        code = run_cli("simulate", "--model", MODEL_2R, "--qd0", "1e200,1e200",
+                       "--form", form, "--out", str(out))
+    assert code == 3
+    data = read_csv(out)  # the initial sample is written, its qdd unknown
+    assert data.shape == (1, 7) and data[0, 0] == 0.0
+    assert np.array_equal(data[0, 3:5], [1e200, 1e200])
+    assert np.all(np.isnan(data[0, 5:]))
+    errors = [ln for ln in capsys.readouterr().err.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1
+    assert "aborted in step 0 from t=0" in errors[0]
+    assert "overflow" in errors[0]
+
+
 # ------------------------------------------------------------ cmd christoffel
 
 def test_christoffel_single_joint_all_zero(tmp_path, capsys):

@@ -231,6 +231,23 @@ def test_chain_simulate_aborts_on_blow_up(rng):
     assert np.all(np.isfinite(traj.q))
 
 
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_chain_simulate_records_abort_step_and_reason(form):
+    model, _ = pendulum_model()
+    done = chain_simulate(model, [0.1], [0.0], T=0.01, h=1e-3, form=form)
+    assert done.abort_reason is None and done.abort_step is None
+
+    def exploding_torque(t, q, qd):
+        return np.array([1e308 if t > 2.5e-3 else 0.0])
+
+    traj = chain_simulate(model, [0.1], [0.0], torque=exploding_torque,
+                          T=0.01, h=1e-3, form=form)
+    assert traj.abort_step == len(traj.times) - 1 == len(traj.reports) - 1
+    assert 0 < traj.abort_step < 10
+    assert "overflow" in traj.abort_reason
+    assert np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.qd))
+
+
 def test_chain_simulate_rejects_bad_form():
     model, _ = pendulum_model()
     with pytest.raises(ValueError):

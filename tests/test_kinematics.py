@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from screwchain import se3
+from screwchain.cli import _benchmark_chain
 from screwchain.kinematics import (
-    JointState, Twist, accel_ik, accelerations, body_accel_matrix_form,
-    convert_twist, fk, fk_body_form, hybrid_jacobian_partial2, jacobian,
-    jacobian_partial, jacobian_partial_n, jerks, spatial_accel_matrix_form,
-    twists,
+    JointState, Twist, accel_ik, accelerations, convert_twist, fk,
+    fk_body_form, hybrid_jacobian_partial2, jacobian, jacobian_partial,
+    jacobian_partial_n, jerks, twists,
 )
 from screwchain.model import BodyModel, ChainModel, JointModel
-from screwchain.se3 import Pose, adjoint, adjoint_rot, lie_bracket, screw
+from screwchain.se3 import Pose, ad_matrix, adjoint, adjoint_rot, lie_bracket, screw
 
 from conftest import planar_2r_model, random_chain
 
@@ -203,6 +203,36 @@ def test_accelerations_match_finite_differences(rng):
     assert worst < 1e-7
 
 
+def body_accel_matrix_form(model, q, qd, qdd):
+    """Stacked body accelerations as J qdd - A a J qd, with
+    a = blockdiag(qd_i ad_{X_i})."""
+    n = model.n
+    sj = jacobian(model, q, "body")
+    a = np.zeros((6 * n, 6 * n))
+    for i in range(n):
+        a[6 * i:6 * i + 6, 6 * i:6 * i + 6] = qd[i] * ad_matrix(model.joints[i].screw_body)
+    vdot = sj.J @ np.asarray(qdd, float) - sj.A @ a @ sj.J @ np.asarray(qd, float)
+    return vdot.reshape(n, 6)
+
+
+def spatial_accel_matrix_form(model, q, qd, qdd):
+    """Stacked spatial accelerations as J qdd + L b blockdiag(J_i) qd with
+    L the lower block-triangular identity and b = blockdiag(ad_{V_i})."""
+    n = model.n
+    sj = jacobian(model, q, "spatial")
+    cache = twists(model, q, qd, "spatial")
+    b = np.zeros((6 * n, 6 * n))
+    diag_j = np.zeros((6 * n, n))
+    L = np.zeros((6 * n, 6 * n))
+    for i in range(n):
+        b[6 * i:6 * i + 6, 6 * i:6 * i + 6] = ad_matrix(cache.twists[i])
+        diag_j[6 * i:6 * i + 6, i] = sj.X[6 * i:6 * i + 6, i]
+        for j in model.path(i):
+            L[6 * i:6 * i + 6, 6 * j:6 * j + 6] = np.eye(6)
+    vdot = sj.J @ np.asarray(qdd, float) + L @ b @ diag_j @ np.asarray(qd, float)
+    return vdot.reshape(n, 6)
+
+
 def test_acceleration_matrix_forms_match_recursions(rng):
     for trial in range(8):
         n = int(rng.integers(1, 6))
@@ -244,6 +274,19 @@ def test_jerks_match_finite_differences(rng):
             am = accelerations(model, _poly_state(q, qd, qdd, qddd, -h), rep).accels
             worst = max(worst, np.abs((ap - am) / (2 * h) - jc).max())
     assert worst < 1e-6
+
+
+def test_jerks_match_finite_differences_on_long_chain():
+    # n = 30 is affordable only because the jerk sweep is O(n)
+    model = _benchmark_chain(30)
+    rng = np.random.default_rng(30)
+    q, qd, qdd, qddd = (rng.normal(size=30) for _ in range(4))
+    h = 1e-5
+    for rep in REPS3:
+        jc = jerks(model, JointState(q, qd, qdd, qddd), rep).jerks
+        ap = accelerations(model, _poly_state(q, qd, qdd, qddd, h), rep).accels
+        am = accelerations(model, _poly_state(q, qd, qdd, qddd, -h), rep).accels
+        assert np.abs((ap - am) / (2 * h) - jc).max() < 1e-6 * max(1.0, np.abs(jc).max())
 
 
 def test_jerk_representation_cross_agreement(rng):

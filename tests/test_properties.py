@@ -1,6 +1,6 @@
 """Property tests over random trees and forests with revolute, prismatic
 and helical joints: the recursive sweeps against each other, against the
-forward dynamics, and against the closed-form mass matrix."""
+forward dynamics, and against the closed-form mass matrix and jerks."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,8 @@ from screwchain.dynamics import (
     convert_wrench, fdyn, idyn, mass_matrix, momentum_rhs, ne_wrench,
     spatial_inertia_of, spatial_momenta,
 )
-from screwchain.kinematics import JointState, accelerations, fk, jacobian
+from screwchain.kinematics import JointState, accelerations, fk, jacobian, jerks
+from screwchain.se3 import adjoint_trans, lie_bracket, screw
 
 from conftest import random_chain
 
@@ -39,6 +40,89 @@ def body_mass_matrix_oracle(model, q):
         mb[6 * i:6 * i + 6, 6 * i:6 * i + 6] = model.inertia_body(i)
     sj = jacobian(model, q, "body")
     return sj.J.T @ mb @ sj.J
+
+
+def body_jerk_oracle(model, q, qd, qdd, qddd):
+    """Body jerks as the time derivative of the bracket sum of the body
+    acceleration: nested brackets of the Jacobian columns over triples on
+    every ancestor path, O(n^4)."""
+    sj = jacobian(model, q, "body")
+    jerk = np.zeros((model.n, 6))
+    for i in range(model.n):
+        path = model.path(i)
+        cols = {j: sj.column(i, j) for j in path}
+        acc = np.zeros(6)
+        for j in path:
+            acc += cols[j] * qddd[j]
+        for a, j in enumerate(path):
+            for k in path[a + 1:]:
+                cjk = qd[j] * qd[k]
+                acc += lie_bracket(cols[j], cols[k]) * (
+                    2.0 * qdd[j] * qd[k] + qd[j] * qdd[k])
+                for r in path[a + 1:]:
+                    acc += lie_bracket(lie_bracket(cols[j], cols[r]),
+                                       cols[k]) * cjk * qd[r]
+                for r in path:
+                    if r > k:
+                        acc += lie_bracket(cols[j],
+                                           lie_bracket(cols[k], cols[r])) * cjk * qd[r]
+        jerk[i] = acc
+    return jerk
+
+
+def spatial_jerk_oracle(model, q, qd, qdd, qddd):
+    """Spatial jerks as the path sum of the second time derivatives of
+    the joint screws, O(n^3)."""
+    js = jacobian(model, q, "spatial")
+    cache = accelerations(model, JointState(q, qd, qdd), "spatial")
+    V = cache.twists
+    jerk = np.zeros((model.n, 6))
+    for i in range(model.n):
+        acc = np.zeros(6)
+        for j in model.path(i):
+            x = js.column(j, j)
+            acc += x * qddd[j]
+            acc += 2.0 * lie_bracket(V[j], x) * qdd[j]
+            s = np.zeros(6)
+            for k in model.path(j):
+                s += js.column(k, k) * qdd[k]
+            acc += lie_bracket(s, x) * qd[j]
+            p = model.parent[j]
+            vp = V[p] if p >= 0 else np.zeros(6)
+            acc += lie_bracket(vp + V[j] - V[i], lie_bracket(V[j], x)) * qd[j]
+        jerk[i] = acc
+    return jerk
+
+
+def hybrid_jerk_oracle(model, q, qd, qdd, qddd):
+    """Hybrid jerks as J qddd + 2 Jdot qdd + Jddot qd with the analytic
+    time derivatives of the hybrid Jacobian columns Ad(r_ij) X^h_j."""
+    jh = jacobian(model, q, "hybrid")
+    cache = accelerations(model, JointState(q, qd, qdd), "hybrid")
+    poses, V, Vd = cache.poses, cache.twists, cache.accels
+    zero3 = np.zeros(3)
+    jerk = np.zeros((model.n, 6))
+    for i in range(model.n):
+        acc = np.zeros(6)
+        for j in model.path(i):
+            x = jh.column(j, j)
+            ad_r = adjoint_trans(poses[j].trans - poses[i].trans)
+            rd = screw(zero3, V[j][3:] - V[i][3:])
+            rdd = screw(zero3, Vd[j][3:] - Vd[i][3:])
+            omega = screw(V[j][:3], zero3)
+            omegad = screw(Vd[j][:3], zero3)
+            jdot = lie_bracket(rd, x) + ad_r @ lie_bracket(omega, x)
+            jddot = (lie_bracket(rdd, x)
+                     + 2.0 * lie_bracket(rd, lie_bracket(omega, x))
+                     + ad_r @ (lie_bracket(omegad, x)
+                               + lie_bracket(omega, lie_bracket(omega, x))))
+            acc += ad_r @ x * qddd[j] + 2.0 * jdot * qdd[j] + jddot * qd[j]
+        jerk[i] = acc
+    return jerk
+
+
+JERK_ORACLES = {"body": body_jerk_oracle, "spatial": spatial_jerk_oracle,
+                "hybrid": hybrid_jerk_oracle}
 
 
 @PROPERTY_SETTINGS
@@ -93,6 +177,17 @@ def test_mass_matrix_equals_jacobian_closed_form(case):
     oracle = body_mass_matrix_oracle(model, q)
     assert np.array_equal(m, m.T)
     assert np.abs(m - oracle).max() < 1e-10 * max(1.0, np.abs(oracle).max())
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(), st.integers(0, 2 ** 32 - 1))
+def test_jerks_match_closed_forms(case, seed):
+    model, q, qd, qdd = case[:4]
+    qddd = np.random.default_rng(seed).normal(size=model.n)
+    state = JointState(q, qd, qdd, qddd)
+    for rep, oracle in JERK_ORACLES.items():
+        assert np.allclose(jerks(model, state, rep).jerks,
+                           oracle(model, q, qd, qdd, qddd), rtol=0.0, atol=1e-10)
 
 
 @PROPERTY_SETTINGS

@@ -67,7 +67,8 @@ def _load_model_checked(path) -> ChainModel:
 
 
 def _load_table(path, what):
-    """Numeric CSV table below one header line; every entry must be finite."""
+    """Numeric CSV table below one header line; every entry must be finite
+    and the times in the first column strictly increasing."""
     try:
         with warnings.catch_warnings():
             # loadtxt warns on a table without rows; that is reported below
@@ -84,6 +85,8 @@ def _load_table(path, what):
         row, col = bad[0]
         raise CliError(EXIT_VALIDATION, f"{what} data row {row + 1}, column {col + 1}: "
                                         f"value {raw[row, col]} is not finite")
+    if np.any(np.diff(raw[:, 0]) <= 0):
+        raise CliError(EXIT_VALIDATION, f"{what} times must be strictly increasing")
     return raw
 
 
@@ -105,8 +108,6 @@ def _read_traj(path, n, need=1):
                        f"trajectory provides {blocks} block(s) of joint data; "
                        f"this command needs {need}")
     t = raw[:, 0]
-    if np.any(np.diff(t) <= 0):
-        raise CliError(EXIT_VALIDATION, "trajectory times must be strictly increasing")
     q = raw[:, 1:1 + n]
     qd = raw[:, 1 + n:1 + 2 * n] if blocks >= 2 else None
     qdd = raw[:, 1 + 2 * n:1 + 3 * n] if blocks >= 3 else None
@@ -315,6 +316,10 @@ def _benchmark_chain(n):
 
 def cmd_benchmark(args):
     reps = [r.strip() for r in args.reps.split(",")]
+    allowed = ("body", "spatial", "hybrid")
+    if any(rep not in allowed for rep in reps):
+        raise CliError(EXIT_VALIDATION, f"--reps: expected a comma-separated subset of "
+                                        f"{', '.join(allowed)}; got {args.reps!r}")
     try:
         sizes = [int(v) for v in args.n.split(",")]
     except ValueError:

@@ -32,6 +32,8 @@ from .kinematics import (
     _check_rep,
     _forward_sweep,
     _instantaneous_screws,
+    _rep_map,
+    _twist_map,
     fk_body_form,
     jacobian,
 )
@@ -40,7 +42,6 @@ from .se3 import (
     ad_matrix,
     adjoint,
     adjoint_rot,
-    adjoint_trans,
     lie_bracket,
     screw,
 )
@@ -176,23 +177,11 @@ def ne_wrench(v, vdot, inertia, rep: str = "body", com_frame: bool = False) -> n
 
 
 def convert_wrench(w, from_rep: str, to_rep: str, pose: Pose) -> np.ndarray:
-    """Exact change of wrench representation for a body at the given pose."""
-    _check_rep(from_rep, ("body", "spatial", "hybrid"))
-    _check_rep(to_rep, ("body", "spatial", "hybrid"))
-    w = np.asarray(w, dtype=float)
-    if from_rep == to_rep:
-        return w.copy()
-    if from_rep == "body":
-        wh = adjoint_rot(pose.rot) @ w
-    elif from_rep == "spatial":
-        wh = adjoint_trans(pose.trans).T @ w
-    else:
-        wh = w
-    if to_rep == "hybrid":
-        return wh
-    if to_rep == "body":
-        return adjoint_rot(pose.rot.T) @ wh
-    return adjoint_trans(-pose.trans).T @ wh  # to spatial
+    """Exact change of wrench representation B_to^-T B_from^T for a body
+    at the given pose, the dual of the twist map (power is preserved)."""
+    _check_rep(from_rep)
+    _check_rep(to_rep)
+    return _twist_map(pose, to_rep, from_rep).T @ np.asarray(w, dtype=float)
 
 
 def gravity_wrenches(model: ChainModel, poses, rep: str) -> np.ndarray:
@@ -209,14 +198,14 @@ def gravity_wrenches(model: ChainModel, poses, rep: str) -> np.ndarray:
         f = model.bodies[i].mass * g
         d_world = poses[i].rot @ model.bodies[i].com_offset
         wh = screw(np.cross(d_world, f), f)
-        out[i] = wh if rep == "hybrid" else convert_wrench(wh, "hybrid", rep, poses[i])
+        out[i] = convert_wrench(wh, "hybrid", rep, poses[i])
     return out
 
 
 def spatial_inertia_of(model: ChainModel, poses, i: int) -> np.ndarray:
     """Inertial-frame 6x6 inertia of body i at the given pose."""
-    ad_inv = adjoint(poses[i].inverse())
-    return ad_inv.T @ model.inertia_body(i) @ ad_inv
+    b_inv = _rep_map(poses[i], "spatial")[1]
+    return b_inv.T @ model.inertia_body(i) @ b_inv
 
 
 def ne_wrench_arbitrary(model: ChainModel, state: JointState, i: int,
@@ -289,7 +278,8 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     in the same representation as ``rep``; gravity enters as a per-body
     wrench unless disabled.  ``rep == "mixed"`` routes the evaluation
     through the hybrid recursion (a mixed wrench pairs a body-fixed
-    torque with an inertial force, which has no native recursion).
+    torque with an inertial force, which has no native recursion) and
+    converts ``applied`` from mixed to hybrid.
 
     With ``full=True`` an :class:`IdynResult` carrying the transmitted
     joint wrenches and the operation-count report is returned instead.
@@ -300,11 +290,7 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     cnt = _Counter(work_rep, n)
     cache = _forward_sweep(model, JointState(q, qd, qdd), work_rep, 1, cnt)
     poses = cache.poses
-    if rep == "mixed" and applied is not None:
-        applied = np.array(applied, dtype=float).reshape(n, 6)
-        for i in range(n):
-            applied[i, :3] = poses[i].rot @ applied[i, :3]  # mixed torque part is body-fixed
-    ext = _loads(model, poses, work_rep, applied, gravity, work_rep)
+    ext = _loads(model, poses, work_rep, applied, gravity, rep)
     Q, W = _backward_sweep(model, cache, _inertias(model, poses, work_rep, cnt), ext, cnt)
     if full:
         return IdynResult(Q, W, cnt.report, work_rep)
@@ -325,14 +311,12 @@ def _loads(model: ChainModel, poses, rep: str, applied, gravity: bool,
 
 
 def _inertias(model: ChainModel, poses, rep: str, ops: _SweepOps = _PLAIN) -> list:
-    """Per-body 6x6 inertias in the representation of a sweep."""
+    """Per-body 6x6 inertias B^-T M B^-1 in the representation of a
+    sweep; the body inertias M are not transformed."""
     n = model.n
     if rep == "body":
         return [model.inertia_body(i) for i in range(n)]
-    if rep == "spatial":
-        return [ops.tensor(adjoint(poses[i].inverse()), model.inertia_body(i))
-                for i in range(n)]
-    return [ops.tensor(adjoint_rot(poses[i].rot.T), model.inertia_body(i))
+    return [ops.tensor(_rep_map(poses[i], rep)[1], model.inertia_body(i))
             for i in range(n)]
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BodyModel, ChainModel, spatial_inertia_body
-from .se3 import Pose, adjoint, dexp_inv, exp_se3
+from .se3 import Pose, dexp_inv, exp_se3
 from . import dynamics as dyn
 from .dynamics import _spd_solve
-from .kinematics import fk
+from .kinematics import _rep_map, _twist_map, fk
 
 __all__ = [
     "RigidBodyState",
@@ -53,14 +53,10 @@ class RigidBodyState:
         object.__setattr__(self, "twist", t)
 
     def spatial_twist(self) -> np.ndarray:
-        if self.rep == "spatial":
-            return self.twist.copy()
-        return adjoint(self.pose) @ self.twist
+        return _twist_map(self.pose, self.rep, "spatial") @ self.twist
 
     def body_twist(self) -> np.ndarray:
-        if self.rep == "body":
-            return self.twist.copy()
-        return np.linalg.solve(adjoint(self.pose), self.twist)
+        return _twist_map(self.pose, self.rep, "body") @ self.twist
 
 
 @dataclass
@@ -119,8 +115,8 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
     state = RigidBodyState(initial.pose, initial.spatial_twist(), "spatial")
 
     def spatial_inertia_at(pose: Pose) -> np.ndarray:
-        ad_inv = adjoint(pose.inverse())
-        return ad_inv.T @ mb @ ad_inv
+        b_inv = _rep_map(pose, "spatial")[1]
+        return b_inv.T @ mb @ b_inv
 
     steps = _step_count(T, h)
     ms0 = spatial_inertia_at(state.pose)
@@ -200,8 +196,9 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     floating-point overflow, division by zero or invalid operation, a
     mass matrix that is not positive definite, a non-finite state) aborts
     the run; the samples before it are kept and the step and the reason
-    recorded.  Raises ValueError unless h is finite and positive and T
-    finite and non-negative.
+    recorded, with NaN for the report fields and qdd of the last kept
+    sample that could not be computed.  Raises ValueError unless h is
+    finite and positive and T finite and non-negative.
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
@@ -266,15 +263,17 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
 
     def record(k, q, qd):
         qs[k], qds[k] = q, qd
+        # NaN fields stand until computed, so an abort here keeps one report per sample
+        reports.append(StepReport(times[k], np.nan, np.full(6, np.nan), np.nan))
         qdds[k] = accel(times[k], q, qd)
-        reports.append(make_report(times[k], q, qd))
+        reports[k] = make_report(times[k], q, qd)
 
     k = 0
     # floating-point faults raise, so the first one is the abort reason
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            y = pack(q0, qd0)
             record(0, q0, qd0)
+            y = pack(q0, qd0)
             for k in range(steps):
                 y = advance(k, y)
                 if not np.all(np.isfinite(y)):

@@ -4,37 +4,41 @@ Twists, accelerations and jerks come from one recursive forward sweep per
 representation, each level the time derivative of the one below, O(n)
 in the number of bodies.
 
-Twist representations (the ``rep`` argument everywhere):
+Twist representations (the ``rep`` argument everywhere).  Each is the
+body twist of one body mapped by a 6x6 matrix B fixed by the body's pose
+C = (R, r); :func:`_rep_map` builds B and its closed-form inverse:
 
-* ``body``    -- measured and resolved in the body frame.
-* ``spatial`` -- measured and resolved in the inertial frame.
-* ``hybrid``  -- measured at the body origin, resolved in the inertial frame.
-* ``mixed``   -- angular part body-fixed, linear part inertial.
+===========  ==============================================  ==================
+``rep``      twist measured / resolved                       B (from body)
+===========  ==============================================  ==================
+``body``     at the body origin, in the body frame           I
+``spatial``  at the inertial origin, in the inertial frame   Ad(C)
+``hybrid``   at the body origin, in the inertial frame       blockdiag(R, R)
+``mixed``    angular part body-fixed, linear part inertial   blockdiag(I, R)
+===========  ==============================================  ==================
+
+Every change of coordinates outside the recursive sweeps derives from
+these maps: a twist goes from representation a to b by B_b B_a^-1, a
+wrench by B_b^-T B_a^T, an inertia by B^-T M B^-1, a joint screw is
+B_j X_j, and block row i of the system Jacobian is the spatial joint
+screws mapped into body i's coordinates by B_i Ad(C_i)^-1.
 
 Mixed quantities are a derived view of the hybrid ones through the
-blockdiag(R^T, I) map, at every differentiation level.  At the jerk level
-this is a transformation convention (it is not the plain second time
-derivative of the mixed twist, whose angular part picks up an extra
-omega x omega-dot term).
+hybrid-to-mixed map blockdiag(R^T, I), at every differentiation level.
+At the jerk level this is a transformation convention (it is not the
+plain second time derivative of the mixed twist, whose angular part
+picks up an extra omega x omega-dot term).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import ChainModel
-from .se3 import (
-    Pose,
-    ad_matrix,
-    adjoint,
-    adjoint_rot,
-    adjoint_trans,
-    exp_se3,
-    lie_bracket,
-    screw,
-)
+from .se3 import Pose, ad_matrix, adjoint, adjoint_trans, exp_se3, hat3, lie_bracket, screw
 
 __all__ = [
     "REPS",
@@ -182,102 +186,124 @@ def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
     return poses, rels
 
 
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
+
+
+def _blocks(a, c, d) -> np.ndarray:
+    """The 6x6 matrix [[a, 0], [c, d]] of 3x3 blocks; c=None is zero."""
+    m = np.zeros((6, 6))
+    m[:3, :3] = a
+    if c is not None:
+        m[3:, :3] = c
+    m[3:, 3:] = d
+    return m
+
+
+def _rep_map(pose: Pose, rep: str) -> tuple[np.ndarray, np.ndarray]:
+    """(B, B^-1): the map from body coordinates into ``rep`` coordinates
+    of a screw attached to a body at ``pose``, and its closed-form inverse
+    (the table in the module docstring)."""
+    r, rt = pose.rot, pose.rot.T
+    if rep == "body":
+        return _EYE6, _EYE6
+    if rep == "spatial":
+        rh = hat3(pose.trans)
+        return _blocks(r, rh @ r, r), _blocks(rt, -rt @ rh, rt)
+    if rep == "hybrid":
+        return _blocks(r, None, r), _blocks(rt, None, rt)
+    _check_rep(rep)
+    return _blocks(np.eye(3), None, r), _blocks(np.eye(3), None, rt)
+
+
+def _twist_map(pose: Pose, from_rep: str, to_rep: str) -> np.ndarray:
+    """B_to B_from^-1, which takes a twist of a body at ``pose`` from
+    ``from_rep`` into ``to_rep`` coordinates (exactly I when they agree).
+    Its transpose takes a wrench from ``to_rep`` into ``from_rep``."""
+    if from_rep == to_rep:
+        return _EYE6
+    return _rep_map(pose, to_rep)[0] @ _rep_map(pose, from_rep)[1]
+
+
 def _instantaneous_screws(model: ChainModel, poses, rep: str,
                           ops: _SweepOps = _PLAIN) -> np.ndarray:
-    """Current joint screws per joint: constant X_j (body), Ad_{C_j} X_j
-    (spatial), or Ad_{R_j} X_j (hybrid)."""
-    out = np.empty((model.n, 6))
-    for j in range(model.n):
-        x = model.joints[j].screw_body
-        if rep == "body":
-            out[j] = x
-        elif rep == "spatial":
-            out[j] = ops.xform(adjoint(poses[j]), x)
-        else:  # hybrid
-            out[j] = ops.xform(adjoint_rot(poses[j].rot), x, kind="rotations_screw")
-    return out
-
-
-def _body_jacobian_columns(model: ChainModel, poses, i: int) -> dict[int, np.ndarray]:
-    """Columns Ad_{C_i^-1 C_j} X_j for every j on the ancestor path of i."""
-    ci_inv = poses[i].inverse()
-    cols = {}
-    for j in model.path(i):
-        cols[j] = adjoint(ci_inv @ poses[j]) @ model.joints[j].screw_body
-    return cols
+    """Current joint screws B_j X_j per joint in ``rep``; the body screws
+    X_j are constant and are not transformed."""
+    x = np.array([joint.screw_body for joint in model.joints])
+    if rep == "body":
+        return x
+    kind = "rotations_screw" if rep == "hybrid" else None
+    return np.array([ops.xform(_rep_map(poses[j], rep)[0], x[j], kind)
+                     for j in range(model.n)])
 
 
 @dataclass
 class SystemJacobian:
-    """Stacked 6n x n Jacobian with its A (6n x 6n) and X (6n x n) factors."""
+    """Stacked 6n x n Jacobian.  Block (i, j) is T_i js_j for every joint
+    j on body i's path (zero elsewhere), where js_j is the spatial screw
+    of joint j and T_i maps spatial coordinates into body i's ``rep``
+    coordinates.
+
+    The factors of J = A X are built on first access: A (6n x 6n) with
+    blocks A_ij = T_i T_j^-1 on the path, and X (6n x n) with the joint
+    screws X_j = T_j js_j in ``rep`` on its block diagonal.
+    """
 
     rep: str
     J: np.ndarray
-    A: np.ndarray
-    X: np.ndarray
     n: int
+    _model: ChainModel = field(repr=False)
+    _poses: list = field(repr=False)
+    _maps: list = field(repr=False)
 
     def column(self, i: int, j: int) -> np.ndarray:
         """6-vector block (i, j): the instantaneous screw of joint j seen
         from body i (zero when j is not an ancestor-or-self of i)."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"SystemJacobian.column: index ({i}, {j}) out of range")
         return self.J[6 * i:6 * i + 6, j]
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        inv = [_twist_map(p, self.rep, "spatial") for p in self._poses]
+        a = np.zeros((6 * self.n, 6 * self.n))
+        for i in range(self.n):
+            for j in self._model.path(i):
+                a[6 * i:6 * i + 6, 6 * j:6 * j + 6] = self._maps[i] @ inv[j]
+        return a
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        x = np.zeros((6 * self.n, self.n))
+        for j in range(self.n):
+            x[6 * j:6 * j + 6, j] = self.column(j, j)
+        return x
+
+
+def _jacobian(model: ChainModel, poses, rep: str) -> SystemJacobian:
+    """System Jacobian at the given absolute poses: one 6x6 map per body
+    applied to the spatial joint screws on its path."""
+    n = model.n
+    js = _instantaneous_screws(model, poses, "spatial")
+    maps = [_twist_map(p, "spatial", rep) for p in poses]
+    J = np.zeros((6 * n, n))
+    for i in range(n):
+        path = list(model.path(i))
+        J[6 * i:6 * i + 6, path] = maps[i] @ js[path].T
+    return SystemJacobian(rep, J, n, model, poses, maps)
 
 
 def jacobian(model: ChainModel, q, rep: str = "body") -> SystemJacobian:
     _check_rep(rep)
-    n = model.n
-    q = np.asarray(q, dtype=float).reshape(n)
-    poses = fk(model, q)
-    J = np.zeros((6 * n, n))
-    A = np.zeros((6 * n, 6 * n))
-    X = np.zeros((6 * n, n))
-
-    if rep in ("hybrid", "mixed"):
-        screws = _instantaneous_screws(model, poses, "hybrid")
-    elif rep == "spatial":
-        screws = _instantaneous_screws(model, poses, "spatial")
-
-    for i in range(n):
-        for j in model.path(i):
-            if rep == "body":
-                blk = adjoint(poses[i].inverse() @ poses[j])
-                col = blk @ model.joints[j].screw_body
-            elif rep == "spatial":
-                blk = np.eye(6)
-                col = screws[j]
-            else:  # hybrid or mixed
-                blk = adjoint_trans(poses[j].trans - poses[i].trans)
-                col = blk @ screws[j]
-            J[6 * i:6 * i + 6, j] = col
-            A[6 * i:6 * i + 6, 6 * j:6 * j + 6] = blk
-
-    for j in range(n):
-        if rep == "body":
-            X[6 * j:6 * j + 6, j] = model.joints[j].screw_body
-        elif rep == "spatial":
-            X[6 * j:6 * j + 6, j] = screws[j]
-        else:
-            X[6 * j:6 * j + 6, j] = screws[j]
-
-    if rep == "mixed":
-        for i in range(n):
-            rt = poses[i].rot.T
-            J[6 * i:6 * i + 3, :] = rt @ J[6 * i:6 * i + 3, :]
-            A[6 * i:6 * i + 3, :] = rt @ A[6 * i:6 * i + 3, :]
-    return SystemJacobian(rep, J, A, X, n)
+    return _jacobian(model, fk(model, np.asarray(q, dtype=float).reshape(model.n)), rep)
 
 
 def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
-    """Hybrid-to-mixed map blockdiag(R^T, I) applied at every level."""
-    n = len(cache.poses)
+    """Hybrid-to-mixed map B_mixed B_hybrid^-1 applied at every level."""
+    maps = np.array([_twist_map(p, "hybrid", "mixed") for p in cache.poses])
 
     def conv(arr):
-        if arr is None:
-            return None
-        out = arr.copy()
-        for i in range(n):
-            out[i, :3] = cache.poses[i].rot.T @ arr[i, :3]
-        return out
+        return None if arr is None else np.einsum("ijk,ik->ij", maps, arr)
 
     return KinematicsCache("mixed", cache.poses, cache.rel_poses,
                            conv(cache.twists), conv(cache.accels),
@@ -395,22 +421,20 @@ def jerks(model: ChainModel, state: JointState, rep: str = "body") -> Kinematics
 # Partial derivatives of the Jacobian
 # --------------------------------------------------------------------------
 
-def _hybrid_partial_general(model, poses, x0, i, j, k) -> np.ndarray:
+def _hybrid_partial_general(ws: DerivativeWorkspace, i, j, k) -> np.ndarray:
     """Exact d J^h_{i,j} / d q_k for any index triple, by the product rule
-    on Ad_{r_ij} X0_j (covers the k < j cases the bracket form leaves out)."""
+    on J^h_ij = Ad(-r_i) js_j: the translation gives [(0, -v_ik), J^h_ij]
+    (the bracket form [J^h_ij, (0, v_ik)]) and the spatial screw, which
+    moves only with the joints on its own path, adds [J^h_ik, J^h_ij]
+    when k is on the path of j."""
+    model = ws.model
     if not (model.on_path(j, i) and model.on_path(k, i)):
         return np.zeros(6)
-    col_ik = adjoint_trans(poses[k].trans - poses[i].trans) @ x0[k]
-    dr_i = col_ik[3:]
+    jh = ws.jacobian("hybrid")
+    col_ij, col_ik = jh.column(i, j), jh.column(i, k)
+    out = lie_bracket(screw(np.zeros(3), -col_ik[3:]), col_ij)
     if model.on_path(k, j):
-        col_jk = adjoint_trans(poses[k].trans - poses[j].trans) @ x0[k]
-        dr_j = col_jk[3:]
-        dx0_j = lie_bracket(screw(x0[k][:3], np.zeros(3)), x0[j])
-    else:
-        dr_j = np.zeros(3)
-        dx0_j = np.zeros(6)
-    out = lie_bracket(screw(np.zeros(3), dr_j - dr_i), x0[j])
-    out += adjoint_trans(poses[j].trans - poses[i].trans) @ dx0_j
+        out += lie_bracket(col_ik, col_ij)
     return out
 
 
@@ -422,7 +446,7 @@ def jacobian_partial(model: ChainModel, q, rep: str, i: int, j: int, k: int) -> 
     index i is ignored, spatial columns are joint-intrinsic).
     Hybrid: [J_ij, linear part of J_ik] on the bracket form's domain
     j <= k <= i; for k < j the column still varies (its angular part
-    rides on earlier joints) and the exact product-rule value is returned.
+    rides on earlier joints), and the product rule adds [J_ik, J_ij].
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
     n = model.n
@@ -463,48 +487,36 @@ def hybrid_jacobian_partial2(model: ChainModel, q, i: int, j: int, k: int,
     for idx in (i, j, k, r):
         if not 0 <= idx < n:
             raise IndexError("hybrid_jacobian_partial2: index out of range")
-    poses = fk(model, q)
     if not (model.on_path(j, i) and model.on_path(k, i) and model.on_path(r, i)):
         return np.zeros(6)
     if not j <= k:
         return np.zeros(6)
-    x0 = _instantaneous_screws(model, poses, "hybrid")
-    col_j = adjoint_trans(poses[j].trans - poses[i].trans) @ x0[j]
-    col_k = adjoint_trans(poses[k].trans - poses[i].trans) @ x0[k]
-    d_j_r = _hybrid_partial_general(model, poses, x0, i, j, r)
-    d_k_r = _hybrid_partial_general(model, poses, x0, i, k, r)
-    return (lie_bracket(d_j_r, screw(np.zeros(3), col_k[3:]))
-            + lie_bracket(col_j, screw(np.zeros(3), d_k_r[3:])))
+    ws = DerivativeWorkspace(model, q)
+    jh = ws.jacobian("hybrid")
+    d_j_r = _hybrid_partial_general(ws, i, j, r)
+    d_k_r = _hybrid_partial_general(ws, i, k, r)
+    return (lie_bracket(d_j_r, screw(np.zeros(3), jh.column(i, k)[3:]))
+            + lie_bracket(jh.column(i, j), screw(np.zeros(3), d_k_r[3:])))
 
 
 class DerivativeWorkspace:
     """Lazy, memoizing front end for repeated derivative queries at one q.
 
-    The forward sweep runs once; Jacobian columns per representation are
-    built on first use and reused by every subsequent partial-derivative
-    call, which keeps batches of queries O(n) after the first.
+    Forward kinematics runs once; the system Jacobian of each
+    representation is built on first use and its columns serve every
+    subsequent partial-derivative call.
     """
 
     def __init__(self, model: ChainModel, q):
         self.model = model
         self.q = np.asarray(q, dtype=float).reshape(model.n)
         self.poses = fk(model, self.q)
-        self._screws: dict[str, np.ndarray] = {}
-        self._body_cols: dict[int, dict[int, np.ndarray]] = {}
+        self._jacobians: dict[str, SystemJacobian] = {}
 
-    def instantaneous_screws(self, rep: str) -> np.ndarray:
-        if rep not in self._screws:
-            self._screws[rep] = _instantaneous_screws(self.model, self.poses, rep)
-        return self._screws[rep]
-
-    def body_columns(self, i: int) -> dict[int, np.ndarray]:
-        if i not in self._body_cols:
-            self._body_cols[i] = _body_jacobian_columns(self.model, self.poses, i)
-        return self._body_cols[i]
-
-    def hybrid_column(self, i: int, j: int) -> np.ndarray:
-        x0 = self.instantaneous_screws("hybrid")
-        return adjoint_trans(self.poses[j].trans - self.poses[i].trans) @ x0[j]
+    def jacobian(self, rep: str) -> SystemJacobian:
+        if rep not in self._jacobians:
+            self._jacobians[rep] = _jacobian(self.model, self.poses, rep)
+        return self._jacobians[rep]
 
     def partial(self, rep: str, i: int, j: int, k: int) -> np.ndarray:
         _check_rep(rep, ("body", "spatial", "hybrid"))
@@ -512,20 +524,14 @@ class DerivativeWorkspace:
         if rep == "spatial":
             if not (k < j and model.on_path(k, j)):
                 return np.zeros(6)
-            js = self.instantaneous_screws("spatial")
-            return lie_bracket(js[k], js[j])
-        if not (model.on_path(j, i) and model.on_path(k, i)):
+            js = self.jacobian("spatial")
+            return lie_bracket(js.column(k, k), js.column(j, j))
+        if rep == "hybrid":
+            return _hybrid_partial_general(self, i, j, k)
+        if not (j < k and model.on_path(j, i) and model.on_path(k, i)):
             return np.zeros(6)
-        if rep == "body":
-            if not j < k:
-                return np.zeros(6)
-            cols = self.body_columns(i)
-            return lie_bracket(cols[j], cols[k])
-        x0 = self.instantaneous_screws("hybrid")
-        if j <= k:
-            return lie_bracket(self.hybrid_column(i, j),
-                               screw(np.zeros(3), self.hybrid_column(i, k)[3:]))
-        return _hybrid_partial_general(model, self.poses, x0, i, j, k)
+        jb = self.jacobian("body")
+        return lie_bracket(jb.column(i, j), jb.column(i, k))
 
     def partial_n(self, rep: str, i: int, j: int, multi_index) -> np.ndarray:
         _check_rep(rep, ("body", "spatial"))
@@ -535,17 +541,17 @@ class DerivativeWorkspace:
             if (any(not model.on_path(b, i) for b in beta)
                     or not model.on_path(j, i) or beta[0] <= j):
                 return np.zeros(6)
-            cols = self.body_columns(i)
-            acc = cols[j]
+            jb = self.jacobian("body")
+            acc = jb.column(i, j)
             for b in beta:
-                acc = lie_bracket(acc, cols[b])
+                acc = lie_bracket(acc, jb.column(i, b))
             return acc
         if any(not (b < j and model.on_path(b, j)) for b in beta):
             return np.zeros(6)
-        js = self.instantaneous_screws("spatial")
-        acc = js[j]
+        js = self.jacobian("spatial")
+        acc = js.column(j, j)
         for b in reversed(beta):
-            acc = lie_bracket(js[b], acc)
+            acc = lie_bracket(js.column(b, b), acc)
         return acc
 
 
@@ -578,28 +584,8 @@ def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
 
 
 def convert_twist(t: Twist, target_rep: str, poses) -> Twist:
-    """Exact linear map between twist representations of one body."""
+    """Exact linear map B_to B_from^-1 between twist representations of
+    one body."""
     _check_rep(target_rep)
-    pose = poses[t.body_index]
-    r, rvec = pose.rot, pose.trans
-    s = t.s
-    if t.rep == target_rep:
-        return Twist(s.copy(), target_rep, t.body_index)
-    # normalize to body first
-    if t.rep == "body":
-        body = s
-    elif t.rep == "hybrid":
-        body = adjoint_rot(r.T) @ s
-    elif t.rep == "spatial":
-        body = np.linalg.solve(adjoint(pose), s)
-    else:  # mixed
-        body = screw(s[:3], r.T @ s[3:])
-    if target_rep == "body":
-        out = body
-    elif target_rep == "hybrid":
-        out = adjoint_rot(r) @ body
-    elif target_rep == "spatial":
-        out = adjoint(pose) @ body
-    else:  # mixed
-        out = screw(body[:3], r @ body[3:])
-    return Twist(out, target_rep, t.body_index)
+    m = _twist_map(poses[t.body_index], t.rep, target_rep)
+    return Twist(m @ t.s, target_rep, t.body_index)

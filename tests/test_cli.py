@@ -269,6 +269,14 @@ def test_simulate_round_trips_through_idyn(tmp_path):
     assert np.abs(data[:, 1:] - expect).max() < 1e-6
 
 
+def test_simulate_rejects_torque_times_not_increasing(tmp_path, capsys):
+    torque_file = tmp_path / "tau.csv"
+    write_traj(torque_file, [0.0, 0.05, 0.02], [np.zeros((3, 1))])
+    assert run_cli("simulate", "--model", MODEL_1R, "--torques", str(torque_file),
+                   "--T", "0.01", "--out", str(tmp_path / "sim.csv")) == 2
+    assert "torque file times must be strictly increasing" in capsys.readouterr().err
+
+
 def test_simulate_blow_up_exit_3_with_partial_output(tmp_path):
     tt = np.array([0.0, 1.0])
     tau = np.array([[1e308], [1e308]])
@@ -282,6 +290,7 @@ def test_simulate_blow_up_exit_3_with_partial_output(tmp_path):
     assert code == 3
     data = read_csv(out)  # partial output exists with finite states
     assert np.all(np.isfinite(data[:, :3]))  # t, q, qd columns
+    assert len(read_csv(str(out) + ".report.csv")) == len(data)
 
 
 @pytest.mark.parametrize("form", ["state", "momentum"])
@@ -296,6 +305,9 @@ def test_simulate_abort_names_step_and_reason(tmp_path, capsys, form):
     assert data.shape == (1, 7) and data[0, 0] == 0.0
     assert np.array_equal(data[0, 3:5], [1e200, 1e200])
     assert np.all(np.isnan(data[0, 5:]))
+    report = read_csv(str(out) + ".report.csv")  # one row per sample, NaN where unknown
+    assert report.shape == (1, 4) and report[0, 0] == 0.0
+    assert np.all(np.isnan(report[0, 1:3]))
     errors = [ln for ln in capsys.readouterr().err.splitlines()
               if ln.startswith("error:")]
     assert len(errors) == 1
@@ -354,6 +366,14 @@ def test_benchmark_counts_exact(tmp_path):
                                  ["--trials", "0"]])
 def test_benchmark_bad_sizes_exit_2(tmp_path, bad):
     assert run_cli("benchmark", *bad, "--out", str(tmp_path / "bench.csv")) == 2
+
+
+@pytest.mark.parametrize("reps", ["foo", "mixed"])
+def test_benchmark_bad_reps_exit_2(tmp_path, capsys, reps):
+    assert run_cli("benchmark", "--reps", reps, "--n", "2",
+                   "--out", str(tmp_path / "bench.csv")) == 2
+    err = capsys.readouterr().err
+    assert "--reps" in err and all(rep in err for rep in ("body", "spatial", "hybrid"))
 
 
 # --------------------------------------------------------------- entry point

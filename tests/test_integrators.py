@@ -229,6 +229,7 @@ def test_chain_simulate_aborts_on_blow_up(rng):
                           T=0.5, h=1e-3)
     assert traj.times[-1] < 0.5  # truncated at the last valid step
     assert np.all(np.isfinite(traj.q))
+    assert len(traj.reports) == len(traj.times)
 
 
 @pytest.mark.parametrize("form", ["state", "momentum"])
@@ -246,6 +247,11 @@ def test_chain_simulate_records_abort_step_and_reason(form):
     assert 0 < traj.abort_step < 10
     assert "overflow" in traj.abort_reason
     assert np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.qd))
+
+    # a failure at step 0 still keeps one report for the one sample
+    first = chain_simulate(model, [0.1], [1e200], T=0.01, h=1e-3, form=form)
+    assert first.abort_step == 0 and len(first.reports) == len(first.times) == 1
+    assert np.isnan(first.reports[0].energy) and np.isnan(first.qdd[0, 0])
 
 
 def test_chain_simulate_rejects_bad_form():

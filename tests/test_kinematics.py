@@ -78,9 +78,17 @@ def test_jacobian_factorization(rng):
         n = int(rng.integers(1, 7))
         model = random_chain(rng, n, tree=(trial % 2 == 0))
         q = rng.normal(size=n)
-        for rep in REPS3:
+        for rep in REPS4:
             sj = jacobian(model, q, rep)
             assert np.allclose(sj.A @ sj.X, sj.J, atol=1e-12)
+
+
+def test_jacobian_column_rejects_bad_indices(rng):
+    model = random_chain(rng, 3)
+    sj = jacobian(model, rng.normal(size=3), "body")
+    for i, j in ((-1, 0), (3, 0), (0, -1), (0, 3)):
+        with pytest.raises(IndexError):
+            sj.column(i, j)
 
 
 def test_spatial_columns_are_body_independent(rng):

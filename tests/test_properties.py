@@ -1,6 +1,7 @@
 """Property tests over random trees and forests with revolute, prismatic
 and helical joints: the recursive sweeps against each other, against the
-forward dynamics, and against the closed-form mass matrix and jerks."""
+forward dynamics, and against the closed-form mass matrix and jerks; the
+Jacobian and the twist and wrench conversions against per-pair oracles."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,10 @@ from screwchain.dynamics import (
     convert_wrench, fdyn, idyn, mass_matrix, momentum_rhs, ne_wrench,
     spatial_inertia_of, spatial_momenta,
 )
-from screwchain.kinematics import JointState, accelerations, fk, jacobian, jerks
-from screwchain.se3 import adjoint_trans, lie_bracket, screw
+from screwchain.kinematics import (
+    REPS, JointState, Twist, accelerations, convert_twist, fk, jacobian, jerks,
+)
+from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, lie_bracket, screw
 
 from conftest import random_chain
 
@@ -32,13 +35,101 @@ def chain_states(draw, max_n=7):
     return model, q, qd, qdd, tau, wb
 
 
+class JacobianOracle:
+    """The system Jacobian built pair by pair, independently of the
+    package's one map per body: block (i, j) is
+    Ad(C_i^-1 C_j) X_j (body), Ad(C_j) X_j (spatial) or
+    Ad(r_j - r_i) Ad(R_j) X_j (hybrid, and mixed with the angular rows
+    rotated by R_i^T), with the A and X factors of J = A X; mixed X holds
+    the hybrid joint screws."""
+
+    def __init__(self, model, q, rep):
+        n = model.n
+        poses = fk(model, q)
+        self.J = np.zeros((6 * n, n))
+        self.A = np.zeros((6 * n, 6 * n))
+        self.X = np.zeros((6 * n, n))
+        xb = [joint.screw_body for joint in model.joints]
+        spatial = [adjoint(poses[j]) @ xb[j] for j in range(n)]
+        hybrid = [adjoint_rot(poses[j].rot) @ xb[j] for j in range(n)]
+        for i in range(n):
+            for j in model.path(i):
+                if rep == "body":
+                    blk = adjoint(poses[i].inverse() @ poses[j])
+                    col = blk @ xb[j]
+                elif rep == "spatial":
+                    blk = np.eye(6)
+                    col = spatial[j]
+                else:
+                    blk = adjoint_trans(poses[j].trans - poses[i].trans)
+                    col = blk @ hybrid[j]
+                self.J[6 * i:6 * i + 6, j] = col
+                self.A[6 * i:6 * i + 6, 6 * j:6 * j + 6] = blk
+        for j in range(n):
+            self.X[6 * j:6 * j + 6, j] = {"body": xb, "spatial": spatial}.get(rep, hybrid)[j]
+        if rep == "mixed":
+            for i in range(n):
+                rt = poses[i].rot.T
+                self.J[6 * i:6 * i + 3, :] = rt @ self.J[6 * i:6 * i + 3, :]
+                self.A[6 * i:6 * i + 3, :] = rt @ self.A[6 * i:6 * i + 3, :]
+
+    def column(self, i, j):
+        return self.J[6 * i:6 * i + 6, j]
+
+
+def convert_twist_oracle(s, from_rep, to_rep, pose):
+    """Twist conversion through the body representation, branch by branch."""
+    r = pose.rot
+    if from_rep == to_rep:
+        return s.copy()
+    if from_rep == "body":
+        body = s
+    elif from_rep == "hybrid":
+        body = adjoint_rot(r.T) @ s
+    elif from_rep == "spatial":
+        body = np.linalg.solve(adjoint(pose), s)
+    else:
+        body = screw(s[:3], r.T @ s[3:])
+    if to_rep == "body":
+        return body
+    if to_rep == "hybrid":
+        return adjoint_rot(r) @ body
+    if to_rep == "spatial":
+        return adjoint(pose) @ body
+    return screw(body[:3], r @ body[3:])
+
+
+def convert_wrench_oracle(w, from_rep, to_rep, pose):
+    """Wrench conversion through the hybrid representation, branch by
+    branch (body, spatial and hybrid only)."""
+    if from_rep == to_rep:
+        return w.copy()
+    if from_rep == "body":
+        wh = adjoint_rot(pose.rot) @ w
+    elif from_rep == "spatial":
+        wh = adjoint_trans(pose.trans).T @ w
+    else:
+        wh = w
+    if to_rep == "hybrid":
+        return wh
+    if to_rep == "body":
+        return adjoint_rot(pose.rot.T) @ wh
+    return adjoint_trans(-pose.trans).T @ wh
+
+
+def assert_close(got, expect, rtol=1e-12):
+    """Entries agree to rtol of the largest entry (or of 1)."""
+    scale = max(1.0, np.abs(expect).max(initial=0.0))
+    assert np.abs(got - expect).max(initial=0.0) <= rtol * scale
+
+
 def body_mass_matrix_oracle(model, q):
     """(J^b)^T blockdiag(M^b) J^b, the closed form of the mass matrix."""
     n = model.n
     mb = np.zeros((6 * n, 6 * n))
     for i in range(n):
         mb[6 * i:6 * i + 6, 6 * i:6 * i + 6] = model.inertia_body(i)
-    sj = jacobian(model, q, "body")
+    sj = JacobianOracle(model, q, "body")
     return sj.J.T @ mb @ sj.J
 
 
@@ -46,7 +137,7 @@ def body_jerk_oracle(model, q, qd, qdd, qddd):
     """Body jerks as the time derivative of the bracket sum of the body
     acceleration: nested brackets of the Jacobian columns over triples on
     every ancestor path, O(n^4)."""
-    sj = jacobian(model, q, "body")
+    sj = JacobianOracle(model, q, "body")
     jerk = np.zeros((model.n, 6))
     for i in range(model.n):
         path = model.path(i)
@@ -73,7 +164,7 @@ def body_jerk_oracle(model, q, qd, qdd, qddd):
 def spatial_jerk_oracle(model, q, qd, qdd, qddd):
     """Spatial jerks as the path sum of the second time derivatives of
     the joint screws, O(n^3)."""
-    js = jacobian(model, q, "spatial")
+    js = JacobianOracle(model, q, "spatial")
     cache = accelerations(model, JointState(q, qd, qdd), "spatial")
     V = cache.twists
     jerk = np.zeros((model.n, 6))
@@ -97,7 +188,7 @@ def spatial_jerk_oracle(model, q, qd, qdd, qddd):
 def hybrid_jerk_oracle(model, q, qd, qdd, qddd):
     """Hybrid jerks as J qddd + 2 Jdot qdd + Jddot qd with the analytic
     time derivatives of the hybrid Jacobian columns Ad(r_ij) X^h_j."""
-    jh = jacobian(model, q, "hybrid")
+    jh = JacobianOracle(model, q, "hybrid")
     cache = accelerations(model, JointState(q, qd, qdd), "hybrid")
     poses, V, Vd = cache.poses, cache.twists, cache.accels
     zero3 = np.zeros(3)
@@ -207,3 +298,45 @@ def test_idyn_op_counts_on_forest(case):
     assert (hybrid.translations_screw, hybrid.rotations_screw,
             hybrid.frame_transforms_tensor, hybrid.lie_brackets) == (
         3 * (n - r), n, n, 3 * n - r)
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_jacobian_matches_per_pair_oracle(case):
+    model, q = case[0], case[1]
+    poses = fk(model, q)
+    for rep in REPS:
+        sj, oracle = jacobian(model, q, rep), JacobianOracle(model, q, rep)
+        assert_close(sj.J, oracle.J)
+        assert_close(sj.A @ sj.X, sj.J)
+        if rep != "mixed":
+            assert_close(sj.A, oracle.A)
+            assert_close(sj.X, oracle.X)
+    # mixed X holds the mixed joint screws: the oracle's hybrid ones, converted
+    sj, oracle = jacobian(model, q, "mixed"), JacobianOracle(model, q, "mixed")
+    for j in range(model.n):
+        blk = slice(6 * j, 6 * j + 6)
+        assert_close(sj.X[blk, j],
+                     convert_twist_oracle(oracle.X[blk, j], "hybrid", "mixed", poses[j]))
+        assert np.allclose(sj.A[blk, blk], np.eye(6), rtol=0.0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_convert_twist_and_wrench_match_oracles(case):
+    model, q, _, _, _, wb = case
+    poses = fk(model, q)
+    for i in range(model.n):
+        s = wb[i][::-1].copy()  # any 6-vector serves as a twist
+        for a in REPS:
+            for b in REPS:
+                got = convert_twist(Twist(s, a, i), b, poses).s
+                assert_close(got, convert_twist_oracle(s, a, b, poses[i]))
+                w = convert_wrench(wb[i], a, b, poses[i])
+                if "mixed" not in (a, b):
+                    assert_close(w, convert_wrench_oracle(wb[i], a, b, poses[i]))
+                # the wrench map is the dual of the twist map: power is invariant
+                t_a = convert_twist(Twist(s, b, i), a, poses).s
+                scale = (np.linalg.norm(w) * np.linalg.norm(s)
+                         + np.linalg.norm(wb[i]) * np.linalg.norm(t_a))
+                assert abs(w @ s - wb[i] @ t_a) <= 1e-12 * max(1.0, scale)

@@ -10,6 +10,13 @@ wrench sweep here.  ``idyn`` is the two sweeps; ``fdyn`` and
 acceleration (body and spatial representation respectively) and solve
 with the one composite-rigid-body mass matrix by a Cholesky factorization.
 
+The closed-form Coriolis matrix and Christoffel symbols are contractions
+of one table: the Lie brackets [J_la, J_lb] of each body's body-fixed
+Jacobian columns, built once per configuration.  The Christoffel symbols
+are quadratic forms of those brackets against the body inertias, and the
+Coriolis matrix uses the Jacobian rate, whose columns are brackets too
+(dJ_lj/dq_k = [J_lj, J_lk] for j < k).
+
 Sign conventions: ``idyn`` returns the generalized joint forces required to
 realize the given motion, with gravity and user wrenches entering as external
 loads (so a static chain under gravity needs positive holding torques equal
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainModel, SpatialInertia
+from .model import ChainModel, SpatialInertia, binet_inertia
 from .kinematics import (
     JointState,
     Twist,
@@ -355,14 +362,6 @@ def _backward_sweep(model: ChainModel, cache, inertias, ext,
 # Closed-form equations of motion
 # --------------------------------------------------------------------------
 
-def _blockdiag_inertia(model: ChainModel) -> np.ndarray:
-    n = model.n
-    mb = np.zeros((6 * n, 6 * n))
-    for i in range(n):
-        mb[6 * i:6 * i + 6, 6 * i:6 * i + 6] = model.inertia_body(i)
-    return mb
-
-
 def _mass_matrix(model: ChainModel, js, ms) -> np.ndarray:
     """Composite-rigid-body mass matrix from the spatial joint screws
     ``js`` and spatial body inertias ``ms``.
@@ -405,73 +404,89 @@ def _spd_solve(m, b) -> np.ndarray:
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
+# Structure constants: (u x v)_x = _CROSS[x, y, z] u_y v_z, and for screws
+# ordered (angular, linear) [X, Y]_x = _SE3_BRACKET[x, y, z] X_y Y_z.
+_CROSS = np.zeros((3, 3, 3))
+_CROSS[0, 1, 2] = _CROSS[1, 2, 0] = _CROSS[2, 0, 1] = 1.0
+_CROSS[0, 2, 1] = _CROSS[2, 1, 0] = _CROSS[1, 0, 2] = -1.0
+_SE3_BRACKET = np.zeros((6, 6, 6))
+_SE3_BRACKET[:3, :3, :3] = _SE3_BRACKET[3:, 3:, :3] = _SE3_BRACKET[3:, :3, 3:] = _CROSS
+_CROSS.setflags(write=False)
+_SE3_BRACKET.setflags(write=False)
+
+
+def _pair_table(consts, u, v) -> np.ndarray:
+    """out[l, :, a, b] = the bilinear product with structure constants
+    ``consts`` of u[l, :, a] and v[l, :, b], for every body l."""
+    return np.einsum("xyz,lya,lzb->lxab", consts, u, v, optimize=True)
+
+
+def _bracket_table(model: ChainModel, q) -> tuple[np.ndarray, np.ndarray]:
+    """The body Jacobian as jb[l, :, j] = J_lj (zero off body l's path)
+    and the table br[l, :, a, b] = [J_la, J_lb] of the brackets of each
+    body's columns."""
+    n = model.n
+    jb = jacobian(model, q, "body").J.reshape(n, 6, n)
+    return jb, _pair_table(_SE3_BRACKET, jb, jb)
+
+
+def _mirror_upper(g) -> np.ndarray:
+    """g[i, a, b] for a <= b, mirrored into a > b."""
+    n = g.shape[-1]
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), g, g.swapaxes(1, 2))
+
+
 def coriolis_matrix(model: ChainModel, q, qd) -> np.ndarray:
-    """Coriolis/centrifugal matrix -(J^b)^T (M A a + b^T M) J^b with
-    a = blockdiag(qd_i ad_{X_i}) and b = blockdiag(ad_{V_i})."""
+    """Coriolis/centrifugal matrix sum_l J_l^T (M_l Jdot_l - ad_{V_l}^T M_l J_l)
+    over the body-fixed Jacobian block rows J_l, body inertias M_l and
+    body twists V_l = J_l qd.
+
+    The column rates are brackets of the columns, dJ_lj/dq_k = [J_lj, J_lk]
+    for j < k on the path of l (zero for j >= k), so Jdot_l is the strict
+    upper triangle of the bracket table contracted with qd.
+    """
     n = model.n
     qd = np.asarray(qd, dtype=float).reshape(n)
-    sj = jacobian(model, q, "body")
-    from .kinematics import twists as _twists
-    vb = _twists(model, q, qd, "body").twists
-    mb = _blockdiag_inertia(model)
-    a = np.zeros((6 * n, 6 * n))
-    b = np.zeros((6 * n, 6 * n))
-    for i in range(n):
-        a[6 * i:6 * i + 6, 6 * i:6 * i + 6] = qd[i] * ad_matrix(model.joints[i].screw_body)
-        b[6 * i:6 * i + 6, 6 * i:6 * i + 6] = ad_matrix(vb[i])
-    return -sj.J.T @ (mb @ sj.A @ a + b.T @ mb) @ sj.J
+    jb, br = _bracket_table(model, q)
+    mj = np.array([model.inertia_body(l) @ jb[l] for l in range(n)])
+    jdot = np.einsum("lxjk,k->lxj", np.triu(br, 1), qd)
+    ad_vj = np.einsum("xyz,ly,lzj->lxj", _SE3_BRACKET, jb @ qd, jb)  # [V_l, J_lj]
+    return np.einsum("lxi,lxj->ij", mj, jdot) - np.einsum("lxi,lxj->ij", ad_vj, mj)
 
 
 def christoffel(model: ChainModel, q, variant: str = "standard") -> np.ndarray:
     """Christoffel symbols of the first kind, Gamma[i, j, k], symmetric in
     the last two indices.
 
-    ``standard`` sums the three bracket quadratic forms of the body-fixed
-    Jacobian columns against the body inertia matrices.  ``binet`` is an
-    independent route: pulling the columns back to the COM collapses the
-    rotational part to a single cross-product form against Binet's tensor
-    (half trace minus the COM inertia tensor), leaving one pure-mass
-    term.  Both agree with the half-sum of mass-matrix partials.
+    Both variants contract the table of brackets [J_la, J_lb] of each
+    body's body-fixed Jacobian columns (or the cross products of their
+    parts), compute the ordered half a <= b of Gamma[i, a, b] and mirror
+    it.  ``standard`` sums the three bracket quadratic forms against the
+    body inertia matrices M_l,
+    1/2 (J_lb M_l [J_li, J_la] + J_la M_l [J_li, J_lb] + J_li M_l [J_la, J_lb]).
+    ``binet`` is an independent route: pulling the columns back to the
+    COM (angular part w, COM velocity c) collapses the rotational part to
+    a single cross-product form against Binet's tensor (half trace minus
+    the COM inertia tensor), w_la . Binet_l (w_lb x w_li), leaving one
+    pure-mass term m_l c_li . (w_la x c_lb).  Both agree with the half-sum
+    of mass-matrix partials.
     """
     if variant not in ("standard", "binet"):
         raise ValueError("variant must be 'standard' or 'binet'")
-    from .model import binet_inertia
-
-    n = model.n
-    sj = jacobian(model, q, "body")
-    gamma = np.zeros((n, n, n))
-    cols = [[sj.column(l, m) for m in range(n)] for l in range(n)]
-    for l in range(n):
-        path = model.path(l)
-        if variant == "standard":
-            m_l = model.inertia_body(l)
-        else:
-            body = model.bodies[l]
-            binet_c = binet_inertia(body.inertia_com)
-            mass = body.mass
-            d = body.com_offset
-        for i in path:
-            ji = cols[l][i]
-            if variant == "binet":
-                ai, li = ji[:3], ji[3:] - np.cross(d, ji[:3])
-            for a_idx, a in enumerate(path):
-                ja = cols[l][a]
-                for b in path[a_idx:]:
-                    jb = cols[l][b]
-                    if variant == "standard":
-                        val = 0.5 * (jb @ m_l @ lie_bracket(ji, ja)
-                                     + ja @ m_l @ lie_bracket(ji, jb)
-                                     + ji @ m_l @ lie_bracket(ja, jb))
-                    else:
-                        aa = ja[:3]
-                        ab = jb[:3]
-                        lb = jb[3:] - np.cross(d, ab)
-                        val = (aa @ binet_c @ np.cross(ab, ai)
-                               + mass * (li @ np.cross(aa, lb)))
-                    gamma[i, a, b] += val
-                    if a != b:
-                        gamma[i, b, a] += val
-    return gamma
+    jb, br = _bracket_table(model, q)
+    if variant == "standard":
+        mj = np.array([model.inertia_body(l) @ jb[l] for l in range(model.n)])
+        t1 = np.einsum("lxb,lxia->iab", mj, br)
+        t3 = np.einsum("lxi,lxab->iab", mj, br)
+        return _mirror_upper(0.5 * (t1 + t1.swapaxes(1, 2) + t3))
+    bodies = model.bodies
+    w = jb[:, :3]
+    d = np.array([b.com_offset for b in bodies])
+    c = jb[:, 3:] - np.cross(d[:, :, None], w, axis=1)
+    bw = np.array([binet_inertia(b.inertia_com) @ w[l] for l, b in enumerate(bodies)])
+    mass = np.array([b.mass for b in bodies])
+    return _mirror_upper(np.einsum("lxa,lxbi->iab", bw, br[:, :3])
+                         + np.einsum("l,lxi,lxab->iab", mass, c, _pair_table(_CROSS, w, c)))
 
 
 def projection_eom(model: ChainModel, q, qd, qdd, applied=None,

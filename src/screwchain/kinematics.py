@@ -32,8 +32,7 @@ picks up an extra omega x omega-dot term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,19 +241,11 @@ class SystemJacobian:
     """Stacked 6n x n Jacobian.  Block (i, j) is T_i js_j for every joint
     j on body i's path (zero elsewhere), where js_j is the spatial screw
     of joint j and T_i maps spatial coordinates into body i's ``rep``
-    coordinates.
-
-    The factors of J = A X are built on first access: A (6n x 6n) with
-    blocks A_ij = T_i T_j^-1 on the path, and X (6n x n) with the joint
-    screws X_j = T_j js_j in ``rep`` on its block diagonal.
-    """
+    coordinates; block (j, j) is joint j's screw in ``rep``."""
 
     rep: str
     J: np.ndarray
     n: int
-    _model: ChainModel = field(repr=False)
-    _poses: list = field(repr=False)
-    _maps: list = field(repr=False)
 
     def column(self, i: int, j: int) -> np.ndarray:
         """6-vector block (i, j): the instantaneous screw of joint j seen
@@ -262,22 +253,6 @@ class SystemJacobian:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"SystemJacobian.column: index ({i}, {j}) out of range")
         return self.J[6 * i:6 * i + 6, j]
-
-    @cached_property
-    def A(self) -> np.ndarray:
-        inv = [_twist_map(p, self.rep, "spatial") for p in self._poses]
-        a = np.zeros((6 * self.n, 6 * self.n))
-        for i in range(self.n):
-            for j in self._model.path(i):
-                a[6 * i:6 * i + 6, 6 * j:6 * j + 6] = self._maps[i] @ inv[j]
-        return a
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        x = np.zeros((6 * self.n, self.n))
-        for j in range(self.n):
-            x[6 * j:6 * j + 6, j] = self.column(j, j)
-        return x
 
 
 def _jacobian(model: ChainModel, poses, rep: str) -> SystemJacobian:
@@ -290,7 +265,7 @@ def _jacobian(model: ChainModel, poses, rep: str) -> SystemJacobian:
     for i in range(n):
         path = list(model.path(i))
         J[6 * i:6 * i + 6, path] = maps[i] @ js[path].T
-    return SystemJacobian(rep, J, n, model, poses, maps)
+    return SystemJacobian(rep, J, n)
 
 
 def jacobian(model: ChainModel, q, rep: str = "body") -> SystemJacobian:
@@ -585,7 +560,9 @@ def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
 
 def convert_twist(t: Twist, target_rep: str, poses) -> Twist:
     """Exact linear map B_to B_from^-1 between twist representations of
-    one body."""
+    one body; raises IndexError when ``t.body_index`` names no pose."""
     _check_rep(target_rep)
+    if not 0 <= t.body_index < len(poses):
+        raise IndexError(f"convert_twist: body_index {t.body_index} out of range")
     m = _twist_map(poses[t.body_index], t.rep, target_rep)
     return Twist(m @ t.s, target_rep, t.body_index)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from screwchain import se3
+from screwchain.kinematics import fk
 from screwchain.model import BodyModel, ChainModel, JointModel, Pose
+from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans
 
 
 def rand_rotation(rng, max_angle=2.5):
@@ -41,6 +43,48 @@ def random_chain(rng, n, tree=False, kinds=("revolute", "prismatic", "helical"),
             frame="spatial" if rng.random() < 0.5 else "body"))
         parents.append(parent)
     return ChainModel(bodies, joints, parents, gravity=gravity)
+
+
+class JacobianOracle:
+    """The system Jacobian built pair by pair, independently of the
+    package's one map per body: block (i, j) is
+    Ad(C_i^-1 C_j) X_j (body), Ad(C_j) X_j (spatial) or
+    Ad(r_j - r_i) Ad(R_j) X_j (hybrid, and mixed with the angular rows
+    rotated by R_i^T), with the A and X factors of J = A X; mixed X holds
+    the hybrid joint screws."""
+
+    def __init__(self, model, q, rep):
+        n = model.n
+        poses = fk(model, q)
+        self.J = np.zeros((6 * n, n))
+        self.A = np.zeros((6 * n, 6 * n))
+        self.X = np.zeros((6 * n, n))
+        xb = [joint.screw_body for joint in model.joints]
+        spatial = [adjoint(poses[j]) @ xb[j] for j in range(n)]
+        hybrid = [adjoint_rot(poses[j].rot) @ xb[j] for j in range(n)]
+        for i in range(n):
+            for j in model.path(i):
+                if rep == "body":
+                    blk = adjoint(poses[i].inverse() @ poses[j])
+                    col = blk @ xb[j]
+                elif rep == "spatial":
+                    blk = np.eye(6)
+                    col = spatial[j]
+                else:
+                    blk = adjoint_trans(poses[j].trans - poses[i].trans)
+                    col = blk @ hybrid[j]
+                self.J[6 * i:6 * i + 6, j] = col
+                self.A[6 * i:6 * i + 6, 6 * j:6 * j + 6] = blk
+        for j in range(n):
+            self.X[6 * j:6 * j + 6, j] = {"body": xb, "spatial": spatial}.get(rep, hybrid)[j]
+        if rep == "mixed":
+            for i in range(n):
+                rt = poses[i].rot.T
+                self.J[6 * i:6 * i + 3, :] = rt @ self.J[6 * i:6 * i + 3, :]
+                self.A[6 * i:6 * i + 3, :] = rt @ self.A[6 * i:6 * i + 3, :]
+
+    def column(self, i, j):
+        return self.J[6 * i:6 * i + 6, j]
 
 
 PLANAR_2R = dict(m1=1.1, m2=0.9, l1=1.0, lc1=0.55, lc2=0.45, I1=0.055, I2=0.031,

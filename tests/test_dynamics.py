@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from screwchain import se3
+from screwchain.cli import _benchmark_chain
 from screwchain.dynamics import (
     christoffel, convert_wrench, coriolis_matrix, fdyn, gravity_potential,
     gravity_wrenches, idyn, kinetic_energy, mass_matrix, momentum_rhs,
@@ -368,6 +369,21 @@ def test_christoffel_matches_mass_matrix_partials(rng):
                     fd = 0.5 * (dm[j][i, k] + dm[k][i, j] - dm[i][j, k])
                     worst = max(worst, abs(gamma[i, j, k] - fd))
     assert worst < 1e-6
+
+
+def test_christoffel_on_30_joint_chain():
+    # central differences of M (h = 1e-5) differ from Gamma by 9e-11 of
+    # the largest entry here; the two variants agree to 9e-16 of it
+    n, h = 30, 1e-5
+    model = _benchmark_chain(n)
+    q = np.random.default_rng(30).normal(size=n)
+    gamma = christoffel(model, q)
+    scale = np.abs(gamma).max()
+    dm = np.array([(mass_matrix(model, q + h * e) - mass_matrix(model, q - h * e)) / (2 * h)
+                   for e in np.eye(n)])  # dm[l] = dM/dq_l
+    fd = 0.5 * (dm.transpose(1, 0, 2) + dm.transpose(1, 2, 0) - dm)
+    assert np.abs(gamma - fd).max() <= 1e-9 * scale
+    assert np.abs(christoffel(model, q, "binet") - gamma).max() <= 1e-12 * scale
 
 
 def test_christoffel_contraction_equals_coriolis(rng):

@@ -11,7 +11,7 @@ from screwchain.kinematics import (
 from screwchain.model import BodyModel, ChainModel, JointModel
 from screwchain.se3 import Pose, ad_matrix, adjoint, adjoint_rot, lie_bracket, screw
 
-from conftest import planar_2r_model, random_chain
+from conftest import JacobianOracle, planar_2r_model, random_chain
 
 REPS3 = ("body", "spatial", "hybrid")
 REPS4 = ("body", "spatial", "hybrid", "mixed")
@@ -79,8 +79,8 @@ def test_jacobian_factorization(rng):
         model = random_chain(rng, n, tree=(trial % 2 == 0))
         q = rng.normal(size=n)
         for rep in REPS4:
-            sj = jacobian(model, q, rep)
-            assert np.allclose(sj.A @ sj.X, sj.J, atol=1e-12)
+            oracle = JacobianOracle(model, q, rep)
+            assert np.allclose(oracle.A @ oracle.X, jacobian(model, q, rep).J, atol=1e-12)
 
 
 def test_jacobian_column_rejects_bad_indices(rng):
@@ -169,6 +169,14 @@ def test_convert_twist_four_cycle(rng):
         assert np.allclose(t.s, t0.s, atol=1e-13)
 
 
+def test_convert_twist_rejects_bad_body_index(rng):
+    model = random_chain(rng, 3)
+    poses = fk(model, rng.normal(size=3))
+    for idx in (-1, 3):
+        with pytest.raises(IndexError):
+            convert_twist(Twist(rng.normal(size=6), "body", idx), "spatial", poses)
+
+
 def test_convert_twist_spatial_of_pure_rotation(rng):
     # spatial linear part of a rotation about an axis through the body
     # origin is r x omega
@@ -215,7 +223,7 @@ def body_accel_matrix_form(model, q, qd, qdd):
     """Stacked body accelerations as J qdd - A a J qd, with
     a = blockdiag(qd_i ad_{X_i})."""
     n = model.n
-    sj = jacobian(model, q, "body")
+    sj = JacobianOracle(model, q, "body")
     a = np.zeros((6 * n, 6 * n))
     for i in range(n):
         a[6 * i:6 * i + 6, 6 * i:6 * i + 6] = qd[i] * ad_matrix(model.joints[i].screw_body)
@@ -227,7 +235,7 @@ def spatial_accel_matrix_form(model, q, qd, qdd):
     """Stacked spatial accelerations as J qdd + L b blockdiag(J_i) qd with
     L the lower block-triangular identity and b = blockdiag(ad_{V_i})."""
     n = model.n
-    sj = jacobian(model, q, "spatial")
+    sj = JacobianOracle(model, q, "spatial")
     cache = twists(model, q, qd, "spatial")
     b = np.zeros((6 * n, 6 * n))
     diag_j = np.zeros((6 * n, n))

@@ -1,21 +1,27 @@
 """Property tests over random trees and forests with revolute, prismatic
 and helical joints: the recursive sweeps against each other, against the
 forward dynamics, and against the closed-form mass matrix and jerks; the
-Jacobian and the twist and wrench conversions against per-pair oracles."""
+Jacobian and the twist and wrench conversions against per-pair oracles;
+the Christoffel symbols and the Coriolis matrix against bracket-by-bracket
+loops and the matrix form."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    convert_wrench, fdyn, idyn, mass_matrix, momentum_rhs, ne_wrench,
-    spatial_inertia_of, spatial_momenta,
+    christoffel, convert_wrench, coriolis_matrix, fdyn, idyn, mass_matrix,
+    momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import (
     REPS, JointState, Twist, accelerations, convert_twist, fk, jacobian, jerks,
+    twists,
 )
-from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, lie_bracket, screw
+from screwchain.model import binet_inertia
+from screwchain.se3 import (
+    ad_matrix, adjoint, adjoint_rot, adjoint_trans, lie_bracket, screw,
+)
 
-from conftest import random_chain
+from conftest import JacobianOracle, random_chain
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                              database=None)
@@ -33,48 +39,6 @@ def chain_states(draw, max_n=7):
     q, qd, qdd, tau = (rng.normal(size=n) for _ in range(4))
     wb = rng.normal(size=(n, 6))
     return model, q, qd, qdd, tau, wb
-
-
-class JacobianOracle:
-    """The system Jacobian built pair by pair, independently of the
-    package's one map per body: block (i, j) is
-    Ad(C_i^-1 C_j) X_j (body), Ad(C_j) X_j (spatial) or
-    Ad(r_j - r_i) Ad(R_j) X_j (hybrid, and mixed with the angular rows
-    rotated by R_i^T), with the A and X factors of J = A X; mixed X holds
-    the hybrid joint screws."""
-
-    def __init__(self, model, q, rep):
-        n = model.n
-        poses = fk(model, q)
-        self.J = np.zeros((6 * n, n))
-        self.A = np.zeros((6 * n, 6 * n))
-        self.X = np.zeros((6 * n, n))
-        xb = [joint.screw_body for joint in model.joints]
-        spatial = [adjoint(poses[j]) @ xb[j] for j in range(n)]
-        hybrid = [adjoint_rot(poses[j].rot) @ xb[j] for j in range(n)]
-        for i in range(n):
-            for j in model.path(i):
-                if rep == "body":
-                    blk = adjoint(poses[i].inverse() @ poses[j])
-                    col = blk @ xb[j]
-                elif rep == "spatial":
-                    blk = np.eye(6)
-                    col = spatial[j]
-                else:
-                    blk = adjoint_trans(poses[j].trans - poses[i].trans)
-                    col = blk @ hybrid[j]
-                self.J[6 * i:6 * i + 6, j] = col
-                self.A[6 * i:6 * i + 6, 6 * j:6 * j + 6] = blk
-        for j in range(n):
-            self.X[6 * j:6 * j + 6, j] = {"body": xb, "spatial": spatial}.get(rep, hybrid)[j]
-        if rep == "mixed":
-            for i in range(n):
-                rt = poses[i].rot.T
-                self.J[6 * i:6 * i + 3, :] = rt @ self.J[6 * i:6 * i + 3, :]
-                self.A[6 * i:6 * i + 3, :] = rt @ self.A[6 * i:6 * i + 3, :]
-
-    def column(self, i, j):
-        return self.J[6 * i:6 * i + 6, j]
 
 
 def convert_twist_oracle(s, from_rep, to_rep, pose):
@@ -212,6 +176,59 @@ def hybrid_jerk_oracle(model, q, qd, qdd, qddd):
     return jerk
 
 
+def christoffel_oracle(model, q, variant="standard"):
+    """Christoffel symbols bracket by bracket: for every body l and every
+    i and ordered pair a <= b on its path, the standard (three bracket
+    quadratic forms against M_l) or Binet (COM-shifted columns against
+    Binet's tensor and the mass) value, mirrored into (i, b, a); O(n^4)."""
+    n = model.n
+    sj = JacobianOracle(model, q, "body")
+    gamma = np.zeros((n, n, n))
+    for l in range(n):
+        path = model.path(l)
+        m_l = model.inertia_body(l)
+        body = model.bodies[l]
+        binet_c, mass, d = binet_inertia(body.inertia_com), body.mass, body.com_offset
+        for i in path:
+            ji = sj.column(l, i)
+            ai, li = ji[:3], ji[3:] - np.cross(d, ji[:3])
+            for a_idx, a in enumerate(path):
+                ja = sj.column(l, a)
+                for b in path[a_idx:]:
+                    jb = sj.column(l, b)
+                    if variant == "standard":
+                        val = 0.5 * (jb @ m_l @ lie_bracket(ji, ja)
+                                     + ja @ m_l @ lie_bracket(ji, jb)
+                                     + ji @ m_l @ lie_bracket(ja, jb))
+                    else:
+                        aa, ab = ja[:3], jb[:3]
+                        lb = jb[3:] - np.cross(d, ab)
+                        val = (aa @ binet_c @ np.cross(ab, ai)
+                               + mass * (li @ np.cross(aa, lb)))
+                    gamma[i, a, b] += val
+                    if a != b:
+                        gamma[i, b, a] += val
+    return gamma
+
+
+def coriolis_oracle(model, q, qd):
+    """Coriolis matrix in matrix form -(J^b)^T (M A a + b^T M) J^b with
+    M = blockdiag(M^b_i), a = blockdiag(qd_i ad_{X_i}) and
+    b = blockdiag(ad_{V_i}), the body twists from the recursion."""
+    n = model.n
+    sj = JacobianOracle(model, q, "body")
+    vb = twists(model, q, qd, "body").twists
+    mb = np.zeros((6 * n, 6 * n))
+    a = np.zeros((6 * n, 6 * n))
+    b = np.zeros((6 * n, 6 * n))
+    for i in range(n):
+        blk = slice(6 * i, 6 * i + 6)
+        mb[blk, blk] = model.inertia_body(i)
+        a[blk, blk] = qd[i] * ad_matrix(model.joints[i].screw_body)
+        b[blk, blk] = ad_matrix(vb[i])
+    return -sj.J.T @ (mb @ sj.A @ a + b.T @ mb) @ sj.J
+
+
 JERK_ORACLES = {"body": body_jerk_oracle, "spatial": spatial_jerk_oracle,
                 "hybrid": hybrid_jerk_oracle}
 
@@ -308,17 +325,14 @@ def test_jacobian_matches_per_pair_oracle(case):
     for rep in REPS:
         sj, oracle = jacobian(model, q, rep), JacobianOracle(model, q, rep)
         assert_close(sj.J, oracle.J)
-        assert_close(sj.A @ sj.X, sj.J)
-        if rep != "mixed":
-            assert_close(sj.A, oracle.A)
-            assert_close(sj.X, oracle.X)
-    # mixed X holds the mixed joint screws: the oracle's hybrid ones, converted
-    sj, oracle = jacobian(model, q, "mixed"), JacobianOracle(model, q, "mixed")
-    for j in range(model.n):
-        blk = slice(6 * j, 6 * j + 6)
-        assert_close(sj.X[blk, j],
-                     convert_twist_oracle(oracle.X[blk, j], "hybrid", "mixed", poses[j]))
-        assert np.allclose(sj.A[blk, blk], np.eye(6), rtol=0.0, atol=1e-12)
+        assert_close(oracle.A @ oracle.X, sj.J)
+        # the diagonal blocks are the joint screws in rep: the oracle's X,
+        # whose mixed entries hold the hybrid screws
+        for j in range(model.n):
+            x_j = oracle.X[6 * j:6 * j + 6, j]
+            if rep == "mixed":
+                x_j = convert_twist_oracle(x_j, "hybrid", "mixed", poses[j])
+            assert_close(sj.column(j, j), x_j)
 
 
 @PROPERTY_SETTINGS
@@ -340,3 +354,12 @@ def test_convert_twist_and_wrench_match_oracles(case):
                 scale = (np.linalg.norm(w) * np.linalg.norm(s)
                          + np.linalg.norm(wb[i]) * np.linalg.norm(t_a))
                 assert abs(w @ s - wb[i] @ t_a) <= 1e-12 * max(1.0, scale)
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_christoffel_and_coriolis_match_oracles(case):
+    model, q, qd = case[:3]
+    for variant in ("standard", "binet"):
+        assert_close(christoffel(model, q, variant), christoffel_oracle(model, q, variant))
+    assert_close(coriolis_matrix(model, q, qd), coriolis_oracle(model, q, qd))

@@ -196,8 +196,6 @@ def cmd_idyn(args):
                    for j in range(n)]
     if args.rep == "all":
         header.append("max_rep_deviation")
-    if args.rep == "mixed":
-        header = ["t"] + [f"Q{j + 1}" for j in range(n)]
 
     def row(idx):
         out = [t[idx]]

@@ -5,10 +5,13 @@ and the spatial-momentum phase-space form.
 
 Recursive Newton-Euler is one algorithm in three representations: the
 forward sweep of :mod:`screwchain.kinematics` followed by the one backward
-wrench sweep here.  ``idyn`` is the two sweeps; ``fdyn`` and
-``momentum_rhs`` take their bias forces from the same sweeps at zero joint
-acceleration (body and spatial representation respectively) and solve
-with the one composite-rigid-body mass matrix by a Cholesky factorization.
+wrench sweep here.  ``idyn`` is the two sweeps.  Everything else reads one
+configuration pass (:class:`_Configuration`): ``fk_body_form`` once, and
+from its poses the spatial joint screws, the spatial body inertias and the
+composite-rigid-body mass matrix.  ``fdyn`` and ``momentum_rhs`` take their
+bias forces from the spatial sweeps at zero joint acceleration, which need
+no frame transform inside the recursion, and solve with that mass matrix
+by a Cholesky factorization.
 
 The closed-form Coriolis matrix and Christoffel symbols are contractions
 of one table: the Lie brackets [J_la, J_lb] of each body's body-fixed
@@ -41,6 +44,7 @@ from .kinematics import (
     _instantaneous_screws,
     _rep_map,
     _twist_map,
+    fk,
     fk_body_form,
     jacobian,
 )
@@ -362,31 +366,72 @@ def _backward_sweep(model: ChainModel, cache, inertias, ext,
 # Closed-form equations of motion
 # --------------------------------------------------------------------------
 
-def _mass_matrix(model: ChainModel, js, ms) -> np.ndarray:
-    """Composite-rigid-body mass matrix from the spatial joint screws
-    ``js`` and spatial body inertias ``ms``.
-
-    With Ic_k the inertia of the subtree rooted at body k (spatial
-    inertias add without transformation), M_jk = js_j . Ic_k js_k for
-    every j on the path to k and zero off the paths.
-    """
-    n = model.n
-    ic = np.array(ms, dtype=float)
-    for i in range(n - 1, -1, -1):
+def _subtree_sums(model: ChainModel, a) -> np.ndarray:
+    """a[i] summed over the subtree rooted at body i (leaves to roots)."""
+    out = np.array(a, dtype=float)
+    for i in range(model.n - 1, -1, -1):
         if model.parent[i] >= 0:
-            ic[model.parent[i]] += ic[i]
-    m = np.zeros((n, n))
-    for k in range(n):
-        path = list(model.path(k))
-        m[path, k] = m[k, path] = js[path] @ (ic[k] @ js[k])
-    return m
+            out[model.parent[i]] += out[i]
+    return out
+
+
+def _path_sums(model: ChainModel, a) -> np.ndarray:
+    """a[i] summed over the path from the root down to body i."""
+    out = np.array(a, dtype=float)
+    for i in range(model.n):
+        if model.parent[i] >= 0:
+            out[i] += out[model.parent[i]]
+    return out
+
+
+class _Configuration:
+    """One configuration pass at q: :func:`fk_body_form` once, and from
+    its poses the spatial joint screws js, the spatial body inertias and
+    the composite-rigid-body mass matrix.
+
+    Spatial inertias add without transformation, so with Ic_k the inertia
+    of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
+    on the path to k and zero off the paths.
+    """
+
+    def __init__(self, model: ChainModel, q):
+        n = model.n
+        self.model = model
+        self.q = np.asarray(q, dtype=float).reshape(n)
+        self.frames = fk_body_form(model, self.q)
+        self.poses = self.frames[0]
+        self.screws = js = _instantaneous_screws(model, self.poses, "spatial")
+        self.inertias = np.array(_inertias(model, self.poses, "spatial"))
+        ic = _subtree_sums(model, self.inertias)
+        self.mass = np.zeros((n, n))
+        for k in range(n):
+            path = list(model.path(k))
+            self.mass[path, k] = self.mass[k, path] = js[path] @ (ic[k] @ js[k])
+
+    def momenta(self, qd) -> np.ndarray:
+        """Per-body spatial momenta M^s_i V^s_i; V^s_i sums js_j qd_j
+        over the path to body i."""
+        qd = np.asarray(qd, dtype=float).reshape(self.model.n)
+        return np.einsum("ijk,ik->ij", self.inertias,
+                         _path_sums(self.model, self.screws * qd[:, None]))
+
+    def accel(self, qd, tau, applied, gravity: bool):
+        """qdd = M^-1 (tau - bias), the bias being :func:`idyn`'s spatial
+        forward and backward sweeps at qdd = 0, and that forward sweep
+        (twists, velocity part of the accelerations).  ``tau`` may be
+        None; ``applied`` is in body representation."""
+        n = self.model.n
+        tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
+        cache = _forward_sweep(self.model, JointState(self.q, qd), "spatial", 1,
+                               frames=self.frames, screws=self.screws)
+        loads = _loads(self.model, self.poses, "spatial", applied, gravity, "body")
+        bias, _ = _backward_sweep(self.model, cache, self.inertias, loads)
+        return _spd_solve(self.mass, tau - bias), cache
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Generalized mass matrix by the composite-rigid-body algorithm."""
-    poses, _ = fk_body_form(model, q)
-    return _mass_matrix(model, _instantaneous_screws(model, poses, "spatial"),
-                        _inertias(model, poses, "spatial"))
+    return _Configuration(model, q).mass
 
 
 def _spd_solve(m, b) -> np.ndarray:
@@ -499,43 +544,28 @@ def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
     cache = accelerations(model, JointState(q, qd, qdd), "body")
     sj = jacobian(model, q, "body")
     ext = _loads(model, cache.poses, "body", applied, gravity, "body")
-    stacked = np.zeros(6 * n)
-    for i in range(n):
-        mb = model.inertia_body(i)
-        wi = (mb @ cache.accels[i]
-              - ad_matrix(cache.twists[i]).T @ (mb @ cache.twists[i]) - ext[i])
-        stacked[6 * i:6 * i + 6] = wi
-    return sj.J.T @ stacked
+    stacked = [ne_wrench(cache.twists[i], cache.accels[i], model.inertia_body(i))
+               - ext[i] for i in range(n)]
+    return sj.J.T @ np.concatenate(stacked)
 
 
 def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
          gravity: bool = True) -> np.ndarray:
     """Forward dynamics qdd = M^-1 (tau - bias).
 
-    The bias is :func:`idyn`'s body-fixed forward and backward sweep at
-    qdd = 0, M the composite-rigid-body mass matrix at the same poses,
-    and the solve a Cholesky factorization; raises ValueError when M is
-    not positive definite or tau - bias is not finite.  ``applied`` takes
-    per-body external wrenches in body representation.
+    One configuration pass gives the composite-rigid-body mass matrix M;
+    the bias is :func:`idyn`'s spatial forward and backward sweep at
+    qdd = 0 on its poses and joint screws, and the solve a Cholesky
+    factorization; raises ValueError when M is not positive definite or
+    tau - bias is not finite.  ``applied`` takes per-body external
+    wrenches in body representation.
     """
-    n = model.n
-    tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
-    cache = _forward_sweep(model, JointState(q, qd), "body", 1)
-    poses = cache.poses
-    bias, _ = _backward_sweep(model, cache, _inertias(model, poses, "body"),
-                              _loads(model, poses, "body", applied, gravity, "body"))
-    m = _mass_matrix(model, _instantaneous_screws(model, poses, "spatial"),
-                     _inertias(model, poses, "spatial"))
-    return _spd_solve(m, tau - bias)
+    return _Configuration(model, q).accel(qd, tau, applied, gravity)[0]
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
     """Stacked per-body spatial momentum co-screws Pi_i = M^s_i V^s_i."""
-    from .kinematics import twists as _twists
-
-    cache = _twists(model, q, qd, "spatial")
-    return np.einsum("ijk,ik->ij", _inertias(model, cache.poses, "spatial"),
-                     cache.twists)
+    return _Configuration(model, q).momenta(qd)
 
 
 def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
@@ -545,46 +575,23 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
 
     The stacked relation M^s_i J^s_i qd = Pi_i contracted with the spatial
     Jacobian is the SPD system M(q) qd = (J^s)^T Pi, with M the
-    composite-rigid-body mass matrix.  The bias is :func:`idyn`'s spatial
-    forward and backward sweep at qdd = 0, qdd = M^-1 (tau - bias), and
-    each momentum rate is its body's spatial Newton-Euler balance
-    M^s Vdot - ad^T_V M^s V.  ``tau`` may be a callable of the recovered
-    qd; applied wrenches are taken in body representation, as in
-    :func:`fdyn`.
+    composite-rigid-body mass matrix of one configuration pass, as in
+    :func:`fdyn`; so are the bias (the spatial sweeps at qdd = 0) and
+    qdd = M^-1 (tau - bias).  Each momentum rate is its body's spatial
+    Newton-Euler balance :func:`ne_wrench`.  ``tau`` may be a callable of
+    the recovered qd; applied wrenches are taken in body representation,
+    as in :func:`fdyn`.
     """
     n = model.n
     pi_stack = np.asarray(pi_stack, dtype=float).reshape(n, 6)
-    frames = fk_body_form(model, q)
-    poses = frames[0]
-    js = _instantaneous_screws(model, poses, "spatial")
-    ms = _inertias(model, poses, "spatial")
-    m = _mass_matrix(model, js, ms)
+    cfg = _Configuration(model, q)
+    js = cfg.screws
     # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
-    sub = pi_stack.copy()
-    for i in range(n - 1, -1, -1):
-        if model.parent[i] >= 0:
-            sub[model.parent[i]] += sub[i]
-    qd = _spd_solve(m, np.einsum("ij,ij->i", js, sub))
-    if tau is None:
-        tau = np.zeros(n)
-    elif callable(tau):
-        tau = np.asarray(tau(qd), dtype=float).reshape(n)
-    else:
-        tau = np.asarray(tau, dtype=float).reshape(n)
-
-    cache = _forward_sweep(model, JointState(q, qd), "spatial", 1, frames=frames,
-                           screws=js)
-    bias, _ = _backward_sweep(model, cache, ms,
-                              _loads(model, poses, "spatial", applied, gravity, "body"))
-    qdd = _spd_solve(m, tau - bias)
+    qd = _spd_solve(cfg.mass, np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))
+    qdd, cache = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
     # accelerations are affine in qdd: add the joint terms to the bias sweep's
-    vd = js * qdd[:, None]
-    for i in range(n):
-        if model.parent[i] >= 0:
-            vd[i] += vd[model.parent[i]]
-    vd += cache.accels
-    V = cache.twists
-    pidot = np.array([ms[i] @ vd[i] - ad_matrix(V[i]).T @ (ms[i] @ V[i])
+    vd = _path_sums(model, js * qdd[:, None]) + cache.accels
+    pidot = np.array([ne_wrench(cache.twists[i], vd[i], cfg.inertias[i], "spatial")
                       for i in range(n)])
     return pidot, qd
 
@@ -597,11 +604,10 @@ def kinetic_energy(model: ChainModel, q, qd) -> float:
 
 def gravity_potential(model: ChainModel, q) -> float:
     """Potential energy -sum m_i g . r_com_i of the configuration."""
-    from .kinematics import fk as _fk
+    return _potential(model, fk(model, q))
 
-    poses = _fk(model, q)
-    u = 0.0
-    for i in range(model.n):
-        r_com = poses[i].apply(model.bodies[i].com_offset)
-        u -= model.bodies[i].mass * float(model.gravity @ r_com)
-    return u
+
+def _potential(model: ChainModel, poses) -> float:
+    """:func:`gravity_potential` of the bodies at the given poses."""
+    return -sum(b.mass * float(model.gravity @ pose.apply(b.com_offset))
+                for b, pose in zip(model.bodies, poses))

@@ -6,9 +6,12 @@ Joint space is a plain vector space for the supported joints, so chain
 trajectories use ordinary RK4 on (q, qd) or on (q, spatial momenta); the
 Lie-group machinery is exercised by the absolute-motion integrators.  The
 right-hand sides are :func:`screwchain.dynamics.fdyn` and
-:func:`screwchain.dynamics.momentum_rhs`, which share the recursive
-sweeps, the mass matrix and the SPD solve of that module; the free body
-recovers its twist from the momentum with the same solve.
+:func:`screwchain.dynamics.momentum_rhs`, which share one configuration
+pass, the spatial bias sweeps and the SPD solve of that module; the free
+body recovers its twist from the momentum with the same solve.
+
+A chain sample's qd and qdd come from RK4's first stage there, which the
+step reuses, and its report from one configuration pass of that module.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .model import BodyModel, ChainModel, spatial_inertia_body
 from .se3 import Pose, dexp_inv, exp_se3
 from . import dynamics as dyn
 from .dynamics import _spd_solve
-from .kinematics import _rep_map, _twist_map, fk
+from .kinematics import _rep_map, _twist_map
 
 __all__ = [
     "RigidBodyState",
@@ -108,8 +111,10 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
                        h: float) -> FreeBodyTrajectory:
     """Torque-free rigid body by the momentum formulation.
 
-    The spatial momentum is constant by construction; the twist is
-    recovered pointwise from it and the pose advanced by Munthe-Kaas RK4.
+    The spatial momentum is held constant; the twist is recovered
+    pointwise from it and the pose advanced by Munthe-Kaas RK4.  Each
+    report gives M^s(C_k) V^s_k, recomputed from the integrated pose and
+    twist, so its constancy is a check.
     """
     mb = spatial_inertia_body(body).matrix
     state = RigidBodyState(initial.pose, initial.spatial_twist(), "spatial")
@@ -132,10 +137,8 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
     reports = []
 
     def report(t, pose, v_s):
-        ms = spatial_inertia_at(pose)
-        energy = 0.5 * float(v_s @ ms @ v_s)
-        drift = float(np.linalg.norm(pose.rot.T @ pose.rot - np.eye(3)))
-        return StepReport(t, energy, pi.copy(), drift)
+        p = spatial_inertia_at(pose) @ v_s  # recomputed, not the held pi
+        return StepReport(t, 0.5 * float(v_s @ p), p, _drift(pose))
 
     reports.append(report(0.0, state.pose, state.twist))
     for k in range(steps):
@@ -164,6 +167,11 @@ class ChainTrajectory:
     abort_step: int | None = None
 
 
+def _drift(pose: Pose) -> float:
+    """Distance |R^T R - I| of a pose's rotation from SO(3)."""
+    return float(np.linalg.norm(pose.rot.T @ pose.rot - np.eye(3)))
+
+
 def _step_count(T, h) -> int:
     """Number of fixed steps of size h covering [0, T]; rejects a step
     that is not finite and positive and a span that is not finite and
@@ -175,9 +183,8 @@ def _step_count(T, h) -> int:
     return int(round(T / h))
 
 
-def _rk4(f, t, y, h, k1=None):
-    if k1 is None:
-        k1 = f(t, y)
+def _rk4(f, t, y, h, k1):
+    """One classical RK4 step of y' = f(t, y) from its first stage k1."""
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -192,12 +199,21 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     ``form="state"`` advances (q, qd) with the mass-matrix forward
     dynamics; ``form="momentum"`` advances (q, stacked spatial momenta)
     with the phase-space right-hand side.  ``torque`` is an optional
-    callable (t, q, qd) -> generalized forces.  A step that fails (a
-    floating-point overflow, division by zero or invalid operation, a
-    mass matrix that is not positive definite, a non-finite state) aborts
-    the run; the samples before it are kept and the step and the reason
-    recorded, with NaN for the report fields and qdd of the last kept
-    sample that could not be computed.  Raises ValueError unless h is
+    callable (t, q, qd) -> generalized forces.
+
+    Sample k is recorded from RK4's first stage f(t_k, y_k), which the
+    step from it reuses: qd is the stage's first n entries (recovered from
+    the momenta in the momentum form), qdd the rest of the stage (state
+    form) or :func:`fdyn` (momentum form).  The report (energy, total
+    spatial momentum, largest rotation drift) is read from one
+    configuration pass at the sample.
+
+    A step that fails (a floating-point overflow, division by zero or
+    invalid operation, a mass matrix that is not positive definite, a
+    non-finite state) aborts the run; the samples before it are kept and
+    the step and the reason recorded, with NaN for what the last kept
+    sample could not compute: its report fields and qdd, and in the
+    momentum form after t = 0 its qd.  Raises ValueError unless h is
     finite and positive and T finite and non-negative.
     """
     if form not in ("state", "momentum"):
@@ -212,21 +228,6 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
             return np.zeros(n)
         return np.asarray(torque(t, q, qd), dtype=float).reshape(n)
 
-    times = np.linspace(0.0, steps * h, steps + 1)
-    qs = np.zeros((steps + 1, n))
-    qds = np.zeros((steps + 1, n))
-    qdds = np.full((steps + 1, n), np.nan)  # NaN where a failed step left no qdd
-    reports: list[StepReport] = []
-
-    def make_report(t, q, qd):
-        energy = dyn.kinetic_energy(model, q, qd)
-        if gravity:
-            energy += dyn.gravity_potential(model, q)
-        pis = dyn.spatial_momenta(model, q, qd)
-        poses = fk(model, q)
-        drift = max(float(np.linalg.norm(p.rot.T @ p.rot - np.eye(3))) for p in poses)
-        return StepReport(t, energy, pis.sum(axis=0), drift)
-
     def accel(t, q, qd):
         return dyn.fdyn(model, q, qd, tau_at(t, q, qd), applied=applied,
                         gravity=gravity)
@@ -234,15 +235,6 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     if form == "state":
         def f(t, y):
             return np.concatenate([y[n:], accel(t, y[:n], y[n:])])
-
-        def pack(q, qd):
-            return np.concatenate([q, qd])
-
-        def advance(k, y):  # the recorded sample is RK4's first stage
-            return _rk4(f, times[k], y, h, k1=np.concatenate([qds[k], qdds[k]]))
-
-        def velocity(y):
-            return y[n:]
     else:
         def f(t, y):
             q, pis = y[:n], y[n:]
@@ -251,34 +243,44 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
                 applied=applied, gravity=gravity)
             return np.concatenate([qd, pidot.reshape(-1)])
 
-        def pack(q, qd):
-            return np.concatenate([q, dyn.spatial_momenta(model, q, qd).reshape(-1)])
+    times = np.linspace(0.0, steps * h, steps + 1)
+    qs = np.zeros((steps + 1, n))
+    # NaN where a failed step left no qd or qdd
+    qds = np.full((steps + 1, n), np.nan)
+    qdds = np.full((steps + 1, n), np.nan)
+    # NaN fields stand until computed, so an abort keeps one report per sample
+    reports = [StepReport(t, np.nan, np.full(6, np.nan), np.nan) for t in times]
 
-        def advance(k, y):
-            return _rk4(f, times[k], y, h)
-
-        def velocity(y):
-            return dyn.momentum_rhs(model, y[:n], y[n:], gravity=gravity,
-                                    applied=applied)[1]
-
-    def record(k, q, qd):
-        qs[k], qds[k] = q, qd
-        # NaN fields stand until computed, so an abort here keeps one report per sample
-        reports.append(StepReport(times[k], np.nan, np.full(6, np.nan), np.nan))
-        qdds[k] = accel(times[k], q, qd)
-        reports[k] = make_report(times[k], q, qd)
+    def sample(k, y):
+        """Record sample k of the state y and return f(t_k, y)."""
+        t, q = times[k], y[:n]
+        qs[k] = q
+        if form == "state":  # kept if the stage fails
+            qds[k] = y[n:]
+        k1 = f(t, y)
+        qd = qds[k] = k1[:n]
+        qdds[k] = k1[n:] if form == "state" else accel(t, q, qd)
+        cfg = dyn._Configuration(model, q)
+        energy = 0.5 * float(qd @ cfg.mass @ qd)
+        if gravity:
+            energy += dyn._potential(model, cfg.poses)
+        reports[k] = StepReport(t, energy, cfg.momenta(qd).sum(axis=0),
+                                max(_drift(p) for p in cfg.poses))
+        return k1
 
     k = 0
+    qs[0], qds[0] = q0, qd0
     # floating-point faults raise, so the first one is the abort reason
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            record(0, q0, qd0)
-            y = pack(q0, qd0)
+            rest = qd0 if form == "state" else dyn._Configuration(model, q0).momenta(qd0)
+            y = np.concatenate([q0, rest.reshape(-1)])
+            k1 = sample(0, y)
             for k in range(steps):
-                y = advance(k, y)
+                y = _rk4(f, times[k], y, h, k1)
                 if not np.all(np.isfinite(y)):
                     raise ValueError("non-finite state")
-                record(k + 1, y[:n], velocity(y))
+                k1 = sample(k + 1, y)
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
             return ChainTrajectory(times[:k + 1], qs[:k + 1], qds[:k + 1],
                                    qdds[:k + 1], reports[:k + 1], form,

@@ -156,20 +156,13 @@ _PLAIN = _SweepOps()
 
 
 def fk(model: ChainModel, q) -> list[Pose]:
-    """Absolute body poses as the ordered product of joint exponentials
-    in spatial screw coordinates, times the reference poses."""
-    q = np.asarray(q, dtype=float).reshape(model.n)
-    exp_prod: list[Pose] = []
-    for i in range(model.n):
-        step = exp_se3(model.joints[i].screw_spatial * q[i])
-        p = model.parent[i]
-        prod = step if p < 0 else exp_prod[p] @ step
-        exp_prod.append(prod)
-    return [exp_prod[i] @ model.bodies[i].ref_pose for i in range(model.n)]
+    """Absolute body poses, the first half of :func:`fk_body_form`."""
+    return fk_body_form(model, q)[0]
 
 
 def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
-    """Equivalent POE form using body-fixed joint screws.
+    """Forward kinematics as the product of exponentials in body-fixed
+    joint screws, each body's pose its parent's times its relative pose.
 
     Returns (absolute poses, relative poses); the relative pose of body i
     is its configuration in the parent frame, B_i exp(X_i q_i).

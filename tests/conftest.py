@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from screwchain import se3
-from screwchain.kinematics import fk
 from screwchain.model import BodyModel, ChainModel, JointModel, Pose
-from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans
+from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, exp_se3
 
 
 def rand_rotation(rng, max_angle=2.5):
@@ -45,6 +44,19 @@ def random_chain(rng, n, tree=False, kinds=("revolute", "prismatic", "helical"),
     return ChainModel(bodies, joints, parents, gravity=gravity)
 
 
+def fk_spatial_oracle(model, q):
+    """Absolute body poses as the ordered product of joint exponentials
+    in spatial screw coordinates, times the reference poses: a product
+    independent of the package's body-fixed one."""
+    q = np.asarray(q, dtype=float).reshape(model.n)
+    exp_prod = []
+    for i in range(model.n):
+        step = exp_se3(model.joints[i].screw_spatial * q[i])
+        p = model.parent[i]
+        exp_prod.append(step if p < 0 else exp_prod[p] @ step)
+    return [exp_prod[i] @ model.bodies[i].ref_pose for i in range(model.n)]
+
+
 class JacobianOracle:
     """The system Jacobian built pair by pair, independently of the
     package's one map per body: block (i, j) is
@@ -55,7 +67,7 @@ class JacobianOracle:
 
     def __init__(self, model, q, rep):
         n = model.n
-        poses = fk(model, q)
+        poses = fk_spatial_oracle(model, q)
         self.J = np.zeros((6 * n, n))
         self.A = np.zeros((6 * n, 6 * n))
         self.X = np.zeros((6 * n, n))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import screwchain
 from screwchain.cli import main
 from screwchain.samples import sample_model_path
 
@@ -144,6 +146,21 @@ def test_idyn_rep_all_deviation_column(tmp_path, rng):
     data = read_csv(out)
     assert data.shape[1] == 1 + 3 * 6 + 1
     assert np.all(data[:, -1] < 1e-9)
+
+
+def test_idyn_rep_mixed_matches_body(tmp_path, rng):
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, np.arange(3) * 0.1, [rng.normal(size=(3, 6)) for _ in range(3)])
+    outs = {}
+    for rep in ("mixed", "body"):
+        outs[rep] = tmp_path / f"{rep}.csv"
+        assert run_cli("idyn", "--model", MODEL_6R, "--traj", str(traj),
+                       "--rep", rep, "--out", str(outs[rep])) == 0
+    with open(outs["mixed"]) as fh:
+        assert fh.readline().strip() == ",".join(["t"] + [f"Q{j + 1}" for j in range(6)])
+    mixed, body = read_csv(outs["mixed"]), read_csv(outs["body"])
+    assert mixed.shape == body.shape == (3, 7)
+    assert np.allclose(mixed, body, rtol=0.0, atol=1e-9)
 
 
 def test_idyn_requires_qdd(tmp_path, rng):
@@ -366,8 +383,11 @@ def test_benchmark_bad_reps_exit_2(tmp_path, capsys, reps):
 # --------------------------------------------------------------- entry point
 
 def test_console_entry_point_runs():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(screwchain.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "screwchain.cli", "check", "--model", MODEL_1R],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "1 bodies" in proc.stdout or "1 DOF" in proc.stdout

@@ -203,19 +203,39 @@ def test_state_and_momentum_forms_agree(rng):
     assert np.abs(a.qd - b.qd).max() < 1e-6
 
 
-def test_momentum_form_reports_consistent_momenta(rng):
-    # the reported total spatial momentum matches the one recomputed from
-    # the stored (q, qd) samples (the chain trades momentum with the
-    # ground through the base joint, so it need not be constant)
-    from screwchain.dynamics import spatial_momenta
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_recorded_samples_match_public_functions(rng, form):
+    # every sample's qdd, energy and total spatial momentum (and, in the
+    # momentum form, its recovered qd) equal the public functions
+    # evaluated at the stored (q, qd); the chain trades momentum with the
+    # ground through the base joint, so the momentum need not be constant
+    from screwchain.dynamics import (
+        fdyn, gravity_potential, kinetic_energy, momentum_rhs, spatial_momenta,
+    )
 
-    model = random_chain(rng, 2, gravity=(0, 0, 0))
-    q0, qd0 = rng.normal(size=2) * 0.4, rng.normal(size=2) * 0.4
-    traj = chain_simulate(model, q0, qd0, T=0.2, h=1e-3, gravity=False,
-                          form="momentum")
-    for k in range(0, len(traj.times), 50):
-        expect = spatial_momenta(model, traj.q[k], traj.qd[k]).sum(axis=0)
-        assert np.allclose(traj.reports[k].momentum_spatial, expect, atol=1e-9)
+    model = random_chain(rng, 3, tree=True)
+    q0, qd0 = rng.normal(size=3) * 0.4, rng.normal(size=3) * 0.4
+
+    def torque(t, q, qd):
+        return np.array([np.sin(3.0 * t), -0.5, 0.2]) - 0.3 * qd
+
+    traj = chain_simulate(model, q0, qd0, torque=torque, T=0.05, h=1e-3, form=form)
+    assert traj.abort_reason is None and len(traj.reports) == len(traj.times) == 51
+    got = {"qdd": traj.qdd, "energy": [r.energy for r in traj.reports],
+           "momentum": [r.momentum_spatial for r in traj.reports]}
+    expect = {key: [] for key in got}
+    if form == "momentum":
+        got["qd"], expect["qd"] = traj.qd, []
+    for t, q, qd in zip(traj.times, traj.q, traj.qd):
+        pis = spatial_momenta(model, q, qd)
+        expect["qdd"].append(fdyn(model, q, qd, torque(t, q, qd)))
+        expect["energy"].append(kinetic_energy(model, q, qd) + gravity_potential(model, q))
+        expect["momentum"].append(pis.sum(axis=0))
+        if form == "momentum":
+            expect["qd"].append(momentum_rhs(model, q, pis)[1])
+    for key, value in got.items():
+        ref = np.array(expect[key])
+        assert np.abs(np.array(value) - ref).max() <= 1e-12 * np.abs(ref).max(), key
 
 
 @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")

@@ -5,13 +5,13 @@ from screwchain import se3
 from screwchain.cli import _benchmark_chain
 from screwchain.kinematics import (
     JointState, Twist, accel_ik, accelerations, convert_twist, fk,
-    fk_body_form, hybrid_jacobian_partial2, jacobian, jacobian_partial,
-    jacobian_partial_n, jerks, twists,
+    hybrid_jacobian_partial2, jacobian, jacobian_partial, jacobian_partial_n,
+    jerks, twists,
 )
 from screwchain.model import BodyModel, ChainModel, JointModel
 from screwchain.se3 import Pose, ad_matrix, adjoint, adjoint_rot, lie_bracket, screw
 
-from conftest import JacobianOracle, planar_2r_model, random_chain
+from conftest import JacobianOracle, fk_spatial_oracle, planar_2r_model, random_chain
 
 REPS3 = ("body", "spatial", "hybrid")
 REPS4 = ("body", "spatial", "hybrid", "mixed")
@@ -48,14 +48,12 @@ def test_fk_planar_2r_tip_trigonometry(rng):
 
 
 def test_fk_poe_forms_agree(rng):
-    # product of spatial-screw exponentials vs parent-relative body form
+    # product of spatial-screw exponentials vs the package's body-fixed one
     for trial in range(10):
         n = int(rng.integers(1, 8))
         model = random_chain(rng, n, tree=(trial % 2 == 0))
         q = rng.normal(size=n)
-        pa = fk(model, q)
-        pb, _ = fk_body_form(model, q)
-        for a, b in zip(pa, pb):
+        for a, b in zip(fk_spatial_oracle(model, q), fk(model, q)):
             assert np.allclose(a.matrix(), b.matrix(), atol=1e-12)
 
 

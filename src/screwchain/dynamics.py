@@ -6,12 +6,21 @@ and the spatial-momentum phase-space form.
 Recursive Newton-Euler is one algorithm in three representations: the
 forward sweep of :mod:`screwchain.kinematics` followed by the one backward
 wrench sweep here.  ``idyn`` is the two sweeps.  Everything else reads one
-configuration pass (:class:`_Configuration`): ``fk_body_form`` once, and
-from its poses the spatial joint screws, the spatial body inertias and the
-composite-rigid-body mass matrix.  ``fdyn`` and ``momentum_rhs`` take their
-bias forces from the spatial sweeps at zero joint acceleration, which need
-no frame transform inside the recursion, and solve with that mass matrix
-by a Cholesky factorization.
+configuration pass (:class:`_Configuration`): the poses of
+``fk_body_form`` once, and from them, stacked over all bodies, the maps
+Ad(C_i) and their inverses, the spatial joint screws, the spatial body
+inertias and the composite-rigid-body mass matrix.  ``fdyn`` and
+``momentum_rhs`` take their bias forces from the spatial sweeps at zero
+joint acceleration, which need no frame transform inside the recursion,
+and solve with that mass matrix by a Cholesky factorization.
+
+The last configuration pass is kept, read-only, and reused by the next
+call at the same model object and the same bytes of q
+(:func:`_configuration`).  A simulation sample needs its configuration
+more than once through the public functions (its first RK4 stage, then
+the momentum form's qdd and the sample's report), and those functions
+keep their signatures, so the pass is shared this way rather than
+through a parameter.
 
 The closed-form Coriolis matrix and Christoffel symbols are contractions
 of one table: the Lie brackets [J_la, J_lb] of each body's body-fixed
@@ -40,12 +49,11 @@ from .kinematics import (
     _PLAIN,
     _SweepOps,
     _check_rep,
+    _fk_stacks,
     _forward_sweep,
-    _instantaneous_screws,
     _rep_map,
     _twist_map,
     fk,
-    fk_body_form,
     jacobian,
 )
 from .se3 import (
@@ -385,28 +393,36 @@ def _path_sums(model: ChainModel, a) -> np.ndarray:
 
 
 class _Configuration:
-    """One configuration pass at q: :func:`fk_body_form` once, and from
-    its poses the spatial joint screws js, the spatial body inertias and
-    the composite-rigid-body mass matrix.
+    """One configuration pass at q: the body poses of :func:`fk_body_form`
+    once, and from them the spatial joint screws js, the spatial body
+    inertias and the composite-rigid-body mass matrix.  All arrays are
+    read-only.
 
+    The maps Ad(C_i) and their inverses come as one (n, 6, 6) stack from
+    :func:`_rep_map`, so the screws Ad(C_i) X_i and the inertias
+    Ad(C_i)^-T M_i Ad(C_i)^-1 are one contraction each over all bodies.
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
-    on the path to k and zero off the paths.
+    on the path to k, and zero off the paths.
     """
 
     def __init__(self, model: ChainModel, q):
         n = model.n
         self.model = model
-        self.q = np.asarray(q, dtype=float).reshape(n)
-        self.frames = fk_body_form(model, self.q)
+        self.q = np.array(q, dtype=float).reshape(n)
+        self.q.setflags(write=False)
+        absolute, relative = _fk_stacks(model, self.q)
+        self.frames = absolute.poses(), relative.poses()
         self.poses = self.frames[0]
-        self.screws = js = _instantaneous_screws(model, self.poses, "spatial")
-        self.inertias = np.array(_inertias(model, self.poses, "spatial"))
+        b, b_inv = _rep_map(absolute, "spatial")
+        tab = model.tables
+        self.screws = js = np.einsum("nij,nj->ni", b, tab.screw)
+        self.inertias = np.swapaxes(b_inv, 1, 2) @ tab.inertia @ b_inv
         ic = _subtree_sums(model, self.inertias)
-        self.mass = np.zeros((n, n))
-        for k in range(n):
-            path = list(model.path(k))
-            self.mass[path, k] = self.mass[k, path] = js[path] @ (ic[k] @ js[k])
+        g = js @ np.einsum("kij,kj->ik", ic, js)  # g[j, k] = js_j . Ic_k js_k
+        self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.T, 0.0))
+        for arr in (self.screws, self.inertias, self.mass):
+            arr.setflags(write=False)
 
     def momenta(self, qd) -> np.ndarray:
         """Per-body spatial momenta M^s_i V^s_i; V^s_i sums js_j qd_j
@@ -429,9 +445,26 @@ class _Configuration:
         return _spd_solve(self.mass, tau - bias), cache
 
 
+# The last configuration pass, reused as the module docstring explains.
+_last_configuration: _Configuration | None = None
+
+
+def _configuration(model: ChainModel, q) -> _Configuration:
+    """The :class:`_Configuration` at (model, q): the last one built when
+    it was built for this model object at a q with the same bytes,
+    otherwise a new one, which replaces it."""
+    global _last_configuration
+    q = np.asarray(q, dtype=float).reshape(model.n)
+    last = _last_configuration
+    if last is not None and last.model is model and last.q.tobytes() == q.tobytes():
+        return last
+    _last_configuration = cfg = _Configuration(model, q)
+    return cfg
+
+
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Generalized mass matrix by the composite-rigid-body algorithm."""
-    return _Configuration(model, q).mass
+    return _configuration(model, q).mass.copy()
 
 
 def _spd_solve(m, b) -> np.ndarray:
@@ -560,12 +593,12 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
     tau - bias is not finite.  ``applied`` takes per-body external
     wrenches in body representation.
     """
-    return _Configuration(model, q).accel(qd, tau, applied, gravity)[0]
+    return _configuration(model, q).accel(qd, tau, applied, gravity)[0]
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
     """Stacked per-body spatial momentum co-screws Pi_i = M^s_i V^s_i."""
-    return _Configuration(model, q).momenta(qd)
+    return _configuration(model, q).momenta(qd)
 
 
 def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
@@ -584,7 +617,7 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     """
     n = model.n
     pi_stack = np.asarray(pi_stack, dtype=float).reshape(n, 6)
-    cfg = _Configuration(model, q)
+    cfg = _configuration(model, q)
     js = cfg.screws
     # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
     qd = _spd_solve(cfg.mass, np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))

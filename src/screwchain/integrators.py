@@ -11,7 +11,10 @@ pass, the spatial bias sweeps and the SPD solve of that module; the free
 body recovers its twist from the momentum with the same solve.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
-step reuses, and its report from one configuration pass of that module.
+step reuses.  That stage leaves its configuration pass as the last one of
+:mod:`screwchain.dynamics`, which the momentum form's qdd and the sample's
+report read again instead of building their own, so a run costs one
+configuration pass per RK4 stage.
 """
 
 from __future__ import annotations
@@ -64,10 +67,18 @@ class RigidBodyState:
 
 @dataclass
 class StepReport:
+    """Diagnostics of one sample.  ``constraint_drift`` is the largest
+    distance |R^T R - I| of a body rotation from SO(3);
+    ``momentum_residual`` is the largest distance |Pi_i - M^s_i V^s_i(qd)|
+    of an integrated body momentum from the momentum the recovered qd
+    implies, for the momentum form of :func:`chain_simulate` (NaN
+    elsewhere)."""
+
     t: float
     energy: float
     momentum_spatial: np.ndarray
     constraint_drift: float
+    momentum_residual: float = np.nan
 
 
 def mk_step(state: RigidBodyState, twist_field, h: float, t: float = 0.0) -> RigidBodyState:
@@ -204,9 +215,15 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     Sample k is recorded from RK4's first stage f(t_k, y_k), which the
     step from it reuses: qd is the stage's first n entries (recovered from
     the momenta in the momentum form), qdd the rest of the stage (state
-    form) or :func:`fdyn` (momentum form).  The report (energy, total
-    spatial momentum, largest rotation drift) is read from one
-    configuration pass at the sample.
+    form) or :func:`fdyn` (momentum form).  The report is read from the
+    configuration pass that stage built, so the sample costs no pass of
+    its own.  In both forms its ``constraint_drift`` is the largest
+    distance |R^T R - I| of a body rotation from SO(3), which is roundoff
+    of the rotations FK builds.  The momentum form also reports the
+    residual that its integration can really move off zero,
+    ``momentum_residual`` = max_i |Pi_i - M^s_i V^s_i(qd)|: how far the
+    integrated body momenta sit from the momenta the recovered qd
+    implies (it falls as h^4 with RK4).
 
     A step that fails (a floating-point overflow, division by zero or
     invalid operation, a mass matrix that is not positive definite, a
@@ -214,7 +231,8 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     the step and the reason recorded, with NaN for what the last kept
     sample could not compute: its report fields and qdd, and in the
     momentum form after t = 0 its qd.  Raises ValueError unless h is
-    finite and positive and T finite and non-negative.
+    finite and positive and T finite and non-negative, and when the
+    samples of T / h steps cannot be stored.
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
@@ -243,11 +261,15 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
                 applied=applied, gravity=gravity)
             return np.concatenate([qd, pidot.reshape(-1)])
 
-    times = np.linspace(0.0, steps * h, steps + 1)
-    qs = np.zeros((steps + 1, n))
-    # NaN where a failed step left no qd or qdd
-    qds = np.full((steps + 1, n), np.nan)
-    qdds = np.full((steps + 1, n), np.nan)
+    try:
+        times = np.linspace(0.0, steps * h, steps + 1)
+        qs = np.zeros((steps + 1, n))
+        # NaN where a failed step left no qd or qdd
+        qds = np.full((steps + 1, n), np.nan)
+        qdds = np.full((steps + 1, n), np.nan)
+    except (MemoryError, ValueError) as err:
+        raise ValueError(f"T={T!r} with h={h!r} takes {steps:.6g} steps, too many "
+                         f"to store their samples ({err})") from None
     # NaN fields stand until computed, so an abort keeps one report per sample
     reports = [StepReport(t, np.nan, np.full(6, np.nan), np.nan) for t in times]
 
@@ -260,12 +282,15 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
         k1 = f(t, y)
         qd = qds[k] = k1[:n]
         qdds[k] = k1[n:] if form == "state" else accel(t, q, qd)
-        cfg = dyn._Configuration(model, q)
+        cfg = dyn._configuration(model, q)
         energy = 0.5 * float(qd @ cfg.mass @ qd)
         if gravity:
             energy += dyn._potential(model, cfg.poses)
-        reports[k] = StepReport(t, energy, cfg.momenta(qd).sum(axis=0),
-                                max(_drift(p) for p in cfg.poses))
+        momenta = cfg.momenta(qd)
+        residual = (np.nan if form == "state" else
+                    float(np.linalg.norm(y[n:].reshape(n, 6) - momenta, axis=1).max()))
+        reports[k] = StepReport(t, energy, momenta.sum(axis=0),
+                                max(_drift(p) for p in cfg.poses), residual)
         return k1
 
     k = 0
@@ -273,7 +298,7 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     # floating-point faults raise, so the first one is the abort reason
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            rest = qd0 if form == "state" else dyn._Configuration(model, q0).momenta(qd0)
+            rest = qd0 if form == "state" else dyn._configuration(model, q0).momenta(qd0)
             y = np.concatenate([q0, rest.reshape(-1)])
             k1 = sample(0, y)
             for k in range(steps):

@@ -1,5 +1,15 @@
 """POE forward kinematics, twist propagation, Jacobians, and derivatives.
 
+Forward kinematics evaluates each joint exponential exp(q X) in closed
+form from tables the model built at load: for the revolute and helical
+joints (unit angular part W = [w]x) the rotation is
+I + sin q W + (1 - cos q) W^2 and the translation
+q v + (1 - cos q) W v + (q - sin q) W^2 v; a prismatic joint has W = 0.
+All joints are evaluated at once and composed with the reference poses in
+one stacked product.  The poses it builds are rotations by construction
+and are not validated again as ``Pose(...)`` would; a non-finite q, which
+would make them meaningless, is rejected with a ValueError instead.
+
 Twists, accelerations and jerks come from one recursive forward sweep per
 representation, each level the time derivative of the one below, O(n)
 in the number of bodies.
@@ -33,11 +43,12 @@ picks up an extra omega x omega-dot term).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ChainModel
-from .se3 import Pose, ad_matrix, adjoint, adjoint_trans, exp_se3, hat3, lie_bracket, screw
+from .se3 import Pose, ad_matrix, adjoint, adjoint_trans, lie_bracket, screw
 
 __all__ = [
     "REPS",
@@ -160,22 +171,57 @@ def fk(model: ChainModel, q) -> list[Pose]:
     return fk_body_form(model, q)[0]
 
 
+class _PoseStack(NamedTuple):
+    """The poses of all bodies as read-only stacked arrays: ``rot``
+    (n, 3, 3) and ``trans`` (n, 3)."""
+
+    rot: np.ndarray
+    trans: np.ndarray
+
+    def poses(self) -> list[Pose]:
+        return [Pose._trusted(r, t) for r, t in zip(self.rot, self.trans)]
+
+
+def _fk_stacks(model: ChainModel, q) -> tuple[_PoseStack, _PoseStack]:
+    """(absolute, relative) body poses of :func:`fk_body_form` as stacks."""
+    q = np.asarray(q, dtype=float).reshape(model.n)
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        raise ValueError(f"fk_body_form: q must be finite, "
+                         f"got q[{bad[0]}] = {q[bad[0]]!r}")
+    tab = model.tables
+    a = tab.rate * q
+    s, c = np.sin(a), 1.0 - np.cos(a)
+    rot = np.eye(3) + s[:, None, None] * tab.w + c[:, None, None] * tab.w2
+    trans = a[:, None] * tab.v + c[:, None] * tab.wv + (a - s)[:, None] * tab.w2v
+    rel_rot = tab.ref_rot @ rot
+    rel_trans = np.einsum("nij,nj->ni", tab.ref_rot, trans) + tab.ref_trans
+    abs_rot, abs_trans = rel_rot.copy(), rel_trans.copy()
+    for i, p in enumerate(model.parent):
+        if p >= 0:
+            abs_trans[i] = abs_rot[p] @ rel_trans[i] + abs_trans[p]
+            abs_rot[i] = abs_rot[p] @ rel_rot[i]
+    for arr in (abs_rot, abs_trans, rel_rot, rel_trans):
+        arr.setflags(write=False)
+    return _PoseStack(abs_rot, abs_trans), _PoseStack(rel_rot, rel_trans)
+
+
 def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
     """Forward kinematics as the product of exponentials in body-fixed
     joint screws, each body's pose its parent's times its relative pose.
 
     Returns (absolute poses, relative poses); the relative pose of body i
-    is its configuration in the parent frame, B_i exp(X_i q_i).
+    is its configuration in the parent frame, B_i exp(X_i q_i).  Each
+    exponential is the closed form in sin and cos of the tables the model
+    built at load (:class:`screwchain.model.ChainTables`), exact for the
+    revolute, prismatic and helical joints; all of them are composed with
+    the reference poses in one stacked product before the walk down the
+    tree.  The returned poses are not validated again, since they are
+    rotations by construction; instead q itself must be finite
+    (ValueError otherwise).
     """
-    q = np.asarray(q, dtype=float).reshape(model.n)
-    poses: list[Pose] = []
-    rels: list[Pose] = []
-    for i in range(model.n):
-        rel = model.rel_ref_pose(i) @ exp_se3(model.joints[i].screw_body * q[i])
-        p = model.parent[i]
-        poses.append(rel if p < 0 else poses[p] @ rel)
-        rels.append(rel)
-    return poses, rels
+    absolute, relative = _fk_stacks(model, q)
+    return absolute.poses(), relative.poses()
 
 
 _EYE6 = np.eye(6)
@@ -183,24 +229,33 @@ _EYE6.setflags(write=False)
 
 
 def _blocks(a, c, d) -> np.ndarray:
-    """The 6x6 matrix [[a, 0], [c, d]] of 3x3 blocks; c=None is zero."""
-    m = np.zeros((6, 6))
-    m[:3, :3] = a
+    """The 6x6 matrix [[a, 0], [c, d]] of 3x3 blocks; c=None is zero.
+    Leading axes of d carry through (a stack of matrices)."""
+    m = np.zeros(d.shape[:-2] + (6, 6))
+    m[..., :3, :3] = a
     if c is not None:
-        m[3:, :3] = c
-    m[3:, 3:] = d
+        m[..., 3:, :3] = c
+    m[..., 3:, 3:] = d
     return m
 
 
-def _rep_map(pose: Pose, rep: str) -> tuple[np.ndarray, np.ndarray]:
+def _hat(t) -> np.ndarray:
+    """Skew matrices [t]x of the 3-vectors along the last axis of t."""
+    h = np.zeros(t.shape[:-1] + (3, 3))
+    h[..., 2, 1], h[..., 0, 2], h[..., 1, 0] = t[..., 0], t[..., 1], t[..., 2]
+    return h - np.swapaxes(h, -1, -2)
+
+
+def _rep_map(pose, rep: str) -> tuple[np.ndarray, np.ndarray]:
     """(B, B^-1): the map from body coordinates into ``rep`` coordinates
     of a screw attached to a body at ``pose``, and its closed-form inverse
-    (the table in the module docstring)."""
-    r, rt = pose.rot, pose.rot.T
+    (the table in the module docstring).  ``pose`` may also be a
+    :class:`_PoseStack`, which gives one (n, 6, 6) stack of each."""
+    r, rt = pose.rot, np.swapaxes(pose.rot, -1, -2)
     if rep == "body":
         return _EYE6, _EYE6
     if rep == "spatial":
-        rh = hat3(pose.trans)
+        rh = _hat(pose.trans)
         return _blocks(r, rh @ r, r), _blocks(rt, -rt @ rh, rt)
     if rep == "hybrid":
         return _blocks(r, None, r), _blocks(rt, None, rt)

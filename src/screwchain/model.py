@@ -9,6 +9,13 @@ The recommended authoring style places every body-fixed reference frame
 on the inertial frame at q = 0 (then all reference poses are identity
 and the spatial and body-fixed joint screws coincide), but arbitrary
 reference poses are accepted.
+
+A model tabulates at load what every configuration pass reads
+(:class:`ChainTables`): the body screws and body inertias stacked over
+the bodies, the relative reference poses, and for each joint's body
+screw X = (w, v) the arrays W = [w]x, W^2, v, W v and W^2 v of the
+closed-form joint exponential that :func:`screwchain.kinematics.fk_body_form`
+evaluates.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,11 +226,63 @@ def spatial_inertia_body(body: BodyModel) -> SpatialInertia:
     return SpatialInertia(out, "body")
 
 
+class ChainTables(NamedTuple):
+    """Read-only per-body arrays of a model, stacked along a leading body
+    axis and fixed at load.
+
+    ``screw`` (n, 6) and ``inertia`` (n, 6, 6) are the body-fixed joint
+    screws and body inertias; ``on_path`` (n, n) is True at [j, i] when
+    body j is on the path from the root to body i; ``ref_rot`` (n, 3, 3)
+    and ``ref_trans`` (n, 3) the reference pose of each body relative to
+    its parent.  The rest tabulate exp(q X) for each body screw X: a
+    revolute or helical screw is written rate * (u, v) with |u| = 1, so
+    that at angle a = rate q the rotation is I + sin a W + (1 - cos a) W^2
+    and the translation a v + (1 - cos a) W v + (a - sin a) W^2 v, with
+    W = [u]x.  A prismatic joint has rate 1 and W = 0, which leaves q v.
+    """
+
+    screw: np.ndarray
+    inertia: np.ndarray
+    on_path: np.ndarray
+    ref_rot: np.ndarray
+    ref_trans: np.ndarray
+    rate: np.ndarray
+    w: np.ndarray
+    w2: np.ndarray
+    v: np.ndarray
+    wv: np.ndarray
+    w2v: np.ndarray
+
+
+def _chain_tables(joints, bodies, paths, rel_ref) -> ChainTables:
+    """The :class:`ChainTables` of resolved joints, their bodies, the
+    root-to-body paths and the relative reference poses."""
+    screws = np.array([joint.screw_body for joint in joints])
+    prismatic = np.array([joint.kind == "prismatic" for joint in joints])
+    rate = np.where(prismatic, 1.0, np.linalg.norm(screws[:, :3], axis=1))
+    w = np.array([np.zeros((3, 3)) if is_p else hat3(x[:3])
+                  for is_p, x in zip(prismatic, screws)]) / rate[:, None, None]
+    v = screws[:, 3:] / rate[:, None]
+    w2 = w @ w
+    on_path = np.zeros((len(paths), len(paths)), dtype=bool)
+    for i, path in enumerate(paths):
+        on_path[list(path), i] = True
+    tables = ChainTables(
+        screws, np.array([spatial_inertia_body(b).matrix for b in bodies]), on_path,
+        np.array([p.rot for p in rel_ref]), np.array([p.trans for p in rel_ref]),
+        rate, w, w2, v, np.einsum("nij,nj->ni", w, v), np.einsum("nij,nj->ni", w2, v))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
 class ChainModel:
     """Validated tree of bodies; immutable once constructed.
 
     Bodies are indexed 0..n-1, ``parent[i]`` is the index of the parent
     body or -1 for the ground, and ``parent[i] < i`` always holds.
+    ``tables`` holds the stacked per-body arrays of :class:`ChainTables`,
+    built here once.
     """
 
     def __init__(self, bodies, joints, parent, gravity=DEFAULT_GRAVITY, name=""):
@@ -263,9 +323,7 @@ class ChainModel:
             p = self.parent[i]
             a_p = self.bodies[p].ref_pose if p >= 0 else Pose.identity()
             self._rel_ref.append(a_p.inverse() @ a_i)
-        self._inertia_body = tuple(
-            spatial_inertia_body(b).matrix for b in self.bodies
-        )
+        self.tables = _chain_tables(self.joints, self.bodies, self._paths, self._rel_ref)
 
     def children(self, i: int) -> tuple[int, ...]:
         return self._children[i]
@@ -285,7 +343,7 @@ class ChainModel:
 
     def inertia_body(self, i: int) -> np.ndarray:
         """Body-representation 6x6 inertia of body i (about its BFR)."""
-        return self._inertia_body[i]
+        return self.tables.inertia[i]
 
     def dof(self) -> int:
         return self.n

@@ -173,6 +173,15 @@ class Pose:
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "trans", trans)
 
+    @classmethod
+    def _trusted(cls, rot: np.ndarray, trans: np.ndarray) -> "Pose":
+        """A pose of read-only float arrays that the package computed as a
+        rotation and a translation; skips the validation of ``Pose(...)``."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rot", rot)
+        object.__setattr__(pose, "trans", trans)
+        return pose
+
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))

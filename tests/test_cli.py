@@ -210,10 +210,16 @@ def test_header_only_trajectory_exit_2_without_warning(tmp_path, capsys):
 # -------------------------------------------------------------- cmd simulate
 
 @pytest.mark.parametrize("bad", [["--h", "0"], ["--h=-1e-3"], ["--h", "nan"],
-                                 ["--T=-0.5"], ["--T", "inf"], ["--q0", "nan"]])
-def test_simulate_bad_arguments_exit_2(tmp_path, bad):
+                                 ["--T=-0.5"], ["--T", "inf"], ["--q0", "nan"],
+                                 ["--T", "1e15", "--h", "1e-3"],
+                                 ["--T", "1", "--h", "1e-300"]])
+def test_simulate_bad_arguments_exit_2(tmp_path, capsys, bad):
     assert run_cli("simulate", "--model", MODEL_1R, *bad,
                    "--out", str(tmp_path / "sim.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if "--T" in bad and "--h" in bad:  # a step count too large to store
+        assert f"h={float(bad[-1])!r} takes" in err and "steps, too many" in err
 
 def test_simulate_equilibrium_stationary(tmp_path):
     out = tmp_path / "sim.csv"

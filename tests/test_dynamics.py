@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from screwchain import se3
+from screwchain import dynamics, se3
 from screwchain.cli import _benchmark_chain
 from screwchain.dynamics import (
     christoffel, convert_wrench, coriolis_matrix, fdyn, gravity_potential,
@@ -461,6 +461,46 @@ def test_solves_reject_non_finite_input(rng):
     pis[1, 2] = np.nan
     with pytest.raises(ValueError):
         momentum_rhs(model, q, pis)
+
+
+NON_FINITE_Q_ENTRY_POINTS = {
+    "fk": lambda model, q: fk(model, q),
+    "twists": lambda model, q: twists(model, q, np.zeros(2)),
+    "jacobian": lambda model, q: jacobian(model, q),
+    "idyn": lambda model, q: idyn(model, q, np.zeros(2), np.zeros(2)),
+    "fdyn": lambda model, q: fdyn(model, q, np.zeros(2)),
+    "mass_matrix": lambda model, q: mass_matrix(model, q),
+    "momentum_rhs": lambda model, q: momentum_rhs(model, q, np.zeros((2, 6))),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(NON_FINITE_Q_ENTRY_POINTS))
+def test_non_finite_q_is_rejected_as_such(entry, value):
+    with pytest.raises(ValueError, match="q must be finite"):
+        NON_FINITE_Q_ENTRY_POINTS[entry](planar_2r_model(), [0.3, value])
+
+
+def test_reused_configuration_cannot_go_stale(rng):
+    # fdyn at (A, q), (B, q), then (B, q written in place) must each equal
+    # a pass built afresh; so must fdyn after the caller writes into the
+    # mass matrix it was handed
+    a, b = random_chain(rng, 4, tree=True), random_chain(rng, 4, tree=True)
+    q, qd, tau = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
+
+    def fresh(model):
+        return dynamics._Configuration(model, q).accel(qd, tau, None, True)[0]
+
+    assert np.array_equal(fdyn(a, q, qd, tau), fresh(a))
+    assert np.array_equal(fdyn(b, q, qd, tau), fresh(b))
+    assert not np.array_equal(fresh(a), fresh(b))
+    before = fresh(b)
+    q[2] += 0.25
+    assert np.array_equal(fdyn(b, q, qd, tau), fresh(b))
+    assert not np.array_equal(fresh(b), before)
+    m = mass_matrix(b, q)
+    m[:] = np.eye(4)
+    assert np.array_equal(fdyn(b, q, qd, tau), fresh(b))
 
 
 def test_fdyn_balanced_coriolis_gives_zero_accel(rng):

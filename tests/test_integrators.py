@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from screwchain import se3
+from screwchain import dynamics, se3
 from screwchain.integrators import (
     RigidBodyState, chain_simulate, free_body_simulate, mk_step,
 )
-from screwchain.model import BodyModel, ChainModel, JointModel
+from screwchain.model import BodyModel, ChainModel, JointModel, load_model
+from screwchain.samples import sample_model_path
 from screwchain.se3 import Pose, adjoint, exp_se3, log_se3, screw
 
 from conftest import random_chain
@@ -236,6 +239,57 @@ def test_recorded_samples_match_public_functions(rng, form):
     for key, value in got.items():
         ref = np.array(expect[key])
         assert np.abs(np.array(value) - ref).max() <= 1e-12 * np.abs(ref).max(), key
+
+
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_one_configuration_pass_per_rk4_stage(rng, monkeypatch, form):
+    # four stages per step and one for the last sample: the samples' qdd
+    # and reports (and the momentum form's initial momenta) reuse the pass
+    # of the stage at their configuration
+    model = random_chain(rng, 3, tree=True)
+    built = []
+    init = dynamics._Configuration.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(dynamics, "_last_configuration", None, raising=False)
+    monkeypatch.setattr(dynamics._Configuration, "__init__", counted)
+    steps, h = 10, 1e-3
+    traj = chain_simulate(model, rng.normal(size=3), rng.normal(size=3),
+                          torque=lambda t, q, qd: -0.5 * qd, T=steps * h, h=h,
+                          form=form)
+    assert len(traj.times) == steps + 1
+    assert len(built) == 4 * steps + 1
+
+
+def test_momentum_residual_falls_with_rk4_order():
+    # max_i |Pi_i - M^s_i V^s_i(qd)| of the integrated momenta, which
+    # RK4's error moves off the momenta of the recovered qd as h^4
+    model = load_model(sample_model_path("arm_6r"))
+    q0, qd0 = np.linspace(-0.6, 0.6, 6), np.linspace(0.8, -0.4, 6)
+
+    def torque(t, q, qd):
+        return np.array([3.0, -2.0, 1.5, 0.5, -0.3, 0.2]) * np.cos(5.0 * t)
+
+    residual = {h: chain_simulate(model, q0, qd0, torque=torque, T=0.1, h=h,
+                                  form="momentum").reports[-1].momentum_residual
+                for h in (2e-3, 1e-3)}
+    assert residual[1e-3] > 0.0
+    assert 8.0 <= residual[2e-3] / residual[1e-3] <= 32.0
+    state = chain_simulate(model, q0, qd0, torque=torque, T=2e-3, h=1e-3)
+    assert all(np.isnan(r.momentum_residual) for r in state.reports)
+
+
+@pytest.mark.parametrize("T, h", [(1e15, 1e-3), (1.0, 1e-300)])
+def test_chain_simulate_names_step_counts_it_cannot_store(T, h):
+    # both fail at once: 1e18 samples cannot be allocated, 1e300 cannot
+    # even be sized
+    model, _ = pendulum_model()
+    message = f"T={T!r} with h={h!r} takes {round(T / h):.6g} steps"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chain_simulate(model, [0.0], [0.0], T=T, h=h)
 
 
 @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")

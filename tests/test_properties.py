@@ -1,7 +1,8 @@
 """Property tests over random trees and forests with revolute, prismatic
-and helical joints: the recursive sweeps against each other, against the
-forward dynamics, and against the closed-form mass matrix and jerks; the
-Jacobian and the twist and wrench conversions against per-pair oracles;
+and helical joints: the closed-form forward kinematics against products
+of joint exponentials; the recursive sweeps against each other, against
+the forward dynamics, and against the closed-form mass matrix and jerks;
+the Jacobian and the twist and wrench conversions against per-pair oracles;
 the Christoffel symbols and the Coriolis matrix against bracket-by-bracket
 loops and the matrix form."""
 
@@ -13,15 +14,15 @@ from screwchain.dynamics import (
     momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import (
-    REPS, JointState, Twist, accelerations, convert_twist, fk, jacobian, jerks,
-    twists,
+    REPS, JointState, Twist, accelerations, convert_twist, fk, fk_body_form,
+    jacobian, jerks, twists,
 )
 from screwchain.model import binet_inertia
 from screwchain.se3 import (
-    ad_matrix, adjoint, adjoint_rot, adjoint_trans, lie_bracket, screw,
+    ad_matrix, adjoint, adjoint_rot, adjoint_trans, exp_se3, lie_bracket, screw,
 )
 
-from conftest import JacobianOracle, random_chain
+from conftest import JacobianOracle, fk_spatial_oracle, random_chain
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                              database=None)
@@ -85,6 +86,18 @@ def assert_close(got, expect, rtol=1e-12):
     """Entries agree to rtol of the largest entry (or of 1)."""
     scale = max(1.0, np.abs(expect).max(initial=0.0))
     assert np.abs(got - expect).max(initial=0.0) <= rtol * scale
+
+
+def fk_body_exp_oracle(model, q):
+    """(absolute, relative) poses as the product of ``exp_se3`` of the
+    body-fixed joint screws, each relative pose B_i exp(X_i q_i)."""
+    poses, rels = [], []
+    for i in range(model.n):
+        rel = model.rel_ref_pose(i) @ exp_se3(model.joints[i].screw_body * q[i])
+        p = model.parent[i]
+        poses.append(rel if p < 0 else poses[p] @ rel)
+        rels.append(rel)
+    return poses, rels
 
 
 def body_mass_matrix_oracle(model, q):
@@ -231,6 +244,19 @@ def coriolis_oracle(model, q, qd):
 
 JERK_ORACLES = {"body": body_jerk_oracle, "spatial": spatial_jerk_oracle,
                 "hybrid": hybrid_jerk_oracle}
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(), st.sampled_from([1e-9, 1e-3, 1.0, 40.0]))
+def test_fk_closed_form_matches_exponential_products(case, scale):
+    # scale 1e-9 puts every angle near 0, 40 most of them well past 2 pi
+    model, q = case[0], case[1] * scale
+    poses, rels = fk_body_form(model, q)
+    exp_poses, exp_rels = fk_body_exp_oracle(model, q)
+    for got, expect in ((poses, exp_poses), (rels, exp_rels),
+                        (poses, fk_spatial_oracle(model, q))):
+        for a, b in zip(got, expect):
+            assert_close(a.matrix(), b.matrix())
 
 
 @PROPERTY_SETTINGS

@@ -5,14 +5,16 @@ and the spatial-momentum phase-space form.
 
 Recursive Newton-Euler is one algorithm in three representations: the
 forward sweep of :mod:`screwchain.kinematics` followed by the one backward
-wrench sweep here.  ``idyn`` is the two sweeps.  Everything else reads one
-configuration pass (:class:`_Configuration`): the poses of
-``fk_body_form`` once, and from them, stacked over all bodies, the maps
-Ad(C_i) and their inverses, the spatial joint screws, the spatial body
-inertias and the composite-rigid-body mass matrix.  ``fdyn`` and
-``momentum_rhs`` take their bias forces from the spatial sweeps at zero
-joint acceleration, which need no frame transform inside the recursion,
-and solve with that mass matrix by a Cholesky factorization.
+wrench sweep here.  Both read the frame table of their representation
+(:func:`screwchain.kinematics._frame_table`): the joint screws, inertias,
+parent transforms and gravity loads of all bodies, one stacked product
+each.  ``idyn`` builds that table and runs the two sweeps.  Everything
+else reads one configuration pass (:class:`_Configuration`): the poses
+of ``fk_body_form`` once, the spatial frame table at them and the
+composite-rigid-body mass matrix.  ``fdyn`` and ``momentum_rhs`` take
+their bias forces from the spatial sweeps at zero joint acceleration,
+which need no frame transform inside the recursion, and solve with that
+mass matrix by a Cholesky factorization.
 
 The last configuration pass is kept, read-only, and reused by the next
 call at the same model object and the same bytes of q
@@ -46,11 +48,16 @@ from .model import ChainModel, SpatialInertia, binet_inertia
 from .kinematics import (
     JointState,
     Twist,
+    _Frames,
     _PLAIN,
+    _PoseStack,
     _SweepOps,
     _check_rep,
     _fk_stacks,
     _forward_sweep,
+    _frame_table,
+    _jacobian,
+    _kinematics,
     _rep_map,
     _twist_map,
     fk,
@@ -115,8 +122,8 @@ class _Counter(_SweepOps):
     def __init__(self, rep, n):
         self.report = OpCountReport(rep=rep, n=n)
 
-    def count(self, field):
-        setattr(self.report, field, getattr(self.report, field) + 1)
+    def count(self, field, times=1):
+        setattr(self.report, field, getattr(self.report, field) + times)
 
 
 def predict_op_counts(rep: str, n: int) -> OpCountReport:
@@ -147,21 +154,14 @@ def predict_op_counts(rep: str, n: int) -> OpCountReport:
 # Per-body Newton-Euler wrench
 # --------------------------------------------------------------------------
 
-def _inertia_matrix(inertia, rep):
-    if isinstance(inertia, SpatialInertia):
-        if inertia.rep != rep:
-            raise ValueError(
-                f"inertia is tagged {inertia.rep!r} but the call uses {rep!r}")
-        return inertia.matrix
-    return np.asarray(inertia, dtype=float)
-
-
-def _twist_vec(v, rep):
-    if isinstance(v, Twist):
-        if v.rep != rep:
-            raise ValueError(f"twist is tagged {v.rep!r} but the call uses {rep!r}")
-        return v.s
-    return np.asarray(v, dtype=float)
+def _untagged(value, rep, what):
+    """The array of a plain array, :class:`Twist` or :class:`SpatialInertia`;
+    a tagged one must be tagged ``rep``."""
+    if isinstance(value, (Twist, SpatialInertia)):
+        if value.rep != rep:
+            raise ValueError(f"{what} is tagged {value.rep!r} but the call uses {rep!r}")
+        return value.s if isinstance(value, Twist) else value.matrix
+    return np.asarray(value, dtype=float)
 
 
 def ne_wrench(v, vdot, inertia, rep: str = "body", com_frame: bool = False) -> np.ndarray:
@@ -173,24 +173,16 @@ def ne_wrench(v, vdot, inertia, rep: str = "body", com_frame: bool = False) -> n
     at the COM (identical results, fewer operations).
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
-    m = _inertia_matrix(inertia, rep)
-    v = _twist_vec(v, rep)
+    m = _untagged(inertia, rep, "inertia")
+    v = _untagged(v, rep, "twist")
     vdot = np.asarray(vdot, dtype=float)
-    if rep in ("body", "spatial"):
-        if com_frame and rep == "body":
-            theta = m[:3, :3]
-            mass = m[5, 5]
-            om, vel = v[:3], v[3:]
-            return screw(theta @ vdot[:3] + np.cross(om, theta @ om),
-                         mass * (vdot[3:] + np.cross(om, vel)))
-        return m @ vdot - ad_matrix(v).T @ (m @ v)
-    if com_frame:
-        theta = m[:3, :3]
-        mass = m[5, 5]
-        om = v[:3]
-        return screw(theta @ vdot[:3] + np.cross(om, theta @ om),
-                     mass * vdot[3:])
     om = v[:3]
+    if com_frame and rep != "spatial":
+        theta = m[:3, :3]
+        lin = vdot[3:] + np.cross(om, v[3:]) if rep == "body" else vdot[3:]
+        return screw(theta @ vdot[:3] + np.cross(om, theta @ om), m[5, 5] * lin)
+    if rep != "hybrid":
+        return m @ vdot - ad_matrix(v).T @ (m @ v)
     p = m @ screw(om, np.zeros(3))
     return m @ vdot + screw(np.cross(om, p[:3]), np.cross(om, p[3:]))
 
@@ -204,21 +196,16 @@ def convert_wrench(w, from_rep: str, to_rep: str, pose: Pose) -> np.ndarray:
 
 
 def gravity_wrenches(model: ChainModel, poses, rep: str) -> np.ndarray:
-    """Per-body gravity wrench in the requested representation.
-
-    Authored in hybrid form (force m g at the COM, moved to the body
-    origin) and converted, which keeps the recursions representation-
-    agnostic instead of using a fictitious base acceleration.
+    """Per-body gravity wrench in the requested representation: the
+    gravity loads of the frame table at the poses
+    (:func:`screwchain.kinematics._frame_table`), each body's inertia
+    times the acceleration of the gravity field.  The weight enters the
+    recursions as a load in every representation rather than as a
+    fictitious base acceleration.
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
-    g = model.gravity
-    out = np.zeros((model.n, 6))
-    for i in range(model.n):
-        f = model.bodies[i].mass * g
-        d_world = poses[i].rot @ model.bodies[i].com_offset
-        wh = screw(np.cross(d_world, f), f)
-        out[i] = convert_wrench(wh, "hybrid", rep, poses[i])
-    return out
+    stack = _PoseStack(np.array([p.rot for p in poses]), np.array([p.trans for p in poses]))
+    return _frame_table(model, stack, None, rep).gravity.copy()
 
 
 def spatial_inertia_of(model: ChainModel, poses, i: int) -> np.ndarray:
@@ -305,44 +292,34 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     """
     _check_rep(rep)
     work_rep = "hybrid" if rep == "mixed" else rep
-    n = model.n
-    cnt = _Counter(work_rep, n)
-    cache = _forward_sweep(model, JointState(q, qd, qdd), work_rep, 1, cnt)
-    poses = cache.poses
-    ext = _loads(model, poses, work_rep, applied, gravity, rep)
-    Q, W = _backward_sweep(model, cache, _inertias(model, poses, work_rep, cnt), ext, cnt)
+    cnt = _Counter(work_rep, model.n)
+    frames, cache = _kinematics(model, JointState(q, qd, qdd), work_rep, 1, cnt)
+    ext = _loads(model, frames, applied, gravity, rep)
+    Q, W = _backward_sweep(model, frames, cache, ext, cnt)
     if full:
         return IdynResult(Q, W, cnt.report, work_rep)
     return Q
 
 
-def _loads(model: ChainModel, poses, rep: str, applied, gravity: bool,
+def _loads(model: ChainModel, frames: _Frames, applied, gravity: bool,
            applied_rep: str) -> np.ndarray:
-    """Per-body external wrenches in ``rep``: gravity (unless disabled)
-    plus ``applied``, which is given in ``applied_rep``."""
+    """Per-body external wrenches in the representation of ``frames``:
+    its gravity loads (unless disabled) plus ``applied``, which is given
+    in ``applied_rep`` and converted by one stacked product."""
     n = model.n
-    ext = gravity_wrenches(model, poses, rep) if gravity else np.zeros((n, 6))
+    ext = frames.gravity if gravity else np.zeros((n, 6))
     if applied is not None:
-        applied = np.asarray(applied, dtype=float).reshape(n, 6)
-        for i in range(n):
-            ext[i] += convert_wrench(applied[i], applied_rep, rep, poses[i])
+        m = _twist_map(frames.poses, frames.rep, applied_rep)
+        ext = ext + np.einsum("...ji,...j->...i", m,
+                              np.asarray(applied, dtype=float).reshape(n, 6))
     return ext
 
 
-def _inertias(model: ChainModel, poses, rep: str, ops: _SweepOps = _PLAIN) -> list:
-    """Per-body 6x6 inertias B^-T M B^-1 in the representation of a
-    sweep; the body inertias M are not transformed."""
-    n = model.n
-    if rep == "body":
-        return [model.inertia_body(i) for i in range(n)]
-    return [ops.tensor(_rep_map(poses[i], rep)[1], model.inertia_body(i))
-            for i in range(n)]
-
-
-def _backward_sweep(model: ChainModel, cache, inertias, ext,
+def _backward_sweep(model: ChainModel, frames: _Frames, cache, ext,
                     ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray]:
     """The one Newton-Euler wrench recursion, from the leaves to the roots,
-    in the representation of ``cache`` (a forward sweep's result).
+    over the frame table ``frames`` and the twists and accelerations of
+    ``cache``, the forward sweep over it.
 
     Each body's balance (body and spatial: M Vdot - ad^T_V M V; hybrid:
     M Vdot + [omega, M omega]) less its load ``ext`` joins the wrenches
@@ -350,13 +327,14 @@ def _backward_sweep(model: ChainModel, cache, inertias, ext,
     carried to the parent.  Returns (joint forces, joint wrenches).
     """
     n = model.n
-    rep = cache.rep
-    V, Vd, x = cache.twists, cache.accels, cache.joint_screws
+    rep = frames.rep
+    V, Vd = cache.twists, cache.accels
+    x, xf = frames.screws, frames.parent
     kind = "translations_screw" if rep == "hybrid" else None
     W = np.zeros((n, 6))
     Q = np.zeros(n)
     for i in range(n - 1, -1, -1):
-        m = inertias[i]
+        m = frames.inertias[i]
         if rep == "hybrid":
             omega = screw(V[i][:3], np.zeros(3))
             W[i] += m @ Vd[i] + ops.bracket(omega, m @ omega) - ext[i]
@@ -365,8 +343,7 @@ def _backward_sweep(model: ChainModel, cache, inertias, ext,
         Q[i] = x[i] @ W[i]
         p = model.parent[i]
         if p >= 0:
-            xf = cache.parent_transforms[i]
-            W[p] += W[i] if xf is None else ops.xform(xf.T, W[i], kind=kind)
+            W[p] += W[i] if xf is None else ops.xform(xf[i].T, W[i], kind=kind)
     return Q, W
 
 
@@ -394,42 +371,34 @@ def _path_sums(model: ChainModel, a) -> np.ndarray:
 
 class _Configuration:
     """One configuration pass at q: the body poses of :func:`fk_body_form`
-    once, and from them the spatial joint screws js, the spatial body
-    inertias and the composite-rigid-body mass matrix.  All arrays are
-    read-only.
+    once, and from them the spatial frame table ``frames`` (the spatial
+    joint screws js and body inertias among it) and the
+    composite-rigid-body mass matrix.  All arrays are read-only.
 
-    The maps Ad(C_i) and their inverses come as one (n, 6, 6) stack from
-    :func:`_rep_map`, so the screws Ad(C_i) X_i and the inertias
-    Ad(C_i)^-T M_i Ad(C_i)^-1 are one contraction each over all bodies.
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
     on the path to k, and zero off the paths.
     """
 
     def __init__(self, model: ChainModel, q):
-        n = model.n
         self.model = model
-        self.q = np.array(q, dtype=float).reshape(n)
+        self.q = np.array(q, dtype=float).reshape(model.n)
         self.q.setflags(write=False)
         absolute, relative = _fk_stacks(model, self.q)
-        self.frames = absolute.poses(), relative.poses()
-        self.poses = self.frames[0]
-        b, b_inv = _rep_map(absolute, "spatial")
-        tab = model.tables
-        self.screws = js = np.einsum("nij,nj->ni", b, tab.screw)
-        self.inertias = np.swapaxes(b_inv, 1, 2) @ tab.inertia @ b_inv
-        ic = _subtree_sums(model, self.inertias)
+        self.poses = absolute.poses()
+        self.frames = frames = _frame_table(model, absolute, relative, "spatial")
+        js, on_path = frames.screws, model.tables.on_path
+        ic = _subtree_sums(model, frames.inertias)
         g = js @ np.einsum("kij,kj->ik", ic, js)  # g[j, k] = js_j . Ic_k js_k
-        self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.T, 0.0))
-        for arr in (self.screws, self.inertias, self.mass):
-            arr.setflags(write=False)
+        self.mass = np.where(on_path, g, np.where(on_path.T, g.T, 0.0))
+        self.mass.setflags(write=False)
 
     def momenta(self, qd) -> np.ndarray:
         """Per-body spatial momenta M^s_i V^s_i; V^s_i sums js_j qd_j
         over the path to body i."""
         qd = np.asarray(qd, dtype=float).reshape(self.model.n)
-        return np.einsum("ijk,ik->ij", self.inertias,
-                         _path_sums(self.model, self.screws * qd[:, None]))
+        return np.einsum("ijk,ik->ij", self.frames.inertias,
+                         _path_sums(self.model, self.frames.screws * qd[:, None]))
 
     def accel(self, qd, tau, applied, gravity: bool):
         """qdd = M^-1 (tau - bias), the bias being :func:`idyn`'s spatial
@@ -438,10 +407,9 @@ class _Configuration:
         None; ``applied`` is in body representation."""
         n = self.model.n
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
-        cache = _forward_sweep(self.model, JointState(self.q, qd), "spatial", 1,
-                               frames=self.frames, screws=self.screws)
-        loads = _loads(self.model, self.poses, "spatial", applied, gravity, "body")
-        bias, _ = _backward_sweep(self.model, cache, self.inertias, loads)
+        cache = _forward_sweep(self.model, self.frames, JointState(self.q, qd), 1)
+        loads = _loads(self.model, self.frames, applied, gravity, "body")
+        bias, _ = _backward_sweep(self.model, self.frames, cache, loads)
         return _spd_solve(self.mass, tau - bias), cache
 
 
@@ -526,7 +494,7 @@ def coriolis_matrix(model: ChainModel, q, qd) -> np.ndarray:
     n = model.n
     qd = np.asarray(qd, dtype=float).reshape(n)
     jb, br = _bracket_table(model, q)
-    mj = np.array([model.inertia_body(l) @ jb[l] for l in range(n)])
+    mj = model.tables.inertia @ jb
     jdot = np.einsum("lxjk,k->lxj", np.triu(br, 1), qd)
     ad_vj = np.einsum("xyz,ly,lzj->lxj", _SE3_BRACKET, jb @ qd, jb)  # [V_l, J_lj]
     return np.einsum("lxi,lxj->ij", mj, jdot) - np.einsum("lxi,lxj->ij", ad_vj, mj)
@@ -553,7 +521,7 @@ def christoffel(model: ChainModel, q, variant: str = "standard") -> np.ndarray:
         raise ValueError("variant must be 'standard' or 'binet'")
     jb, br = _bracket_table(model, q)
     if variant == "standard":
-        mj = np.array([model.inertia_body(l) @ jb[l] for l in range(model.n)])
+        mj = model.tables.inertia @ jb
         t1 = np.einsum("lxb,lxia->iab", mj, br)
         t3 = np.einsum("lxi,lxab->iab", mj, br)
         return _mirror_upper(0.5 * (t1 + t1.swapaxes(1, 2) + t3))
@@ -561,7 +529,7 @@ def christoffel(model: ChainModel, q, variant: str = "standard") -> np.ndarray:
     w = jb[:, :3]
     d = np.array([b.com_offset for b in bodies])
     c = jb[:, 3:] - np.cross(d[:, :, None], w, axis=1)
-    bw = np.array([binet_inertia(b.inertia_com) @ w[l] for l, b in enumerate(bodies)])
+    bw = binet_inertia([b.inertia_com for b in bodies]) @ w
     mass = np.array([b.mass for b in bodies])
     return _mirror_upper(np.einsum("lxa,lxbi->iab", bw, br[:, :3])
                          + np.einsum("l,lxi,lxab->iab", mass, c, _pair_table(_CROSS, w, c)))
@@ -571,14 +539,11 @@ def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
                    gravity: bool = True) -> np.ndarray:
     """Virtual-power projection residual (J^b)^T of the stacked per-body
     NE balances; zero at states consistent with the applied loads."""
-    from .kinematics import accelerations
-
-    n = model.n
-    cache = accelerations(model, JointState(q, qd, qdd), "body")
-    sj = jacobian(model, q, "body")
-    ext = _loads(model, cache.poses, "body", applied, gravity, "body")
-    stacked = [ne_wrench(cache.twists[i], cache.accels[i], model.inertia_body(i))
-               - ext[i] for i in range(n)]
+    frames, cache = _kinematics(model, JointState(q, qd, qdd), "body", 1)
+    sj = _jacobian(model, frames.poses, "body")
+    ext = _loads(model, frames, applied, gravity, "body")
+    stacked = [ne_wrench(cache.twists[i], cache.accels[i], frames.inertias[i])
+               - ext[i] for i in range(model.n)]
     return sj.J.T @ np.concatenate(stacked)
 
 
@@ -618,13 +583,13 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     n = model.n
     pi_stack = np.asarray(pi_stack, dtype=float).reshape(n, 6)
     cfg = _configuration(model, q)
-    js = cfg.screws
+    js = cfg.frames.screws
     # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
     qd = _spd_solve(cfg.mass, np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))
     qdd, cache = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
     # accelerations are affine in qdd: add the joint terms to the bias sweep's
     vd = _path_sums(model, js * qdd[:, None]) + cache.accels
-    pidot = np.array([ne_wrench(cache.twists[i], vd[i], cfg.inertias[i], "spatial")
+    pidot = np.array([ne_wrench(cache.twists[i], vd[i], cfg.frames.inertias[i], "spatial")
                       for i in range(n)])
     return pidot, qd
 

@@ -61,9 +61,6 @@ class RigidBodyState:
     def spatial_twist(self) -> np.ndarray:
         return _twist_map(self.pose, self.rep, "spatial") @ self.twist
 
-    def body_twist(self) -> np.ndarray:
-        return _twist_map(self.pose, self.rep, "body") @ self.twist
-
 
 @dataclass
 class StepReport:
@@ -125,7 +122,8 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
     The spatial momentum is held constant; the twist is recovered
     pointwise from it and the pose advanced by Munthe-Kaas RK4.  Each
     report gives M^s(C_k) V^s_k, recomputed from the integrated pose and
-    twist, so its constancy is a check.
+    twist, so its constancy is a check.  Raises ValueError as
+    :func:`chain_simulate` does for T and h.
     """
     mb = spatial_inertia_body(body).matrix
     state = RigidBodyState(initial.pose, initial.spatial_twist(), "spatial")
@@ -134,7 +132,8 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
         b_inv = _rep_map(pose, "spatial")[1]
         return b_inv.T @ mb @ b_inv
 
-    steps = _step_count(T, h)
+    times, = _sample_arrays(T, h)
+    steps = len(times) - 1
     ms0 = spatial_inertia_at(state.pose)
     pi = ms0 @ state.twist  # held constant: momentum balance with zero wrench
     _spd_solve(ms0, pi)  # fails early on a degenerate inertia or a non-finite twist
@@ -142,7 +141,6 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
     def twist_field(_t, pose):
         return _spd_solve(spatial_inertia_at(pose), pi)
 
-    times = np.linspace(0.0, steps * h, steps + 1)
     poses = [state.pose]
     twists = [state.twist]
     reports = []
@@ -183,15 +181,23 @@ def _drift(pose: Pose) -> float:
     return float(np.linalg.norm(pose.rot.T @ pose.rot - np.eye(3)))
 
 
-def _step_count(T, h) -> int:
-    """Number of fixed steps of size h covering [0, T]; rejects a step
-    that is not finite and positive and a span that is not finite and
-    non-negative."""
+def _sample_arrays(T, h, *widths) -> tuple[np.ndarray, ...]:
+    """The sample times 0, h, ..., steps * h of the fixed steps of size h
+    covering [0, T], and one NaN-filled (steps + 1, width) array for each
+    of ``widths``.  Raises ValueError unless h is finite and positive and
+    T finite and non-negative, and, naming T, h and the step count, when
+    the samples cannot be stored."""
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"step size h must be finite and positive, got {h!r}")
     if not (np.isfinite(T) and T >= 0.0):
         raise ValueError(f"duration T must be finite and non-negative, got {T!r}")
-    return int(round(T / h))
+    steps = int(round(T / h))
+    try:
+        return (np.linspace(0.0, steps * h, steps + 1),
+                *(np.full((steps + 1, w), np.nan) for w in widths))
+    except (MemoryError, ValueError) as err:
+        raise ValueError(f"T={T!r} with h={h!r} takes {steps:.6g} steps, too many "
+                         f"to store their samples ({err})") from None
 
 
 def _rk4(f, t, y, h, k1):
@@ -236,8 +242,10 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
-    steps = _step_count(T, h)
     n = model.n
+    # NaN where a failed step left no qd or qdd
+    times, qs, qds, qdds = _sample_arrays(T, h, n, n, n)
+    steps = len(times) - 1
     q0 = np.asarray(q0, dtype=float).reshape(n)
     qd0 = np.asarray(qd0, dtype=float).reshape(n)
 
@@ -261,15 +269,6 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
                 applied=applied, gravity=gravity)
             return np.concatenate([qd, pidot.reshape(-1)])
 
-    try:
-        times = np.linspace(0.0, steps * h, steps + 1)
-        qs = np.zeros((steps + 1, n))
-        # NaN where a failed step left no qd or qdd
-        qds = np.full((steps + 1, n), np.nan)
-        qdds = np.full((steps + 1, n), np.nan)
-    except (MemoryError, ValueError) as err:
-        raise ValueError(f"T={T!r} with h={h!r} takes {steps:.6g} steps, too many "
-                         f"to store their samples ({err})") from None
     # NaN fields stand until computed, so an abort keeps one report per sample
     reports = [StepReport(t, np.nan, np.full(6, np.nan), np.nan) for t in times]
 

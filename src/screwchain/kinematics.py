@@ -12,7 +12,11 @@ would make them meaningless, is rejected with a ValueError instead.
 
 Twists, accelerations and jerks come from one recursive forward sweep per
 representation, each level the time derivative of the one below, O(n)
-in the number of bodies.
+in the number of bodies.  The sweep builds no frame data of its own: it
+reads the frame table of its representation (:func:`_frame_table`), in
+which the joint screws, inertias, parent transforms and gravity loads of
+all bodies are one stacked product each, and which the Jacobian,
+:func:`screwchain.dynamics.idyn`, ``fdyn`` and ``momentum_rhs`` read too.
 
 Twist representations (the ``rep`` argument everywhere).  Each is the
 body twist of one body mapped by a 6x6 matrix B fixed by the body's pose
@@ -48,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChainModel
-from .se3 import Pose, ad_matrix, adjoint, adjoint_trans, lie_bracket, screw
+from .se3 import Pose, ad_matrix, lie_bracket, screw
 
 __all__ = [
     "REPS",
@@ -119,8 +123,8 @@ class Twist:
 class KinematicsCache:
     """Per-body kinematic quantities from one forward sweep, with the
     instantaneous joint screws and the screw transformations from each
-    parent's twist (None where there is none) that the backward wrench
-    sweep reuses."""
+    parent's twist (None where there is none) of the frame table the
+    sweep read (:func:`_frame_table`)."""
 
     rep: str
     poses: list[Pose]
@@ -134,14 +138,15 @@ class KinematicsCache:
 
 class _SweepOps:
     """Screw transformations, inertia congruences and Lie brackets of the
-    recursive sweeps.  Each call reports itself to :meth:`count`, which
-    does nothing here; the operation counter of
+    frame tables and the recursive sweeps.  Each call reports itself to
+    :meth:`count`, which does nothing here; the operation counter of
     :func:`screwchain.dynamics.idyn` overrides it, so the counts it
-    reports come from the sweep that actually ran."""
+    reports come from the sweep that actually ran.  The stacked
+    transforms count one transform per body."""
 
     __slots__ = ()
 
-    def count(self, field):
+    def count(self, field, times=1):
         """Hook for a counter; ``field`` names an ``OpCountReport`` field."""
 
     def xform(self, mat, s, kind=None):
@@ -150,9 +155,17 @@ class _SweepOps:
             self.count(kind)
         return mat @ s
 
-    def tensor(self, a_inv, m):
-        self.count("frame_transforms_tensor")
-        return a_inv.T @ m @ a_inv
+    def xforms(self, mats, s, kind=None):
+        """mats[i] @ s[i] for every body i."""
+        self.count("frame_transforms_screw", len(s))
+        if kind is not None:
+            self.count(kind, len(s))
+        return np.einsum("nij,nj->ni", mats, s)
+
+    def tensors(self, a_inv, m):
+        """a_inv[i]^T m[i] a_inv[i] for every body i."""
+        self.count("frame_transforms_tensor", len(m))
+        return np.swapaxes(a_inv, 1, 2) @ m @ a_inv
 
     def bracket(self, x, y):
         self.count("lie_brackets")
@@ -263,25 +276,68 @@ def _rep_map(pose, rep: str) -> tuple[np.ndarray, np.ndarray]:
     return _blocks(np.eye(3), None, r), _blocks(np.eye(3), None, rt)
 
 
-def _twist_map(pose: Pose, from_rep: str, to_rep: str) -> np.ndarray:
+def _twist_map(pose, from_rep: str, to_rep: str) -> np.ndarray:
     """B_to B_from^-1, which takes a twist of a body at ``pose`` from
-    ``from_rep`` into ``to_rep`` coordinates (exactly I when they agree).
-    Its transpose takes a wrench from ``to_rep`` into ``from_rep``."""
+    ``from_rep`` into ``to_rep`` coordinates (exactly I when they agree;
+    a stack of them for a :class:`_PoseStack`).  Its transpose takes a
+    wrench from ``to_rep`` into ``from_rep``."""
     if from_rep == to_rep:
         return _EYE6
     return _rep_map(pose, to_rep)[0] @ _rep_map(pose, from_rep)[1]
 
 
-def _instantaneous_screws(model: ChainModel, poses, rep: str,
-                          ops: _SweepOps = _PLAIN) -> np.ndarray:
-    """Current joint screws B_j X_j per joint in ``rep``; the body screws
-    X_j are constant and are not transformed."""
-    x = np.array([joint.screw_body for joint in model.joints])
+class _Frames(NamedTuple):
+    """The frame table of :func:`_frame_table`: read-only stacks over the
+    bodies in ``rep`` coordinates, and the pose stacks they came from."""
+
+    rep: str
+    poses: _PoseStack
+    rels: _PoseStack | None
+    screws: np.ndarray
+    inertias: np.ndarray
+    parent: np.ndarray | None
+    gravity: np.ndarray
+
+
+def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack | None,
+                 rep: str, ops: _SweepOps = _PLAIN) -> _Frames:
+    """Every per-body frame quantity a ``rep`` sweep (body, spatial or
+    hybrid) reads, at the pose stacks of :func:`_fk_stacks`, one stacked
+    product each through the maps B of :func:`_rep_map`:
+
+    - the joint screws B X and the inertias B^-T M B^-1 (X and M
+      themselves in body form), transformed through ``ops``;
+    - the transforms of each parent's twist into the body's coordinates:
+      Ad(rel_i)^-1 in body form, read from ``relative`` (left out when it
+      is None), the translations [[I, 0], [[r_p - r_i]x, I]] in hybrid
+      form, and none (None) in spatial form; a root's entry is unused;
+    - the gravity loads, each inertia times the acceleration of the
+      gravity field B Ad(C)^-1 (0, g): M (0, R^T g) in body form and
+      I (0, g) in spatial and hybrid form.
+    """
+    tab = model.tables
+    rot, trans = absolute
+    parent = None
     if rep == "body":
-        return x
-    kind = "rotations_screw" if rep == "hybrid" else None
-    return np.array([ops.xform(_rep_map(poses[j], rep)[0], x[j], kind)
-                     for j in range(model.n)])
+        screws, inertias = tab.screw, tab.inertia
+        if relative is not None:
+            parent = _rep_map(relative, "spatial")[1]
+        accel = model.gravity @ rot  # R_i^T g
+    else:
+        b, b_inv = _rep_map(absolute, rep)
+        kind = "rotations_screw" if rep == "hybrid" else None
+        screws = ops.xforms(b, tab.screw, kind)
+        inertias = ops.tensors(b_inv, tab.inertia)
+        accel = model.gravity
+        if rep == "hybrid":
+            par = np.asarray(model.parent)
+            parent = np.tile(_EYE6, (model.n, 1, 1))
+            parent[:, 3:, :3] = _hat(np.where(par[:, None] >= 0, trans[par], 0.0) - trans)
+    gravity = (inertias[..., 3:] @ accel[..., None])[..., 0]
+    for arr in (screws, inertias, parent, gravity):
+        if arr is not None:
+            arr.setflags(write=False)
+    return _Frames(rep, absolute, relative, screws, inertias, parent, gravity)
 
 
 @dataclass
@@ -303,27 +359,26 @@ class SystemJacobian:
         return self.J[6 * i:6 * i + 6, j]
 
 
-def _jacobian(model: ChainModel, poses, rep: str) -> SystemJacobian:
-    """System Jacobian at the given absolute poses: one 6x6 map per body
-    applied to the spatial joint screws on its path."""
+def _jacobian(model: ChainModel, absolute: _PoseStack, rep: str) -> SystemJacobian:
+    """System Jacobian at the absolute pose stack: the maps
+    T_i = B_i Ad(C_i)^-1 applied to the spatial joint screws of the
+    spatial frame table, masked by ``tables.on_path``."""
     n = model.n
-    js = _instantaneous_screws(model, poses, "spatial")
-    maps = [_twist_map(p, "spatial", rep) for p in poses]
-    J = np.zeros((6 * n, n))
-    for i in range(n):
-        path = list(model.path(i))
-        J[6 * i:6 * i + 6, path] = maps[i] @ js[path].T
-    return SystemJacobian(rep, J, n)
+    js = _frame_table(model, absolute, None, "spatial").screws
+    blocks = _twist_map(absolute, "spatial", rep) @ js.T  # blocks[i, :, j] = T_i js_j
+    J = np.where(model.tables.on_path.T[:, None, :], blocks, 0.0)
+    return SystemJacobian(rep, J.reshape(6 * n, n), n)
 
 
 def jacobian(model: ChainModel, q, rep: str = "body") -> SystemJacobian:
     _check_rep(rep)
-    return _jacobian(model, fk(model, np.asarray(q, dtype=float).reshape(model.n)), rep)
+    return _jacobian(model, _fk_stacks(model, q)[0], rep)
 
 
-def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
-    """Hybrid-to-mixed map B_mixed B_hybrid^-1 applied at every level."""
-    maps = np.array([_twist_map(p, "hybrid", "mixed") for p in cache.poses])
+def _mixed_view(cache: KinematicsCache, poses: _PoseStack) -> KinematicsCache:
+    """Hybrid-to-mixed map B_mixed B_hybrid^-1 at the pose stack applied
+    at every level."""
+    maps = _twist_map(poses, "hybrid", "mixed")
 
     def conv(arr):
         return None if arr is None else np.einsum("ijk,ik->ij", maps, arr)
@@ -333,23 +388,22 @@ def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
                            conv(cache.jerks))
 
 
-def _forward_sweep(model: ChainModel, state: JointState, rep: str, level: int,
-                   ops: _SweepOps = _PLAIN, frames=None, screws=None) -> KinematicsCache:
-    """The one body/spatial/hybrid forward recursion, up to the requested
-    level (0 = twists, 1 = accelerations, 2 = jerks).
+def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level: int,
+                   ops: _SweepOps = _PLAIN) -> KinematicsCache:
+    """The one body/spatial/hybrid forward recursion in the representation
+    of the frame table ``frames`` (:func:`_frame_table`), up to the
+    requested level (0 = twists, 1 = accelerations, 2 = jerks).
 
     Each level is the time derivative of the one below it, so every body
-    costs O(1) screw operations per level.  ``frames`` takes the (poses,
-    relative poses) of :func:`fk_body_form` and ``screws`` the joint
-    screws in ``rep`` when the caller already has them.  Every screw
-    transformation and bracket goes through ``ops``.
+    costs O(1) screw operations per level.  The joint screws and parent
+    transforms come from the table; the loop only applies them, and
+    every screw transformation and bracket goes through ``ops``.
     """
     n = model.n
+    rep = frames.rep
     qd, qdd, qddd = (np.zeros(n) if v is None else v
                      for v in (state.qd, state.qdd, state.qddd))
-    poses, rels = fk_body_form(model, state.q) if frames is None else frames
-    x = _instantaneous_screws(model, poses, rep, ops) if screws is None else screws
-    xf = [None] * n
+    x, xf = frames.screws, frames.parent
     V = np.zeros((n, 6))
     Vd = np.zeros((n, 6)) if level >= 1 else None
     Vdd = np.zeros((n, 6)) if level >= 2 else None
@@ -363,9 +417,8 @@ def _forward_sweep(model: ChainModel, state: JointState, rep: str, level: int,
         if level >= 2:
             Vdd[i] = x[i] * qddd[i]
         if rep == "body":
-            # d/dt Ad(rel_i^-1) = -qd_i ad(X_i) Ad(rel_i^-1)
+            # xf[i] = Ad(rel_i^-1), d/dt Ad(rel_i^-1) = -qd_i ad(X_i) Ad(rel_i^-1)
             if p >= 0:
-                xf[i] = adjoint(rels[i].inverse())
                 V[i] += ops.xform(xf[i], V[p])
                 if level >= 1:
                     vd_p = ops.xform(xf[i], Vd[p])
@@ -385,7 +438,6 @@ def _forward_sweep(model: ChainModel, state: JointState, rep: str, level: int,
                                + ops.bracket(V[p], Vd[i] + qdd[i] * x[i]))
         else:  # hybrid: d/dt X^h_i = [omega_i, X^h_i], d/dt Ad(r) = ad(r-dot)
             if p >= 0:
-                xf[i] = adjoint_trans(poses[p].trans - poses[i].trans)
                 V[i] += ops.xform(xf[i], V[p], kind="translations_screw")
             if level >= 1:
                 omega_i = screw(V[i][:3], zero3)
@@ -405,8 +457,17 @@ def _forward_sweep(model: ChainModel, state: JointState, rep: str, level: int,
                     Vdd[i] += (ops.xform(xf[i], Vdd[p], kind="translations_screw")
                                + 2.0 * ops.bracket(rdot_rel, Vd[p])
                                + ops.bracket(rddot_rel, V[p]))
-    return KinematicsCache(rep, poses, rels, V, Vd, Vdd, joint_screws=x,
-                           parent_transforms=xf)
+    xfs = [None if p < 0 or xf is None else xf[i] for i, p in enumerate(model.parent)]
+    return KinematicsCache(rep, frames.poses.poses(), frames.rels.poses(), V, Vd, Vdd,
+                           joint_screws=x, parent_transforms=xfs)
+
+
+def _kinematics(model: ChainModel, state: JointState, rep: str, level: int,
+                ops: _SweepOps = _PLAIN) -> tuple[_Frames, KinematicsCache]:
+    """The frame table of ``rep`` at state.q, built through ``ops``, and
+    :func:`_forward_sweep` over it."""
+    frames = _frame_table(model, *_fk_stacks(model, state.q), rep, ops)
+    return frames, _forward_sweep(model, frames, state, level, ops)
 
 
 def _sweep(model: ChainModel, state: JointState, rep: str, level: int) -> KinematicsCache:
@@ -414,8 +475,9 @@ def _sweep(model: ChainModel, state: JointState, rep: str, level: int) -> Kinema
     is the view of the hybrid sweep."""
     _check_rep(rep)
     if rep == "mixed":
-        return _mixed_view(_forward_sweep(model, state, "hybrid", level))
-    return _forward_sweep(model, state, rep, level)
+        frames, cache = _kinematics(model, state, "hybrid", level)
+        return _mixed_view(cache, frames.poses)
+    return _kinematics(model, state, rep, level)[1]
 
 
 def twists(model: ChainModel, q, qd, rep: str = "body") -> KinematicsCache:
@@ -510,9 +572,7 @@ def hybrid_jacobian_partial2(model: ChainModel, q, i: int, j: int, k: int,
     for idx in (i, j, k, r):
         if not 0 <= idx < n:
             raise IndexError("hybrid_jacobian_partial2: index out of range")
-    if not (model.on_path(j, i) and model.on_path(k, i) and model.on_path(r, i)):
-        return np.zeros(6)
-    if not j <= k:
+    if not (j <= k and model.on_path(j, i) and model.on_path(k, i) and model.on_path(r, i)):
         return np.zeros(6)
     ws = DerivativeWorkspace(model, q)
     jh = ws.jacobian("hybrid")
@@ -525,15 +585,15 @@ def hybrid_jacobian_partial2(model: ChainModel, q, i: int, j: int, k: int,
 class DerivativeWorkspace:
     """Lazy, memoizing front end for repeated derivative queries at one q.
 
-    Forward kinematics runs once; the system Jacobian of each
-    representation is built on first use and its columns serve every
-    subsequent partial-derivative call.
+    Forward kinematics runs once (``poses`` is its absolute pose stack);
+    the system Jacobian of each representation is built on first use and
+    its columns serve every subsequent partial-derivative call.
     """
 
     def __init__(self, model: ChainModel, q):
         self.model = model
         self.q = np.asarray(q, dtype=float).reshape(model.n)
-        self.poses = fk(model, self.q)
+        self.poses = _fk_stacks(model, self.q)[0]
         self._jacobians: dict[str, SystemJacobian] = {}
 
     def jacobian(self, rep: str) -> SystemJacobian:
@@ -591,13 +651,13 @@ def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
     n = model.n
     V = np.asarray(body_twists, dtype=float).reshape(n, 6)
     Vd = np.asarray(body_accels, dtype=float).reshape(n, 6)
-    _, rels = fk_body_form(model, q)
+    frames = _frame_table(model, *_fk_stacks(model, q), "body")
     qdd = np.zeros(n)
     for i in range(n):
         p = model.parent[i]
-        x = model.joints[i].screw_body
+        x = frames.screws[i]
         norm2 = float(x @ x)
-        ad_rel = adjoint(rels[i].inverse())
+        ad_rel = frames.parent[i]
         vp = V[p] if p >= 0 else np.zeros(6)
         vdp = Vd[p] if p >= 0 else np.zeros(6)
         qd_i = float(x @ (V[i] - ad_rel @ vp)) / norm2

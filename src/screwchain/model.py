@@ -75,13 +75,15 @@ def screw_from_axis(axis, point, pitch: float = 0.0) -> np.ndarray:
 
 
 def binet_inertia(theta) -> np.ndarray:
-    """Binet substitution tr(T)/2 I - T of a symmetric 3x3 tensor.
+    """Binet substitution tr(T)/2 I - T of a symmetric 3x3 tensor, or of
+    each of a stack of them.
 
     The inverse map is :func:`binet_inertia_inverse` (coefficient 1 on the
     trace term); the two compose to the identity in either order.
     """
     theta = np.asarray(theta, dtype=float)
-    return 0.5 * np.trace(theta) * np.eye(3) - theta
+    trace = np.trace(theta, axis1=-2, axis2=-1)[..., None, None]
+    return 0.5 * trace * np.eye(3) - theta
 
 
 def binet_inertia_inverse(binet) -> np.ndarray:
@@ -190,8 +192,10 @@ class BodyModel:
                  _path: str = "body"):
         try:
             self.mass = float(mass)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ModelError(f"{_path}.mass", "expected a number") from None
+        if not math.isfinite(self.mass):
+            raise ModelError(f"{_path}.mass", "must be finite")
         self.com_offset = np.asarray(com_offset, dtype=float).reshape(3)
         self.inertia_com = np.asarray(inertia_com, dtype=float).reshape(3, 3)
         self.ref_pose = ref_pose if ref_pose is not None else Pose.identity()
@@ -309,21 +313,17 @@ class ChainModel:
             for i in range(self.n)
         )
         self._paths = []
-        for i in range(self.n):
-            path = []
-            k = i
-            while k >= 0:
-                path.append(k)
-                k = self.parent[k]
-            self._paths.append(tuple(reversed(path)))
+        for i, p in enumerate(self.parent):  # parents come first
+            self._paths.append((self._paths[p] if p >= 0 else ()) + (i,))
         # Relative reference pose of each body w.r.t. its parent.
-        self._rel_ref = []
-        for i in range(self.n):
-            a_i = self.bodies[i].ref_pose
-            p = self.parent[i]
-            a_p = self.bodies[p].ref_pose if p >= 0 else Pose.identity()
-            self._rel_ref.append(a_p.inverse() @ a_i)
+        self._rel_ref = [b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose
+                         for b, p in zip(self.bodies, self.parent)]
         self.tables = _chain_tables(self.joints, self.bodies, self._paths, self._rel_ref)
+        # finite inputs can still overflow, e.g. a mass times a squared offset
+        for name, arr in zip(ChainTables._fields, self.tables):
+            bad = np.flatnonzero(~np.isfinite(arr).reshape(self.n, -1).all(axis=1))
+            if bad.size:
+                raise ModelError(f"bodies[{bad[0]}]", f"{name} table overflows")
 
     def children(self, i: int) -> tuple[int, ...]:
         return self._children[i]
@@ -356,9 +356,12 @@ class ChainModel:
 # Model file I/O (JSON document per the schema in the package README).
 # --------------------------------------------------------------------------
 
-def _require(mapping, key, path):
+def _require(mapping, key, path, obj=False):
+    """mapping[key]; with ``obj`` it must be an object."""
     if key not in mapping:
         raise ModelError(f"{path}.{key}" if path else key, "missing field")
+    if obj and not isinstance(mapping[key], dict):
+        raise ModelError(f"{path}.{key}", "must be an object")
     return mapping[key]
 
 
@@ -373,18 +376,22 @@ def _jmat(mat):
 def _as_floats(value, shape, path):
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelError(path, "expected numeric array") from None
     if arr.shape != shape:
         raise ModelError(path, f"expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(path, "must be finite")
     return arr
+
 
 
 def parse_model(text: str | bytes) -> ChainModel:
     """Parse and fully validate a model document.
 
     Every malformed input raises :class:`ModelError` with the offending
-    field path; nothing is partially constructed.
+    field path, a non-finite number among them; nothing is partially
+    constructed.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -408,7 +415,7 @@ def parse_model(text: str | bytes) -> ChainModel:
             raise ModelError(path, "must be an object")
         try:
             parent_file = int(_require(raw, "parent", path))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ModelError(f"{path}.parent", "expected an integer") from None
         if not 0 <= parent_file <= k:
             raise ModelError(f"{path}.parent",
@@ -420,7 +427,7 @@ def parse_model(text: str | bytes) -> ChainModel:
         inertia = _as_floats(_require(raw, "inertia_com", path), (3, 3),
                              f"{path}.inertia_com")
         if "ref_pose" in raw:
-            rp = raw["ref_pose"]
+            rp = _require(raw, "ref_pose", path, obj=True)
             rot = _as_floats(_require(rp, "rotation", f"{path}.ref_pose"),
                              (3, 3), f"{path}.ref_pose.rotation")
             trans = _as_floats(_require(rp, "translation", f"{path}.ref_pose"),
@@ -434,7 +441,7 @@ def parse_model(text: str | bytes) -> ChainModel:
             ref_pose = Pose.identity()
         bodies.append(BodyModel(mass, com, inertia, ref_pose, _path=path))
 
-        joint_raw = _require(raw, "joint", path)
+        joint_raw = _require(raw, "joint", path, obj=True)
         kind = _require(joint_raw, "type", f"{path}.joint")
         axis = _as_floats(_require(joint_raw, "axis", f"{path}.joint"),
                           (3,), f"{path}.joint.axis")
@@ -442,8 +449,10 @@ def parse_model(text: str | bytes) -> ChainModel:
                            f"{path}.joint.point")
         try:
             pitch = float(joint_raw.get("pitch", 0.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ModelError(f"{path}.joint.pitch", "expected a number") from None
+        if not math.isfinite(pitch):
+            raise ModelError(f"{path}.joint.pitch", "must be finite")
         if kind == "helical" and "pitch" not in joint_raw:
             raise ModelError(f"{path}.joint.pitch", "missing field")
         frame = joint_raw.get("frame", "spatial")

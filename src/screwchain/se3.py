@@ -33,8 +33,6 @@ __all__ = [
     "adjoint",
     "adjoint_rot",
     "adjoint_trans",
-    "ang_part",
-    "lin_part",
     "screw",
     "lie_bracket",
     "ad_matrix",
@@ -42,7 +40,6 @@ __all__ = [
     "reciprocal_product",
     "dexp",
     "dexp_inv",
-    "dexp_series",
 ]
 
 # Below this rotation angle the trigonometric coefficient functions are
@@ -206,19 +203,11 @@ class Pose:
         m[:3, 3] = self.trans
         return m
 
-    @staticmethod
-    def from_matrix(m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return Pose(m[:3, :3], m[:3, 3])
-
     def orthonormalized(self) -> "Pose":
         """Polar projection of the rotation block onto SO(3)."""
         u, _, vt = np.linalg.svd(self.rot)
         d = np.sign(np.linalg.det(u @ vt))
         return Pose(u @ np.diag([1.0, 1.0, d]) @ vt, self.trans)
-
-    def adjoint(self) -> np.ndarray:
-        return adjoint(self)
 
 
 def adjoint(p: Pose) -> np.ndarray:
@@ -244,14 +233,6 @@ def adjoint_trans(r) -> np.ndarray:
     a = np.eye(6)
     a[3:, :3] = hat3(r)
     return a
-
-
-def ang_part(x) -> np.ndarray:
-    return np.asarray(x)[:3]
-
-
-def lin_part(x) -> np.ndarray:
-    return np.asarray(x)[3:]
 
 
 def screw(ang, lin) -> np.ndarray:
@@ -345,24 +326,6 @@ def dexp(x, direction: str = "right") -> np.ndarray:
     d[3:, 3:] = block
     d[3:, :3] = _dexp_translation_block(omega, v)
     return d
-
-
-def dexp_series(x, direction: str = "right", tol: float = 1e-16, max_terms: int = 30) -> np.ndarray:
-    """Series form sum_k ad_x^k / (k+1)! of :func:`dexp` (cross-check path)."""
-    x = np.asarray(x, dtype=float)
-    if direction == "left":
-        x = -x
-    elif direction != "right":
-        raise ValueError("direction must be 'right' or 'left'")
-    a = ad_matrix(x)
-    term = np.eye(6)
-    total = np.eye(6)
-    for k in range(1, max_terms + 1):
-        term = term @ a / (k + 1.0)
-        total = total + term
-        if np.linalg.norm(term) < tol:
-            break
-    return total
 
 
 def dexp_inv(x, direction: str = "right") -> np.ndarray:

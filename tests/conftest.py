@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from screwchain import se3
-from screwchain.model import BodyModel, ChainModel, JointModel, Pose
-from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, exp_se3
+from screwchain.model import BodyModel, ChainModel, JointModel, Pose, spatial_inertia_body
+from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, exp_se3, screw
 
 
 def rand_rotation(rng, max_angle=2.5):
@@ -97,6 +97,62 @@ class JacobianOracle:
 
     def column(self, i, j):
         return self.J[6 * i:6 * i + 6, j]
+
+
+def _body_to_rep(pose, rep):
+    """B: the map from body into ``rep`` coordinates of a screw attached
+    to a body at ``pose``, by its textbook definition."""
+    return {"body": np.eye(6), "spatial": adjoint(pose),
+            "hybrid": adjoint_rot(pose.rot)}[rep]
+
+
+def instantaneous_screws_oracle(model, poses, rep):
+    """Joint screws B_j X_j of each joint in ``rep``, one at a time."""
+    return np.array([_body_to_rep(poses[j], rep) @ model.joints[j].screw_body
+                     for j in range(model.n)])
+
+
+def inertias_oracle(model, poses, rep):
+    """Inertias B^-T M B^-1 in ``rep``, one body at a time, with B
+    inverted numerically and M built from the body's mass properties."""
+    out = []
+    for body, pose in zip(model.bodies, poses):
+        b_inv = np.linalg.inv(_body_to_rep(pose, rep))
+        out.append(b_inv.T @ spatial_inertia_body(body).matrix @ b_inv)
+    return np.array(out)
+
+
+def gravity_wrenches_oracle(model, poses, rep):
+    """Weight of each body authored in hybrid form, the force f = m g at
+    the COM with its moment d x f about the body origin (d the COM offset
+    in inertial axes), and converted into ``rep``: rotated into body axes,
+    or its moment taken about the inertial origin."""
+    out = []
+    for body, pose in zip(model.bodies, poses):
+        f = body.mass * model.gravity
+        moment = np.cross(pose.rot @ body.com_offset, f)
+        if rep == "body":
+            out.append(screw(pose.rot.T @ moment, pose.rot.T @ f))
+        elif rep == "spatial":
+            out.append(screw(moment + np.cross(pose.trans, f), f))
+        else:
+            out.append(screw(moment, f))
+    return np.array(out)
+
+
+def parent_transforms_oracle(model, poses, rels, rep):
+    """Transforms of each parent's twist into a non-root body's ``rep``
+    coordinates, ``rep`` body or hybrid: Ad(rel_i^-1) or the translation
+    by r_p - r_i; None for roots."""
+    out = []
+    for i, p in enumerate(model.parent):
+        if p < 0:
+            out.append(None)
+        elif rep == "body":
+            out.append(adjoint(rels[i].inverse()))
+        else:
+            out.append(adjoint_trans(poses[p].trans - poses[i].trans))
+    return out
 
 
 PLANAR_2R = dict(m1=1.1, m2=0.9, l1=1.0, lc1=0.55, lc2=0.45, I1=0.055, I2=0.031,

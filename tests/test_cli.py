@@ -60,6 +60,22 @@ def test_check_invalid_model_exit_2_names_body(tmp_path, capsys):
     assert "bodies[1]" in err and "mass" in err
 
 
+@pytest.mark.parametrize("cmd", ["check", "fk"])
+def test_non_finite_model_number_exit_2_names_field(tmp_path, capsys, cmd):
+    doc = json.loads(open(MODEL_2R).read())
+    doc["bodies"][1]["joint"]["axis"][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, [0.0], [np.zeros((1, 2))])
+    extra = [] if cmd == "check" else ["--traj", str(traj), "--out", str(tmp_path / "o.csv")]
+    assert run_cli(cmd, "--model", str(bad), *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bodies[1].joint.axis: must be finite" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # -------------------------------------------------------------------- cmd fk
 
 def test_fk_reference_configuration(tmp_path):

@@ -565,6 +565,23 @@ def test_predicted_counts_reference_values():
             hybrid.frame_transforms_tensor, hybrid.lie_brackets) == (9, 4, 4, 11)
 
 
+@pytest.mark.parametrize("rep", ["body", "spatial", "hybrid"])
+def test_idyn_counts_do_not_depend_on_the_configuration_cache(rng, monkeypatch, rep):
+    # idyn builds its frame table through its own counter: its report is
+    # the prediction on a cold cache and right after fdyn and mass_matrix
+    # left a configuration pass at the same (model, q)
+    model = random_chain(rng, 5)
+    q, qd, qdd = rng.normal(size=5), rng.normal(size=5), rng.normal(size=5)
+    applied = rng.normal(size=(5, 6))
+    pred = predict_op_counts(rep, model.n)
+    monkeypatch.setattr(dynamics, "_last_configuration", None)
+    assert idyn(model, q, qd, qdd, rep, applied, full=True).report == pred
+    fdyn(model, q, qd)
+    mass_matrix(model, q)
+    assert dynamics._last_configuration.model is model
+    assert idyn(model, q, qd, qdd, rep, applied, full=True).report == pred
+
+
 def test_counts_monotone_in_n():
     for rep in ("body", "spatial", "hybrid"):
         prev = predict_op_counts(rep, 2)

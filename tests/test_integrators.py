@@ -282,14 +282,27 @@ def test_momentum_residual_falls_with_rk4_order():
     assert all(np.isnan(r.momentum_residual) for r in state.reports)
 
 
-@pytest.mark.parametrize("T, h", [(1e15, 1e-3), (1.0, 1e-300)])
-def test_chain_simulate_names_step_counts_it_cannot_store(T, h):
-    # both fail at once: 1e18 samples cannot be allocated, 1e300 cannot
-    # even be sized
-    model, _ = pendulum_model()
+def _simulate_chain(T, h):
+    return chain_simulate(pendulum_model()[0], [0.0], [0.0], T=T, h=h)
+
+
+def _simulate_free_body(T, h):
+    body = BodyModel(1.0, [0, 0, 0], np.eye(3) * 0.1)
+    return free_body_simulate(body, RigidBodyState(Pose.identity(), np.ones(6)), T, h)
+
+
+@pytest.mark.parametrize(
+    "simulate, T, h",
+    [(sim, T, h) for sim in (_simulate_chain, _simulate_free_body)
+     for T, h in ((1e15, 1e-3), (1.0, 1e-300))],
+    ids=["1000000000000000.0-0.001", "1.0-1e-300",
+         "free_body-1000000000000000.0-0.001", "free_body-1.0-1e-300"])
+def test_chain_simulate_names_step_counts_it_cannot_store(simulate, T, h):
+    # both simulators fail at once with one message: 1e18 samples cannot
+    # be allocated, 1e300 cannot even be sized
     message = f"T={T!r} with h={h!r} takes {round(T / h):.6g} steps"
     with pytest.raises(ValueError, match=re.escape(message)):
-        chain_simulate(model, [0.0], [0.0], T=T, h=h)
+        simulate(T, h)
 
 
 @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")

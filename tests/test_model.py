@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from screwchain import se3
 from screwchain.model import (
@@ -193,6 +194,111 @@ def test_parse_never_panics_on_malformed_documents():
     for text in corpus:
         with pytest.raises(ModelError):
             parse_model(text)
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    _get(doc, path[:-1])[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,field", [
+    (("bodies", 0, "mass"), "bodies[0].mass"),
+    (("bodies", 0, "com", 1), "bodies[0].com"),
+    (("gravity", 2), "gravity"),
+    (("bodies", 0, "joint", "axis", 0), "bodies[0].joint.axis"),
+    (("bodies", 0, "joint", "point", 2), "bodies[0].joint.point"),
+    (("bodies", 0, "joint", "pitch"), "bodies[0].joint.pitch"),
+    (("bodies", 0, "ref_pose", "translation", 0), "bodies[0].ref_pose.translation"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_parse_rejects_non_finite_numbers_naming_the_field(path, field, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["bodies"][0]["joint"]["type"] = "helical"
+    doc["bodies"][0]["joint"]["pitch"] = 0.1
+    doc["bodies"][0]["ref_pose"] = {"rotation": np.eye(3).tolist(),
+                                    "translation": [0.0, 0.5, 0.0]}
+    parse_model(json.dumps(doc))
+    _set(doc, path, value)
+    with pytest.raises(ModelError) as err:
+        parse_model(json.dumps(doc))
+    assert str(err.value).startswith(f"{field}: ")
+
+
+@pytest.mark.parametrize("key,field", [("joint", "bodies[0].joint"),
+                                       ("ref_pose", "bodies[0].ref_pose")])
+@pytest.mark.parametrize("value", ["type", [1, 2, 3], 3.0, None])
+def test_parse_rejects_joint_or_ref_pose_that_is_not_an_object(key, field, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["bodies"][0][key] = value
+    with pytest.raises(ModelError) as err:
+        parse_model(json.dumps(doc))
+    assert str(err.value) == f"{field}: must be an object"
+
+
+def _paths(node, prefix=()):
+    """Every path of keys and indices into a JSON document."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+FUZZ_BASES = [MINIMAL] + [json.loads(serialize_model(m)) for m in (
+    load_model(sample_model_path("arm_6r")),
+    random_chain(np.random.default_rng(7), 4, tree=True))]
+
+FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.integers(-10 ** 400, 10 ** 400),
+              st.sampled_from([0.0, -1.0, 1e-300, 1e154, 1e200, 1e308, -1e308])),
+    lambda leaf: st.one_of(st.lists(leaf, max_size=4),
+                           st.dictionaries(st.text(max_size=6), leaf, max_size=3)),
+    max_leaves=12)
+
+
+def _number_paths(doc):
+    return [p for p in _paths(doc) if type(_get(doc, p)) in (int, float)]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three edits: a value deleted, a value
+    replaced by any JSON value, or a number replaced by a non-finite or
+    huge one."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("delete", "replace", "number")))
+        paths = list(_paths(doc))[1:] if edit != "number" else _number_paths(doc)
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        if edit == "delete":
+            del _get(doc, path[:-1])[path[-1]]
+        elif edit == "replace":
+            _set(doc, path, draw(FUZZ_VALUES))
+        else:
+            _set(doc, path, draw(st.sampled_from(
+                [float("nan"), float("inf"), -1e308, 1e154, 1e200, 1e308, 10 ** 400])))
+    return json.dumps(doc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_parse_fuzz_gives_model_error_or_finite_tables(text):
+    try:
+        model = parse_model(text)
+    except ModelError:
+        return
+    for name, arr in zip(model.tables._fields, model.tables):
+        assert np.all(np.isfinite(arr)), name
 
 
 def test_json_syntax_error_reports_line():

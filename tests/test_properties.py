@@ -10,19 +10,22 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    christoffel, convert_wrench, coriolis_matrix, fdyn, idyn, mass_matrix,
-    momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
+    christoffel, convert_wrench, coriolis_matrix, fdyn, gravity_wrenches, idyn,
+    mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import (
-    REPS, JointState, Twist, accelerations, convert_twist, fk, fk_body_form,
-    jacobian, jerks, twists,
+    REPS, JointState, Twist, _fk_stacks, _frame_table, accelerations, convert_twist,
+    fk, fk_body_form, jacobian, jerks, twists,
 )
 from screwchain.model import binet_inertia
 from screwchain.se3 import (
     ad_matrix, adjoint, adjoint_rot, adjoint_trans, exp_se3, lie_bracket, screw,
 )
 
-from conftest import JacobianOracle, fk_spatial_oracle, random_chain
+from conftest import (
+    JacobianOracle, fk_spatial_oracle, gravity_wrenches_oracle, inertias_oracle,
+    instantaneous_screws_oracle, parent_transforms_oracle, random_chain,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                              database=None)
@@ -257,6 +260,34 @@ def test_fk_closed_form_matches_exponential_products(case, scale):
                         (poses, fk_spatial_oracle(model, q))):
         for a, b in zip(got, expect):
             assert_close(a.matrix(), b.matrix())
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_frame_table_matches_per_body_builders(case):
+    # every stacked quantity of the frame tables (and the public gravity
+    # wrenches) against the body-by-body builders, to 1e-12 of its
+    # largest entry
+    model, q = case[:2]
+    absolute, relative = _fk_stacks(model, q)
+    poses, rels = fk_body_form(model, q)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for rep in ("body", "spatial", "hybrid"):
+        frames = _frame_table(model, absolute, relative, rep)
+        close(frames.screws, instantaneous_screws_oracle(model, poses, rep))
+        close(frames.inertias, inertias_oracle(model, poses, rep))
+        gravity = gravity_wrenches_oracle(model, poses, rep)
+        close(frames.gravity, gravity)
+        close(gravity_wrenches(model, poses, rep), gravity)
+        if rep == "spatial":
+            assert frames.parent is None
+            continue
+        for i, want in enumerate(parent_transforms_oracle(model, poses, rels, rep)):
+            if want is not None:
+                close(frames.parent[i], want)
 
 
 @PROPERTY_SETTINGS

@@ -4,7 +4,7 @@ import pytest
 from screwchain import se3
 from screwchain.se3 import (
     Pose, ad_matrix, adjoint, adjoint_rot, adjoint_trans, dexp, dexp_inv,
-    dexp_series, exp_se3, exp_so3, hat3, lie_bracket, log_se3, log_so3,
+    exp_se3, exp_so3, hat3, lie_bracket, log_se3, log_so3,
     reciprocal_product, screw, vee3, wrench_transform,
 )
 
@@ -285,6 +285,19 @@ def test_reciprocal_product(rng):
 def test_dexp_zero_is_identity():
     assert np.allclose(dexp(np.zeros(6)), np.eye(6), atol=0.0)
     assert np.allclose(dexp_inv(np.zeros(6)), np.eye(6), atol=0.0)
+
+
+def dexp_series(x, direction="right", tol=1e-16, max_terms=30):
+    """Series form sum_k ad_x^k / (k+1)! of ``dexp``, at -x for "left"."""
+    a = ad_matrix(-np.asarray(x) if direction == "left" else np.asarray(x))
+    term = np.eye(6)
+    total = np.eye(6)
+    for k in range(1, max_terms + 1):
+        term = term @ a / (k + 1.0)
+        total = total + term
+        if np.linalg.norm(term) < tol:
+            break
+    return total
 
 
 def test_dexp_closed_form_matches_series(rng):

@@ -41,7 +41,8 @@ def _fmt_row(values):
 
 def _write_csv(path, header, rows):
     """Write the header and then one line per row as it is formatted, so
-    that the text of the whole table is never held in memory."""
+    that the text of the whole table is never held in memory (nor the
+    rows, when ``rows`` computes them as it is iterated)."""
     def emit(fh):
         fh.write(",".join(header) + "\n")
         fh.writelines(_fmt_row(r) + "\n" for r in rows)
@@ -165,8 +166,7 @@ def cmd_fk(args):
                 out.extend(p.trans)
             return out
 
-    rows = [row(idx) for idx in range(len(t))]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, (row(idx) for idx in range(len(t))))
     return EXIT_OK
 
 
@@ -180,8 +180,7 @@ def cmd_jacobian(args):
         sj = kin.jacobian(model, q[idx], args.rep)
         return [t[idx]] + list(sj.J.reshape(-1))
 
-    rows = [row(idx) for idx in range(len(t))]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, (row(idx) for idx in range(len(t))))
     return EXIT_OK
 
 

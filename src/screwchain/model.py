@@ -316,8 +316,9 @@ class ChainModel:
         for i, p in enumerate(self.parent):  # parents come first
             self._paths.append((self._paths[p] if p >= 0 else ()) + (i,))
         # Relative reference pose of each body w.r.t. its parent.
-        self._rel_ref = [b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose
-                         for b, p in zip(self.bodies, self.parent)]
+        self._rel_ref = [
+            b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose
+            for b, p in zip(self.bodies, self.parent)]
         self.tables = _chain_tables(self.joints, self.bodies, self._paths, self._rel_ref)
         # finite inputs can still overflow, e.g. a mass times a squared offset
         for name, arr in zip(ChainTables._fields, self.tables):
@@ -383,7 +384,6 @@ def _as_floats(value, shape, path):
     if not np.all(np.isfinite(arr)):
         raise ModelError(path, "must be finite")
     return arr
-
 
 
 def parse_model(text: str | bytes) -> ChainModel:

@@ -68,12 +68,13 @@ def test_non_finite_model_number_exit_2_names_field(tmp_path, capsys, cmd):
     bad.write_text(json.dumps(doc))
     traj = tmp_path / "traj.csv"
     write_traj(traj, [0.0], [np.zeros((1, 2))])
-    extra = [] if cmd == "check" else ["--traj", str(traj), "--out", str(tmp_path / "o.csv")]
+    out = tmp_path / "o.csv"
+    extra = [] if cmd == "check" else ["--traj", str(traj), "--out", str(out)]
     assert run_cli(cmd, "--model", str(bad), *extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "bodies[1].joint.axis: must be finite" in err
-    assert not (tmp_path / "o.csv").exists()
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- cmd fk

@@ -224,9 +224,18 @@ def _torque_fn_from_file(path, n):
         raise CliError(EXIT_VALIDATION,
                        f"torque file has {raw.shape[1]} columns, expected {1 + n}")
     tt, tq = raw[:, 0], raw[:, 1:]
+    with np.errstate(over="ignore"):  # knots closer than 1e-308 s apart
+        slope = np.diff(tq, axis=0) / np.diff(tt)[:, None]
 
     def torque(t, q, qd):
-        return np.array([np.interp(t, tt, tq[:, j]) for j in range(n)])
+        # np.interp of every column from one search: the end rows outside
+        # the knots, the row at a knot, a line from the knot before t
+        k = np.searchsorted(tt, t, side="right") - 1
+        if k < 0:
+            return tq[0].copy()
+        if k == len(tt) - 1 or t == tt[k]:
+            return tq[k].copy()
+        return slope[k] * (t - tt[k]) + tq[k]
 
     return torque
 

@@ -9,20 +9,25 @@ wrench sweep here.  Both read the frame table of their representation
 (:func:`screwchain.kinematics._frame_table`): the joint screws, inertias,
 parent transforms and gravity loads of all bodies, one stacked product
 each.  ``idyn`` builds that table and runs the two sweeps.  Everything
-else reads one configuration pass (:class:`_Configuration`): the poses
-of ``fk_body_form`` once, the spatial frame table at them and the
+else reads one configuration pass (:class:`_Configuration`): the pose
+stacks of ``fk_body_form`` once, the spatial frame table at them and the
 composite-rigid-body mass matrix.  ``fdyn`` and ``momentum_rhs`` take
 their bias forces from the spatial sweeps at zero joint acceleration,
-which need no frame transform inside the recursion, and solve with that
-mass matrix by a Cholesky factorization.
+and solve with that mass matrix by its Cholesky factor, made once per
+pass.  The spatial form needs no frame transform inside the backward
+recursion: the Newton-Euler balances of all bodies are one stacked
+product (:func:`_spatial_balances`), which also gives the momentum
+form's rates.
 
 The last configuration pass is kept, read-only, and reused by the next
 call at the same model object and the same bytes of q
-(:func:`_configuration`).  A simulation sample needs its configuration
+(:func:`_configuration`); so is the last bias solve of that pass, for
+the next call with the same bytes of qd, tau and applied wrenches and
+the same gravity switch.  A simulation sample needs its configuration
 more than once through the public functions (its first RK4 stage, then
 the momentum form's qdd and the sample's report), and those functions
-keep their signatures, so the pass is shared this way rather than
-through a parameter.
+keep their signatures, so the pass and the solve are shared this way
+rather than through a parameter.
 
 The closed-form Coriolis matrix and Christoffel symbols are contractions
 of one table: the Lie brackets [J_la, J_lb] of each body's body-fixed
@@ -60,7 +65,6 @@ from .kinematics import (
     _kinematics,
     _rep_map,
     _twist_map,
-    fk,
     jacobian,
 )
 from .se3 import (
@@ -324,12 +328,19 @@ def _backward_sweep(model: ChainModel, frames: _Frames, cache, ext,
     Each body's balance (body and spatial: M Vdot - ad^T_V M V; hybrid:
     M Vdot + [omega, M omega]) less its load ``ext`` joins the wrenches
     its children transmit; the sum is projected on the joint screw and
-    carried to the parent.  Returns (joint forces, joint wrenches).
+    carried to the parent.  The spatial form carries a wrench to the
+    parent unchanged, so there the balances of all bodies are one
+    stacked product (:func:`_spatial_balances`), their subtree sums the
+    joint wrenches and one row-wise product the joint forces.  Returns
+    (joint forces, joint wrenches).
     """
     n = model.n
     rep = frames.rep
     V, Vd = cache.twists, cache.accels
     x, xf = frames.screws, frames.parent
+    if rep == "spatial":
+        W = _subtree_sums(model, _spatial_balances(frames.inertias, V, Vd, ops) - ext)
+        return np.einsum("ij,ij->i", x, W), W
     kind = "translations_screw" if rep == "hybrid" else None
     W = np.zeros((n, 6))
     Q = np.zeros(n)
@@ -343,8 +354,16 @@ def _backward_sweep(model: ChainModel, frames: _Frames, cache, ext,
         Q[i] = x[i] @ W[i]
         p = model.parent[i]
         if p >= 0:
-            W[p] += W[i] if xf is None else ops.xform(xf[i].T, W[i], kind=kind)
+            W[p] += ops.xform(xf[i].T, W[i], kind=kind)
     return Q, W
+
+
+def _spatial_balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
+    """The spatial Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of
+    all bodies, one stacked product, from their spatial inertias, twists
+    and accelerations; the n co-brackets go through ``ops``."""
+    mv = inertias @ np.stack([V, Vd], axis=2)  # mv[i] = M_i [V_i, Vdot_i]
+    return mv[..., 1] - ops.cobrackets(V, mv[..., 0])
 
 
 # --------------------------------------------------------------------------
@@ -370,28 +389,34 @@ def _path_sums(model: ChainModel, a) -> np.ndarray:
 
 
 class _Configuration:
-    """One configuration pass at q: the body poses of :func:`fk_body_form`
-    once, and from them the spatial frame table ``frames`` (the spatial
-    joint screws js and body inertias among it) and the
-    composite-rigid-body mass matrix.  All arrays are read-only.
+    """One configuration pass at q: the body pose stacks of
+    :func:`_fk_stacks` once, and from them the spatial frame table
+    ``frames`` (the spatial joint screws js, body inertias and pose stack
+    among it) and the composite-rigid-body mass matrix.  All arrays are
+    read-only.
 
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
     on the path to k, and zero off the paths.
+
+    The mass matrix is factored once, at the first :meth:`solve`, and the
+    last bias solve of :meth:`accel` is kept with the arguments it was
+    made for, so a second call with the same bytes of qd, tau and
+    ``applied`` and the same ``gravity`` returns it without a sweep.
     """
 
     def __init__(self, model: ChainModel, q):
         self.model = model
         self.q = np.array(q, dtype=float).reshape(model.n)
         self.q.setflags(write=False)
-        absolute, relative = _fk_stacks(model, self.q)
-        self.poses = absolute.poses()
-        self.frames = frames = _frame_table(model, absolute, relative, "spatial")
+        self.frames = frames = _frame_table(model, *_fk_stacks(model, self.q), "spatial")
         js, on_path = frames.screws, model.tables.on_path
         ic = _subtree_sums(model, frames.inertias)
         g = js @ np.einsum("kij,kj->ik", ic, js)  # g[j, k] = js_j . Ic_k js_k
         self.mass = np.where(on_path, g, np.where(on_path.T, g.T, 0.0))
         self.mass.setflags(write=False)
+        self._low = None  # Cholesky factor of the mass matrix
+        self._kept = None  # (arguments, qdd, forward sweep) of the last accel
 
     def momenta(self, qd) -> np.ndarray:
         """Per-body spatial momenta M^s_i V^s_i; V^s_i sums js_j qd_j
@@ -400,17 +425,33 @@ class _Configuration:
         return np.einsum("ijk,ik->ij", self.frames.inertias,
                          _path_sums(self.model, self.frames.screws * qd[:, None]))
 
+    def solve(self, b) -> np.ndarray:
+        """M^-1 b by :func:`_spd_solve` with the one Cholesky factor of M."""
+        if self._low is None:
+            self._low = _spd_factor(self.mass, b)
+        return _spd_solve(self.mass, b, self._low)
+
     def accel(self, qd, tau, applied, gravity: bool):
         """qdd = M^-1 (tau - bias), the bias being :func:`idyn`'s spatial
         forward and backward sweeps at qdd = 0, and that forward sweep
         (twists, velocity part of the accelerations).  ``tau`` may be
-        None; ``applied`` is in body representation."""
+        None; ``applied`` is in body representation.  The returned qdd is
+        read-only; the last one is kept, as the class docstring says."""
         n = self.model.n
+        qd = np.asarray(qd, dtype=float).reshape(n)
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
-        cache = _forward_sweep(self.model, self.frames, JointState(self.q, qd), 1)
-        loads = _loads(self.model, self.frames, applied, gravity, "body")
-        bias, _ = _backward_sweep(self.model, self.frames, cache, loads)
-        return _spd_solve(self.mass, tau - bias), cache
+        if applied is not None:
+            applied = np.asarray(applied, dtype=float).reshape(n, 6)
+        key = (qd.tobytes(), tau.tobytes(),
+               None if applied is None else applied.tobytes(), bool(gravity))
+        if self._kept is None or self._kept[0] != key:
+            cache = _forward_sweep(self.model, self.frames, JointState(self.q, qd), 1)
+            loads = _loads(self.model, self.frames, applied, gravity, "body")
+            bias, _ = _backward_sweep(self.model, self.frames, cache, loads)
+            qdd = self.solve(tau - bias)
+            qdd.setflags(write=False)
+            self._kept = (key, qdd, cache)
+        return self._kept[1:]
 
 
 # The last configuration pass, reused as the module docstring explains.
@@ -435,8 +476,9 @@ def mass_matrix(model: ChainModel, q) -> np.ndarray:
     return _configuration(model, q).mass.copy()
 
 
-def _spd_solve(m, b) -> np.ndarray:
-    """Solve m x = b for a symmetric positive-definite m by Cholesky.
+def _spd_factor(m, b) -> np.ndarray:
+    """The Cholesky factor of a symmetric positive-definite m, for solving
+    m x = b.
 
     Raises ValueError when m or b holds a NaN or an infinity (which numpy
     would carry through silently) or when m is not positive definite.
@@ -444,9 +486,19 @@ def _spd_solve(m, b) -> np.ndarray:
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
         raise ValueError("array must not contain infs or NaNs")
     try:
-        low = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as err:
         raise ValueError(f"matrix is not positive definite: {err}") from None
+
+
+def _spd_solve(m, b, low=None) -> np.ndarray:
+    """Solve m x = b for a symmetric positive-definite m by Cholesky, with
+    the checks of :func:`_spd_factor`; ``low`` is the factor of m when the
+    caller kept one."""
+    if low is None:
+        low = _spd_factor(m, b)
+    elif not np.all(np.isfinite(b)):
+        raise ValueError("array must not contain infs or NaNs")
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
@@ -525,14 +577,13 @@ def christoffel(model: ChainModel, q, variant: str = "standard") -> np.ndarray:
         t1 = np.einsum("lxb,lxia->iab", mj, br)
         t3 = np.einsum("lxi,lxab->iab", mj, br)
         return _mirror_upper(0.5 * (t1 + t1.swapaxes(1, 2) + t3))
-    bodies = model.bodies
+    tab = model.tables
     w = jb[:, :3]
-    d = np.array([b.com_offset for b in bodies])
-    c = jb[:, 3:] - np.cross(d[:, :, None], w, axis=1)
-    bw = binet_inertia([b.inertia_com for b in bodies]) @ w
-    mass = np.array([b.mass for b in bodies])
+    c = jb[:, 3:] - np.cross(tab.com[:, :, None], w, axis=1)
+    bw = binet_inertia([b.inertia_com for b in model.bodies]) @ w
     return _mirror_upper(np.einsum("lxa,lxbi->iab", bw, br[:, :3])
-                         + np.einsum("l,lxi,lxab->iab", mass, c, _pair_table(_CROSS, w, c)))
+                         + np.einsum("l,lxi,lxab->iab", tab.mass, c,
+                                     _pair_table(_CROSS, w, c)))
 
 
 def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
@@ -551,14 +602,16 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
          gravity: bool = True) -> np.ndarray:
     """Forward dynamics qdd = M^-1 (tau - bias).
 
-    One configuration pass gives the composite-rigid-body mass matrix M;
-    the bias is :func:`idyn`'s spatial forward and backward sweep at
-    qdd = 0 on its poses and joint screws, and the solve a Cholesky
-    factorization; raises ValueError when M is not positive definite or
-    tau - bias is not finite.  ``applied`` takes per-body external
-    wrenches in body representation.
+    One configuration pass gives the composite-rigid-body mass matrix M
+    and its Cholesky factor; the bias is :func:`idyn`'s spatial forward
+    and backward sweep at qdd = 0 on its poses and joint screws.  Raises
+    ValueError when M is not positive definite or tau - bias is not
+    finite.  ``applied`` takes per-body external wrenches in body
+    representation.  A call with the arguments of the last bias solve at
+    this configuration (such as :func:`momentum_rhs` made) returns a copy
+    of that solve.
     """
-    return _configuration(model, q).accel(qd, tau, applied, gravity)[0]
+    return _configuration(model, q).accel(qd, tau, applied, gravity)[0].copy()
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
@@ -575,23 +628,23 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     Jacobian is the SPD system M(q) qd = (J^s)^T Pi, with M the
     composite-rigid-body mass matrix of one configuration pass, as in
     :func:`fdyn`; so are the bias (the spatial sweeps at qdd = 0) and
-    qdd = M^-1 (tau - bias).  Each momentum rate is its body's spatial
-    Newton-Euler balance :func:`ne_wrench`.  ``tau`` may be a callable of
-    the recovered qd; applied wrenches are taken in body representation,
-    as in :func:`fdyn`.
+    qdd = M^-1 (tau - bias), and both solves use the pass's one Cholesky
+    factor.  The momentum rates are the spatial Newton-Euler balances of
+    all bodies (those of :func:`ne_wrench`), one stacked product.  ``tau``
+    may be a callable of the recovered qd; applied wrenches are taken in
+    body representation, as in :func:`fdyn`.  The bias solve is kept, so
+    :func:`fdyn` at the recovered qd and the same loads returns its qdd.
     """
     n = model.n
     pi_stack = np.asarray(pi_stack, dtype=float).reshape(n, 6)
     cfg = _configuration(model, q)
     js = cfg.frames.screws
     # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
-    qd = _spd_solve(cfg.mass, np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))
+    qd = cfg.solve(np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))
     qdd, cache = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
     # accelerations are affine in qdd: add the joint terms to the bias sweep's
     vd = _path_sums(model, js * qdd[:, None]) + cache.accels
-    pidot = np.array([ne_wrench(cache.twists[i], vd[i], cfg.frames.inertias[i], "spatial")
-                      for i in range(n)])
-    return pidot, qd
+    return _spatial_balances(cfg.frames.inertias, cache.twists, vd), qd
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:
@@ -602,10 +655,12 @@ def kinetic_energy(model: ChainModel, q, qd) -> float:
 
 def gravity_potential(model: ChainModel, q) -> float:
     """Potential energy -sum m_i g . r_com_i of the configuration."""
-    return _potential(model, fk(model, q))
+    return _potential(model, _fk_stacks(model, q)[0])
 
 
-def _potential(model: ChainModel, poses) -> float:
-    """:func:`gravity_potential` of the bodies at the given poses."""
-    return -sum(b.mass * float(model.gravity @ pose.apply(b.com_offset))
-                for b, pose in zip(model.bodies, poses))
+def _potential(model: ChainModel, poses: _PoseStack) -> float:
+    """:func:`gravity_potential` of the bodies at the pose stack, one
+    product over the bodies."""
+    tab = model.tables
+    com = np.einsum("nij,nj->ni", poses.rot, tab.com) + poses.trans
+    return -float(tab.mass @ (com @ model.gravity))

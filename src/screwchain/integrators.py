@@ -11,10 +11,12 @@ pass, the spatial bias sweeps and the SPD solve of that module; the free
 body recovers its twist from the momentum with the same solve.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
-step reuses.  That stage leaves its configuration pass as the last one of
-:mod:`screwchain.dynamics`, which the momentum form's qdd and the sample's
-report read again instead of building their own, so a run costs one
-configuration pass per RK4 stage.
+step reuses.  That stage leaves its configuration pass, with the pass's
+Cholesky factor and its bias solve, as the last one of
+:mod:`screwchain.dynamics`.  The momentum form's ``fdyn`` for the
+sample's qdd returns that kept solve, and the sample's report reads the
+pass's mass matrix and pose stack, so a run costs one configuration
+pass, one bias sweep and one factorization per RK4 stage.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
 
     def report(t, pose, v_s):
         p = spatial_inertia_at(pose) @ v_s  # recomputed, not the held pi
-        return StepReport(t, 0.5 * float(v_s @ p), p, _drift(pose))
+        return StepReport(t, 0.5 * float(v_s @ p), p, _drift(pose.rot))
 
     reports.append(report(0.0, state.pose, state.twist))
     for k in range(steps):
@@ -176,9 +178,11 @@ class ChainTrajectory:
     abort_step: int | None = None
 
 
-def _drift(pose: Pose) -> float:
-    """Distance |R^T R - I| of a pose's rotation from SO(3)."""
-    return float(np.linalg.norm(pose.rot.T @ pose.rot - np.eye(3)))
+def _drift(rot) -> float:
+    """Largest distance |R^T R - I| from SO(3) of a rotation or of a
+    stack of them."""
+    return float(np.linalg.norm(np.swapaxes(rot, -1, -2) @ rot - np.eye(3),
+                                axis=(-2, -1)).max())
 
 
 def _sample_arrays(T, h, *widths) -> tuple[np.ndarray, ...]:
@@ -221,9 +225,12 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     Sample k is recorded from RK4's first stage f(t_k, y_k), which the
     step from it reuses: qd is the stage's first n entries (recovered from
     the momenta in the momentum form), qdd the rest of the stage (state
-    form) or :func:`fdyn` (momentum form).  The report is read from the
-    configuration pass that stage built, so the sample costs no pass of
-    its own.  In both forms its ``constraint_drift`` is the largest
+    form) or :func:`fdyn` (momentum form), which returns the bias solve
+    that stage's :func:`momentum_rhs` kept.  The report is read from the
+    configuration pass that stage built: the kinetic energy from its mass
+    matrix, and the potential energy and the drift each one product over
+    its pose stack, so the sample costs no pass, sweep or factorization
+    of its own.  In both forms its ``constraint_drift`` is the largest
     distance |R^T R - I| of a body rotation from SO(3), which is roundoff
     of the rotations FK builds.  The momentum form also reports the
     residual that its integration can really move off zero,
@@ -282,14 +289,15 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
         qd = qds[k] = k1[:n]
         qdds[k] = k1[n:] if form == "state" else accel(t, q, qd)
         cfg = dyn._configuration(model, q)
+        poses = cfg.frames.poses
         energy = 0.5 * float(qd @ cfg.mass @ qd)
         if gravity:
-            energy += dyn._potential(model, cfg.poses)
+            energy += dyn._potential(model, poses)
         momenta = cfg.momenta(qd)
         residual = (np.nan if form == "state" else
                     float(np.linalg.norm(y[n:].reshape(n, 6) - momenta, axis=1).max()))
-        reports[k] = StepReport(t, energy, momenta.sum(axis=0),
-                                max(_drift(p) for p in cfg.poses), residual)
+        reports[k] = StepReport(t, energy, momenta.sum(axis=0), _drift(poses.rot),
+                                residual)
         return k1
 
     k = 0

@@ -175,6 +175,20 @@ class _SweepOps:
         self.count("lie_brackets")
         return ad_matrix(x).T @ p
 
+    def cobrackets(self, x, p):
+        """ad(x[i])^T p[i] = -(w x a + v x b, w x b) for every body i, with
+        x[i] = (w, v) and p[i] = (a, b); the cross products are written
+        out, since np.cross pays for an axis normalization on every call."""
+        self.count("lie_brackets", len(x))
+        w0, w1, w2, v0, v1, v2 = x.T
+        a0, a1, a2, b0, b1, b2 = p.T
+        return -np.array([w1 * a2 - w2 * a1 + v1 * b2 - v2 * b1,
+                          w2 * a0 - w0 * a2 + v2 * b0 - v0 * b2,
+                          w0 * a1 - w1 * a0 + v0 * b1 - v1 * b0,
+                          w1 * b2 - w2 * b1,
+                          w2 * b0 - w0 * b2,
+                          w0 * b1 - w1 * b0]).T
+
 
 _PLAIN = _SweepOps()
 

@@ -235,7 +235,8 @@ class ChainTables(NamedTuple):
     axis and fixed at load.
 
     ``screw`` (n, 6) and ``inertia`` (n, 6, 6) are the body-fixed joint
-    screws and body inertias; ``on_path`` (n, n) is True at [j, i] when
+    screws and body inertias, ``mass`` (n,) and ``com`` (n, 3) the body
+    masses and COM offsets; ``on_path`` (n, n) is True at [j, i] when
     body j is on the path from the root to body i; ``ref_rot`` (n, 3, 3)
     and ``ref_trans`` (n, 3) the reference pose of each body relative to
     its parent.  The rest tabulate exp(q X) for each body screw X: a
@@ -247,6 +248,8 @@ class ChainTables(NamedTuple):
 
     screw: np.ndarray
     inertia: np.ndarray
+    mass: np.ndarray
+    com: np.ndarray
     on_path: np.ndarray
     ref_rot: np.ndarray
     ref_trans: np.ndarray
@@ -272,7 +275,9 @@ def _chain_tables(joints, bodies, paths, rel_ref) -> ChainTables:
     for i, path in enumerate(paths):
         on_path[list(path), i] = True
     tables = ChainTables(
-        screws, np.array([spatial_inertia_body(b).matrix for b in bodies]), on_path,
+        screws, np.array([spatial_inertia_body(b).matrix for b in bodies]),
+        np.array([b.mass for b in bodies]), np.array([b.com_offset for b in bodies]),
+        on_path,
         np.array([p.rot for p in rel_ref]), np.array([p.trans for p in rel_ref]),
         rate, w, w2, v, np.einsum("nij,nj->ni", w, v), np.einsum("nij,nj->ni", w2, v))
     for arr in tables:
@@ -319,8 +324,11 @@ class ChainModel:
         self._rel_ref = [
             b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose
             for b, p in zip(self.bodies, self.parent)]
-        self.tables = _chain_tables(self.joints, self.bodies, self._paths, self._rel_ref)
-        # finite inputs can still overflow, e.g. a mass times a squared offset
+        # finite inputs can still overflow, e.g. a mass times a squared
+        # offset; the check below reports that, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.tables = _chain_tables(self.joints, self.bodies, self._paths,
+                                        self._rel_ref)
         for name, arr in zip(ChainTables._fields, self.tables):
             bad = np.flatnonzero(~np.isfinite(arr).reshape(self.n, -1).all(axis=1))
             if bad.size:
@@ -386,12 +394,14 @@ def _as_floats(value, shape, path):
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def parse_model(text: str | bytes) -> ChainModel:
     """Parse and fully validate a model document.
 
     Every malformed input raises :class:`ModelError` with the offending
-    field path, a non-finite number among them; nothing is partially
-    constructed.
+    field path, a non-finite number among them, or one whose finite
+    numbers overflow the model's tables; nothing is partially constructed,
+    and numpy's floating-point warnings are off while the checks run.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")

@@ -155,6 +155,23 @@ def parent_transforms_oracle(model, poses, rels, rep):
     return out
 
 
+def spatial_backward_oracle(model, twists, accels, inertias, screws, ext):
+    """The spatial Newton-Euler backward sweep body by body: each body's
+    balance :func:`ne_wrench` less its load joins the wrenches of its
+    children, is projected on its joint screw and passed to its parent
+    unchanged.  Returns (joint forces, joint wrenches)."""
+    from screwchain.dynamics import ne_wrench
+
+    n = model.n
+    W, Q = np.zeros((n, 6)), np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        W[i] += ne_wrench(twists[i], accels[i], inertias[i], "spatial") - ext[i]
+        Q[i] = screws[i] @ W[i]
+        if model.parent[i] >= 0:
+            W[model.parent[i]] += W[i]
+    return Q, W
+
+
 PLANAR_2R = dict(m1=1.1, m2=0.9, l1=1.0, lc1=0.55, lc2=0.45, I1=0.055, I2=0.031,
                  g=9.80665)
 

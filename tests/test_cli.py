@@ -60,6 +60,23 @@ def test_check_invalid_model_exit_2_names_body(tmp_path, capsys):
     assert "bodies[1]" in err and "mass" in err
 
 
+def test_overflowing_model_exit_2_with_one_stderr_line(tmp_path):
+    # finite numbers whose inertia table overflows: the ModelError is all
+    # the user sees, with no numpy warning before it
+    doc = json.loads(open(MODEL_2R).read())
+    doc["bodies"][1]["com"] = [1e200, 0, 0]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(screwchain.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "screwchain.cli", "check", "--model", str(bad)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: invalid model: bodies[1]: inertia table overflows"]
+
+
 @pytest.mark.parametrize("cmd", ["check", "fk"])
 def test_non_finite_model_number_exit_2_names_field(tmp_path, capsys, cmd):
     doc = json.loads(open(MODEL_2R).read())
@@ -297,6 +314,25 @@ def test_simulate_rejects_torque_times_not_increasing(tmp_path, capsys):
     assert run_cli("simulate", "--model", MODEL_1R, "--torques", str(torque_file),
                    "--T", "0.01", "--out", str(tmp_path / "sim.csv")) == 2
     assert "torque file times must be strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_torque_schedule_equals_interp_per_column(tmp_path, rows):
+    from screwchain.cli import _torque_fn_from_file
+
+    rng = np.random.default_rng(rows)
+    tt = np.cumsum(rng.uniform(0.01, 0.1, size=rows))
+    tau = rng.normal(size=(rows, 3))
+    torque_file = tmp_path / "tau.csv"
+    write_traj(torque_file, tt, [tau])
+    torque = _torque_fn_from_file(str(torque_file), 3)
+    # before the first knot, at every knot, between knots, after the last
+    probes = np.concatenate([[tt[0] - 1.0], tt, 0.5 * (tt[1:] + tt[:-1]),
+                             [tt[-1] + 1e-9, tt[-1] + 1.0]])
+    for t in probes:
+        got = torque(t, None, None)
+        expect = np.array([np.interp(t, tt, tau[:, j]) for j in range(3)])
+        assert np.array_equal(got, expect), t
 
 
 def test_simulate_blow_up_exit_3_with_partial_output(tmp_path):

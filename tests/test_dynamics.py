@@ -502,6 +502,28 @@ def test_reused_configuration_cannot_go_stale(rng):
     m[:] = np.eye(4)
     assert np.array_equal(fdyn(b, q, qd, tau), fresh(b))
 
+    # the kept bias solve: another qd, tau, applied or gravity must give a
+    # solve of its own, also when the caller's array was written in place
+    wb = rng.normal(size=(4, 6))
+    kept = fdyn(b, q, qd, tau)
+    for args in ((qd + 1e-3, tau, None, True), (qd, tau + 1e-3, None, True),
+                 (qd, tau, wb, True), (qd, tau, None, False)):
+        expect = dynamics._Configuration(b, q).accel(*args)[0]
+        assert np.array_equal(fdyn(b, q, *args), expect)
+        assert not np.array_equal(expect, kept)
+    for arr in (qd, tau, wb):
+        before = fdyn(b, q, qd, tau, wb)
+        arr[0] += 0.5
+        after = fdyn(b, q, qd, tau, wb)
+        fresh_solve = dynamics._Configuration(b, q).accel(qd, tau, wb, True)[0]
+        assert np.array_equal(after, fresh_solve)
+        assert not np.array_equal(after, before)
+    # writing into what fdyn returned leaves the kept solve as it was
+    out = fdyn(b, q, qd, tau)
+    expect = out.copy()
+    out[:] = 0.0
+    assert np.array_equal(fdyn(b, q, qd, tau), expect)
+
 
 def test_fdyn_balanced_coriolis_gives_zero_accel(rng):
     model = random_chain(rng, 4, gravity=(0, 0, 0))

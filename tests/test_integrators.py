@@ -264,6 +264,32 @@ def test_one_configuration_pass_per_rk4_stage(rng, monkeypatch, form):
     assert len(built) == 4 * steps + 1
 
 
+def test_one_bias_sweep_and_one_factor_per_momentum_stage(rng, monkeypatch):
+    # the recovery of qd and the stage's qdd share one Cholesky factor,
+    # and each sample's qdd is the bias solve its first stage kept
+    model = random_chain(rng, 3, tree=True)
+    counts = {"sweeps": 0, "factors": 0}
+    sweep, cholesky = dynamics._backward_sweep, np.linalg.cholesky
+
+    def counted_sweep(*args, **kwargs):
+        counts["sweeps"] += 1
+        return sweep(*args, **kwargs)
+
+    def counted_cholesky(m):
+        counts["factors"] += 1
+        return cholesky(m)
+
+    monkeypatch.setattr(dynamics, "_last_configuration", None, raising=False)
+    monkeypatch.setattr(dynamics, "_backward_sweep", counted_sweep)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    steps, h = 10, 1e-3
+    traj = chain_simulate(model, rng.normal(size=3), rng.normal(size=3),
+                          torque=lambda t, q, qd: -0.5 * qd, T=steps * h, h=h,
+                          form="momentum")
+    assert len(traj.times) == steps + 1
+    assert counts == {"sweeps": 4 * steps + 1, "factors": 4 * steps + 1}
+
+
 def test_momentum_residual_falls_with_rk4_order():
     # max_i |Pi_i - M^s_i V^s_i(qd)| of the integrated momenta, which
     # RK4's error moves off the momenta of the recovered qd as h^4
@@ -305,7 +331,6 @@ def test_chain_simulate_names_step_counts_it_cannot_store(simulate, T, h):
         simulate(T, h)
 
 
-@pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
 def test_chain_simulate_aborts_on_blow_up(rng):
     model, _ = pendulum_model()
 

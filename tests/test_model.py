@@ -289,7 +289,6 @@ def mutated_documents(draw):
     return json.dumps(doc)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(mutated_documents())
 def test_parse_fuzz_gives_model_error_or_finite_tables(text):

@@ -10,12 +10,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    christoffel, convert_wrench, coriolis_matrix, fdyn, gravity_wrenches, idyn,
-    mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
+    _backward_sweep, _loads, christoffel, convert_wrench, coriolis_matrix, fdyn,
+    gravity_wrenches, idyn, mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of,
+    spatial_momenta,
 )
 from screwchain.kinematics import (
-    REPS, JointState, Twist, _fk_stacks, _frame_table, accelerations, convert_twist,
-    fk, fk_body_form, jacobian, jerks, twists,
+    REPS, JointState, Twist, _fk_stacks, _forward_sweep, _frame_table, accelerations,
+    convert_twist, fk, fk_body_form, jacobian, jerks, twists,
 )
 from screwchain.model import binet_inertia
 from screwchain.se3 import (
@@ -25,6 +26,7 @@ from screwchain.se3 import (
 from conftest import (
     JacobianOracle, fk_spatial_oracle, gravity_wrenches_oracle, inertias_oracle,
     instantaneous_screws_oracle, parent_transforms_oracle, random_chain,
+    spatial_backward_oracle,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -332,6 +334,29 @@ def test_momentum_rhs_recovers_qd_and_agrees_with_fdyn(case):
                                  spatial_inertia_of(model, cs.poses, i), "spatial")
                        for i in range(model.n)])
     assert np.abs(pidot - expect).max() < 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_stacked_spatial_balances_match_per_body_loop(case):
+    # the backward sweep's stacked spatial branch and the momentum rates
+    # against the per-body ne_wrench loop on the same twists and loads
+    model, q, qd, qdd, tau, wb = case
+    frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
+    cache = _forward_sweep(model, frames, JointState(q, qd, qdd), 1)
+    ext = _loads(model, frames, wb, True, "body")
+    got = _backward_sweep(model, frames, cache, ext)
+    expect = spatial_backward_oracle(model, cache.twists, cache.accels, frames.inertias,
+                                     frames.screws, ext)
+    for g, e in zip(got, expect):
+        assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
+
+    pidot, qd_rec = momentum_rhs(model, q, spatial_momenta(model, q, qd), tau, applied=wb)
+    cs = _forward_sweep(model, frames,
+                        JointState(q, qd_rec, fdyn(model, q, qd_rec, tau, applied=wb)), 1)
+    rates = np.array([ne_wrench(cs.twists[i], cs.accels[i], frames.inertias[i], "spatial")
+                      for i in range(model.n)])
+    assert np.abs(pidot - rates).max() <= 1e-12 * np.abs(rates).max()
 
 
 @PROPERTY_SETTINGS

@@ -209,7 +209,8 @@ def cmd_idyn(args):
             out.append(dev)
         return out
 
-    rows = [row(idx) for idx in range(len(t))]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        rows = [row(idx) for idx in range(len(t))]
     if not all(np.all(np.isfinite(r)) for r in rows):
         raise CliError(EXIT_NUMERICAL, "non-finite torque encountered")
     _write_csv(args.out, header, rows)

@@ -11,13 +11,14 @@ parent transforms and gravity loads of all bodies, one stacked product
 each.  ``idyn`` builds that table and runs the two sweeps.  Everything
 else reads one configuration pass (:class:`_Configuration`): the pose
 stacks of ``fk_body_form`` once, the spatial frame table at them and the
-composite-rigid-body mass matrix.  ``fdyn`` and ``momentum_rhs`` take
-their bias forces from the spatial sweeps at zero joint acceleration,
-and solve with that mass matrix by its Cholesky factor, made once per
-pass.  The spatial form needs no frame transform inside the backward
-recursion: the Newton-Euler balances of all bodies are one stacked
-product (:func:`_spatial_balances`), which also gives the momentum
-form's rates.
+composite-rigid-body mass matrix.  ``fdyn`` and ``momentum_rhs`` need
+no forward sweep: their bias J^T (M Jdot qd - ad^T_V M V - loads) is
+closed-form, since the spatial Jacobian's column rates are brackets,
+Jdot^s_j = [V_j, X^s_j].  The backward sweep's spatial branch reads it
+from the pass's path sums, and the mass matrix's Cholesky factor, made
+once per pass, solves.  That branch needs no frame transform: the
+balances of all bodies are one stacked product
+(:func:`_spatial_balances`), which also gives the momentum form's rates.
 
 The last configuration pass is kept, read-only, and reused by the next
 call at the same model object and the same bytes of q
@@ -46,6 +47,7 @@ to the potential-energy gradient).  ``fdyn`` inverts that relation, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,6 @@ from .kinematics import (
     _SweepOps,
     _check_rep,
     _fk_stacks,
-    _forward_sweep,
     _frame_table,
     _jacobian,
     _kinematics,
@@ -388,6 +389,10 @@ def _path_sums(model: ChainModel, a) -> np.ndarray:
     return out
 
 
+# twists and accelerations of all bodies, as _backward_sweep reads them
+_Motion = NamedTuple("_Motion", [("twists", np.ndarray), ("accels", np.ndarray)])
+
+
 class _Configuration:
     """One configuration pass at q: the body pose stacks of
     :func:`_fk_stacks` once, and from them the spatial frame table
@@ -397,7 +402,8 @@ class _Configuration:
 
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
-    on the path to k, and zero off the paths.
+    on the path to k, and zero off the paths.  As Jdot_j = [V_j, js_j],
+    the acceleration at qdd = 0 sums qd_j [V_j, js_j] over the path too.
 
     The mass matrix is factored once, at the first :meth:`solve`, and the
     last bias solve of :meth:`accel` is kept with the arguments it was
@@ -416,14 +422,16 @@ class _Configuration:
         self.mass = np.where(on_path, g, np.where(on_path.T, g.T, 0.0))
         self.mass.setflags(write=False)
         self._low = None  # Cholesky factor of the mass matrix
-        self._kept = None  # (arguments, qdd, forward sweep) of the last accel
+        self._kept = None  # (arguments, qdd, V, Vdot at qdd = 0) of the last accel
+
+    def twists(self, qd) -> np.ndarray:
+        """Spatial twists V^s_i: js_j qd_j summed over the path to body i."""
+        return _path_sums(self.model, self.frames.screws * qd[:, None])
 
     def momenta(self, qd) -> np.ndarray:
-        """Per-body spatial momenta M^s_i V^s_i; V^s_i sums js_j qd_j
-        over the path to body i."""
+        """Per-body spatial momenta M^s_i V^s_i."""
         qd = np.asarray(qd, dtype=float).reshape(self.model.n)
-        return np.einsum("ijk,ik->ij", self.frames.inertias,
-                         _path_sums(self.model, self.frames.screws * qd[:, None]))
+        return np.einsum("ijk,ik->ij", self.frames.inertias, self.twists(qd))
 
     def solve(self, b) -> np.ndarray:
         """M^-1 b by :func:`_spd_solve` with the one Cholesky factor of M."""
@@ -432,11 +440,11 @@ class _Configuration:
         return _spd_solve(self.mass, b, self._low)
 
     def accel(self, qd, tau, applied, gravity: bool):
-        """qdd = M^-1 (tau - bias), the bias being :func:`idyn`'s spatial
-        forward and backward sweeps at qdd = 0, and that forward sweep
-        (twists, velocity part of the accelerations).  ``tau`` may be
-        None; ``applied`` is in body representation.  The returned qdd is
-        read-only; the last one is kept, as the class docstring says."""
+        """(qdd, twists, accelerations at qdd = 0), qdd = M^-1 (tau - bias)
+        with the bias J^T (M Jdot qd - ad^T_V M V - loads) from the
+        closed-form motion of the class docstring and :func:`_backward_sweep`.
+        ``tau`` may be None; ``applied`` is in body representation.  The
+        arrays are read-only; the last ones are kept, as the class says."""
         n = self.model.n
         qd = np.asarray(qd, dtype=float).reshape(n)
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
@@ -445,12 +453,14 @@ class _Configuration:
         key = (qd.tobytes(), tau.tobytes(),
                None if applied is None else applied.tobytes(), bool(gravity))
         if self._kept is None or self._kept[0] != key:
-            cache = _forward_sweep(self.model, self.frames, JointState(self.q, qd), 1)
+            V = self.twists(qd)
+            vd = _path_sums(self.model, _PLAIN.brackets(V, self.frames.screws * qd[:, None]))
             loads = _loads(self.model, self.frames, applied, gravity, "body")
-            bias, _ = _backward_sweep(self.model, self.frames, cache, loads)
+            bias, _ = _backward_sweep(self.model, self.frames, _Motion(V, vd), loads)
             qdd = self.solve(tau - bias)
-            qdd.setflags(write=False)
-            self._kept = (key, qdd, cache)
+            for arr in (qdd, V, vd):
+                arr.setflags(write=False)
+            self._kept = (key, qdd, V, vd)
         return self._kept[1:]
 
 
@@ -603,8 +613,9 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
     """Forward dynamics qdd = M^-1 (tau - bias).
 
     One configuration pass gives the composite-rigid-body mass matrix M
-    and its Cholesky factor; the bias is :func:`idyn`'s spatial forward
-    and backward sweep at qdd = 0 on its poses and joint screws.  Raises
+    and its Cholesky factor; the bias J^T (M Jdot qd - ad^T_V M V - loads)
+    is closed-form, Jdot^s_j = [V_j, X^s_j], one backward sweep over the
+    path sums of its joint screws (:meth:`_Configuration.accel`).  Raises
     ValueError when M is not positive definite or tau - bias is not
     finite.  ``applied`` takes per-body external wrenches in body
     representation.  A call with the arguments of the last bias solve at
@@ -627,12 +638,12 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     The stacked relation M^s_i J^s_i qd = Pi_i contracted with the spatial
     Jacobian is the SPD system M(q) qd = (J^s)^T Pi, with M the
     composite-rigid-body mass matrix of one configuration pass, as in
-    :func:`fdyn`; so are the bias (the spatial sweeps at qdd = 0) and
-    qdd = M^-1 (tau - bias), and both solves use the pass's one Cholesky
-    factor.  The momentum rates are the spatial Newton-Euler balances of
-    all bodies (those of :func:`ne_wrench`), one stacked product.  ``tau``
-    may be a callable of the recovered qd; applied wrenches are taken in
-    body representation, as in :func:`fdyn`.  The bias solve is kept, so
+    :func:`fdyn`; so are the closed-form bias and qdd = M^-1 (tau - bias),
+    and both solves use the pass's one Cholesky factor.  The momentum
+    rates are the spatial Newton-Euler balances of all bodies (those of
+    :func:`ne_wrench`), one stacked product.  ``tau`` may be a callable
+    of the recovered qd; applied wrenches are taken in body
+    representation, as in :func:`fdyn`.  The bias solve is kept, so
     :func:`fdyn` at the recovered qd and the same loads returns its qdd.
     """
     n = model.n
@@ -641,10 +652,9 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     js = cfg.frames.screws
     # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
     qd = cfg.solve(np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))
-    qdd, cache = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
-    # accelerations are affine in qdd: add the joint terms to the bias sweep's
-    vd = _path_sums(model, js * qdd[:, None]) + cache.accels
-    return _spatial_balances(cfg.frames.inertias, cache.twists, vd), qd
+    qdd, V, vd = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
+    # accelerations are affine in qdd: add the joint terms to those at qdd = 0
+    return _spatial_balances(cfg.frames.inertias, V, cfg.twists(qdd) + vd), qd
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:

@@ -7,8 +7,8 @@ trajectories use ordinary RK4 on (q, qd) or on (q, spatial momenta); the
 Lie-group machinery is exercised by the absolute-motion integrators.  The
 right-hand sides are :func:`screwchain.dynamics.fdyn` and
 :func:`screwchain.dynamics.momentum_rhs`, which share one configuration
-pass, the spatial bias sweeps and the SPD solve of that module; the free
-body recovers its twist from the momentum with the same solve.
+pass, its closed-form bias J^T (M Jdot qd - ad^T_V M V - loads) and the
+SPD solve of that module; the free body recovers its twist likewise.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
 step reuses.  That stage leaves its configuration pass, with the pass's
@@ -16,7 +16,7 @@ Cholesky factor and its bias solve, as the last one of
 :mod:`screwchain.dynamics`.  The momentum form's ``fdyn`` for the
 sample's qdd returns that kept solve, and the sample's report reads the
 pass's mass matrix and pose stack, so a run costs one configuration
-pass, one bias sweep and one factorization per RK4 stage.
+pass, one backward sweep and one factorization per RK4 stage.
 """
 
 from __future__ import annotations
@@ -195,11 +195,12 @@ def _sample_arrays(T, h, *widths) -> tuple[np.ndarray, ...]:
         raise ValueError(f"step size h must be finite and positive, got {h!r}")
     if not (np.isfinite(T) and T >= 0.0):
         raise ValueError(f"duration T must be finite and non-negative, got {T!r}")
-    steps = int(round(T / h))
+    steps = float(T) / float(h)  # may overflow to inf, which int() refuses
     try:
+        steps = int(round(steps))
         return (np.linspace(0.0, steps * h, steps + 1),
                 *(np.full((steps + 1, w), np.nan) for w in widths))
-    except (MemoryError, ValueError) as err:
+    except (MemoryError, ValueError, OverflowError) as err:
         raise ValueError(f"T={T!r} with h={h!r} takes {steps:.6g} steps, too many "
                          f"to store their samples ({err})") from None
 

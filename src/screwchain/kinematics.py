@@ -47,6 +47,7 @@ picks up an extra omega x omega-dot term).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -124,16 +125,20 @@ class KinematicsCache:
     """Per-body kinematic quantities from one forward sweep, with the
     instantaneous joint screws and the screw transformations from each
     parent's twist (None where there is none) of the frame table the
-    sweep read (:func:`_frame_table`)."""
+    sweep read (:func:`_frame_table`); ``poses`` and ``rel_poses`` are
+    built from the pose stacks on first read."""
 
     rep: str
-    poses: list[Pose]
-    rel_poses: list[Pose]
+    pose_stack: _PoseStack
+    rel_stack: _PoseStack
     twists: np.ndarray
     accels: np.ndarray | None = None
     jerks: np.ndarray | None = None
     joint_screws: np.ndarray | None = None
     parent_transforms: list | None = None
+
+    poses = cached_property(lambda self: self.pose_stack.poses())
+    rel_poses = cached_property(lambda self: self.rel_stack.poses())
 
 
 class _SweepOps:
@@ -174,6 +179,19 @@ class _SweepOps:
     def cobracket(self, x, p):
         self.count("lie_brackets")
         return ad_matrix(x).T @ p
+
+    def brackets(self, x, y):
+        """[x[i], y[i]] = (w x a, w x b + v x a) for x[i] = (w, v), y[i] =
+        (a, b), written out as :meth:`cobrackets` is; [x, x] is exactly 0."""
+        self.count("lie_brackets", len(x))
+        w0, w1, w2, v0, v1, v2 = x.T
+        a0, a1, a2, b0, b1, b2 = y.T
+        return np.array([w1 * a2 - w2 * a1,
+                         w2 * a0 - w0 * a2,
+                         w0 * a1 - w1 * a0,
+                         w1 * b2 - w2 * b1 + (v1 * a2 - v2 * a1),
+                         w2 * b0 - w0 * b2 + (v2 * a0 - v0 * a2),
+                         w0 * b1 - w1 * b0 + (v0 * a1 - v1 * a0)]).T
 
     def cobrackets(self, x, p):
         """ad(x[i])^T p[i] = -(w x a + v x b, w x b) for every body i, with
@@ -389,15 +407,15 @@ def jacobian(model: ChainModel, q, rep: str = "body") -> SystemJacobian:
     return _jacobian(model, _fk_stacks(model, q)[0], rep)
 
 
-def _mixed_view(cache: KinematicsCache, poses: _PoseStack) -> KinematicsCache:
-    """Hybrid-to-mixed map B_mixed B_hybrid^-1 at the pose stack applied
-    at every level."""
-    maps = _twist_map(poses, "hybrid", "mixed")
+def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
+    """Hybrid-to-mixed map B_mixed B_hybrid^-1 at the cache's pose stack
+    applied at every level."""
+    maps = _twist_map(cache.pose_stack, "hybrid", "mixed")
 
     def conv(arr):
         return None if arr is None else np.einsum("ijk,ik->ij", maps, arr)
 
-    return KinematicsCache("mixed", cache.poses, cache.rel_poses,
+    return KinematicsCache("mixed", cache.pose_stack, cache.rel_stack,
                            conv(cache.twists), conv(cache.accels),
                            conv(cache.jerks))
 
@@ -472,7 +490,7 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
                                + 2.0 * ops.bracket(rdot_rel, Vd[p])
                                + ops.bracket(rddot_rel, V[p]))
     xfs = [None if p < 0 or xf is None else xf[i] for i, p in enumerate(model.parent)]
-    return KinematicsCache(rep, frames.poses.poses(), frames.rels.poses(), V, Vd, Vdd,
+    return KinematicsCache(rep, frames.poses, frames.rels, V, Vd, Vdd,
                            joint_screws=x, parent_transforms=xfs)
 
 
@@ -489,8 +507,7 @@ def _sweep(model: ChainModel, state: JointState, rep: str, level: int) -> Kinema
     is the view of the hybrid sweep."""
     _check_rep(rep)
     if rep == "mixed":
-        frames, cache = _kinematics(model, state, "hybrid", level)
-        return _mixed_view(cache, frames.poses)
+        return _mixed_view(_kinematics(model, state, "hybrid", level)[1])
     return _kinematics(model, state, rep, level)[1]
 
 

@@ -182,6 +182,17 @@ def test_idyn_rep_all_deviation_column(tmp_path, rng):
     assert np.all(data[:, -1] < 1e-9)
 
 
+def test_idyn_overflowing_row_exit_3_with_one_error_line(tmp_path, capsys):
+    # the rows overflow to inf and NaN; the finite check reports it without
+    # numpy's RuntimeWarning lines (which pytest would raise)
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, [0.0], [np.full((1, 6), 1e300) for _ in range(3)])
+    assert run_cli("idyn", "--model", MODEL_6R, "--traj", str(traj), "--rep", "all",
+                   "--out", str(tmp_path / "out.csv")) == 3
+    err = capsys.readouterr().err
+    assert err == "error: non-finite torque encountered\n"
+
+
 def test_idyn_rep_mixed_matches_body(tmp_path, rng):
     traj = tmp_path / "traj.csv"
     write_traj(traj, np.arange(3) * 0.1, [rng.normal(size=(3, 6)) for _ in range(3)])
@@ -246,7 +257,9 @@ def test_header_only_trajectory_exit_2_without_warning(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [["--h", "0"], ["--h=-1e-3"], ["--h", "nan"],
                                  ["--T=-0.5"], ["--T", "inf"], ["--q0", "nan"],
                                  ["--T", "1e15", "--h", "1e-3"],
-                                 ["--T", "1", "--h", "1e-300"]])
+                                 ["--T", "1", "--h", "1e-300"],
+                                 ["--T", "1", "--h", "1e-320"],
+                                 ["--T", "1e308", "--h", "1e-308"]])
 def test_simulate_bad_arguments_exit_2(tmp_path, capsys, bad):
     assert run_cli("simulate", "--model", MODEL_1R, *bad,
                    "--out", str(tmp_path / "sim.csv")) == 2

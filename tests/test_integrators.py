@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from screwchain import dynamics, se3
+from screwchain import dynamics, kinematics, se3
 from screwchain.integrators import (
     RigidBodyState, chain_simulate, free_body_simulate, mk_step,
 )
@@ -264,30 +264,43 @@ def test_one_configuration_pass_per_rk4_stage(rng, monkeypatch, form):
     assert len(built) == 4 * steps + 1
 
 
-def test_one_bias_sweep_and_one_factor_per_momentum_stage(rng, monkeypatch):
-    # the recovery of qd and the stage's qdd share one Cholesky factor,
-    # and each sample's qdd is the bias solve its first stage kept
+def _count_sweeps_and_factors(rng, monkeypatch, form, steps=10, h=1e-3):
+    """Forward sweeps, backward sweeps and Cholesky factors of a run of
+    ``steps`` steps in ``form``."""
     model = random_chain(rng, 3, tree=True)
-    counts = {"sweeps": 0, "factors": 0}
-    sweep, cholesky = dynamics._backward_sweep, np.linalg.cholesky
+    counts = {"forward": 0, "backward": 0, "factors": 0}
 
-    def counted_sweep(*args, **kwargs):
-        counts["sweeps"] += 1
-        return sweep(*args, **kwargs)
-
-    def counted_cholesky(m):
-        counts["factors"] += 1
-        return cholesky(m)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(dynamics, "_last_configuration", None, raising=False)
-    monkeypatch.setattr(dynamics, "_backward_sweep", counted_sweep)
-    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    steps, h = 10, 1e-3
+    monkeypatch.setattr(kinematics, "_forward_sweep",
+                        counted("forward", kinematics._forward_sweep))
+    monkeypatch.setattr(dynamics, "_backward_sweep",
+                        counted("backward", dynamics._backward_sweep))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("factors", np.linalg.cholesky))
     traj = chain_simulate(model, rng.normal(size=3), rng.normal(size=3),
                           torque=lambda t, q, qd: -0.5 * qd, T=steps * h, h=h,
-                          form="momentum")
+                          form=form)
     assert len(traj.times) == steps + 1
-    assert counts == {"sweeps": 4 * steps + 1, "factors": 4 * steps + 1}
+    return counts
+
+
+def test_one_bias_sweep_and_one_factor_per_momentum_stage(rng, monkeypatch):
+    # the recovery of qd and the stage's qdd share one Cholesky factor,
+    # each sample's qdd is the bias solve its first stage kept, and the
+    # bias reads the closed-form motion of the pass, not a forward sweep
+    counts = _count_sweeps_and_factors(rng, monkeypatch, "momentum")
+    assert counts == {"forward": 0, "backward": 4 * 10 + 1, "factors": 4 * 10 + 1}
+    assert not hasattr(dynamics, "_forward_sweep")
+
+
+def test_one_bias_sweep_and_one_factor_per_state_stage(rng, monkeypatch):
+    counts = _count_sweeps_and_factors(rng, monkeypatch, "state")
+    assert counts == {"forward": 0, "backward": 4 * 10 + 1, "factors": 4 * 10 + 1}
 
 
 def test_momentum_residual_falls_with_rk4_order():

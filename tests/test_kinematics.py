@@ -4,7 +4,7 @@ import pytest
 from screwchain import se3
 from screwchain.cli import _benchmark_chain
 from screwchain.kinematics import (
-    JointState, Twist, accel_ik, accelerations, convert_twist, fk,
+    JointState, Twist, accel_ik, accelerations, convert_twist, fk, fk_body_form,
     hybrid_jacobian_partial2, jacobian, jacobian_partial, jacobian_partial_n,
     jerks, twists,
 )
@@ -135,6 +135,20 @@ def test_twists_trivials(rng):
     single = random_chain(rng, 1)
     cache = twists(single, [0.3], [1.0], "body")
     assert np.allclose(cache.twists[0], single.joints[0].screw_body, atol=1e-15)
+
+
+def test_sweep_poses_are_the_fk_poses(rng):
+    # a cache builds its pose lists from the sweep's stacks when first read
+    model = random_chain(rng, 5, tree=True)
+    q, qd = rng.normal(size=5), rng.normal(size=5)
+    absolute, relative = fk(model, q), fk_body_form(model, q)[1]
+    for rep in REPS4:
+        cache = twists(model, q, qd, rep)
+        for got, want in ((cache.poses, absolute), (cache.rel_poses, relative)):
+            assert len(got) == len(want) == 5
+            for a, b in zip(got, want):
+                assert np.array_equal(a.rot, b.rot) and np.array_equal(a.trans, b.trans)
+        assert cache.poses is cache.poses
 
 
 def test_twist_cross_recursion_closure(rng):

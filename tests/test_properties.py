@@ -1,8 +1,9 @@
 """Property tests over random trees and forests with revolute, prismatic
 and helical joints: the closed-form forward kinematics against products
 of joint exponentials; the recursive sweeps against each other, against
-the forward dynamics, and against the closed-form mass matrix and jerks;
-the Jacobian and the twist and wrench conversions against per-pair oracles;
+the closed-form motion of the configuration pass, against the forward
+dynamics, and against the closed-form mass matrix and jerks; the
+Jacobian and the twist and wrench conversions against per-pair oracles;
 the Christoffel symbols and the Coriolis matrix against bracket-by-bracket
 loops and the matrix form."""
 
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    _backward_sweep, _loads, christoffel, convert_wrench, coriolis_matrix, fdyn,
+    _Configuration, _Motion, _backward_sweep, _loads, christoffel, convert_wrench, coriolis_matrix, fdyn,
     gravity_wrenches, idyn, mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of,
     spatial_momenta,
 )
@@ -357,6 +358,24 @@ def test_stacked_spatial_balances_match_per_body_loop(case):
     rates = np.array([ne_wrench(cs.twists[i], cs.accels[i], frames.inertias[i], "spatial")
                       for i in range(model.n)])
     assert np.abs(pidot - rates).max() <= 1e-12 * np.abs(rates).max()
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(), st.booleans(), st.booleans())
+def test_configuration_motion_and_bias_match_recursive_sweeps(case, gravity, loaded):
+    # the configuration pass's closed-form twists (path sums of js_j qd_j),
+    # accelerations at qdd = 0 (path sums of qd_j [V_j, js_j]) and the bias
+    # from them against the recursive spatial forward sweep, the oracle
+    model, q, qd, _, tau, wb = case
+    applied = wb if loaded else None
+    cfg = _Configuration(model, q)
+    _, V, vd = cfg.accel(qd, tau, applied, gravity)
+    cache = _forward_sweep(model, cfg.frames, JointState(q, qd), 1)
+    loads = _loads(model, cfg.frames, applied, gravity, "body")
+    got = _backward_sweep(model, cfg.frames, _Motion(V, vd), loads)
+    expect = _backward_sweep(model, cfg.frames, cache, loads)
+    for g, e in [(V, cache.twists), (vd, cache.accels), *zip(got, expect)]:
+        assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
 
 
 @PROPERTY_SETTINGS

@@ -402,8 +402,9 @@ class _Configuration:
 
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
-    on the path to k, and zero off the paths.  As Jdot_j = [V_j, js_j],
-    the acceleration at qdd = 0 sums qd_j [V_j, js_j] over the path too.
+    on the path to k, and zero off the paths.  The twist V_i sums js_j qd_j
+    over the path to body i (:meth:`twists`) and, as Jdot_j = [V_j, js_j],
+    the acceleration at qdd = 0 sums qd_j [V_j, js_j] over it.
 
     The mass matrix is factored once, at the first :meth:`solve`, and the
     last bias solve of :meth:`accel` is kept with the arguments it was

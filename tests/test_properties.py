@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    _Configuration, _Motion, _backward_sweep, _loads, christoffel, convert_wrench, coriolis_matrix, fdyn,
-    gravity_wrenches, idyn, mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of,
-    spatial_momenta,
+    _Configuration, _Motion, _backward_sweep, _loads, christoffel, convert_wrench,
+    coriolis_matrix, fdyn, gravity_wrenches, idyn, mass_matrix, momentum_rhs, ne_wrench,
+    spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import (
     REPS, JointState, Twist, _fk_stacks, _forward_sweep, _frame_table, accelerations,
@@ -365,17 +365,19 @@ def test_stacked_spatial_balances_match_per_body_loop(case):
 def test_configuration_motion_and_bias_match_recursive_sweeps(case, gravity, loaded):
     # the configuration pass's closed-form twists (path sums of js_j qd_j),
     # accelerations at qdd = 0 (path sums of qd_j [V_j, js_j]) and the bias
-    # from them against the recursive spatial forward sweep, the oracle
+    # from them against the recursive spatial forward sweep, the oracle;
+    # the returned qdd solves with that bias
     model, q, qd, _, tau, wb = case
     applied = wb if loaded else None
     cfg = _Configuration(model, q)
-    _, V, vd = cfg.accel(qd, tau, applied, gravity)
+    qdd, V, vd = cfg.accel(qd, tau, applied, gravity)
     cache = _forward_sweep(model, cfg.frames, JointState(q, qd), 1)
     loads = _loads(model, cfg.frames, applied, gravity, "body")
     got = _backward_sweep(model, cfg.frames, _Motion(V, vd), loads)
     expect = _backward_sweep(model, cfg.frames, cache, loads)
     for g, e in [(V, cache.twists), (vd, cache.accels), *zip(got, expect)]:
         assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
+    assert np.array_equal(qdd, cfg.solve(tau - got[0]))
 
 
 @PROPERTY_SETTINGS

@@ -5,11 +5,11 @@ The package is organized by layer:
 * :mod:`screwchain.se3` -- SO(3)/SE(3) kernels and screw algebra.
 * :mod:`screwchain.model` -- chain description, validation, file I/O.
 * :mod:`screwchain.kinematics` -- POE forward kinematics, twists,
-  accelerations, jerks, Jacobians and their analytic partial derivatives
-  in body-fixed, spatial, hybrid, and mixed representation.
+  accelerations, jerks and Jacobians in body-fixed, spatial, hybrid, and
+  mixed representation; the table of Jacobian partials as Lie brackets.
 * :mod:`screwchain.dynamics` -- Newton-Euler balances, recursive inverse
-  dynamics with operation counting, closed-form equations of motion,
-  forward dynamics, spatial-momentum form.
+  dynamics with operation counting, closed-form equations of motion from
+  the kinematics bracket table, forward dynamics, spatial-momentum form.
 * :mod:`screwchain.integrators` -- joint-space RK4 and the Munthe-Kaas
   Lie-group RK4 with conservation diagnostics.
 * :mod:`screwchain.cli` -- batch command-line front end.

@@ -149,14 +149,18 @@ def cmd_fk(args):
     t, q, qd, _ = _read_traj(args.traj, n, need=2 if args.twists else 1)
     if args.twists:
         header = ["t"] + [f"body{i + 1}_V{c + 1}" for i in range(n) for c in range(6)]
+        quiet = {"over": "ignore", "invalid": "ignore"}  # row() reports overflow
 
         def row(idx):
             cache = kin.twists(model, q[idx], qd[idx], args.rep)
+            if not np.all(np.isfinite(cache.twists)):
+                raise CliError(EXIT_NUMERICAL, f"non-finite twist in data row {idx + 1}")
             return [t[idx]] + list(cache.twists.reshape(-1))
     else:
         header = ["t"] + [f"body{i + 1}_{name}" for i in range(n)
                           for name in ("R11", "R12", "R13", "R21", "R22", "R23",
                                        "R31", "R32", "R33", "r1", "r2", "r3")]
+        quiet = {}
 
         def row(idx):
             poses = kin.fk(model, q[idx])
@@ -166,7 +170,8 @@ def cmd_fk(args):
                 out.extend(p.trans)
             return out
 
-    _write_csv(args.out, header, (row(idx) for idx in range(len(t))))
+    with np.errstate(**quiet):
+        _write_csv(args.out, header, (row(idx) for idx in range(len(t))))
     return EXIT_OK
 
 

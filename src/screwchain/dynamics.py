@@ -18,7 +18,7 @@ Jdot^s_j = [V_j, X^s_j].  The backward sweep's spatial branch reads it
 from the pass's path sums, and the mass matrix's Cholesky factor, made
 once per pass, solves.  That branch needs no frame transform: the
 balances of all bodies are one stacked product
-(:func:`_spatial_balances`), which also gives the momentum form's rates.
+(:func:`_balances`), which also gives the momentum form's rates.
 
 The last configuration pass is kept, read-only, and reused by the next
 call at the same model object and the same bytes of q
@@ -30,10 +30,11 @@ the momentum form's qdd and the sample's report), and those functions
 keep their signatures, so the pass and the solve are shared this way
 rather than through a parameter.
 
-The closed-form Coriolis matrix and Christoffel symbols are contractions
-of one table: the Lie brackets [J_la, J_lb] of each body's body-fixed
-Jacobian columns, built once per configuration.  The Christoffel symbols
-are quadratic forms of those brackets against the body inertias, and the
+The closed-form Coriolis matrix and Christoffel symbols contract the one
+bracket table of :mod:`screwchain.kinematics` (``_bracket_table``, which
+``jacobian_partials`` masks): the Lie brackets [J_la, J_lb] of each
+body's body-fixed Jacobian columns.  The Christoffel symbols are
+quadratic forms of those brackets against the body inertias, and the
 Coriolis matrix uses the Jacobian rate, whose columns are brackets too
 (dJ_lj/dq_k = [J_lj, J_lk] for j < k).
 
@@ -47,7 +48,6 @@ to the potential-energy gradient).  ``fdyn`` inverts that relation, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,18 +55,21 @@ from .model import ChainModel, SpatialInertia, binet_inertia
 from .kinematics import (
     JointState,
     Twist,
+    _CROSS,
     _Frames,
     _PLAIN,
     _PoseStack,
+    _SE3_BRACKET,
     _SweepOps,
+    _bracket_table,
     _check_rep,
     _fk_stacks,
     _frame_table,
     _jacobian,
     _kinematics,
+    _pair_table,
     _rep_map,
     _twist_map,
-    jacobian,
 )
 from .se3 import (
     Pose,
@@ -300,7 +303,7 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     cnt = _Counter(work_rep, model.n)
     frames, cache = _kinematics(model, JointState(q, qd, qdd), work_rep, 1, cnt)
     ext = _loads(model, frames, applied, gravity, rep)
-    Q, W = _backward_sweep(model, frames, cache, ext, cnt)
+    Q, W = _backward_sweep(model, frames, cache.twists, cache.accels, ext, cnt)
     if full:
         return IdynResult(Q, W, cnt.report, work_rep)
     return Q
@@ -320,27 +323,26 @@ def _loads(model: ChainModel, frames: _Frames, applied, gravity: bool,
     return ext
 
 
-def _backward_sweep(model: ChainModel, frames: _Frames, cache, ext,
+def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
                     ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray]:
     """The one Newton-Euler wrench recursion, from the leaves to the roots,
-    over the frame table ``frames`` and the twists and accelerations of
-    ``cache``, the forward sweep over it.
+    over the frame table ``frames`` and the twists V and accelerations Vd
+    of all bodies in its representation.
 
     Each body's balance (body and spatial: M Vdot - ad^T_V M V; hybrid:
     M Vdot + [omega, M omega]) less its load ``ext`` joins the wrenches
     its children transmit; the sum is projected on the joint screw and
     carried to the parent.  The spatial form carries a wrench to the
     parent unchanged, so there the balances of all bodies are one
-    stacked product (:func:`_spatial_balances`), their subtree sums the
+    stacked product (:func:`_balances`), their subtree sums the
     joint wrenches and one row-wise product the joint forces.  Returns
     (joint forces, joint wrenches).
     """
     n = model.n
     rep = frames.rep
-    V, Vd = cache.twists, cache.accels
     x, xf = frames.screws, frames.parent
     if rep == "spatial":
-        W = _subtree_sums(model, _spatial_balances(frames.inertias, V, Vd, ops) - ext)
+        W = _subtree_sums(model, _balances(frames.inertias, V, Vd, ops) - ext)
         return np.einsum("ij,ij->i", x, W), W
     kind = "translations_screw" if rep == "hybrid" else None
     W = np.zeros((n, 6))
@@ -359,10 +361,11 @@ def _backward_sweep(model: ChainModel, frames: _Frames, cache, ext,
     return Q, W
 
 
-def _spatial_balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
-    """The spatial Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of
-    all bodies, one stacked product, from their spatial inertias, twists
-    and accelerations; the n co-brackets go through ``ops``."""
+def _balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
+    """The Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of all
+    bodies, one stacked product, from their inertias, twists and
+    accelerations in body or in spatial form (the two share the formula);
+    the n co-brackets go through ``ops``."""
     mv = inertias @ np.stack([V, Vd], axis=2)  # mv[i] = M_i [V_i, Vdot_i]
     return mv[..., 1] - ops.cobrackets(V, mv[..., 0])
 
@@ -387,10 +390,6 @@ def _path_sums(model: ChainModel, a) -> np.ndarray:
         if model.parent[i] >= 0:
             out[i] += out[model.parent[i]]
     return out
-
-
-# twists and accelerations of all bodies, as _backward_sweep reads them
-_Motion = NamedTuple("_Motion", [("twists", np.ndarray), ("accels", np.ndarray)])
 
 
 class _Configuration:
@@ -457,7 +456,7 @@ class _Configuration:
             V = self.twists(qd)
             vd = _path_sums(self.model, _PLAIN.brackets(V, self.frames.screws * qd[:, None]))
             loads = _loads(self.model, self.frames, applied, gravity, "body")
-            bias, _ = _backward_sweep(self.model, self.frames, _Motion(V, vd), loads)
+            bias, _ = _backward_sweep(self.model, self.frames, V, vd, loads)
             qdd = self.solve(tau - bias)
             for arr in (qdd, V, vd):
                 arr.setflags(write=False)
@@ -511,32 +510,6 @@ def _spd_solve(m, b, low=None) -> np.ndarray:
     elif not np.all(np.isfinite(b)):
         raise ValueError("array must not contain infs or NaNs")
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
-
-
-# Structure constants: (u x v)_x = _CROSS[x, y, z] u_y v_z, and for screws
-# ordered (angular, linear) [X, Y]_x = _SE3_BRACKET[x, y, z] X_y Y_z.
-_CROSS = np.zeros((3, 3, 3))
-_CROSS[0, 1, 2] = _CROSS[1, 2, 0] = _CROSS[2, 0, 1] = 1.0
-_CROSS[0, 2, 1] = _CROSS[2, 1, 0] = _CROSS[1, 0, 2] = -1.0
-_SE3_BRACKET = np.zeros((6, 6, 6))
-_SE3_BRACKET[:3, :3, :3] = _SE3_BRACKET[3:, 3:, :3] = _SE3_BRACKET[3:, :3, 3:] = _CROSS
-_CROSS.setflags(write=False)
-_SE3_BRACKET.setflags(write=False)
-
-
-def _pair_table(consts, u, v) -> np.ndarray:
-    """out[l, :, a, b] = the bilinear product with structure constants
-    ``consts`` of u[l, :, a] and v[l, :, b], for every body l."""
-    return np.einsum("xyz,lya,lzb->lxab", consts, u, v, optimize=True)
-
-
-def _bracket_table(model: ChainModel, q) -> tuple[np.ndarray, np.ndarray]:
-    """The body Jacobian as jb[l, :, j] = J_lj (zero off body l's path)
-    and the table br[l, :, a, b] = [J_la, J_lb] of the brackets of each
-    body's columns."""
-    n = model.n
-    jb = jacobian(model, q, "body").J.reshape(n, 6, n)
-    return jb, _pair_table(_SE3_BRACKET, jb, jb)
 
 
 def _mirror_upper(g) -> np.ndarray:
@@ -600,13 +573,12 @@ def christoffel(model: ChainModel, q, variant: str = "standard") -> np.ndarray:
 def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
                    gravity: bool = True) -> np.ndarray:
     """Virtual-power projection residual (J^b)^T of the stacked per-body
-    NE balances; zero at states consistent with the applied loads."""
+    NE balances (:func:`_balances` less the loads); zero at states
+    consistent with the applied loads."""
     frames, cache = _kinematics(model, JointState(q, qd, qdd), "body", 1)
     sj = _jacobian(model, frames.poses, "body")
     ext = _loads(model, frames, applied, gravity, "body")
-    stacked = [ne_wrench(cache.twists[i], cache.accels[i], frames.inertias[i])
-               - ext[i] for i in range(model.n)]
-    return sj.J.T @ np.concatenate(stacked)
+    return sj.J.T @ (_balances(frames.inertias, cache.twists, cache.accels) - ext).reshape(-1)
 
 
 def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
@@ -655,7 +627,7 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     qd = cfg.solve(np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))
     qdd, V, vd = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
     # accelerations are affine in qdd: add the joint terms to those at qdd = 0
-    return _spatial_balances(cfg.frames.inertias, V, cfg.twists(qdd) + vd), qd
+    return _balances(cfg.frames.inertias, V, cfg.twists(qdd) + vd), qd
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:

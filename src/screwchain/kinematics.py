@@ -1,4 +1,5 @@
-"""POE forward kinematics, twist propagation, Jacobians, and derivatives.
+"""POE forward kinematics, twist propagation, Jacobians and their partial
+derivatives.
 
 Forward kinematics evaluates each joint exponential exp(q X) in closed
 form from tables the model built at load: for the revolute and helical
@@ -42,6 +43,12 @@ hybrid-to-mixed map blockdiag(R^T, I), at every differentiation level.
 At the jerk level this is a transformation convention (it is not the
 plain second time derivative of the mixed twist, whose angular part
 picks up an extra omega x omega-dot term).
+
+Every partial of a Jacobian column is a Lie bracket of columns, so one
+table of the brackets [J_la, J_lb] of each body's columns
+(:func:`_bracket_table`) gives all first partials at once
+(:func:`jacobian_partials`), which the single-entry partials index;
+:mod:`screwchain.dynamics` contracts the same table.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ __all__ = [
     "jacobian_partial",
     "jacobian_partial_n",
     "hybrid_jacobian_partial2",
-    "DerivativeWorkspace",
+    "jacobian_partials",
     "accel_ik",
     "convert_twist",
 ]
@@ -122,11 +129,8 @@ class Twist:
 
 @dataclass
 class KinematicsCache:
-    """Per-body kinematic quantities from one forward sweep, with the
-    instantaneous joint screws and the screw transformations from each
-    parent's twist (None where there is none) of the frame table the
-    sweep read (:func:`_frame_table`); ``poses`` and ``rel_poses`` are
-    built from the pose stacks on first read."""
+    """Per-body kinematic quantities from one forward sweep; ``poses`` and
+    ``rel_poses`` are built from the pose stacks on first read."""
 
     rep: str
     pose_stack: _PoseStack
@@ -134,8 +138,6 @@ class KinematicsCache:
     twists: np.ndarray
     accels: np.ndarray | None = None
     jerks: np.ndarray | None = None
-    joint_screws: np.ndarray | None = None
-    parent_transforms: list | None = None
 
     poses = cached_property(lambda self: self.pose_stack.poses())
     rel_poses = cached_property(lambda self: self.rel_stack.poses())
@@ -489,9 +491,7 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
                     Vdd[i] += (ops.xform(xf[i], Vdd[p], kind="translations_screw")
                                + 2.0 * ops.bracket(rdot_rel, Vd[p])
                                + ops.bracket(rddot_rel, V[p]))
-    xfs = [None if p < 0 or xf is None else xf[i] for i, p in enumerate(model.parent)]
-    return KinematicsCache(rep, frames.poses, frames.rels, V, Vd, Vdd,
-                           joint_screws=x, parent_transforms=xfs)
+    return KinematicsCache(rep, frames.poses, frames.rels, V, Vd, Vdd)
 
 
 def _kinematics(model: ChainModel, state: JointState, rep: str, level: int,
@@ -537,39 +537,73 @@ def jerks(model: ChainModel, state: JointState, rep: str = "body") -> Kinematics
 # Partial derivatives of the Jacobian
 # --------------------------------------------------------------------------
 
-def _hybrid_partial_general(ws: DerivativeWorkspace, i, j, k) -> np.ndarray:
-    """Exact d J^h_{i,j} / d q_k for any index triple, by the product rule
-    on J^h_ij = Ad(-r_i) js_j: the translation gives [(0, -v_ik), J^h_ij]
-    (the bracket form [J^h_ij, (0, v_ik)]) and the spatial screw, which
-    moves only with the joints on its own path, adds [J^h_ik, J^h_ij]
-    when k is on the path of j."""
-    model = ws.model
-    if not (model.on_path(j, i) and model.on_path(k, i)):
-        return np.zeros(6)
-    jh = ws.jacobian("hybrid")
-    col_ij, col_ik = jh.column(i, j), jh.column(i, k)
-    out = lie_bracket(screw(np.zeros(3), -col_ik[3:]), col_ij)
-    if model.on_path(k, j):
-        out += lie_bracket(col_ik, col_ij)
-    return out
+# Structure constants: (u x v)_x = _CROSS[x, y, z] u_y v_z, and for screws
+# ordered (angular, linear) [X, Y]_x = _SE3_BRACKET[x, y, z] X_y Y_z.
+_CROSS = np.zeros((3, 3, 3))
+_CROSS[0, 1, 2] = _CROSS[1, 2, 0] = _CROSS[2, 0, 1] = 1.0
+_CROSS[0, 2, 1] = _CROSS[2, 1, 0] = _CROSS[1, 0, 2] = -1.0
+_SE3_BRACKET = np.zeros((6, 6, 6))
+_SE3_BRACKET[:3, :3, :3] = _SE3_BRACKET[3:, 3:, :3] = _SE3_BRACKET[3:, :3, 3:] = _CROSS
+_CROSS.setflags(write=False)
+_SE3_BRACKET.setflags(write=False)
+
+
+def _pair_table(consts, u, v) -> np.ndarray:
+    """out[l, :, a, b] = the bilinear product with structure constants
+    ``consts`` of u[l, :, a] and v[l, :, b], for every body l."""
+    return np.einsum("xyz,lya,lzb->lxab", consts, u, v, optimize=True)
+
+
+def _bracket_table(model: ChainModel, q, rep: str = "body") -> tuple[np.ndarray, np.ndarray]:
+    """The ``rep`` Jacobian as jb[l, :, j] = J_lj (zero off body l's path)
+    and the table br[l, :, a, b] = [J_la, J_lb] of the brackets of each
+    body's columns."""
+    n = model.n
+    jb = jacobian(model, q, rep).J.reshape(n, 6, n)
+    return jb, _pair_table(_SE3_BRACKET, jb, jb)
+
+
+def jacobian_partials(model: ChainModel, q, rep: str = "body") -> np.ndarray:
+    """Every first partial of the Jacobian at q, as one (n, 6, n, n) table
+    D[i, :, j, k] = d(block (i, j)) / d q_k, zero where joint j is off
+    body i's path.  Each partial is a Lie bracket of Jacobian columns, so
+    the table is the column brackets [J_ia, J_ib] of one Jacobian
+    (:func:`_bracket_table`) under a mask:
+
+    - body: [J_ij, J_ik] for j < k, zero for k <= j;
+    - spatial: [J_kk, J_jj] for joint k strictly above joint j, else zero;
+    - hybrid: the product rule on J^h_ij = Ad(-r_i) js_j,
+      [(0, -v_ik), J_ij] + [J_ik, J_ij] when k is on the path of j, with
+      v_ik the linear part of J_ik.
+    """
+    _check_rep(rep, ("body", "spatial", "hybrid"))
+    jb, br = _bracket_table(model, q, rep)
+    if rep == "body":
+        return np.triu(br, 1)
+    on_path = model.tables.on_path  # on_path[k, j]: k is on the path of j
+    if rep == "spatial":
+        above = on_path & ~np.eye(model.n, dtype=bool)
+        return np.where(above.T, br.swapaxes(2, 3), 0.0)
+    d = np.where(on_path.T, br.swapaxes(2, 3), 0.0)
+    d[:, 3:] += _pair_table(_CROSS, jb[:, :3], jb[:, 3:])  # [(0, -v_ik), J_ij]
+    return d
+
+
+def _check_indices(fn: str, n: int, *indices):
+    """IndexError from ``fn`` unless every index names one of n bodies."""
+    for idx in indices:
+        if not 0 <= idx < n:
+            raise IndexError(f"{fn}: index {idx} out of range")
 
 
 def jacobian_partial(model: ChainModel, q, rep: str, i: int, j: int, k: int) -> np.ndarray:
-    """Partial derivative of one Jacobian column w.r.t. one joint variable.
-
-    Body: [J_ij, J_ik] for j < k on the path of i, else zero.
-    Spatial: [J_k, J_j] for k < j on the path of j, else zero (the column
-    index i is ignored, spatial columns are joint-intrinsic).
-    Hybrid: [J_ij, linear part of J_ik] on the bracket form's domain
-    j <= k <= i; for k < j the column still varies (its angular part
-    rides on earlier joints), and the product rule adds [J_ik, J_ij].
-    """
+    """Partial derivative of one Jacobian column w.r.t. one joint variable,
+    entry D[i, :, j, k] of :func:`jacobian_partials`; the spatial column
+    index i is ignored (spatial columns are joint-intrinsic), so that
+    form reads D[j, :, j, k]."""
     _check_rep(rep, ("body", "spatial", "hybrid"))
-    n = model.n
-    for name, idx in (("i", i), ("j", j), ("k", k)):
-        if not 0 <= idx < n:
-            raise IndexError(f"jacobian_partial: index {name}={idx} out of range")
-    return DerivativeWorkspace(model, q).partial(rep, i, j, k)
+    _check_indices("jacobian_partial", model.n, i, j, k)
+    return jacobian_partials(model, q, rep)[j if rep == "spatial" else i, :, j, k]
 
 
 def jacobian_partial_n(model: ChainModel, q, rep: str, i: int, j: int,
@@ -581,14 +615,24 @@ def jacobian_partial_n(model: ChainModel, q, rep: str, i: int, j: int,
     spatial representations have closed forms at order >= 2.
     """
     _check_rep(rep, ("body", "spatial"))
-    n = model.n
     beta = sorted(int(b) for b in multi_index)
     if len(beta) < 1:
         raise ValueError("jacobian_partial_n: empty multi-index")
-    for idx in (i, j, *beta):
-        if not 0 <= idx < n:
-            raise IndexError(f"jacobian_partial_n: index {idx} out of range")
-    return DerivativeWorkspace(model, q).partial_n(rep, i, j, beta)
+    _check_indices("jacobian_partial_n", model.n, i, j, *beta)
+    sj = jacobian(model, q, rep)
+    if rep == "body":  # the columns off body i's path are zero
+        if beta[0] <= j:
+            return np.zeros(6)
+        acc = sj.column(i, j)
+        for b in beta:
+            acc = lie_bracket(acc, sj.column(i, b))
+        return acc
+    if any(not (b < j and model.on_path(b, j)) for b in beta):
+        return np.zeros(6)
+    acc = sj.column(j, j)
+    for b in reversed(beta):
+        acc = lie_bracket(sj.column(b, b), acc)
+    return acc
 
 
 def hybrid_jacobian_partial2(model: ChainModel, q, i: int, j: int, k: int,
@@ -596,77 +640,17 @@ def hybrid_jacobian_partial2(model: ChainModel, q, i: int, j: int, k: int,
     """Second partial of a hybrid Jacobian column w.r.t. q_k then q_r.
 
     Differentiates the first-order bracket form once more: product rule
-    over both bracket arguments, with the exact first partials inside.
-    Defined on the first-order domain j <= k <= i (zero otherwise).
+    over both bracket arguments, with the exact first partials of the
+    hybrid :func:`jacobian_partials` table inside.  Defined on the
+    first-order domain j <= k <= i (zero otherwise).
     """
-    n = model.n
-    for idx in (i, j, k, r):
-        if not 0 <= idx < n:
-            raise IndexError("hybrid_jacobian_partial2: index out of range")
+    _check_indices("hybrid_jacobian_partial2", model.n, i, j, k, r)
     if not (j <= k and model.on_path(j, i) and model.on_path(k, i) and model.on_path(r, i)):
         return np.zeros(6)
-    ws = DerivativeWorkspace(model, q)
-    jh = ws.jacobian("hybrid")
-    d_j_r = _hybrid_partial_general(ws, i, j, r)
-    d_k_r = _hybrid_partial_general(ws, i, k, r)
-    return (lie_bracket(d_j_r, screw(np.zeros(3), jh.column(i, k)[3:]))
-            + lie_bracket(jh.column(i, j), screw(np.zeros(3), d_k_r[3:])))
-
-
-class DerivativeWorkspace:
-    """Lazy, memoizing front end for repeated derivative queries at one q.
-
-    Forward kinematics runs once (``poses`` is its absolute pose stack);
-    the system Jacobian of each representation is built on first use and
-    its columns serve every subsequent partial-derivative call.
-    """
-
-    def __init__(self, model: ChainModel, q):
-        self.model = model
-        self.q = np.asarray(q, dtype=float).reshape(model.n)
-        self.poses = _fk_stacks(model, self.q)[0]
-        self._jacobians: dict[str, SystemJacobian] = {}
-
-    def jacobian(self, rep: str) -> SystemJacobian:
-        if rep not in self._jacobians:
-            self._jacobians[rep] = _jacobian(self.model, self.poses, rep)
-        return self._jacobians[rep]
-
-    def partial(self, rep: str, i: int, j: int, k: int) -> np.ndarray:
-        _check_rep(rep, ("body", "spatial", "hybrid"))
-        model = self.model
-        if rep == "spatial":
-            if not (k < j and model.on_path(k, j)):
-                return np.zeros(6)
-            js = self.jacobian("spatial")
-            return lie_bracket(js.column(k, k), js.column(j, j))
-        if rep == "hybrid":
-            return _hybrid_partial_general(self, i, j, k)
-        if not (j < k and model.on_path(j, i) and model.on_path(k, i)):
-            return np.zeros(6)
-        jb = self.jacobian("body")
-        return lie_bracket(jb.column(i, j), jb.column(i, k))
-
-    def partial_n(self, rep: str, i: int, j: int, multi_index) -> np.ndarray:
-        _check_rep(rep, ("body", "spatial"))
-        model = self.model
-        beta = sorted(int(b) for b in multi_index)
-        if rep == "body":
-            if (any(not model.on_path(b, i) for b in beta)
-                    or not model.on_path(j, i) or beta[0] <= j):
-                return np.zeros(6)
-            jb = self.jacobian("body")
-            acc = jb.column(i, j)
-            for b in beta:
-                acc = lie_bracket(acc, jb.column(i, b))
-            return acc
-        if any(not (b < j and model.on_path(b, j)) for b in beta):
-            return np.zeros(6)
-        js = self.jacobian("spatial")
-        acc = js.column(j, j)
-        for b in reversed(beta):
-            acc = lie_bracket(js.column(b, b), acc)
-        return acc
+    jh, d = jacobian(model, q, "hybrid"), jacobian_partials(model, q, "hybrid")
+    zero3 = np.zeros(3)
+    return (lie_bracket(d[i, :, j, r], screw(zero3, jh.column(i, k)[3:]))
+            + lie_bracket(jh.column(i, j), screw(zero3, d[i, 3:, k, r])))
 
 
 # --------------------------------------------------------------------------
@@ -676,25 +660,21 @@ class DerivativeWorkspace:
 def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
     """Joint accelerations from consistent body-fixed twists/accelerations.
 
-    Per joint: qdd_i = X_i . (Vdot_i - Ad Vdot_parent + qd_i [X_i, V_i])
-    / |X_i|^2, with qd_i recovered by the same projection at velocity level.
+    Per joint: qdd_i = X_i . (Vdot_i - A_i Vdot_p + qd_i [X_i, V_i]) / |X_i|^2,
+    with A_i = Ad(rel_i)^-1 the parent transform of the body frame table and
+    qd_i recovered by the same projection at velocity level; all bodies at
+    once, with X_i . A_i V_p read as (A_i^T X_i) . V_p.
     """
     n = model.n
     V = np.asarray(body_twists, dtype=float).reshape(n, 6)
     Vd = np.asarray(body_accels, dtype=float).reshape(n, 6)
     frames = _frame_table(model, *_fk_stacks(model, q), "body")
-    qdd = np.zeros(n)
-    for i in range(n):
-        p = model.parent[i]
-        x = frames.screws[i]
-        norm2 = float(x @ x)
-        ad_rel = frames.parent[i]
-        vp = V[p] if p >= 0 else np.zeros(6)
-        vdp = Vd[p] if p >= 0 else np.zeros(6)
-        qd_i = float(x @ (V[i] - ad_rel @ vp)) / norm2
-        qdd[i] = float(x @ (Vd[i] - ad_rel @ vdp
-                            + qd_i * lie_bracket(x, V[i]))) / norm2
-    return qdd
+    x, par = frames.screws, np.asarray(model.parent)
+    xa = np.where(par[:, None] >= 0, _PLAIN.xforms(frames.parent.swapaxes(1, 2), x), 0.0)
+    norm2 = np.einsum("ij,ij->i", x, x)
+    qd = (np.einsum("ij,ij->i", x, V) - np.einsum("ij,ij->i", xa, V[par])) / norm2
+    return (np.einsum("ij,ij->i", x, Vd + qd[:, None] * _PLAIN.brackets(x, V))
+            - np.einsum("ij,ij->i", xa, Vd[par])) / norm2
 
 
 def convert_twist(t: Twist, target_rep: str, poses) -> Twist:

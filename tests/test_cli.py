@@ -193,6 +193,21 @@ def test_idyn_overflowing_row_exit_3_with_one_error_line(tmp_path, capsys):
     assert err == "error: non-finite torque encountered\n"
 
 
+@pytest.mark.parametrize("rep", ["body", "spatial"])
+def test_fk_twists_overflowing_row_exit_3_with_one_error_line(tmp_path, capsys, rep):
+    # the second row's twists overflow to inf and NaN: the first row is
+    # already written, and the check names the row without numpy's
+    # RuntimeWarning lines (which pytest would raise)
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, [0.0, 0.1], [np.array([[0.1] * 6, [1e308] * 6]) for _ in range(3)])
+    out = tmp_path / "out.csv"
+    assert run_cli("fk", "--model", MODEL_6R, "--traj", str(traj), "--twists",
+                   "--rep", rep, "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: non-finite twist in data row 2\n"
+    written = read_csv(out)
+    assert written.shape == (1, 1 + 6 * 6) and np.all(np.isfinite(written))
+
+
 def test_idyn_rep_mixed_matches_body(tmp_path, rng):
     traj = tmp_path / "traj.csv"
     write_traj(traj, np.arange(3) * 0.1, [rng.normal(size=(3, 6)) for _ in range(3)])

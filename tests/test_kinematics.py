@@ -6,7 +6,7 @@ from screwchain.cli import _benchmark_chain
 from screwchain.kinematics import (
     JointState, Twist, accel_ik, accelerations, convert_twist, fk, fk_body_form,
     hybrid_jacobian_partial2, jacobian, jacobian_partial, jacobian_partial_n,
-    jerks, twists,
+    jacobian_partials, jerks, twists,
 )
 from screwchain.model import BodyModel, ChainModel, JointModel
 from screwchain.se3 import Pose, ad_matrix, adjoint, adjoint_rot, lie_bracket, screw
@@ -483,20 +483,20 @@ def test_jacobian_partial_n_rejects_hybrid(rng):
         jacobian_partial_n(model, np.zeros(3), "hybrid", 2, 0, (1, 2))
 
 
-def test_derivative_workspace_matches_free_functions(rng):
-    from screwchain.kinematics import DerivativeWorkspace
-
-    model = random_chain(rng, 5, tree=True)
-    q = rng.normal(size=5)
-    ws = DerivativeWorkspace(model, q)
-    for _ in range(30):
-        i, j, k, r = (int(v) for v in rng.integers(0, 5, size=4))
-        for rep in REPS3:
-            assert np.array_equal(ws.partial(rep, i, j, k),
-                                  jacobian_partial(model, q, rep, i, j, k))
-        for rep in ("body", "spatial"):
-            assert np.array_equal(ws.partial_n(rep, i, j, (k, r)),
-                                  jacobian_partial_n(model, q, rep, i, j, (k, r)))
+def test_jacobian_partials_match_central_differences(rng):
+    # every entry D[i, :, j, k] of the three tables against central
+    # differences of the whole Jacobian in q_k, on one 6-body tree
+    n, h = 6, 1e-5
+    model = random_chain(rng, n, tree=True)
+    q = rng.normal(size=n)
+    for rep in REPS3:
+        fd = np.zeros((n, 6, n, n))
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = h
+            fd[..., k] = (jacobian(model, q + e, rep).J
+                          - jacobian(model, q - e, rep).J).reshape(n, 6, n) / (2 * h)
+        assert np.abs(jacobian_partials(model, q, rep) - fd).max() < 1e-7
 
 
 def test_time_derivative_of_spatial_jacobian(rng):

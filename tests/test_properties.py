@@ -3,7 +3,8 @@ and helical joints: the closed-form forward kinematics against products
 of joint exponentials; the recursive sweeps against each other, against
 the closed-form motion of the configuration pass, against the forward
 dynamics, and against the closed-form mass matrix and jerks; the
-Jacobian and the twist and wrench conversions against per-pair oracles;
+Jacobian, its table of first partials and the twist and wrench
+conversions against per-pair oracles;
 the Christoffel symbols and the Coriolis matrix against bracket-by-bracket
 loops and the matrix form."""
 
@@ -11,13 +12,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    _Configuration, _Motion, _backward_sweep, _loads, christoffel, convert_wrench,
+    _Configuration, _backward_sweep, _loads, christoffel, convert_wrench,
     coriolis_matrix, fdyn, gravity_wrenches, idyn, mass_matrix, momentum_rhs, ne_wrench,
     spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import (
     REPS, JointState, Twist, _fk_stacks, _forward_sweep, _frame_table, accelerations,
-    convert_twist, fk, fk_body_form, jacobian, jerks, twists,
+    convert_twist, fk, fk_body_form, jacobian, jacobian_partials, jerks, twists,
 )
 from screwchain.model import binet_inertia
 from screwchain.se3 import (
@@ -346,7 +347,7 @@ def test_stacked_spatial_balances_match_per_body_loop(case):
     frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
     cache = _forward_sweep(model, frames, JointState(q, qd, qdd), 1)
     ext = _loads(model, frames, wb, True, "body")
-    got = _backward_sweep(model, frames, cache, ext)
+    got = _backward_sweep(model, frames, cache.twists, cache.accels, ext)
     expect = spatial_backward_oracle(model, cache.twists, cache.accels, frames.inertias,
                                      frames.screws, ext)
     for g, e in zip(got, expect):
@@ -373,8 +374,8 @@ def test_configuration_motion_and_bias_match_recursive_sweeps(case, gravity, loa
     qdd, V, vd = cfg.accel(qd, tau, applied, gravity)
     cache = _forward_sweep(model, cfg.frames, JointState(q, qd), 1)
     loads = _loads(model, cfg.frames, applied, gravity, "body")
-    got = _backward_sweep(model, cfg.frames, _Motion(V, vd), loads)
-    expect = _backward_sweep(model, cfg.frames, cache, loads)
+    got = _backward_sweep(model, cfg.frames, V, vd, loads)
+    expect = _backward_sweep(model, cfg.frames, cache.twists, cache.accels, loads)
     for g, e in [(V, cache.twists), (vd, cache.accels), *zip(got, expect)]:
         assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
     assert np.array_equal(qdd, cfg.solve(tau - got[0]))
@@ -436,6 +437,40 @@ def test_jacobian_matches_per_pair_oracle(case):
             if rep == "mixed":
                 x_j = convert_twist_oracle(x_j, "hybrid", "mixed", poses[j])
             assert_close(sj.column(j, j), x_j)
+
+
+def jacobian_partials_oracle(model, q, rep):
+    """The first partials D[i, :, j, k] of the Jacobian entry by entry, from
+    the bracket formulas on per-pair oracle columns: body [J_ij, J_ik] for
+    j < k; spatial [J_kk, J_jj] for k strictly above j; hybrid
+    [(0, -v_ik), J_ij], plus [J_ik, J_ij] when k is on the path of j; zero
+    off body i's path."""
+    n = model.n
+    col = JacobianOracle(model, q, rep).column
+    out = np.zeros((n, 6, n, n))
+    for i in range(n):
+        for j in model.path(i):
+            for k in model.path(i):
+                if rep == "body" and j < k:
+                    out[i, :, j, k] = lie_bracket(col(i, j), col(i, k))
+                elif rep == "spatial" and k < j:
+                    out[i, :, j, k] = lie_bracket(col(k, k), col(j, j))
+                elif rep == "hybrid":
+                    out[i, :, j, k] = lie_bracket(screw(np.zeros(3), -col(i, k)[3:]),
+                                                  col(i, j))
+                    if model.on_path(k, j):
+                        out[i, :, j, k] += lie_bracket(col(i, k), col(i, j))
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_jacobian_partials_match_bracket_oracle(case):
+    model, q = case[:2]
+    for rep in ("body", "spatial", "hybrid"):
+        want = jacobian_partials_oracle(model, q, rep)
+        got = jacobian_partials(model, q, rep)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @PROPERTY_SETTINGS

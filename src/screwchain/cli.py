@@ -39,13 +39,13 @@ def _fmt_row(values):
     return ",".join(FMT % v for v in values)
 
 
-def _write_csv(path, header, rows):
-    """Write the header and then one line per row as it is formatted, so
-    that the text of the whole table is never held in memory (nor the
+def _write_csv(path, header, rows, fmt=_fmt_row):
+    """Write the header and then one line per row as ``fmt`` formats it,
+    so that the text of the whole table is never held in memory (nor the
     rows, when ``rows`` computes them as it is iterated)."""
     def emit(fh):
         fh.write(",".join(header) + "\n")
-        fh.writelines(_fmt_row(r) + "\n" for r in rows)
+        fh.writelines(fmt(r) + "\n" for r in rows)
 
     if path is None or path == "-":
         emit(sys.stdout)
@@ -68,16 +68,17 @@ def _load_model_checked(path) -> ChainModel:
 
 def _load_table(path, what):
     """Numeric CSV table below one header line; every entry must be finite
-    and the times in the first column strictly increasing."""
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns on a table without rows; that is reported below
-            warnings.simplefilter("ignore", UserWarning)
+    and the times in the first column strictly increasing.  Every message
+    names its cell by 1-based data row and column (:func:`_table_fault`)."""
+    with warnings.catch_warnings():
+        # loadtxt warns on a table without rows; that is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        try:
             raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as err:
-        raise CliError(EXIT_IO, f"cannot read {what}: {err}") from None
-    except ValueError as err:
-        raise CliError(EXIT_VALIDATION, f"malformed {what} CSV: {err}") from None
+        except OSError as err:
+            raise CliError(EXIT_IO, f"cannot read {what}: {err}") from None
+        except ValueError:
+            raise CliError(EXIT_VALIDATION, f"{what} {_table_fault(path)}") from None
     if raw.shape[0] == 0:
         raise CliError(EXIT_VALIDATION, f"{what} has no data rows")
     bad = np.argwhere(~np.isfinite(raw))
@@ -88,6 +89,29 @@ def _load_table(path, what):
     if np.any(np.diff(raw[:, 0]) <= 0):
         raise CliError(EXIT_VALIDATION, f"{what} times must be strictly increasing")
     return raw
+
+
+def _table_fault(path) -> str:
+    """Where np.loadtxt refused the table at ``path``, read as it reads it
+    ('#' starts a comment, empty lines are skipped): the first row whose
+    width differs from the first row's, or the first cell that is not a number."""
+    with open(path, "rb") as fh:
+        lines = fh.read().decode("utf-8", errors="replace").split("\n")[1:]
+    rows = [cells for cells in (line.removesuffix("\r").split("#")[0].split(",")
+                                for line in lines) if cells != [""]]
+    for r, cells in enumerate(rows, 1):
+        k, width = len(cells), len(rows[0])
+        if k != width:
+            return (f"data row {r}, column {min(k, width) + 1}: the row has {k} columns, "
+                    f"data row 1 has {width}")
+        for c, cell in enumerate(cells, 1):
+            try:
+                if np.loadtxt([cell], delimiter=",", ndmin=1).size == 1:
+                    continue
+            except ValueError:
+                pass
+            return f"data row {r}, column {c}: {cell.strip()!r} is not a number"
+    return "is not a CSV table of numbers"
 
 
 def _read_traj(path, n, need=1):
@@ -328,44 +352,26 @@ def cmd_benchmark(args):
               "pred_rot", "pred_trans", "meas_screw", "meas_tensor",
               "meas_brackets", "meas_rot", "meas_trans", "exact_match",
               "median_wall_s"]
-    lines = [",".join(header)]
-    all_match = True
+    fields = ("frame_transforms_screw", "frame_transforms_tensor", "lie_brackets",
+              "rotations_screw", "translations_screw")
+    rows = []
     for rep in reps:
         for n in sizes:
             model = _benchmark_chain(n)
             rng = np.random.default_rng(1234)
             q, qd, qdd = (rng.normal(size=n) for _ in range(3))
-            res = dyn.idyn(model, q, qd, qdd, rep, gravity=False, full=True)
+            meas = dyn.idyn(model, q, qd, qdd, rep, gravity=False, full=True).report
             pred = dyn.predict_op_counts(rep, n)
-            meas = res.report
-            match = (meas.frame_transforms_screw == pred.frame_transforms_screw
-                     and meas.frame_transforms_tensor == pred.frame_transforms_tensor
-                     and meas.lie_brackets == pred.lie_brackets
-                     and meas.rotations_screw == pred.rotations_screw
-                     and meas.translations_screw == pred.translations_screw)
-            all_match = all_match and match
             samples = []
             for _ in range(args.trials):
                 tic = time.perf_counter()
                 dyn.idyn(model, q, qd, qdd, rep, gravity=False)
                 samples.append(time.perf_counter() - tic)
-            wall = float(np.median(samples))
-            lines.append(",".join(str(v) for v in (
-                rep, n, pred.frame_transforms_screw, pred.frame_transforms_tensor,
-                pred.lie_brackets, pred.rotations_screw, pred.translations_screw,
-                meas.frame_transforms_screw, meas.frame_transforms_tensor,
-                meas.lie_brackets, meas.rotations_screw, meas.translations_screw,
-                int(match), FMT % wall)))
-    text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise CliError(EXIT_IO, f"cannot write {args.out}: {err}") from None
-    return EXIT_OK if all_match else EXIT_NUMERICAL
+            rows.append([rep, n, *(getattr(pred, f) for f in fields),
+                         *(getattr(meas, f) for f in fields), int(meas == pred),
+                         FMT % float(np.median(samples))])
+    _write_csv(args.out, header, rows, fmt=lambda row: ",".join(str(v) for v in row))
+    return EXIT_OK if all(row[-2] for row in rows) else EXIT_NUMERICAL
 
 
 # --------------------------------------------------------------------------
@@ -408,8 +414,9 @@ def _build_parser():
     p.add_argument("--no-gravity", action="store_true")
     p.set_defaults(fn=cmd_idyn)
 
-    for name in ("simulate", "fdyn"):
-        p = sub.add_parser(name, help="integrate the chain forward in time")
+    for name, text in (("simulate", "integrate the chain forward in time"),
+                       ("fdyn", "alias of simulate")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--model", required=True)
         p.add_argument("--q0", default=None, help="initial joint positions")
         p.add_argument("--qd0", default=None, help="initial joint rates")

@@ -5,38 +5,34 @@ and the spatial-momentum phase-space form.
 
 Recursive Newton-Euler is one algorithm in three representations: the
 forward sweep of :mod:`screwchain.kinematics` followed by the one backward
-wrench sweep here.  Both read the frame table of their representation
-(:func:`screwchain.kinematics._frame_table`): the joint screws, inertias,
-parent transforms and gravity loads of all bodies, one stacked product
-each.  ``idyn`` builds that table and runs the two sweeps.  Everything
-else reads one configuration pass (:class:`_Configuration`): the pose
-stacks of ``fk_body_form`` once, the spatial frame table at them and the
-composite-rigid-body mass matrix.  ``fdyn`` and ``momentum_rhs`` need
-no forward sweep: their bias J^T (M Jdot qd - ad^T_V M V - loads) is
-closed-form, since the spatial Jacobian's column rates are brackets,
-Jdot^s_j = [V_j, X^s_j].  The backward sweep's spatial branch reads it
-from the pass's path sums, and the mass matrix's Cholesky factor, made
-once per pass, solves.  That branch needs no frame transform: the
-balances of all bodies are one stacked product
-(:func:`_balances`), which also gives the momentum form's rates.
+wrench sweep here, both over the frame table of their representation
+(:func:`screwchain.kinematics._frame_table`).  ``idyn`` builds that
+table and runs the two sweeps.  Everything else reads one configuration
+pass (:class:`_Configuration`): the pose stacks once, the spatial frame
+table at them and the composite-rigid-body mass matrix, whose inverse
+Cholesky factor, made once per pass, solves.  ``fdyn`` and
+``momentum_rhs`` need no forward sweep: their bias
+J^T (M Jdot qd - ad^T_V M V - loads) is closed-form, since the spatial
+Jacobian's column rates are brackets, Jdot^s_j = [V_j, X^s_j], and the
+sums over paths and subtrees are products with the model's path matrix.
+The spatial backward sweep needs no frame transform: the balances of all
+bodies are one stacked product (:func:`_balances`), which also gives the
+momentum form's rates.
 
 The last configuration pass is kept, read-only, and reused by the next
 call at the same model object and the same bytes of q
 (:func:`_configuration`); so is the last bias solve of that pass, for
 the next call with the same bytes of qd, tau and applied wrenches and
 the same gravity switch.  A simulation sample needs its configuration
-more than once through the public functions (its first RK4 stage, then
-the momentum form's qdd and the sample's report), and those functions
-keep their signatures, so the pass and the solve are shared this way
-rather than through a parameter.
+more than once through the public functions, which keep their
+signatures, so the pass and the solve are shared this way rather than
+through a parameter.
 
 The closed-form Coriolis matrix and Christoffel symbols contract the one
-bracket table of :mod:`screwchain.kinematics` (``_bracket_table``, which
-``jacobian_partials`` masks): the Lie brackets [J_la, J_lb] of each
-body's body-fixed Jacobian columns.  The Christoffel symbols are
-quadratic forms of those brackets against the body inertias, and the
-Coriolis matrix uses the Jacobian rate, whose columns are brackets too
-(dJ_lj/dq_k = [J_lj, J_lk] for j < k).
+bracket table of :mod:`screwchain.kinematics` (``_bracket_table``): the
+Lie brackets [J_la, J_lb] of each body's body-fixed Jacobian columns,
+against the body inertias; the Coriolis matrix's Jacobian rate has
+bracket columns too (dJ_lj/dq_k = [J_lj, J_lk] for j < k).
 
 Sign conventions: ``idyn`` returns the generalized joint forces required to
 realize the given motion, with gravity and user wrenches entering as external
@@ -262,16 +258,6 @@ def ne_wrench_arbitrary(model: ChainModel, state: JointState, i: int,
     return w - ad_matrix(vk_i).T @ (mk_i @ vk_i)
 
 
-def wrench_to_spatial(w, j: int | None, k: int | None, poses) -> np.ndarray:
-    """Map a wrench measured at frame j, resolved in frame k, back to the
-    spatial representation (inverse transport of ne_wrench_arbitrary)."""
-    cj = Pose.identity() if j is None else poses[j]
-    ck = Pose.identity() if k is None else poses[k]
-    r_kj = ck.rot.T @ cj.rot
-    wj = adjoint_rot(r_kj).T @ np.asarray(w, dtype=float)
-    return np.linalg.solve(adjoint(cj).T, wj)
-
-
 # --------------------------------------------------------------------------
 # Recursive inverse dynamics in three representations
 # --------------------------------------------------------------------------
@@ -366,8 +352,8 @@ def _balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
     bodies, one stacked product, from their inertias, twists and
     accelerations in body or in spatial form (the two share the formula);
     the n co-brackets go through ``ops``."""
-    mv = inertias @ np.stack([V, Vd], axis=2)  # mv[i] = M_i [V_i, Vdot_i]
-    return mv[..., 1] - ops.cobrackets(V, mv[..., 0])
+    mv = (inertias @ np.array([V, Vd])[..., None])[..., 0]  # M_i V_i and M_i Vdot_i
+    return mv[1] - ops.cobrackets(V, mv[0])
 
 
 # --------------------------------------------------------------------------
@@ -375,21 +361,17 @@ def _balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _subtree_sums(model: ChainModel, a) -> np.ndarray:
-    """a[i] summed over the subtree rooted at body i (leaves to roots)."""
-    out = np.array(a, dtype=float)
-    for i in range(model.n - 1, -1, -1):
-        if model.parent[i] >= 0:
-            out[model.parent[i]] += out[i]
-    return out
+    """a[i] summed over the subtree rooted at body i, one product with the
+    path matrix: a non-finite entry makes every body's sum NaN (0 * inf)."""
+    a = np.asarray(a, dtype=float)
+    return (model.tables.path @ a.reshape(model.n, -1)).reshape(a.shape)
 
 
 def _path_sums(model: ChainModel, a) -> np.ndarray:
-    """a[i] summed over the path from the root down to body i."""
-    out = np.array(a, dtype=float)
-    for i in range(model.n):
-        if model.parent[i] >= 0:
-            out[i] += out[model.parent[i]]
-    return out
+    """a[i] summed over the path from the root down to body i, one product
+    with the path matrix as in :func:`_subtree_sums`, and NaN as there."""
+    a = np.asarray(a, dtype=float)
+    return (model.tables.path.T @ a.reshape(model.n, -1)).reshape(a.shape)
 
 
 class _Configuration:
@@ -405,10 +387,11 @@ class _Configuration:
     over the path to body i (:meth:`twists`) and, as Jdot_j = [V_j, js_j],
     the acceleration at qdd = 0 sums qd_j [V_j, js_j] over it.
 
-    The mass matrix is factored once, at the first :meth:`solve`, and the
-    last bias solve of :meth:`accel` is kept with the arguments it was
-    made for, so a second call with the same bytes of qd, tau and
-    ``applied`` and the same ``gravity`` returns it without a sweep.
+    At the first :meth:`solve` M = L L^T is factored, and L^-1 is kept
+    (``_low``), so every solve is two matrix products.  The last bias
+    solve of :meth:`accel` is kept with its arguments; a second call with
+    the same bytes of qd, tau and ``applied`` and the same ``gravity``
+    returns it without a sweep.
     """
 
     def __init__(self, model: ChainModel, q):
@@ -421,7 +404,7 @@ class _Configuration:
         g = js @ np.einsum("kij,kj->ik", ic, js)  # g[j, k] = js_j . Ic_k js_k
         self.mass = np.where(on_path, g, np.where(on_path.T, g.T, 0.0))
         self.mass.setflags(write=False)
-        self._low = None  # Cholesky factor of the mass matrix
+        self._low = None  # L^-1 for the Cholesky factor L of the mass matrix
         self._kept = None  # (arguments, qdd, V, Vdot at qdd = 0) of the last accel
 
     def twists(self, qd) -> np.ndarray:
@@ -434,7 +417,7 @@ class _Configuration:
         return np.einsum("ijk,ik->ij", self.frames.inertias, self.twists(qd))
 
     def solve(self, b) -> np.ndarray:
-        """M^-1 b by :func:`_spd_solve` with the one Cholesky factor of M."""
+        """M^-1 b = L^-T (L^-1 b) by :func:`_spd_solve`, with the one kept L^-1."""
         if self._low is None:
             self._low = _spd_factor(self.mass, b)
         return _spd_solve(self.mass, b, self._low)
@@ -487,29 +470,26 @@ def mass_matrix(model: ChainModel, q) -> np.ndarray:
 
 
 def _spd_factor(m, b) -> np.ndarray:
-    """The Cholesky factor of a symmetric positive-definite m, for solving
-    m x = b.
-
-    Raises ValueError when m or b holds a NaN or an infinity (which numpy
-    would carry through silently) or when m is not positive definite.
-    """
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
+    """L^-1 for the Cholesky factor L of a symmetric positive-definite m,
+    to solve m x = b as L^-T (L^-1 b).  Raises ValueError when m or b holds
+    a NaN or an infinity (which numpy would carry through silently) or
+    when m is not positive definite."""
+    if not (np.isfinite(m).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     try:
-        return np.linalg.cholesky(m)
+        return np.linalg.inv(np.linalg.cholesky(m))
     except np.linalg.LinAlgError as err:
         raise ValueError(f"matrix is not positive definite: {err}") from None
 
 
 def _spd_solve(m, b, low=None) -> np.ndarray:
-    """Solve m x = b for a symmetric positive-definite m by Cholesky, with
-    the checks of :func:`_spd_factor`; ``low`` is the factor of m when the
-    caller kept one."""
+    """x = L^-T (L^-1 b) solves m x = b, with the checks of :func:`_spd_factor`;
+    ``low`` is the inverse factor L^-1 of m when the caller kept one."""
     if low is None:
         low = _spd_factor(m, b)
-    elif not np.all(np.isfinite(b)):
+    elif not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    return np.linalg.solve(low.T, np.linalg.solve(low, b))
+    return low.T @ (low @ b)
 
 
 def _mirror_upper(g) -> np.ndarray:
@@ -586,14 +566,13 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
     """Forward dynamics qdd = M^-1 (tau - bias).
 
     One configuration pass gives the composite-rigid-body mass matrix M
-    and its Cholesky factor; the bias J^T (M Jdot qd - ad^T_V M V - loads)
-    is closed-form, Jdot^s_j = [V_j, X^s_j], one backward sweep over the
-    path sums of its joint screws (:meth:`_Configuration.accel`).  Raises
-    ValueError when M is not positive definite or tau - bias is not
-    finite.  ``applied`` takes per-body external wrenches in body
-    representation.  A call with the arguments of the last bias solve at
-    this configuration (such as :func:`momentum_rhs` made) returns a copy
-    of that solve.
+    and the inverse of its Cholesky factor; the bias
+    J^T (M Jdot qd - ad^T_V M V - loads) is closed-form, Jdot^s_j =
+    [V_j, X^s_j], one backward sweep over path sums
+    (:meth:`_Configuration.accel`).  Raises ValueError when M is not
+    positive definite or tau - bias is not finite.  ``applied`` takes
+    per-body external wrenches in body representation.  A call with the
+    arguments of the pass's last bias solve returns a copy of it.
     """
     return _configuration(model, q).accel(qd, tau, applied, gravity)[0].copy()
 
@@ -609,15 +588,14 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     joint velocities recovered from them.
 
     The stacked relation M^s_i J^s_i qd = Pi_i contracted with the spatial
-    Jacobian is the SPD system M(q) qd = (J^s)^T Pi, with M the
-    composite-rigid-body mass matrix of one configuration pass, as in
-    :func:`fdyn`; so are the closed-form bias and qdd = M^-1 (tau - bias),
-    and both solves use the pass's one Cholesky factor.  The momentum
-    rates are the spatial Newton-Euler balances of all bodies (those of
-    :func:`ne_wrench`), one stacked product.  ``tau`` may be a callable
-    of the recovered qd; applied wrenches are taken in body
-    representation, as in :func:`fdyn`.  The bias solve is kept, so
-    :func:`fdyn` at the recovered qd and the same loads returns its qdd.
+    Jacobian is the SPD system M(q) qd = (J^s)^T Pi.  M, the closed-form
+    bias and qdd = M^-1 (tau - bias) come from one configuration pass, as
+    in :func:`fdyn`, and both solves read its one inverse Cholesky factor.
+    The momentum rates are the spatial Newton-Euler balances of all
+    bodies (those of :func:`ne_wrench`), one stacked product.  ``tau`` may
+    be a callable of the recovered qd; applied wrenches are in body
+    representation.  The bias solve is kept, so :func:`fdyn` at the
+    recovered qd and the same loads returns its qdd.
     """
     n = model.n
     pi_stack = np.asarray(pi_stack, dtype=float).reshape(n, 6)

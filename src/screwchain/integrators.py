@@ -12,7 +12,7 @@ SPD solve of that module; the free body recovers its twist likewise.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
 step reuses.  That stage leaves its configuration pass, with the pass's
-Cholesky factor and its bias solve, as the last one of
+inverse Cholesky factor and its bias solve, as the last one of
 :mod:`screwchain.dynamics`.  The momentum form's ``fdyn`` for the
 sample's qdd returns that kept solve, and the sample's report reads the
 pass's mass matrix and pose stack, so a run costs one configuration

@@ -1,13 +1,11 @@
 """POE forward kinematics, twist propagation, Jacobians and their partial
 derivatives.
 
-Forward kinematics evaluates each joint exponential exp(q X) in closed
-form from tables the model built at load: for the revolute and helical
-joints (unit angular part W = [w]x) the rotation is
-I + sin q W + (1 - cos q) W^2 and the translation
-q v + (1 - cos q) W v + (q - sin q) W^2 v; a prismatic joint has W = 0.
-All joints are evaluated at once and composed with the reference poses in
-one stacked product.  The poses it builds are rotations by construction
+Forward kinematics is a walk down the tree of homogeneous 4x4 matrices:
+every relative pose B exp(q X) is one stacked product of sin and cos
+with a table the model built at load (:class:`screwchain.model.ChainTables`),
+and each body's absolute pose is its parent's times its relative pose,
+one matrix product per link.  The poses are rotations by construction
 and are not validated again as ``Pose(...)`` would; a non-finite q, which
 would make them meaningless, is rejected with a ValueError instead.
 
@@ -47,7 +45,7 @@ picks up an extra omega x omega-dot term).
 Every partial of a Jacobian column is a Lie bracket of columns, so one
 table of the brackets [J_la, J_lb] of each body's columns
 (:func:`_bracket_table`) gives all first partials at once
-(:func:`jacobian_partials`), which the single-entry partials index;
+(:func:`jacobian_partials`), and one entry brackets two columns;
 :mod:`screwchain.dynamics` contracts the same table.
 """
 
@@ -184,30 +182,33 @@ class _SweepOps:
 
     def brackets(self, x, y):
         """[x[i], y[i]] = (w x a, w x b + v x a) for x[i] = (w, v), y[i] =
-        (a, b), written out as :meth:`cobrackets` is; [x, x] is exactly 0."""
+        (a, b), its cross products one gathered product; [x, x] is exactly 0."""
         self.count("lie_brackets", len(x))
-        w0, w1, w2, v0, v1, v2 = x.T
-        a0, a1, a2, b0, b1, b2 = y.T
-        return np.array([w1 * a2 - w2 * a1,
-                         w2 * a0 - w0 * a2,
-                         w0 * a1 - w1 * a0,
-                         w1 * b2 - w2 * b1 + (v1 * a2 - v2 * a1),
-                         w2 * b0 - w0 * b2 + (v2 * a0 - v0 * a2),
-                         w0 * b1 - w1 * b0 + (v0 * a1 - v1 * a0)]).T
+        return _gathered(x, y, _BRACKET_COLUMNS, 3)
 
     def cobrackets(self, x, p):
         """ad(x[i])^T p[i] = -(w x a + v x b, w x b) for every body i, with
-        x[i] = (w, v) and p[i] = (a, b); the cross products are written
-        out, since np.cross pays for an axis normalization on every call."""
+        x[i] = (w, v) and p[i] = (a, b), gathered as :meth:`brackets` is."""
         self.count("lie_brackets", len(x))
-        w0, w1, w2, v0, v1, v2 = x.T
-        a0, a1, a2, b0, b1, b2 = p.T
-        return -np.array([w1 * a2 - w2 * a1 + v1 * b2 - v2 * b1,
-                          w2 * a0 - w0 * a2 + v2 * b0 - v0 * b2,
-                          w0 * a1 - w1 * a0 + v0 * b1 - v1 * b0,
-                          w1 * b2 - w2 * b1,
-                          w2 * b0 - w0 * b2,
-                          w0 * b1 - w1 * b0]).T
+        return _gathered(x, p, _COBRACKET_COLUMNS, 0)
+
+
+# Columns (l, r) of x = (w, v) and y = (a, b) whose products p = x[:, l] y[:, r]
+# give three cross products as p[:, :9] - p[:, 9:]: w x a, w x b, v x a for
+# brackets; -(w x a), -(w x b), -(v x b) for co-brackets (products swapped).
+_BRACKET_COLUMNS = np.array([[1, 2, 0, 1, 2, 0, 4, 5, 3, 2, 0, 1, 2, 0, 1, 5, 3, 4],
+                             [2, 0, 1, 5, 3, 4, 2, 0, 1, 1, 2, 0, 4, 5, 3, 1, 2, 0]])
+_COBRACKET_COLUMNS = np.array([[2, 0, 1, 2, 0, 1, 5, 3, 4, 1, 2, 0, 1, 2, 0, 4, 5, 3],
+                               [1, 2, 0, 4, 5, 3, 4, 5, 3, 2, 0, 1, 5, 3, 4, 5, 3, 4]])
+
+
+def _gathered(x, y, columns, at) -> np.ndarray:
+    """The cross products c_0, c_1, c_2 of ``columns``, one gathered product,
+    as the (n, 6) view (c_0, c_1) with c_2 added at columns ``at`` to ``at + 2``."""
+    p = x[:, columns[0]] * y[:, columns[1]]
+    c = p[:, :9] - p[:, 9:]
+    c[:, at:at + 3] += c[:, 6:]
+    return c[:, :6]
 
 
 _PLAIN = _SweepOps()
@@ -230,27 +231,24 @@ class _PoseStack(NamedTuple):
 
 
 def _fk_stacks(model: ChainModel, q) -> tuple[_PoseStack, _PoseStack]:
-    """(absolute, relative) body poses of :func:`fk_body_form` as stacks."""
+    """(absolute, relative) poses of :func:`fk_body_form`, views of (n, 4, 4) stacks."""
     q = np.asarray(q, dtype=float).reshape(model.n)
-    bad = np.flatnonzero(~np.isfinite(q))
-    if bad.size:
+    if not np.isfinite(q).all():
+        bad = np.flatnonzero(~np.isfinite(q))
         raise ValueError(f"fk_body_form: q must be finite, "
                          f"got q[{bad[0]}] = {q[bad[0]]!r}")
     tab = model.tables
     a = tab.rate * q
-    s, c = np.sin(a), 1.0 - np.cos(a)
-    rot = np.eye(3) + s[:, None, None] * tab.w + c[:, None, None] * tab.w2
-    trans = a[:, None] * tab.v + c[:, None] * tab.wv + (a - s)[:, None] * tab.w2v
-    rel_rot = tab.ref_rot @ rot
-    rel_trans = np.einsum("nij,nj->ni", tab.ref_rot, trans) + tab.ref_trans
-    abs_rot, abs_trans = rel_rot.copy(), rel_trans.copy()
-    for i, p in enumerate(model.parent):
-        if p >= 0:
-            abs_trans[i] = abs_rot[p] @ rel_trans[i] + abs_trans[p]
-            abs_rot[i] = abs_rot[p] @ rel_rot[i]
-    for arr in (abs_rot, abs_trans, rel_rot, rel_trans):
-        arr.setflags(write=False)
-    return _PoseStack(abs_rot, abs_trans), _PoseStack(rel_rot, rel_trans)
+    coef = np.ones((model.n, 1, 4))
+    coef[:, 0, 1], coef[:, 0, 2], coef[:, 0, 3] = np.sin(a), 1.0 - np.cos(a), a
+    rel = (coef @ tab.exp).reshape(model.n, 4, 4)
+    walk = rel.copy()
+    for i, p in model.links:
+        walk[i] = walk[p] @ walk[i]
+    rel.setflags(write=False)
+    walk.setflags(write=False)
+    return (_PoseStack(walk[:, :3, :3], walk[:, :3, 3]),
+            _PoseStack(rel[:, :3, :3], rel[:, :3, 3]))
 
 
 def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
@@ -258,14 +256,12 @@ def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
     joint screws, each body's pose its parent's times its relative pose.
 
     Returns (absolute poses, relative poses); the relative pose of body i
-    is its configuration in the parent frame, B_i exp(X_i q_i).  Each
-    exponential is the closed form in sin and cos of the tables the model
-    built at load (:class:`screwchain.model.ChainTables`), exact for the
-    revolute, prismatic and helical joints; all of them are composed with
-    the reference poses in one stacked product before the walk down the
-    tree.  The returned poses are not validated again, since they are
-    rotations by construction; instead q itself must be finite
-    (ValueError otherwise).
+    is its configuration in the parent frame, B_i exp(X_i q_i), in closed
+    form for the revolute, prismatic and helical joints, all of them one
+    stacked product with a table of the model; the walk down the tree
+    then makes one homogeneous 4x4 product per link.  The returned poses
+    are not validated again, since they are rotations by construction;
+    instead q itself must be finite (ValueError otherwise).
     """
     absolute, relative = _fk_stacks(model, q)
     return absolute.poses(), relative.poses()
@@ -563,12 +559,21 @@ def _bracket_table(model: ChainModel, q, rep: str = "body") -> tuple[np.ndarray,
     return jb, _pair_table(_SE3_BRACKET, jb, jb)
 
 
+def _partial_rule(model: ChainModel, rep: str) -> tuple[np.ndarray, bool]:
+    """(mask, swap) of :func:`jacobian_partials`: D[i, :, j, k] = [J_ia, J_ib]
+    where mask[j, k], else 0, with (a, b) = (k, j) if swap else (j, k)."""
+    on_path = model.tables.on_path  # on_path[k, j]: k is on the path of j
+    if rep == "body":
+        return np.triu(np.ones_like(on_path), 1), False
+    return (on_path & ~np.eye(model.n, dtype=bool) if rep == "spatial" else on_path).T, True
+
+
 def jacobian_partials(model: ChainModel, q, rep: str = "body") -> np.ndarray:
     """Every first partial of the Jacobian at q, as one (n, 6, n, n) table
     D[i, :, j, k] = d(block (i, j)) / d q_k, zero where joint j is off
     body i's path.  Each partial is a Lie bracket of Jacobian columns, so
     the table is the column brackets [J_ia, J_ib] of one Jacobian
-    (:func:`_bracket_table`) under a mask:
+    (:func:`_bracket_table`) under the mask of :func:`_partial_rule`:
 
     - body: [J_ij, J_ik] for j < k, zero for k <= j;
     - spatial: [J_kk, J_jj] for joint k strictly above joint j, else zero;
@@ -578,15 +583,24 @@ def jacobian_partials(model: ChainModel, q, rep: str = "body") -> np.ndarray:
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
     jb, br = _bracket_table(model, q, rep)
-    if rep == "body":
-        return np.triu(br, 1)
-    on_path = model.tables.on_path  # on_path[k, j]: k is on the path of j
-    if rep == "spatial":
-        above = on_path & ~np.eye(model.n, dtype=bool)
-        return np.where(above.T, br.swapaxes(2, 3), 0.0)
-    d = np.where(on_path.T, br.swapaxes(2, 3), 0.0)
-    d[:, 3:] += _pair_table(_CROSS, jb[:, :3], jb[:, 3:])  # [(0, -v_ik), J_ij]
+    mask, swap = _partial_rule(model, rep)
+    d = np.where(mask, br.swapaxes(2, 3) if swap else br, 0.0)
+    if rep == "hybrid":
+        d[:, 3:] += _pair_table(_CROSS, jb[:, :3], jb[:, 3:])  # [(0, -v_ik), J_ij]
     return d
+
+
+def _partial_entry(model: ChainModel, sj: SystemJacobian, i: int, j: int,
+                   k: int) -> np.ndarray:
+    """D[i, :, j, k] of :func:`jacobian_partials` from the two columns of
+    the Jacobian ``sj`` it brackets, by :func:`_partial_rule`; the hybrid
+    form adds [(0, -v_ik), J_ij] = (0, w_ij x v_ik)."""
+    mask, swap = _partial_rule(model, sj.rep)
+    a, b = (k, j) if swap else (j, k)
+    out = lie_bracket(sj.column(i, a), sj.column(i, b)) if mask[j, k] else np.zeros(6)
+    if sj.rep == "hybrid":
+        out[3:] += np.cross(sj.column(i, j)[:3], sj.column(i, k)[3:])
+    return out
 
 
 def _check_indices(fn: str, n: int, *indices):
@@ -598,12 +612,12 @@ def _check_indices(fn: str, n: int, *indices):
 
 def jacobian_partial(model: ChainModel, q, rep: str, i: int, j: int, k: int) -> np.ndarray:
     """Partial derivative of one Jacobian column w.r.t. one joint variable,
-    entry D[i, :, j, k] of :func:`jacobian_partials`; the spatial column
-    index i is ignored (spatial columns are joint-intrinsic), so that
-    form reads D[j, :, j, k]."""
+    entry D[i, :, j, k] of :func:`jacobian_partials`, from the two
+    Jacobian columns it brackets; the spatial column index i is ignored
+    (spatial columns are joint-intrinsic), so that form reads D[j, :, j, k]."""
     _check_rep(rep, ("body", "spatial", "hybrid"))
     _check_indices("jacobian_partial", model.n, i, j, k)
-    return jacobian_partials(model, q, rep)[j if rep == "spatial" else i, :, j, k]
+    return _partial_entry(model, jacobian(model, q, rep), j if rep == "spatial" else i, j, k)
 
 
 def jacobian_partial_n(model: ChainModel, q, rep: str, i: int, j: int,
@@ -641,16 +655,16 @@ def hybrid_jacobian_partial2(model: ChainModel, q, i: int, j: int, k: int,
 
     Differentiates the first-order bracket form once more: product rule
     over both bracket arguments, with the exact first partials of the
-    hybrid :func:`jacobian_partials` table inside.  Defined on the
+    hybrid :func:`jacobian_partials` entries inside.  Defined on the
     first-order domain j <= k <= i (zero otherwise).
     """
     _check_indices("hybrid_jacobian_partial2", model.n, i, j, k, r)
     if not (j <= k and model.on_path(j, i) and model.on_path(k, i) and model.on_path(r, i)):
         return np.zeros(6)
-    jh, d = jacobian(model, q, "hybrid"), jacobian_partials(model, q, "hybrid")
-    zero3 = np.zeros(3)
-    return (lie_bracket(d[i, :, j, r], screw(zero3, jh.column(i, k)[3:]))
-            + lie_bracket(jh.column(i, j), screw(zero3, d[i, 3:, k, r])))
+    jh, zero3 = jacobian(model, q, "hybrid"), np.zeros(3)
+    return (lie_bracket(_partial_entry(model, jh, i, j, r), screw(zero3, jh.column(i, k)[3:]))
+            + lie_bracket(jh.column(i, j),
+                          screw(zero3, _partial_entry(model, jh, i, k, r)[3:])))
 
 
 # --------------------------------------------------------------------------

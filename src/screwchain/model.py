@@ -11,11 +11,9 @@ and the spatial and body-fixed joint screws coincide), but arbitrary
 reference poses are accepted.
 
 A model tabulates at load what every configuration pass reads
-(:class:`ChainTables`): the body screws and body inertias stacked over
-the bodies, the relative reference poses, and for each joint's body
-screw X = (w, v) the arrays W = [w]x, W^2, v, W v and W^2 v of the
-closed-form joint exponential that :func:`screwchain.kinematics.fk_body_form`
-evaluates.
+(:class:`ChainTables`): the body screws and inertias, the root-to-body
+paths as a 0/1 matrix, and each body's relative pose as a closed form in
+sin and cos of its joint angle (:func:`screwchain.kinematics.fk_body_form`).
 """
 
 from __future__ import annotations
@@ -237,13 +235,14 @@ class ChainTables(NamedTuple):
     ``screw`` (n, 6) and ``inertia`` (n, 6, 6) are the body-fixed joint
     screws and body inertias, ``mass`` (n,) and ``com`` (n, 3) the body
     masses and COM offsets; ``on_path`` (n, n) is True at [j, i] when
-    body j is on the path from the root to body i; ``ref_rot`` (n, 3, 3)
-    and ``ref_trans`` (n, 3) the reference pose of each body relative to
-    its parent.  The rest tabulate exp(q X) for each body screw X: a
-    revolute or helical screw is written rate * (u, v) with |u| = 1, so
-    that at angle a = rate q the rotation is I + sin a W + (1 - cos a) W^2
-    and the translation a v + (1 - cos a) W v + (a - sin a) W^2 v, with
-    W = [u]x.  A prismatic joint has rate 1 and W = 0, which leaves q v.
+    body j is on the path from the root to body i, and ``path`` is it as
+    floats: path^T a sums a over each body's path, path a over its subtree.
+    ``exp`` (n, 4, 16) gives the pose relative to the parent, B exp(q X)
+    with B the reference pose, as (1, sin a, 1 - cos a, a) times it at
+    a = rate q: a revolute or helical screw is rate * (u, v), |u| = 1, and
+    exp(q X) = I + sin a G_1 + (1 - cos a) G_2 + a G_3 with W = [u]x and the
+    4x4 G_1 = [[W, -W^2 v], 0], G_2 = [[W^2, W v], 0], G_3 = [[0, v + W^2 v], 0];
+    a prismatic joint has rate 1, W = 0.  Row k of ``exp[i]`` is B G_k, G_0 = I.
     """
 
     screw: np.ndarray
@@ -251,19 +250,15 @@ class ChainTables(NamedTuple):
     mass: np.ndarray
     com: np.ndarray
     on_path: np.ndarray
-    ref_rot: np.ndarray
-    ref_trans: np.ndarray
+    path: np.ndarray
     rate: np.ndarray
-    w: np.ndarray
-    w2: np.ndarray
-    v: np.ndarray
-    wv: np.ndarray
-    w2v: np.ndarray
+    exp: np.ndarray
 
 
 def _chain_tables(joints, bodies, paths, rel_ref) -> ChainTables:
     """The :class:`ChainTables` of resolved joints, their bodies, the
     root-to-body paths and the relative reference poses."""
+    n = len(joints)
     screws = np.array([joint.screw_body for joint in joints])
     prismatic = np.array([joint.kind == "prismatic" for joint in joints])
     rate = np.where(prismatic, 1.0, np.linalg.norm(screws[:, :3], axis=1))
@@ -271,15 +266,20 @@ def _chain_tables(joints, bodies, paths, rel_ref) -> ChainTables:
                   for is_p, x in zip(prismatic, screws)]) / rate[:, None, None]
     v = screws[:, 3:] / rate[:, None]
     w2 = w @ w
-    on_path = np.zeros((len(paths), len(paths)), dtype=bool)
+    w2v = np.einsum("nij,nj->ni", w2, v)
+    gen = np.zeros((n, 4, 4, 4))  # gen[i, k] = G_k of body i
+    gen[:, 0], gen[:, 1, :3, :3], gen[:, 2, :3, :3] = np.eye(4), w, w2
+    gen[:, 1, :3, 3], gen[:, 2, :3, 3] = -w2v, np.einsum("nij,nj->ni", w, v)
+    gen[:, 3, :3, 3] = v + w2v
+    ref = np.array([p.matrix() for p in rel_ref])
+    on_path = np.zeros((n, n), dtype=bool)
     for i, path in enumerate(paths):
         on_path[list(path), i] = True
     tables = ChainTables(
         screws, np.array([spatial_inertia_body(b).matrix for b in bodies]),
         np.array([b.mass for b in bodies]), np.array([b.com_offset for b in bodies]),
-        on_path,
-        np.array([p.rot for p in rel_ref]), np.array([p.trans for p in rel_ref]),
-        rate, w, w2, v, np.einsum("nij,nj->ni", w, v), np.einsum("nij,nj->ni", w2, v))
+        on_path, on_path.astype(float), rate,
+        (ref[:, None] @ gen).reshape(n, 4, 16))
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -290,8 +290,8 @@ class ChainModel:
 
     Bodies are indexed 0..n-1, ``parent[i]`` is the index of the parent
     body or -1 for the ground, and ``parent[i] < i`` always holds.
-    ``tables`` holds the stacked per-body arrays of :class:`ChainTables`,
-    built here once.
+    ``tables`` holds the per-body arrays of :class:`ChainTables`, built
+    here once, and ``links`` the (body, parent) pairs of non-root bodies.
     """
 
     def __init__(self, bodies, joints, parent, gravity=DEFAULT_GRAVITY, name=""):
@@ -320,6 +320,7 @@ class ChainModel:
         self._paths = []
         for i, p in enumerate(self.parent):  # parents come first
             self._paths.append((self._paths[p] if p >= 0 else ()) + (i,))
+        self.links = tuple((i, p) for i, p in enumerate(self.parent) if p >= 0)
         # Relative reference pose of each body w.r.t. its parent.
         self._rel_ref = [
             b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose

@@ -197,7 +197,7 @@ class Pose:
         return self.rot @ np.asarray(point, dtype=float) + self.trans
 
     def matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 form, for I/O only."""
+        """Homogeneous 4x4 form, for I/O and the model's load-time tables."""
         m = np.eye(4)
         m[:3, :3] = self.rot
         m[:3, 3] = self.trans

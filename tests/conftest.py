@@ -172,6 +172,24 @@ def spatial_backward_oracle(model, twists, accels, inertias, screws, ext):
     return Q, W
 
 
+def subtree_sums_oracle(model, a):
+    """a[i] summed over the subtree rooted at body i, leaves to roots."""
+    out = np.array(a, dtype=float)
+    for i in range(model.n - 1, -1, -1):
+        if model.parent[i] >= 0:
+            out[model.parent[i]] += out[i]
+    return out
+
+
+def path_sums_oracle(model, a):
+    """a[i] summed over the path from the root down to body i."""
+    out = np.array(a, dtype=float)
+    for i in range(model.n):
+        if model.parent[i] >= 0:
+            out[i] += out[model.parent[i]]
+    return out
+
+
 PLANAR_2R = dict(m1=1.1, m2=0.9, l1=1.0, lc1=0.55, lc2=0.45, I1=0.055, I2=0.031,
                  g=9.80665)
 

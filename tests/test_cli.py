@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import screwchain
 from screwchain.cli import main
@@ -257,6 +261,25 @@ def test_non_finite_trajectory_exit_2_names_row_and_column(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, what, rows, message", [
+    ("--traj", "trajectory", "0,1,0x10\n", "data row 1, column 3: '0x10' is not a number"),
+    ("--traj", "trajectory", "0,1,2\n\n1,2\n",
+     "data row 2, column 3: the row has 2 columns, data row 1 has 3"),
+    ("--torques", "torque file", "0,1\n1,2,3\n",
+     "data row 2, column 3: the row has 3 columns, data row 1 has 2"),
+    ("--torques", "torque file", "# knots\n0,1\n1, \n",
+     "data row 2, column 2: '' is not a number"),
+])
+def test_malformed_table_names_one_based_row_and_column(tmp_path, capsys, flag, what,
+                                                        rows, message):
+    table = tmp_path / "table.csv"
+    table.write_text("header\n" + rows)
+    command = ["fk"] if flag == "--traj" else ["simulate", "--T", "0.01"]
+    assert run_cli(*command, "--model", MODEL_1R, flag, str(table),
+                   "--out", str(tmp_path / "o.csv")) == 2
+    assert capsys.readouterr().err == f"error: {what} {message}\n"
+
+
 def test_header_only_trajectory_exit_2_without_warning(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     traj.write_text("t,q1,q2\n")
@@ -465,6 +488,103 @@ def test_benchmark_bad_reps_exit_2(tmp_path, capsys, reps):
                    "--out", str(tmp_path / "bench.csv")) == 2
     err = capsys.readouterr().err
     assert "--reps" in err and all(rep in err for rep in ("body", "spatial", "hybrid"))
+
+
+# ------------------------------------------------------- fuzzed CSV boundary
+
+FUZZ_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# numbers of every size, text near the number syntax, and any characters
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-3.0, 3.0).map(repr),
+    st.text(alphabet="0123456789.eE+-#xn ai_;\t\r", max_size=6),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+)
+
+
+@st.composite
+def mutated_tables(draw, width):
+    """A valid table of ``width`` columns (increasing times, moderate
+    values) with up to three cells replaced, dropped or inserted, or whole
+    lines inserted."""
+    rows = [[repr(0.001 * r)] + [repr(v) for v in draw(
+        st.lists(st.floats(-3.0, 3.0), min_size=width - 1, max_size=width - 1))]
+        for r in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(("cell", "drop", "insert", "line")))
+        c = draw(st.integers(0, max(len(row) - 1, 0)))
+        if kind == "cell" and row:
+            row[c] = draw(CELLS)
+        elif kind == "drop" and row:
+            del row[c]
+        elif kind == "insert":
+            row.insert(c, draw(CELLS))
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [draw(CELLS)])
+    return "header\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def vectors(n):
+    """n comma-separated cells, most of them numbers, some not; or a
+    wrong count of them."""
+    return st.lists(st.one_of(st.floats(-3.0, 3.0).map(repr), CELLS),
+                    min_size=n - 1, max_size=n + 1).map(",".join)
+
+
+def assert_clean_outcome(argv, outputs=()):
+    """main(argv) exits 0 with every output table finite, or exits 2
+    (validation) or 3 (numerical failure, which a finite but huge input
+    may cause) with exactly one ``error:`` line; a warning or a traceback
+    fails the test."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    if code == 0:
+        for path in outputs:
+            assert np.isfinite(read_csv(path)).all(), path
+    else:
+        text = err.getvalue()
+        assert code in (2, 3) and text.startswith("error: ") and text.count("\n") == 1, text
+
+
+@FUZZ_SETTINGS
+@given(st.sampled_from([("fk", 1), ("fk", 2), ("jacobian", 1), ("idyn", 3)]), st.data())
+def test_fuzzed_trajectory_exits_cleanly(command, data):
+    name, blocks = command
+    extra = ["--twists"] if name == "fk" and blocks == 2 else []
+    with tempfile.TemporaryDirectory() as tmp:
+        traj, out = os.path.join(tmp, "traj.csv"), os.path.join(tmp, "out.csv")
+        with open(traj, "w", encoding="utf-8") as fh:
+            fh.write(data.draw(mutated_tables(1 + 2 * blocks)))
+        assert_clean_outcome([name, "--model", MODEL_2R, "--traj", traj, "--out", out,
+                              *extra], [out])
+
+
+@FUZZ_SETTINGS
+@given(mutated_tables(3))
+def test_fuzzed_torque_file_exits_cleanly(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        tau, out = os.path.join(tmp, "tau.csv"), os.path.join(tmp, "sim.csv")
+        with open(tau, "w", encoding="utf-8") as fh:
+            fh.write(table)
+        assert_clean_outcome(["simulate", "--model", MODEL_2R, "--torques", tau,
+                              "--T", "0.004", "--out", out], [out, out + ".report.csv"])
+
+
+@FUZZ_SETTINGS
+@given(vectors(2), vectors(2), vectors(2))
+def test_fuzzed_joint_vectors_exit_cleanly(q0, qd0, q):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        assert_clean_outcome(["simulate", "--model", MODEL_2R, f"--q0={q0}",
+                              f"--qd0={qd0}", "--T", "0.004", "--out", out],
+                             [out, out + ".report.csv"])
+        assert_clean_outcome(["christoffel", "--model", MODEL_2R, f"--q={q}",
+                              "--out", out], [out])
 
 
 # --------------------------------------------------------------- entry point

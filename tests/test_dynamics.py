@@ -7,7 +7,7 @@ from screwchain.dynamics import (
     christoffel, convert_wrench, coriolis_matrix, fdyn, gravity_potential,
     gravity_wrenches, idyn, kinetic_energy, mass_matrix, momentum_rhs,
     ne_wrench, ne_wrench_arbitrary, predict_op_counts, projection_eom,
-    spatial_inertia_of, spatial_momenta, wrench_to_spatial,
+    spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import JointState, Twist, accelerations, fk, jacobian, twists
 from screwchain.model import (
@@ -113,6 +113,16 @@ def test_ne_wrench_arbitrary_special_cases(rng):
             assert np.allclose(
                 ne_wrench_arbitrary(model, st, i, j=None, k=None),
                 ne_wrench(cs.twists[i], cs.accels[i], ms, "spatial"), atol=1e-11)
+
+
+def wrench_to_spatial(w, j, k, poses):
+    """Map a wrench measured at frame j, resolved in frame k, back to the
+    spatial representation (inverse transport of ne_wrench_arbitrary;
+    None selects the inertial frame)."""
+    cj = Pose.identity() if j is None else poses[j]
+    ck = Pose.identity() if k is None else poses[k]
+    wj = adjoint_rot(ck.rot.T @ cj.rot).T @ np.asarray(w, dtype=float)
+    return np.linalg.solve(adjoint(cj).T, wj)
 
 
 def test_ne_wrench_arbitrary_transports_to_spatial(rng):
@@ -447,6 +457,16 @@ def test_fdyn_inverse_round_trip(rng):
         worst = max(worst, np.abs(idyn(model, q, qd, qdd, "body", applied=wb)
                                   - tau).max())
     assert worst < 1e-9
+
+
+def test_fdyn_inverse_round_trip_on_30_joint_chain():
+    # the solves by the inverse Cholesky factor keep idyn(fdyn(tau)) = tau
+    # on the longest benchmark chain
+    model = _benchmark_chain(30)
+    for seed in range(20):
+        q, qd, tau = np.random.default_rng(seed).normal(size=(3, 30))
+        qdd = fdyn(model, q, qd, tau)
+        assert np.abs(idyn(model, q, qd, qdd) - tau).max() <= 1e-9 * np.abs(tau).max()
 
 
 def test_solves_reject_non_finite_input(rng):

@@ -499,6 +499,23 @@ def test_jacobian_partials_match_central_differences(rng):
         assert np.abs(jacobian_partials(model, q, rep) - fd).max() < 1e-7
 
 
+def test_single_jacobian_partials_never_build_the_table(rng, monkeypatch):
+    # one entry brackets two Jacobian columns: O(n^2), not the O(n^3) table
+    import screwchain.kinematics as kin
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single partial built the bracket table")
+
+    model = random_chain(rng, 5, tree=True)
+    q = rng.normal(size=5)
+    monkeypatch.setattr(kin, "_bracket_table", refuse)
+    for rep in REPS3:
+        jacobian_partial(model, q, rep, 4, 1, 3)
+    hybrid_jacobian_partial2(model, q, 4, model.path(4)[0], 4, 4)
+    with pytest.raises(AssertionError):
+        jacobian_partials(model, q, "body")
+
+
 def test_time_derivative_of_spatial_jacobian(rng):
     # Jdot_j = [V_j, J_j] along trajectories
     h = 1e-6

@@ -12,13 +12,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    _Configuration, _backward_sweep, _loads, christoffel, convert_wrench,
+    _Configuration, _backward_sweep, _loads, _path_sums, _subtree_sums, christoffel,
+    convert_wrench,
     coriolis_matrix, fdyn, gravity_wrenches, idyn, mass_matrix, momentum_rhs, ne_wrench,
     spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import (
-    REPS, JointState, Twist, _fk_stacks, _forward_sweep, _frame_table, accelerations,
-    convert_twist, fk, fk_body_form, jacobian, jacobian_partials, jerks, twists,
+    _PLAIN, REPS, JointState, Twist, _fk_stacks, _forward_sweep, _frame_table,
+    accelerations, convert_twist, fk, fk_body_form, hybrid_jacobian_partial2, jacobian,
+    jacobian_partial, jacobian_partials, jerks, twists,
 )
 from screwchain.model import binet_inertia
 from screwchain.se3 import (
@@ -27,8 +29,8 @@ from screwchain.se3 import (
 
 from conftest import (
     JacobianOracle, fk_spatial_oracle, gravity_wrenches_oracle, inertias_oracle,
-    instantaneous_screws_oracle, parent_transforms_oracle, random_chain,
-    spatial_backward_oracle,
+    instantaneous_screws_oracle, parent_transforms_oracle, path_sums_oracle,
+    random_chain, spatial_backward_oracle, subtree_sums_oracle,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -471,6 +473,66 @@ def test_jacobian_partials_match_bracket_oracle(case):
         want = jacobian_partials_oracle(model, q, rep)
         got = jacobian_partials(model, q, rep)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_single_jacobian_partials_equal_table_entries(case):
+    # every (i, j, k) entry from its two Jacobian columns against the
+    # table; the spatial entry reads row j, and the hybrid second partial
+    # (two entries inside) against its product rule on the table
+    model, q = case[:2]
+    n = model.n
+    tables = {rep: jacobian_partials(model, q, rep) for rep in ("body", "spatial", "hybrid")}
+    jh = jacobian(model, q, "hybrid")
+    for rep, table in tables.items():
+        scale = np.abs(table).max()  # 0 for one body: the entries must be 0 too
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    want = table[j if rep == "spatial" else i, :, j, k]
+                    got = jacobian_partial(model, q, rep, i, j, k)
+                    assert np.abs(got - want).max() <= 1e-12 * scale
+    d, zero3 = tables["hybrid"], np.zeros(3)
+    i = n - 1
+    for j in model.path(i):
+        for k in model.path(i):
+            if j <= k:
+                r = model.path(i)[0]
+                want = (lie_bracket(d[i, :, j, r], screw(zero3, jh.column(i, k)[3:]))
+                        + lie_bracket(jh.column(i, j), screw(zero3, d[i, 3:, k, r])))
+                got = hybrid_jacobian_partial2(model, q, i, j, k, r)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(d).max()
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_tree_sums_match_per_body_loops(case):
+    # the masked products against the leaves-to-roots and roots-to-leaves
+    # loops, on stacks of vectors and of matrices
+    model, q, qd, _, _, wb = case
+    frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
+    for a in (wb, frames.screws * qd[:, None], frames.inertias):
+        for got, want in ((_path_sums(model, a), path_sums_oracle(model, a)),
+                          (_subtree_sums(model, a), subtree_sums_oracle(model, a))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_stacked_brackets_match_per_body_brackets(case):
+    # the gathered brackets and co-brackets against se3.lie_bracket and
+    # ad(x)^T p body by body; [x, x] is exactly zero
+    model, q, qd, _, _, wb = case
+    x = _frame_table(model, *_fk_stacks(model, q), "spatial").screws * qd[:, None]
+    got_b, got_c = _PLAIN.brackets(x, wb), _PLAIN.cobrackets(x, wb)
+    want_b = np.array([lie_bracket(x[i], wb[i]) for i in range(model.n)])
+    want_c = np.array([ad_matrix(x[i]).T @ wb[i] for i in range(model.n)])
+    for got, want in ((got_b, want_b), (got_c, want_c)):
+        assert got.shape == (model.n, 6)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not _PLAIN.brackets(x, x).any() and not _PLAIN.brackets(wb, wb).any()
 
 
 @PROPERTY_SETTINGS

@@ -105,13 +105,21 @@ def _table_fault(path) -> str:
             return (f"data row {r}, column {min(k, width) + 1}: the row has {k} columns, "
                     f"data row 1 has {width}")
         for c, cell in enumerate(cells, 1):
-            try:
-                if np.loadtxt([cell], delimiter=",", ndmin=1).size == 1:
-                    continue
-            except ValueError:
-                pass
-            return f"data row {r}, column {c}: {cell.strip()!r} is not a number"
+            if _cell_number(cell) is None:
+                return f"data row {r}, column {c}: {cell.strip()!r} is not a number"
     return "is not a CSV table of numbers"
+
+
+def _cell_number(cell):
+    """The number in one CSV cell as np.loadtxt reads it, and so as
+    :func:`_load_table` does, or None when it is not one."""
+    with warnings.catch_warnings():  # an empty cell is no number, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            value = np.loadtxt([cell], delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+    return float(value[0]) if value.size == 1 else None
 
 
 def _read_traj(path, n, need=1):
@@ -139,12 +147,18 @@ def _read_traj(path, n, need=1):
 
 
 def _parse_vector(text, n, name):
+    """The n finite numbers of a flag's comma-separated text.  Each cell is
+    read as a table cell of :func:`_load_table` is (:func:`_cell_number`),
+    so '1_000' or non-ASCII digits, which Python's float takes, exit 2
+    with a message that names the flag and the cell."""
     if text is None:
         return np.zeros(n)
-    try:
-        vec = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise CliError(EXIT_VALIDATION, f"{name}: expected comma-separated floats") from None
+    cells = text.split(",")
+    values = [_cell_number(cell) for cell in cells]
+    if None in values:
+        cell = cells[values.index(None)]
+        raise CliError(EXIT_VALIDATION, f"{name}: {cell.strip()!r} is not a number")
+    vec = np.array(values)
     if not np.all(np.isfinite(vec)):
         raise CliError(EXIT_VALIDATION, f"{name}: values must be finite")
     if vec.size != n:

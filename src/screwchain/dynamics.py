@@ -7,8 +7,10 @@ Recursive Newton-Euler is one algorithm in three representations: the
 forward sweep of :mod:`screwchain.kinematics` followed by the one backward
 wrench sweep here, both over the frame table of their representation
 (:func:`screwchain.kinematics._frame_table`).  ``idyn`` builds that
-table and runs the two sweeps.  Everything else reads one configuration
-pass (:class:`_Configuration`): the pose stacks once, the spatial frame
+table and runs the two sweeps, but in spatial form it reads the
+motion in closed form instead (:func:`_closed_motion`), as the
+configuration pass does.  Everything else reads one configuration pass
+(:class:`_Configuration`): the pose stacks once, the spatial frame
 table at them and the composite-rigid-body mass matrix, whose inverse
 Cholesky factor, made once per pass, solves.  ``fdyn`` and
 ``momentum_rhs`` need no forward sweep: their bias
@@ -64,7 +66,7 @@ from .kinematics import (
     _jacobian,
     _kinematics,
     _pair_table,
-    _rep_map,
+    _read_inertias,
     _twist_map,
 )
 from .se3 import (
@@ -208,14 +210,15 @@ def gravity_wrenches(model: ChainModel, poses, rep: str) -> np.ndarray:
     fictitious base acceleration.
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
-    stack = _PoseStack(np.array([p.rot for p in poses]), np.array([p.trans for p in poses]))
+    stack = _PoseStack(np.array([p.matrix() for p in poses]))
     return _frame_table(model, stack, None, rep).gravity.copy()
 
 
 def spatial_inertia_of(model: ChainModel, poses, i: int) -> np.ndarray:
-    """Inertial-frame 6x6 inertia of body i at the given pose."""
-    b_inv = _rep_map(poses[i], "spatial")[1]
-    return b_inv.T @ model.inertia_body(i) @ b_inv
+    """Inertial-frame 6x6 inertia of body i at the given pose, read out of
+    its pseudo-inertia J carried by the pose W as W J W^T."""
+    tab = model.tables
+    return _read_inertias(poses[i].matrix(), tab.pseudo[i], tab.readout)[1]
 
 
 def ne_wrench_arbitrary(model: ChainModel, state: JointState, i: int,
@@ -281,15 +284,27 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     torque with an inertial force, which has no native recursion) and
     converts ``applied`` from mixed to hybrid.
 
-    With ``full=True`` an :class:`IdynResult` carrying the transmitted
-    joint wrenches and the operation-count report is returned instead.
+    The body and hybrid forms run the recursive forward sweep of
+    :mod:`screwchain.kinematics`; the spatial form reads its twists and
+    accelerations in closed form (:func:`_closed_motion`), as the
+    configuration pass does, and counts the same operations as the
+    recursion.  With ``full=True`` an :class:`IdynResult` carrying the
+    transmitted joint wrenches and the operation-count report is
+    returned instead.
     """
     _check_rep(rep)
     work_rep = "hybrid" if rep == "mixed" else rep
     cnt = _Counter(work_rep, model.n)
-    frames, cache = _kinematics(model, JointState(q, qd, qdd), work_rep, 1, cnt)
+    state = JointState(q, qd, qdd)
+    if work_rep == "spatial":
+        frames = _frame_table(model, _fk_stacks(model, state.q)[0], None, "spatial", cnt)
+        qd, qdd = (np.zeros(model.n) if v is None else v for v in (state.qd, state.qdd))
+        V, Vd = _closed_motion(model, frames.screws, qd, qdd, cnt)
+    else:
+        frames, cache = _kinematics(model, state, work_rep, 1, cnt)
+        V, Vd = cache.twists, cache.accels
     ext = _loads(model, frames, applied, gravity, rep)
-    Q, W = _backward_sweep(model, frames, cache.twists, cache.accels, ext, cnt)
+    Q, W = _backward_sweep(model, frames, V, Vd, ext, cnt)
     if full:
         return IdynResult(Q, W, cnt.report, work_rep)
     return Q
@@ -328,8 +343,8 @@ def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
     rep = frames.rep
     x, xf = frames.screws, frames.parent
     if rep == "spatial":
-        W = _subtree_sums(model, _balances(frames.inertias, V, Vd, ops) - ext)
-        return np.einsum("ij,ij->i", x, W), W
+        W = model.tables.path @ (_balances(frames.inertias, V, Vd, ops) - ext)
+        return (x * W).sum(axis=1), W
     kind = "translations_screw" if rep == "hybrid" else None
     W = np.zeros((n, 6))
     Q = np.zeros(n)
@@ -374,6 +389,23 @@ def _path_sums(model: ChainModel, a) -> np.ndarray:
     return (model.tables.path.T @ a.reshape(model.n, -1)).reshape(a.shape)
 
 
+def _closed_motion(model: ChainModel, js, qd, qdd=None,
+                   ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial twists and accelerations of all bodies in closed form from
+    the spatial joint screws js: V_i sums js_j qd_j over the path to body
+    i, and, as d/dt js_j = [V_j, js_j], Vdot_i sums qd_j [V_j, js_j] +
+    js_j qdd_j over it (qdd None is zero).  A root's bracket is
+    [js_r qd_r, js_r qd_r] = 0, so only the non-root bodies bracket,
+    through ``ops``, as many as in the recursive spatial sweep."""
+    up = model.tables.path.T  # up @ a sums a over each body's path
+    x = js * qd[:, None]
+    V = up @ x
+    rates = np.zeros(x.shape) if qdd is None else js * qdd[:, None]
+    moving = model.nonroot
+    rates[moving] += ops.brackets(V[moving], x[moving])
+    return V, up @ rates
+
+
 class _Configuration:
     """One configuration pass at q: the body pose stacks of
     :func:`_fk_stacks` once, and from them the spatial frame table
@@ -383,9 +415,11 @@ class _Configuration:
 
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
-    on the path to k, and zero off the paths.  The twist V_i sums js_j qd_j
-    over the path to body i (:meth:`twists`) and, as Jdot_j = [V_j, js_j],
-    the acceleration at qdd = 0 sums qd_j [V_j, js_j] over it.
+    on the path to k, and zero off the paths; ``icjs`` keeps Ic_k js_k,
+    which also gives the total momentum (:meth:`total_momentum`).  The
+    twist V_i sums js_j qd_j over the path to body i and, as Jdot_j =
+    [V_j, js_j], the acceleration at qdd = 0 sums qd_j [V_j, js_j] over it
+    (:func:`_closed_motion`).
 
     At the first :meth:`solve` M = L L^T is factored, and L^-1 is kept
     (``_low``), so every solve is two matrix products.  The last bias
@@ -401,7 +435,9 @@ class _Configuration:
         self.frames = frames = _frame_table(model, *_fk_stacks(model, self.q), "spatial")
         js, on_path = frames.screws, model.tables.on_path
         ic = _subtree_sums(model, frames.inertias)
-        g = js @ np.einsum("kij,kj->ik", ic, js)  # g[j, k] = js_j . Ic_k js_k
+        self.icjs = (ic @ js[..., None])[..., 0]  # Ic_k js_k
+        self.icjs.setflags(write=False)
+        g = js @ self.icjs.T  # g[j, k] = js_j . Ic_k js_k
         self.mass = np.where(on_path, g, np.where(on_path.T, g.T, 0.0))
         self.mass.setflags(write=False)
         self._low = None  # L^-1 for the Cholesky factor L of the mass matrix
@@ -411,6 +447,16 @@ class _Configuration:
         """Spatial twists V^s_i: js_j qd_j summed over the path to body i."""
         return _path_sums(self.model, self.frames.screws * qd[:, None])
 
+    def potential(self) -> float:
+        """Potential energy -g . sum h_i, h_i = m_i r_com_i the first moment
+        of body i's pseudo-inertia in the frame table."""
+        return -float(self.model.gravity @ self.frames.pseudo[:, :3, 3].sum(axis=0))
+
+    def total_momentum(self, qd) -> np.ndarray:
+        """The spatial momentum of all bodies, sum_i M^s_i V^s_i: each
+        joint's rate times the momentum Ic_k js_k of its subtree per unit rate."""
+        return np.asarray(qd, dtype=float).reshape(self.model.n) @ self.icjs
+
     def momenta(self, qd) -> np.ndarray:
         """Per-body spatial momenta M^s_i V^s_i."""
         qd = np.asarray(qd, dtype=float).reshape(self.model.n)
@@ -419,7 +465,7 @@ class _Configuration:
     def solve(self, b) -> np.ndarray:
         """M^-1 b = L^-T (L^-1 b) by :func:`_spd_solve`, with the one kept L^-1."""
         if self._low is None:
-            self._low = _spd_factor(self.mass, b)
+            self._low = _spd_factor(self.mass)
         return _spd_solve(self.mass, b, self._low)
 
     def accel(self, qd, tau, applied, gravity: bool):
@@ -436,9 +482,9 @@ class _Configuration:
         key = (qd.tobytes(), tau.tobytes(),
                None if applied is None else applied.tobytes(), bool(gravity))
         if self._kept is None or self._kept[0] != key:
-            V = self.twists(qd)
-            vd = _path_sums(self.model, _PLAIN.brackets(V, self.frames.screws * qd[:, None]))
-            loads = _loads(self.model, self.frames, applied, gravity, "body")
+            V, vd = _closed_motion(self.model, self.frames.screws, qd)
+            loads = (self.frames.gravity if gravity and applied is None
+                     else _loads(self.model, self.frames, applied, gravity, "body"))
             bias, _ = _backward_sweep(self.model, self.frames, V, vd, loads)
             qdd = self.solve(tau - bias)
             for arr in (qdd, V, vd):
@@ -469,12 +515,12 @@ def mass_matrix(model: ChainModel, q) -> np.ndarray:
     return _configuration(model, q).mass.copy()
 
 
-def _spd_factor(m, b) -> np.ndarray:
+def _spd_factor(m) -> np.ndarray:
     """L^-1 for the Cholesky factor L of a symmetric positive-definite m,
-    to solve m x = b as L^-T (L^-1 b).  Raises ValueError when m or b holds
-    a NaN or an infinity (which numpy would carry through silently) or
-    when m is not positive definite."""
-    if not (np.isfinite(m).all() and np.isfinite(b).all()):
+    to solve m x = b as L^-T (L^-1 b).  Raises ValueError when m holds a
+    NaN or an infinity (which numpy would carry through silently) or when
+    m is not positive definite."""
+    if not np.isfinite(m).all():
         raise ValueError("array must not contain infs or NaNs")
     try:
         return np.linalg.inv(np.linalg.cholesky(m))
@@ -483,12 +529,13 @@ def _spd_factor(m, b) -> np.ndarray:
 
 
 def _spd_solve(m, b, low=None) -> np.ndarray:
-    """x = L^-T (L^-1 b) solves m x = b, with the checks of :func:`_spd_factor`;
-    ``low`` is the inverse factor L^-1 of m when the caller kept one."""
-    if low is None:
-        low = _spd_factor(m, b)
-    elif not np.isfinite(b).all():
+    """x = L^-T (L^-1 b) solves m x = b, with the checks of :func:`_spd_factor`
+    and b finite; ``low`` is the inverse factor L^-1 of m when the caller
+    kept one."""
+    if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
+    if low is None:
+        low = _spd_factor(m)
     return low.T @ (low @ b)
 
 
@@ -615,13 +662,9 @@ def kinetic_energy(model: ChainModel, q, qd) -> float:
 
 
 def gravity_potential(model: ChainModel, q) -> float:
-    """Potential energy -sum m_i g . r_com_i of the configuration."""
-    return _potential(model, _fk_stacks(model, q)[0])
-
-
-def _potential(model: ChainModel, poses: _PoseStack) -> float:
-    """:func:`gravity_potential` of the bodies at the pose stack, one
-    product over the bodies."""
+    """Potential energy -sum m_i g . r_com_i of the configuration, one
+    product over the pose stack."""
     tab = model.tables
+    poses = _fk_stacks(model, q)[0]
     com = np.einsum("nij,nj->ni", poses.rot, tab.com) + poses.trans
     return -float(tab.mass @ (com @ model.gravity))

@@ -15,8 +15,9 @@ step reuses.  That stage leaves its configuration pass, with the pass's
 inverse Cholesky factor and its bias solve, as the last one of
 :mod:`screwchain.dynamics`.  The momentum form's ``fdyn`` for the
 sample's qdd returns that kept solve, and the sample's report reads the
-pass's mass matrix and pose stack, so a run costs one configuration
-pass, one backward sweep and one factorization per RK4 stage.
+pass's mass matrix, pseudo-inertias and pose stack, so a run costs one
+configuration pass, one backward sweep and one factorization per RK4
+stage.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BodyModel, ChainModel, spatial_inertia_body
+from .model import BodyModel, ChainModel, inertia_readout, pseudo_inertia
 from .se3 import Pose, dexp_inv, exp_se3
 from . import dynamics as dyn
 from .dynamics import _spd_solve
-from .kinematics import _rep_map, _twist_map
+from .kinematics import _read_inertias, _twist_map
 
 __all__ = [
     "RigidBodyState",
@@ -127,12 +128,11 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
     twist, so its constancy is a check.  Raises ValueError as
     :func:`chain_simulate` does for T and h.
     """
-    mb = spatial_inertia_body(body).matrix
+    pseudo, readout = pseudo_inertia(body), inertia_readout(np.zeros(3))
     state = RigidBodyState(initial.pose, initial.spatial_twist(), "spatial")
 
     def spatial_inertia_at(pose: Pose) -> np.ndarray:
-        b_inv = _rep_map(pose, "spatial")[1]
-        return b_inv.T @ mb @ b_inv
+        return _read_inertias(pose.matrix(), pseudo, readout)[1]
 
     times, = _sample_arrays(T, h)
     steps = len(times) - 1
@@ -180,9 +180,9 @@ class ChainTrajectory:
 
 def _drift(rot) -> float:
     """Largest distance |R^T R - I| from SO(3) of a rotation or of a
-    stack of them."""
-    return float(np.linalg.norm(np.swapaxes(rot, -1, -2) @ rot - np.eye(3),
-                                axis=(-2, -1)).max())
+    stack of them, in the Frobenius norm."""
+    d = np.swapaxes(rot, -1, -2) @ rot - np.eye(3)
+    return float(np.sqrt((d * d).sum(axis=(-2, -1)).max()))
 
 
 def _sample_arrays(T, h, *widths) -> tuple[np.ndarray, ...]:
@@ -229,8 +229,10 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     form) or :func:`fdyn` (momentum form), which returns the bias solve
     that stage's :func:`momentum_rhs` kept.  The report is read from the
     configuration pass that stage built: the kinetic energy from its mass
-    matrix, and the potential energy and the drift each one product over
-    its pose stack, so the sample costs no pass, sweep or factorization
+    matrix, the potential energy -g . sum h_i from the first moments of
+    its pseudo-inertias, the total momentum (Ic_k js_k)^T qd from its
+    subtree inertias and the drift from its pose stack, so the sample
+    costs no pass, sweep or factorization
     of its own.  In both forms its ``constraint_drift`` is the largest
     distance |R^T R - I| of a body rotation from SO(3), which is roundoff
     of the rotations FK builds.  The momentum form also reports the
@@ -290,15 +292,13 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
         qd = qds[k] = k1[:n]
         qdds[k] = k1[n:] if form == "state" else accel(t, q, qd)
         cfg = dyn._configuration(model, q)
-        poses = cfg.frames.poses
         energy = 0.5 * float(qd @ cfg.mass @ qd)
         if gravity:
-            energy += dyn._potential(model, poses)
-        momenta = cfg.momenta(qd)
-        residual = (np.nan if form == "state" else
-                    float(np.linalg.norm(y[n:].reshape(n, 6) - momenta, axis=1).max()))
-        reports[k] = StepReport(t, energy, momenta.sum(axis=0), _drift(poses.rot),
-                                residual)
+            energy += cfg.potential()
+        residual = (np.nan if form == "state" else float(np.linalg.norm(
+            y[n:].reshape(n, 6) - cfg.momenta(qd), axis=1).max()))
+        reports[k] = StepReport(t, energy, cfg.total_momentum(qd),
+                                _drift(cfg.frames.poses.rot), residual)
         return k1
 
     k = 0

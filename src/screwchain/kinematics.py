@@ -16,6 +16,10 @@ reads the frame table of its representation (:func:`_frame_table`), in
 which the joint screws, inertias, parent transforms and gravity loads of
 all bodies are one stacked product each, and which the Jacobian,
 :func:`screwchain.dynamics.idyn`, ``fdyn`` and ``momentum_rhs`` read too.
+The spatial and hybrid tables work on the homogeneous 4x4 pose stack of
+FK: each inertia is read out of one congruence W J W^T of the body's
+4x4 pseudo-inertia J (W the pose, or its rotation alone in hybrid form),
+and each screw is (R w, t x R w + R v) (spatial) or (R w, R v) (hybrid).
 
 Twist representations (the ``rep`` argument everywhere).  Each is the
 body twist of one body mapped by a 6x6 matrix B fixed by the body's pose
@@ -142,12 +146,13 @@ class KinematicsCache:
 
 
 class _SweepOps:
-    """Screw transformations, inertia congruences and Lie brackets of the
-    frame tables and the recursive sweeps.  Each call reports itself to
-    :meth:`count`, which does nothing here; the operation counter of
+    """Screw transformations and Lie brackets of the recursive sweeps and
+    the closed-form motion.  Each call reports itself to :meth:`count`,
+    which does nothing here; the operation counter of
     :func:`screwchain.dynamics.idyn` overrides it, so the counts it
-    reports come from the sweep that actually ran.  The stacked
-    transforms count one transform per body."""
+    reports come from the sweep that actually ran.  The stacked brackets
+    count one per row, and the frame tables count their stacked screw
+    transforms and inertia congruences one per body."""
 
     __slots__ = ()
 
@@ -159,18 +164,6 @@ class _SweepOps:
         if kind is not None:
             self.count(kind)
         return mat @ s
-
-    def xforms(self, mats, s, kind=None):
-        """mats[i] @ s[i] for every body i."""
-        self.count("frame_transforms_screw", len(s))
-        if kind is not None:
-            self.count(kind, len(s))
-        return np.einsum("nij,nj->ni", mats, s)
-
-    def tensors(self, a_inv, m):
-        """a_inv[i]^T m[i] a_inv[i] for every body i."""
-        self.count("frame_transforms_tensor", len(m))
-        return np.swapaxes(a_inv, 1, 2) @ m @ a_inv
 
     def bracket(self, x, y):
         self.count("lie_brackets")
@@ -205,7 +198,7 @@ _COBRACKET_COLUMNS = np.array([[2, 0, 1, 2, 0, 1, 5, 3, 4, 1, 2, 0, 1, 2, 0, 4, 
 def _gathered(x, y, columns, at) -> np.ndarray:
     """The cross products c_0, c_1, c_2 of ``columns``, one gathered product,
     as the (n, 6) view (c_0, c_1) with c_2 added at columns ``at`` to ``at + 2``."""
-    p = x[:, columns[0]] * y[:, columns[1]]
+    p = x.take(columns[0], 1) * y.take(columns[1], 1)
     c = p[:, :9] - p[:, 9:]
     c[:, at:at + 3] += c[:, 6:]
     return c[:, :6]
@@ -220,18 +213,25 @@ def fk(model: ChainModel, q) -> list[Pose]:
 
 
 class _PoseStack(NamedTuple):
-    """The poses of all bodies as read-only stacked arrays: ``rot``
-    (n, 3, 3) and ``trans`` (n, 3)."""
+    """The poses of all bodies as one read-only (n, 4, 4) stack ``mat`` of
+    homogeneous matrices; ``rot`` (n, 3, 3) and ``trans`` (n, 3) are views."""
 
-    rot: np.ndarray
-    trans: np.ndarray
+    mat: np.ndarray
+
+    @property
+    def rot(self) -> np.ndarray:
+        return self.mat[:, :3, :3]
+
+    @property
+    def trans(self) -> np.ndarray:
+        return self.mat[:, :3, 3]
 
     def poses(self) -> list[Pose]:
-        return [Pose._trusted(r, t) for r, t in zip(self.rot, self.trans)]
+        return [Pose._trusted(m[:3, :3], m[:3, 3]) for m in self.mat]
 
 
 def _fk_stacks(model: ChainModel, q) -> tuple[_PoseStack, _PoseStack]:
-    """(absolute, relative) poses of :func:`fk_body_form`, views of (n, 4, 4) stacks."""
+    """(absolute, relative) poses of :func:`fk_body_form` as (n, 4, 4) stacks."""
     q = np.asarray(q, dtype=float).reshape(model.n)
     if not np.isfinite(q).all():
         bad = np.flatnonzero(~np.isfinite(q))
@@ -247,8 +247,7 @@ def _fk_stacks(model: ChainModel, q) -> tuple[_PoseStack, _PoseStack]:
         walk[i] = walk[p] @ walk[i]
     rel.setflags(write=False)
     walk.setflags(write=False)
-    return (_PoseStack(walk[:, :3, :3], walk[:, :3, 3]),
-            _PoseStack(rel[:, :3, :3], rel[:, :3, 3]))
+    return _PoseStack(walk), _PoseStack(rel)
 
 
 def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
@@ -318,7 +317,8 @@ def _twist_map(pose, from_rep: str, to_rep: str) -> np.ndarray:
 
 class _Frames(NamedTuple):
     """The frame table of :func:`_frame_table`: read-only stacks over the
-    bodies in ``rep`` coordinates, and the pose stacks they came from."""
+    bodies in ``rep`` coordinates, and the pose stacks they came from;
+    ``pseudo`` holds the pseudo-inertias in spatial and hybrid form."""
 
     rep: str
     poses: _PoseStack
@@ -327,47 +327,88 @@ class _Frames(NamedTuple):
     inertias: np.ndarray
     parent: np.ndarray | None
     gravity: np.ndarray
+    pseudo: np.ndarray | None
 
 
 def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack | None,
                  rep: str, ops: _SweepOps = _PLAIN) -> _Frames:
     """Every per-body frame quantity a ``rep`` sweep (body, spatial or
     hybrid) reads, at the pose stacks of :func:`_fk_stacks`, one stacked
-    product each through the maps B of :func:`_rep_map`:
+    product each:
 
-    - the joint screws B X and the inertias B^-T M B^-1 (X and M
-      themselves in body form), transformed through ``ops``;
+    - the joint screws B X, with B the map of :func:`_rep_map` and X =
+      (w, v) in body form: (R w, t x R w + R v) for a pose W = (R, t) in
+      spatial form, which is (R w, R v) in hybrid form, where W is the
+      rotation R alone; one gathered product of the columns of W
+      ``tables.lines`` (R w, R v and t);
+    - the inertias B^-T M B^-1 (M in body form), read out of the
+      congruences W J W^T of the model's pseudo-inertias J
+      (:func:`_read_inertias`), W the pose (spatial) or its rotation
+      alone (hybrid); ``pseudo`` keeps the W J W^T;
     - the transforms of each parent's twist into the body's coordinates:
       Ad(rel_i)^-1 in body form, read from ``relative`` (left out when it
       is None), the translations [[I, 0], [[r_p - r_i]x, I]] in hybrid
       form, and none (None) in spatial form; a root's entry is unused;
     - the gravity loads, each inertia times the acceleration of the
       gravity field B Ad(C)^-1 (0, g): M (0, R^T g) in body form and
-      I (0, g) in spatial and hybrid form.
+      I (0, g) = (h x g, m g) in spatial and hybrid form.
+
+    A stack of n screw transforms and n inertia congruences counts as n
+    of each through ``ops``; the hybrid ones are rotations.
     """
-    tab = model.tables
-    rot, trans = absolute
-    parent = None
+    tab, n = model.tables, model.n
+    rot = absolute.rot
+    parent = pseudo = None
     if rep == "body":
         screws, inertias = tab.screw, tab.inertia
         if relative is not None:
             parent = _rep_map(relative, "spatial")[1]
-        accel = model.gravity @ rot  # R_i^T g
+        gravity = (inertias[..., 3:] @ (model.gravity @ rot)[..., None])[..., 0]
     else:
-        b, b_inv = _rep_map(absolute, rep)
-        kind = "rotations_screw" if rep == "hybrid" else None
-        screws = ops.xforms(b, tab.screw, kind)
-        inertias = ops.tensors(b_inv, tab.inertia)
-        accel = model.gravity
-        if rep == "hybrid":
+        ops.count("frame_transforms_screw", n)
+        ops.count("frame_transforms_tensor", n)
+        w = absolute.mat
+        if rep == "hybrid":  # the rotations alone, about each body's origin
+            ops.count("rotations_screw", n)
+            w = w * _ROTATION_PART
             par = np.asarray(model.parent)
-            parent = np.tile(_EYE6, (model.n, 1, 1))
-            parent[:, 3:, :3] = _hat(np.where(par[:, None] >= 0, trans[par], 0.0) - trans)
-    gravity = (inertias[..., 3:] @ accel[..., None])[..., 0]
-    for arr in (screws, inertias, parent, gravity):
+            parent = np.tile(_EYE6, (n, 1, 1))
+            parent[:, 3:, :3] = _hat(np.where(par[:, None] >= 0, absolute.trans[par], 0.0)
+                                     - absolute.trans)
+        f = (w @ tab.lines).reshape(n, 12)
+        screws = (f.take(_SCREW_COLUMNS[0], 1) * f.take(_SCREW_COLUMNS[1], 1)) @ _SCREW_SUM
+        pseudo, inertias, gravity = _read_inertias(w, tab.pseudo, tab.readout)
+    for arr in (screws, inertias, parent, gravity, pseudo):
         if arr is not None:
             arr.setflags(write=False)
-    return _Frames(rep, absolute, relative, screws, inertias, parent, gravity)
+    return _Frames(rep, absolute, relative, screws, inertias, parent, gravity, pseudo)
+
+
+def _read_inertias(w, pseudo, readout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W J W^T, inertias, gravity wrenches) of the pseudo-inertias J
+    carried by the 4x4 matrices W (one each, or stacks), the last two one
+    product of the flattened W J W^T with a readout of
+    :func:`screwchain.model.inertia_readout`."""
+    carried = w @ pseudo @ w.swapaxes(-1, -2)
+    lead = carried.shape[:-2]
+    read = carried.reshape(lead + (16,)) @ readout
+    return carried, read[..., :36].reshape(lead + (6, 6)), read[..., 36:]
+
+
+# W @ tables.lines flattened is f = (Rw_x, Rv_x, t_x, Rw_y, Rv_y, t_y, Rw_z,
+# Rv_z, t_z, 0, 0, 1) for a screw (w, v) and a 4x4 W with rotation R and
+# translation t.  The products f[:, l] f[:, r] of the columns (l, r) below are
+# R w and R v (times the 1 of f[:, 11]) and the two halves of t x R w, which
+# _SCREW_SUM adds up to the screw (R w, t x R w + R v).
+_SCREW_COLUMNS = np.array([[0, 3, 6, 1, 4, 7, 5, 8, 2, 8, 2, 5],
+                           [11, 11, 11, 11, 11, 11, 6, 0, 3, 3, 6, 0]])
+_SCREW_SUM = np.zeros((12, 6))
+_SCREW_SUM[range(6), range(6)] = _SCREW_SUM[range(6, 9), range(3, 6)] = 1.0
+_SCREW_SUM[range(9, 12), range(3, 6)] = -1.0
+_ROTATION_PART = np.ones((4, 4))
+_ROTATION_PART[:3, 3] = 0.0
+for _table in (_SCREW_COLUMNS, _SCREW_SUM, _ROTATION_PART):
+    _table.setflags(write=False)
 
 
 @dataclass
@@ -684,7 +725,7 @@ def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
     Vd = np.asarray(body_accels, dtype=float).reshape(n, 6)
     frames = _frame_table(model, *_fk_stacks(model, q), "body")
     x, par = frames.screws, np.asarray(model.parent)
-    xa = np.where(par[:, None] >= 0, _PLAIN.xforms(frames.parent.swapaxes(1, 2), x), 0.0)
+    xa = np.where(par[:, None] >= 0, np.einsum("nji,nj->ni", frames.parent, x), 0.0)
     norm2 = np.einsum("ij,ij->i", x, x)
     qd = (np.einsum("ij,ij->i", x, V) - np.einsum("ij,ij->i", xa, V[par])) / norm2
     return (np.einsum("ij,ij->i", x, Vd + qd[:, None] * _PLAIN.brackets(x, V))

@@ -11,9 +11,11 @@ and the spatial and body-fixed joint screws coincide), but arbitrary
 reference poses are accepted.
 
 A model tabulates at load what every configuration pass reads
-(:class:`ChainTables`): the body screws and inertias, the root-to-body
-paths as a 0/1 matrix, and each body's relative pose as a closed form in
-sin and cos of its joint angle (:func:`screwchain.kinematics.fk_body_form`).
+(:class:`ChainTables`): the body screws and inertias, each body's 4x4
+pseudo-inertia with the fixed linear readout of the 6x6 inertia and the
+gravity wrench from it, the root-to-body paths as a 0/1 matrix, and each
+body's relative pose as a closed form in sin and cos of its joint angle
+(:func:`screwchain.kinematics.fk_body_form`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "SpatialInertia",
     "screw_from_axis",
     "spatial_inertia_body",
+    "pseudo_inertia",
     "binet_inertia",
     "parse_model",
     "serialize_model",
@@ -228,15 +231,57 @@ def spatial_inertia_body(body: BodyModel) -> SpatialInertia:
     return SpatialInertia(out, "body")
 
 
+def pseudo_inertia(body: BodyModel) -> np.ndarray:
+    """4x4 pseudo-inertia J = [[S, h], [h^T, m]] of a body about its
+    reference frame: S = integral of x x^T dm, the second moment, is Binet's
+    tensor of the COM inertia plus m d d^T, and h = m d the first moment
+    (Wensing, Kim and Slotine, "Linear Matrix Inequalities for Physically
+    Consistent Inertial Parameter Identification", RA-L 2018).  A pose
+    W = [[R, t], [0, 1]] carries it into the frame W maps into as W J W^T,
+    and :func:`inertia_readout` reads the 6x6 inertia from it."""
+    m, d = body.mass, body.com_offset
+    out = np.empty((4, 4))
+    out[:3, :3] = binet_inertia(body.inertia_com) + m * np.outer(d, d)
+    out[:3, 3] = out[3, :3] = m * d
+    out[3, 3] = m
+    return out
+
+
+def inertia_readout(gravity) -> np.ndarray:
+    """(16, 42) linear map from a flattened pseudo-inertia J (of
+    :func:`pseudo_inertia`) to the flattened 6x6 inertia
+    [[tr(S) I - S, [h]x], [-[h]x, m I]] and the gravity wrench
+    (h x g, m g) that it carries in the field ``gravity``.  It reads the
+    symmetric part of J, so a J off symmetry by roundoff still gives an
+    exactly symmetric inertia."""
+    g = np.asarray(gravity, dtype=float).reshape(3)
+    out = np.zeros((16, 7, 6))  # rows 0-5 the inertia, row 6 the wrench
+    for k, unit in enumerate(np.eye(16).reshape(16, 4, 4)):
+        j = 0.5 * (unit + unit.T)
+        s, h, m = j[:3, :3], j[:3, 3], j[3, 3]
+        out[k, :3, :3] = np.trace(s) * np.eye(3) - s
+        out[k, :3, 3:] = hat3(h)
+        out[k, 3:6, :3] = -hat3(h)
+        out[k, 3:6, 3:] = m * np.eye(3)
+        out[k, 6] = np.concatenate([np.cross(h, g), m * g])
+    return out.reshape(16, 42)
+
+
 class ChainTables(NamedTuple):
     """Read-only per-body arrays of a model, stacked along a leading body
     axis and fixed at load.
 
     ``screw`` (n, 6) and ``inertia`` (n, 6, 6) are the body-fixed joint
     screws and body inertias, ``mass`` (n,) and ``com`` (n, 3) the body
-    masses and COM offsets; ``on_path`` (n, n) is True at [j, i] when
-    body j is on the path from the root to body i, and ``path`` is it as
-    floats: path^T a sums a over each body's path, path a over its subtree.
+    masses and COM offsets.  ``pseudo`` (n, 4, 4) holds the body
+    pseudo-inertias of :func:`pseudo_inertia`, and ``readout`` (16, 42),
+    the one table without a body axis, is the :func:`inertia_readout` of
+    the model's gravity.  ``lines`` (n, 4, 3) holds the columns (w, 0),
+    (v, 0) and (0, 0, 0, 1) of each body screw (w, v), which a pose W
+    carries into R w, R v and its translation t.  ``on_path`` (n, n) is
+    True at [j, i] when body j is on the path from the root to body i, and
+    ``path`` is it as floats: path^T a sums a over each body's path, path a
+    over its subtree.
     ``exp`` (n, 4, 16) gives the pose relative to the parent, B exp(q X)
     with B the reference pose, as (1, sin a, 1 - cos a, a) times it at
     a = rate q: a revolute or helical screw is rate * (u, v), |u| = 1, and
@@ -249,15 +294,18 @@ class ChainTables(NamedTuple):
     inertia: np.ndarray
     mass: np.ndarray
     com: np.ndarray
+    pseudo: np.ndarray
+    readout: np.ndarray
+    lines: np.ndarray
     on_path: np.ndarray
     path: np.ndarray
     rate: np.ndarray
     exp: np.ndarray
 
 
-def _chain_tables(joints, bodies, paths, rel_ref) -> ChainTables:
+def _chain_tables(joints, bodies, paths, rel_ref, gravity) -> ChainTables:
     """The :class:`ChainTables` of resolved joints, their bodies, the
-    root-to-body paths and the relative reference poses."""
+    root-to-body paths, the relative reference poses and the gravity."""
     n = len(joints)
     screws = np.array([joint.screw_body for joint in joints])
     prismatic = np.array([joint.kind == "prismatic" for joint in joints])
@@ -271,6 +319,8 @@ def _chain_tables(joints, bodies, paths, rel_ref) -> ChainTables:
     gen[:, 0], gen[:, 1, :3, :3], gen[:, 2, :3, :3] = np.eye(4), w, w2
     gen[:, 1, :3, 3], gen[:, 2, :3, 3] = -w2v, np.einsum("nij,nj->ni", w, v)
     gen[:, 3, :3, 3] = v + w2v
+    lines = np.zeros((n, 4, 3))
+    lines[:, :3, 0], lines[:, :3, 1], lines[:, 3, 2] = screws[:, :3], screws[:, 3:], 1.0
     ref = np.array([p.matrix() for p in rel_ref])
     on_path = np.zeros((n, n), dtype=bool)
     for i, path in enumerate(paths):
@@ -278,6 +328,7 @@ def _chain_tables(joints, bodies, paths, rel_ref) -> ChainTables:
     tables = ChainTables(
         screws, np.array([spatial_inertia_body(b).matrix for b in bodies]),
         np.array([b.mass for b in bodies]), np.array([b.com_offset for b in bodies]),
+        np.array([pseudo_inertia(b) for b in bodies]), inertia_readout(gravity), lines,
         on_path, on_path.astype(float), rate,
         (ref[:, None] @ gen).reshape(n, 4, 16))
     for arr in tables:
@@ -291,7 +342,8 @@ class ChainModel:
     Bodies are indexed 0..n-1, ``parent[i]`` is the index of the parent
     body or -1 for the ground, and ``parent[i] < i`` always holds.
     ``tables`` holds the per-body arrays of :class:`ChainTables`, built
-    here once, and ``links`` the (body, parent) pairs of non-root bodies.
+    here once, ``links`` the (body, parent) pairs of non-root bodies and
+    ``nonroot`` their bodies as an index.
     """
 
     def __init__(self, bodies, joints, parent, gravity=DEFAULT_GRAVITY, name=""):
@@ -321,6 +373,9 @@ class ChainModel:
         for i, p in enumerate(self.parent):  # parents come first
             self._paths.append((self._paths[p] if p >= 0 else ()) + (i,))
         self.links = tuple((i, p) for i, p in enumerate(self.parent) if p >= 0)
+        # the bodies of ``links`` as an index (a slice when only body 0 is a root)
+        self.nonroot = (slice(1, None) if self.parent.count(-1) == 1
+                        else np.array([i for i, _ in self.links], dtype=int))
         # Relative reference pose of each body w.r.t. its parent.
         self._rel_ref = [
             b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose
@@ -329,8 +384,10 @@ class ChainModel:
         # offset; the check below reports that, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             self.tables = _chain_tables(self.joints, self.bodies, self._paths,
-                                        self._rel_ref)
+                                        self._rel_ref, self.gravity)
         for name, arr in zip(ChainTables._fields, self.tables):
+            if name == "readout":  # finite with the gravity, no body axis
+                continue
             bad = np.flatnonzero(~np.isfinite(arr).reshape(self.n, -1).all(axis=1))
             if bad.size:
                 raise ModelError(f"bodies[{bad[0]}]", f"{name} table overflows")

@@ -280,6 +280,25 @@ def test_malformed_table_names_one_based_row_and_column(tmp_path, capsys, flag, 
     assert capsys.readouterr().err == f"error: {what} {message}\n"
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0663"])
+def test_vector_flags_take_the_numbers_of_a_table_cell(tmp_path, capsys, cell):
+    # Python's float reads '1_000' and the Arabic-Indic digit three; a
+    # table cell does not, and neither does a vector flag
+    out = str(tmp_path / "o.csv")
+    for command in (["simulate", "--T", "0.001", f"--q0={cell}"],
+                    ["simulate", "--T", "0.001", f"--qd0={cell}"],
+                    ["christoffel", f"--q={cell}"]):
+        assert run_cli(*command, "--model", MODEL_1R, "--out", out) == 2
+        flag = command[-1].split("=")[0]
+        assert capsys.readouterr().err == f"error: {flag}: {cell!r} is not a number\n"
+    table = tmp_path / "traj.csv"
+    table.write_text(f"t,q1\n0,{cell}\n")
+    assert run_cli("fk", "--model", MODEL_1R, "--traj", str(table), "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: trajectory data row 1, column 2: {cell!r} is not a number\n")
+    assert not os.path.exists(out)
+
+
 def test_header_only_trajectory_exit_2_without_warning(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     traj.write_text("t,q1,q2\n")

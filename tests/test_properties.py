@@ -14,15 +14,17 @@ from hypothesis import given, settings, strategies as st
 from screwchain.dynamics import (
     _Configuration, _backward_sweep, _loads, _path_sums, _subtree_sums, christoffel,
     convert_wrench,
-    coriolis_matrix, fdyn, gravity_wrenches, idyn, mass_matrix, momentum_rhs, ne_wrench,
-    spatial_inertia_of, spatial_momenta,
+    coriolis_matrix, fdyn, gravity_potential, gravity_wrenches, idyn, kinetic_energy,
+    mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
 )
 from screwchain.kinematics import (
     _PLAIN, REPS, JointState, Twist, _fk_stacks, _forward_sweep, _frame_table,
     accelerations, convert_twist, fk, fk_body_form, hybrid_jacobian_partial2, jacobian,
     jacobian_partial, jacobian_partials, jerks, twists,
 )
-from screwchain.model import binet_inertia
+from screwchain.integrators import chain_simulate
+from screwchain.model import binet_inertia, load_model
+from screwchain.samples import sample_model_path
 from screwchain.se3 import (
     ad_matrix, adjoint, adjoint_rot, adjoint_trans, exp_se3, lie_bracket, screw,
 )
@@ -294,6 +296,65 @@ def test_frame_table_matches_per_body_builders(case):
         for i, want in enumerate(parent_transforms_oracle(model, poses, rels, rep)):
             if want is not None:
                 close(frames.parent[i], want)
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_pseudo_inertia_tables_read_out_the_body_inertias(case):
+    # at the identity pose the readout of each 4x4 pseudo-inertia J is the
+    # body inertia, and J is positive definite for a physical body
+    model = case[0]
+    tab = model.tables
+    read = (tab.pseudo.reshape(model.n, 16) @ tab.readout)[:, :36].reshape(model.n, 6, 6)
+    assert np.abs(read - tab.inertia).max() <= 1e-15 * np.abs(tab.inertia).max()
+    assert np.linalg.eigvalsh(tab.pseudo).min() > 0.0
+
+
+def test_bundled_pseudo_inertias_are_positive_definite():
+    for name in ("pendulum_1r", "planar_2r", "arm_6r"):
+        tab = load_model(sample_model_path(name)).tables
+        assert np.linalg.eigvalsh(tab.pseudo).min() > 0.0
+        read = (tab.pseudo.reshape(-1, 16) @ tab.readout)[:, :36].reshape(-1, 6, 6)
+        assert np.abs(read - tab.inertia).max() <= 1e-15 * np.abs(tab.inertia).max()
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(), st.booleans(), st.booleans())
+def test_stacked_spatial_idyn_matches_recursive_sweeps(case, gravity, loaded):
+    # idyn's closed-form spatial motion against the recursive forward
+    # sweep over the same frame table, both through the backward sweep
+    model, q, qd, qdd, _, wb = case
+    applied = wb if loaded else None
+    got = idyn(model, q, qd, qdd, "spatial", applied=applied, gravity=gravity, full=True)
+    frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
+    cache = _forward_sweep(model, frames, JointState(q, qd, qdd), 1)
+    ext = _loads(model, frames, applied, gravity, "spatial")
+    expect = _backward_sweep(model, frames, cache.twists, cache.accels, ext)
+    for g, e in zip((got.Q, got.wrenches), expect):
+        assert np.abs(g - e).max() <= 1e-12 * max(1.0, np.abs(e).max())
+
+
+@PROPERTY_SETTINGS
+@given(chain_states())
+def test_pass_potential_and_total_momentum_match_public_functions(case):
+    # the potential -g . sum h_i of the carried pseudo-inertias and the
+    # total momentum (Ic_k js_k)^T qd, against gravity_potential and the
+    # summed per-body momenta; and so in a simulation's sample reports
+    model, q, qd = case[:3]
+    cfg = _Configuration(model, q)
+    potential = gravity_potential(model, q)
+    assert abs(cfg.potential() - potential) <= 1e-12 * max(1.0, abs(potential))
+    total = spatial_momenta(model, q, qd).sum(axis=0)
+    assert np.abs(cfg.total_momentum(qd) - total).max() <= 1e-12 * max(1.0, np.abs(total).max())
+    for form in ("state", "momentum"):
+        traj = chain_simulate(model, q, qd, T=2e-3, h=1e-3, form=form)
+        for k, r in enumerate(traj.reports):
+            qk, qdk = traj.q[k], traj.qd[k]
+            energy = kinetic_energy(model, qk, qdk) + gravity_potential(model, qk)
+            total = spatial_momenta(model, qk, qdk).sum(axis=0)
+            assert abs(r.energy - energy) <= 1e-12 * max(1.0, abs(energy))
+            assert np.abs(r.momentum_spatial - total).max() <= 1e-12 * max(
+                1.0, np.abs(total).max())
 
 
 @PROPERTY_SETTINGS

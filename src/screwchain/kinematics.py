@@ -227,7 +227,7 @@ class _PoseStack(NamedTuple):
         return self.mat[:, :3, 3]
 
     def poses(self) -> list[Pose]:
-        return [Pose._trusted(m[:3, :3], m[:3, 3]) for m in self.mat]
+        return [Pose._trusted(r, t) for r, t in zip(self.rot, self.trans)]
 
 
 def _fk_stacks(model: ChainModel, q) -> tuple[_PoseStack, _PoseStack]:
@@ -318,7 +318,8 @@ def _twist_map(pose, from_rep: str, to_rep: str) -> np.ndarray:
 class _Frames(NamedTuple):
     """The frame table of :func:`_frame_table`: read-only stacks over the
     bodies in ``rep`` coordinates, and the pose stacks they came from;
-    ``pseudo`` holds the pseudo-inertias in spatial and hybrid form."""
+    ``pseudo`` holds the carried pseudo-inertias W J W^T (None in body
+    form)."""
 
     rep: str
     poses: _PoseStack
@@ -336,11 +337,11 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
     hybrid) reads, at the pose stacks of :func:`_fk_stacks`, one stacked
     product each:
 
-    - the joint screws B X, with B the map of :func:`_rep_map` and X =
-      (w, v) in body form: (R w, t x R w + R v) for a pose W = (R, t) in
-      spatial form, which is (R w, R v) in hybrid form, where W is the
-      rotation R alone; one gathered product of the columns of W
-      ``tables.lines`` (R w, R v and t);
+    - the joint screws B X for X = (w, v) in body form, B the map of
+      :func:`_rep_map`: (R w, t x R w + R v) at a pose W = (R, t) in
+      spatial form, and the same at W = (R, 0), that is (R w, R v), in
+      hybrid form; one gathered product of the columns R w, R v and t of
+      W ``tables.lines``;
     - the inertias B^-T M B^-1 (M in body form), read out of the
       congruences W J W^T of the model's pseudo-inertias J
       (:func:`_read_inertias`), W the pose (spatial) or its rotation

@@ -38,6 +38,7 @@ __all__ = [
     "screw_from_axis",
     "spatial_inertia_body",
     "pseudo_inertia",
+    "inertia_readout",
     "binet_inertia",
     "parse_model",
     "serialize_model",
@@ -386,7 +387,7 @@ class ChainModel:
             self.tables = _chain_tables(self.joints, self.bodies, self._paths,
                                         self._rel_ref, self.gravity)
         for name, arr in zip(ChainTables._fields, self.tables):
-            if name == "readout":  # finite with the gravity, no body axis
+            if name == "readout":  # no body axis, and as finite as the gravity
                 continue
             bad = np.flatnonzero(~np.isfinite(arr).reshape(self.n, -1).all(axis=1))
             if bad.size:

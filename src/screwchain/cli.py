@@ -10,6 +10,7 @@ significant digits so that values round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import bisect
 import sys
 import time
 import warnings
@@ -270,16 +271,17 @@ def _torque_fn_from_file(path, n):
     tt, tq = raw[:, 0], raw[:, 1:]
     with np.errstate(over="ignore"):  # knots closer than 1e-308 s apart
         slope = np.diff(tq, axis=0) / np.diff(tt)[:, None]
+    knots = tt.tolist()  # a search of a list costs less than np.searchsorted
 
     def torque(t, q, qd):
         # np.interp of every column from one search: the end rows outside
         # the knots, the row at a knot, a line from the knot before t
-        k = np.searchsorted(tt, t, side="right") - 1
+        k = bisect.bisect_right(knots, t) - 1
         if k < 0:
             return tq[0].copy()
-        if k == len(tt) - 1 or t == tt[k]:
+        if k == len(knots) - 1 or t == knots[k]:
             return tq[k].copy()
-        return slope[k] * (t - tt[k]) + tq[k]
+        return slope[k] * (t - knots[k]) + tq[k]
 
     return torque
 

@@ -10,18 +10,20 @@ wrench sweep here, both over the frame table of their representation
 table and runs the two sweeps, but in spatial form it reads the
 motion in closed form instead (:func:`_closed_motion`), as the
 configuration pass does.  Everything else reads one configuration pass
-(:class:`_Configuration`): the pose stacks once, the spatial frame
-table at them and the composite-rigid-body mass matrix, whose inverse
+(:class:`_Configuration`): the pose stack once, the spatial frame
+table at it and the composite-rigid-body mass matrix, whose inverse
 Cholesky factor, made once per pass, solves.  ``fdyn`` and
 ``momentum_rhs`` need no forward sweep: their bias
 J^T (M Jdot qd - ad^T_V M V - loads) is closed-form, since the spatial
 Jacobian's column rates are brackets, Jdot^s_j = [V_j, X^s_j], and the
 sums over paths and subtrees are products with the model's path matrix.
-The spatial backward sweep needs no frame transform: the balances of all
-bodies are one stacked product (:func:`_balances`), which also gives the
-momentum form's rates.
+The spatial backward sweep needs no frame transform, so the balances of
+all bodies come with the closed-form motion, their brackets and
+co-brackets one gathered product (:func:`_closed_motion`); the momentum
+form's rates are those balances at qdd = 0 plus M_i times the path sums
+of js_j qdd_j.
 
-The last configuration pass is kept, read-only, and reused by the next
+The last configuration pass is kept and reused by the next
 call at the same model object and the same bytes of q
 (:func:`_configuration`); so is the last bias solve of that pass, for
 the next call with the same bytes of qd, tau and applied wrenches and
@@ -296,15 +298,17 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     work_rep = "hybrid" if rep == "mixed" else rep
     cnt = _Counter(work_rep, model.n)
     state = JointState(q, qd, qdd)
+    balances = None
     if work_rep == "spatial":
-        frames = _frame_table(model, _fk_stacks(model, state.q)[0], None, "spatial", cnt)
-        qd, qdd = (np.zeros(model.n) if v is None else v for v in (state.qd, state.qdd))
-        V, Vd = _closed_motion(model, frames.screws, qd, qdd, cnt)
+        frames = _frame_table(model, _fk_stacks(model, state.q, relative=False)[0], None,
+                              "spatial", cnt)
+        qd = np.zeros(model.n) if state.qd is None else state.qd
+        V, Vd, balances = _closed_motion(model, frames, qd, state.qdd, cnt)
     else:
         frames, cache = _kinematics(model, state, work_rep, 1, cnt)
         V, Vd = cache.twists, cache.accels
     ext = _loads(model, frames, applied, gravity, rep)
-    Q, W = _backward_sweep(model, frames, V, Vd, ext, cnt)
+    Q, W = _backward_sweep(model, frames, V, Vd, ext, cnt, balances)
     if full:
         return IdynResult(Q, W, cnt.report, work_rep)
     return Q
@@ -325,7 +329,7 @@ def _loads(model: ChainModel, frames: _Frames, applied, gravity: bool,
 
 
 def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
-                    ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray]:
+                    ops: _SweepOps = _PLAIN, balances=None) -> tuple[np.ndarray, np.ndarray]:
     """The one Newton-Euler wrench recursion, from the leaves to the roots,
     over the frame table ``frames`` and the twists V and accelerations Vd
     of all bodies in its representation.
@@ -336,14 +340,17 @@ def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
     carried to the parent.  The spatial form carries a wrench to the
     parent unchanged, so there the balances of all bodies are one
     stacked product (:func:`_balances`), their subtree sums the
-    joint wrenches and one row-wise product the joint forces.  Returns
-    (joint forces, joint wrenches).
+    joint wrenches and one row-wise product the joint forces; a caller
+    that formed the balances with the motion (:func:`_closed_motion`)
+    passes them as ``balances``.  Returns (joint forces, joint wrenches).
     """
     n = model.n
     rep = frames.rep
     x, xf = frames.screws, frames.parent
     if rep == "spatial":
-        W = model.tables.path @ (_balances(frames.inertias, V, Vd, ops) - ext)
+        if balances is None:
+            balances = _balances(frames.inertias, V, Vd, ops)
+        W = model.tables.path @ (balances - ext)
         return (x * W).sum(axis=1), W
     kind = "translations_screw" if rep == "hybrid" else None
     W = np.zeros((n, 6))
@@ -366,52 +373,44 @@ def _balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
     """The Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of all
     bodies, one stacked product, from their inertias, twists and
     accelerations in body or in spatial form (the two share the formula);
-    the n co-brackets go through ``ops``."""
+    the n co-brackets go through ``ops``, beside the brackets [V_i, V_i] = 0."""
     mv = (inertias @ np.array([V, Vd])[..., None])[..., 0]  # M_i V_i and M_i Vdot_i
-    return mv[1] - ops.cobrackets(V, mv[0])
+    return mv[1] - ops.brackets(V, np.concatenate((V, mv[0]), axis=1), 0)[1]
 
 
 # --------------------------------------------------------------------------
 # Closed-form equations of motion
 # --------------------------------------------------------------------------
 
-def _subtree_sums(model: ChainModel, a) -> np.ndarray:
-    """a[i] summed over the subtree rooted at body i, one product with the
-    path matrix: a non-finite entry makes every body's sum NaN (0 * inf)."""
-    a = np.asarray(a, dtype=float)
-    return (model.tables.path @ a.reshape(model.n, -1)).reshape(a.shape)
-
-
-def _path_sums(model: ChainModel, a) -> np.ndarray:
-    """a[i] summed over the path from the root down to body i, one product
-    with the path matrix as in :func:`_subtree_sums`, and NaN as there."""
-    a = np.asarray(a, dtype=float)
-    return (model.tables.path.T @ a.reshape(model.n, -1)).reshape(a.shape)
-
-
-def _closed_motion(model: ChainModel, js, qd, qdd=None,
-                   ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial twists and accelerations of all bodies in closed form from
-    the spatial joint screws js: V_i sums js_j qd_j over the path to body
-    i, and, as d/dt js_j = [V_j, js_j], Vdot_i sums qd_j [V_j, js_j] +
-    js_j qdd_j over it (qdd None is zero).  A root's bracket is
-    [js_r qd_r, js_r qd_r] = 0, so only the non-root bodies bracket,
-    through ``ops``, as many as in the recursive spatial sweep."""
+def _closed_motion(model: ChainModel, frames: _Frames, qd, qdd=None,
+                   ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spatial twists, accelerations and Newton-Euler balances
+    M_i Vdot_i - ad^T_{V_i} M_i V_i of all bodies in closed form from the
+    spatial frame table: V_i sums js_j qd_j over the path to body i, and,
+    as d/dt js_j = [V_j, js_j], Vdot_i sums qd_j [V_j, js_j] + js_j qdd_j
+    over it (qdd None is zero).  The brackets and co-brackets are one
+    gathered product (:meth:`_SweepOps.brackets`); a root's bracket,
+    [js_r qd_r, js_r qd_r], is exactly 0, so the count is that of the
+    recursive sweeps: the non-root bodies' brackets and n co-brackets."""
     up = model.tables.path.T  # up @ a sums a over each body's path
+    js, inertias = frames.screws, frames.inertias
     x = js * qd[:, None]
     V = up @ x
-    rates = np.zeros(x.shape) if qdd is None else js * qdd[:, None]
-    moving = model.nonroot
-    rates[moving] += ops.brackets(V[moving], x[moving])
-    return V, up @ rates
+    xp = np.concatenate((x, (inertias @ V[..., None])[..., 0]), axis=1)  # [x | M V]
+    rates, cob = ops.brackets(V, xp, len(model.links))
+    if qdd is not None:
+        rates += js * qdd[:, None]
+    Vd = up @ rates
+    return V, Vd, (inertias @ Vd[..., None])[..., 0] - cob
 
 
 class _Configuration:
-    """One configuration pass at q: the body pose stacks of
-    :func:`_fk_stacks` once, and from them the spatial frame table
+    """One configuration pass at q: the absolute pose stack of
+    :func:`_fk_stacks` once, and from it the spatial frame table
     ``frames`` (the spatial joint screws js, body inertias and pose stack
-    among it) and the composite-rigid-body mass matrix.  All arrays are
-    read-only.
+    among it) and the composite-rigid-body mass matrix.  Every call at
+    its configuration shares the pass, so nothing writes its arrays, and
+    the public functions hand out copies or new arrays.
 
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
@@ -423,29 +422,29 @@ class _Configuration:
 
     At the first :meth:`solve` M = L L^T is factored, and L^-1 is kept
     (``_low``), so every solve is two matrix products.  The last bias
-    solve of :meth:`accel` is kept with its arguments; a second call with
-    the same bytes of qd, tau and ``applied`` and the same ``gravity``
-    returns it without a sweep.
+    solve of :meth:`accel` is kept with its arguments and the balances it
+    formed; a second call with the same bytes of qd, tau and ``applied``
+    and the same ``gravity`` returns it without a sweep.
     """
 
     def __init__(self, model: ChainModel, q):
+        n = model.n
+        q = np.asarray(q, dtype=float).reshape(n)
         self.model = model
-        self.q = np.array(q, dtype=float).reshape(model.n)
-        self.q.setflags(write=False)
-        self.frames = frames = _frame_table(model, *_fk_stacks(model, self.q), "spatial")
-        js, on_path = frames.screws, model.tables.on_path
-        ic = _subtree_sums(model, frames.inertias)
+        self.key = q.tobytes()
+        self.frames = frames = _frame_table(model, _fk_stacks(model, q, relative=False)[0],
+                                            None, "spatial")
+        tab, js = model.tables, frames.screws
+        ic = (tab.path @ frames.inertias.reshape(n, 36)).reshape(n, 6, 6)
         self.icjs = (ic @ js[..., None])[..., 0]  # Ic_k js_k
-        self.icjs.setflags(write=False)
         g = js @ self.icjs.T  # g[j, k] = js_j . Ic_k js_k
-        self.mass = np.where(on_path, g, np.where(on_path.T, g.T, 0.0))
-        self.mass.setflags(write=False)
+        self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.T, 0.0))
         self._low = None  # L^-1 for the Cholesky factor L of the mass matrix
-        self._kept = None  # (arguments, qdd, V, Vdot at qdd = 0) of the last accel
+        self._kept = None  # arguments, qdd, and V, Vdot and balances at qdd = 0
 
     def twists(self, qd) -> np.ndarray:
         """Spatial twists V^s_i: js_j qd_j summed over the path to body i."""
-        return _path_sums(self.model, self.frames.screws * qd[:, None])
+        return self.model.tables.path.T @ (self.frames.screws * qd[:, None])
 
     def potential(self) -> float:
         """Potential energy -g . sum h_i, h_i = m_i r_com_i the first moment
@@ -469,11 +468,11 @@ class _Configuration:
         return _spd_solve(self.mass, b, self._low)
 
     def accel(self, qd, tau, applied, gravity: bool):
-        """(qdd, twists, accelerations at qdd = 0), qdd = M^-1 (tau - bias)
-        with the bias J^T (M Jdot qd - ad^T_V M V - loads) from the
-        closed-form motion of the class docstring and :func:`_backward_sweep`.
-        ``tau`` may be None; ``applied`` is in body representation.  The
-        arrays are read-only; the last ones are kept, as the class says."""
+        """(qdd, twists, accelerations and balances at qdd = 0),
+        qdd = M^-1 (tau - bias) with the bias J^T (M Jdot qd - ad^T_V M V - loads)
+        from the motion and balances of :func:`_closed_motion` and one
+        :func:`_backward_sweep`.  ``tau`` may be None; ``applied`` is in body
+        representation.  The last arrays are kept, as the class says."""
         n = self.model.n
         qd = np.asarray(qd, dtype=float).reshape(n)
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
@@ -481,16 +480,15 @@ class _Configuration:
             applied = np.asarray(applied, dtype=float).reshape(n, 6)
         key = (qd.tobytes(), tau.tobytes(),
                None if applied is None else applied.tobytes(), bool(gravity))
-        if self._kept is None or self._kept[0] != key:
-            V, vd = _closed_motion(self.model, self.frames.screws, qd)
-            loads = (self.frames.gravity if gravity and applied is None
-                     else _loads(self.model, self.frames, applied, gravity, "body"))
-            bias, _ = _backward_sweep(self.model, self.frames, V, vd, loads)
-            qdd = self.solve(tau - bias)
-            for arr in (qdd, V, vd):
-                arr.setflags(write=False)
-            self._kept = (key, qdd, V, vd)
-        return self._kept[1:]
+        kept = self._kept
+        if kept is None or kept[0] != key:
+            frames = self.frames
+            V, vd, rates = _closed_motion(self.model, frames, qd)
+            loads = (frames.gravity if gravity and applied is None
+                     else _loads(self.model, frames, applied, gravity, "body"))
+            bias = _backward_sweep(self.model, frames, V, vd, loads, balances=rates)[0]
+            kept = self._kept = (key, self.solve(tau - bias), V, vd, rates)
+        return kept[1:]
 
 
 # The last configuration pass, reused as the module docstring explains.
@@ -504,7 +502,7 @@ def _configuration(model: ChainModel, q) -> _Configuration:
     global _last_configuration
     q = np.asarray(q, dtype=float).reshape(model.n)
     last = _last_configuration
-    if last is not None and last.model is model and last.q.tobytes() == q.tobytes():
+    if last is not None and last.model is model and last.key == q.tobytes():
         return last
     _last_configuration = cfg = _Configuration(model, q)
     return cfg
@@ -639,20 +637,20 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     bias and qdd = M^-1 (tau - bias) come from one configuration pass, as
     in :func:`fdyn`, and both solves read its one inverse Cholesky factor.
     The momentum rates are the spatial Newton-Euler balances of all
-    bodies (those of :func:`ne_wrench`), one stacked product.  ``tau`` may
+    bodies (those of :func:`ne_wrench`): accelerations are affine in qdd,
+    so they are the balances at qdd = 0 that the bias formed plus M_i
+    times the path sums of js_j qdd_j.  ``tau`` may
     be a callable of the recovered qd; applied wrenches are in body
     representation.  The bias solve is kept, so :func:`fdyn` at the
     recovered qd and the same loads returns its qdd.
     """
-    n = model.n
-    pi_stack = np.asarray(pi_stack, dtype=float).reshape(n, 6)
     cfg = _configuration(model, q)
     js = cfg.frames.screws
     # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
-    qd = cfg.solve(np.einsum("ij,ij->i", js, _subtree_sums(model, pi_stack)))
-    qdd, V, vd = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
-    # accelerations are affine in qdd: add the joint terms to those at qdd = 0
-    return _balances(cfg.frames.inertias, V, cfg.twists(qdd) + vd), qd
+    subtree = model.tables.path @ np.asarray(pi_stack, dtype=float).reshape(model.n, 6)
+    qd = cfg.solve((js * subtree).sum(axis=1))
+    qdd, _, _, rates = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
+    return rates + (cfg.frames.inertias @ cfg.twists(qdd)[..., None])[..., 0], qd
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:
@@ -665,6 +663,6 @@ def gravity_potential(model: ChainModel, q) -> float:
     """Potential energy -sum m_i g . r_com_i of the configuration, one
     product over the pose stack."""
     tab = model.tables
-    poses = _fk_stacks(model, q)[0]
+    poses = _fk_stacks(model, q, relative=False)[0]
     com = np.einsum("nij,nj->ni", poses.rot, tab.com) + poses.trans
     return -float(tab.mass @ (com @ model.gravity))

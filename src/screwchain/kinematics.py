@@ -150,9 +150,10 @@ class _SweepOps:
     the closed-form motion.  Each call reports itself to :meth:`count`,
     which does nothing here; the operation counter of
     :func:`screwchain.dynamics.idyn` overrides it, so the counts it
-    reports come from the sweep that actually ran.  The stacked brackets
-    count one per row, and the frame tables count their stacked screw
-    transforms and inertia congruences one per body."""
+    reports come from the sweep that actually ran.  The stacked
+    :meth:`brackets` count their ``moving`` brackets and one co-bracket per
+    row, and the frame tables count their stacked screw transforms and
+    inertia congruences one per body."""
 
     __slots__ = ()
 
@@ -173,17 +174,16 @@ class _SweepOps:
         self.count("lie_brackets")
         return ad_matrix(x).T @ p
 
-    def brackets(self, x, y):
-        """[x[i], y[i]] = (w x a, w x b + v x a) for x[i] = (w, v), y[i] =
-        (a, b), its cross products one gathered product; [x, x] is exactly 0."""
-        self.count("lie_brackets", len(x))
-        return _gathered(x, y, _BRACKET_COLUMNS, 3)
-
-    def cobrackets(self, x, p):
-        """ad(x[i])^T p[i] = -(w x a + v x b, w x b) for every body i, with
-        x[i] = (w, v) and p[i] = (a, b), gathered as :meth:`brackets` is."""
-        self.count("lie_brackets", len(x))
-        return _gathered(x, p, _COBRACKET_COLUMNS, 0)
+    def brackets(self, v, xp, moving):
+        """([v_i, x_i], ad(v_i)^T p_i) for every body i from the (n, 12) stack
+        xp = [x | p]: with v_i = (w, v), x_i = (a, b) and p_i = (c, d), the
+        cross products of (w x a, w x b + v x a) and -(w x c + v x d, w x d)
+        in one gathered product of 36 columns.  Counts ``moving`` brackets
+        (the others being [x, x], exactly 0) and one co-bracket per body."""
+        self.count("lie_brackets", moving + len(v))
+        p = v.take(_PAIR_COLUMNS[0], 1) * xp.take(_PAIR_COLUMNS[1], 1)
+        c = (p[:, :18] - p[:, 18:]) @ _PAIR_SUM
+        return c[:, :6], c[:, 6:]
 
 
 # Columns (l, r) of x = (w, v) and y = (a, b) whose products p = x[:, l] y[:, r]
@@ -193,15 +193,17 @@ _BRACKET_COLUMNS = np.array([[1, 2, 0, 1, 2, 0, 4, 5, 3, 2, 0, 1, 2, 0, 1, 5, 3,
                              [2, 0, 1, 5, 3, 4, 2, 0, 1, 1, 2, 0, 4, 5, 3, 1, 2, 0]])
 _COBRACKET_COLUMNS = np.array([[2, 0, 1, 2, 0, 1, 5, 3, 4, 1, 2, 0, 1, 2, 0, 4, 5, 3],
                                [1, 2, 0, 4, 5, 3, 4, 5, 3, 2, 0, 1, 5, 3, 4, 5, 3, 4]])
-
-
-def _gathered(x, y, columns, at) -> np.ndarray:
-    """The cross products c_0, c_1, c_2 of ``columns``, one gathered product,
-    as the (n, 6) view (c_0, c_1) with c_2 added at columns ``at`` to ``at + 2``."""
-    p = x.take(columns[0], 1) * y.take(columns[1], 1)
-    c = p[:, :9] - p[:, 9:]
-    c[:, at:at + 3] += c[:, 6:]
-    return c[:, :6]
+# Both side by side on v and [x | p] (the co-bracket's right columns moved past
+# the 6 of x), ordered so that p[:, :18] - p[:, 18:] is
+# (b_0, b_1, c_0, c_1, b_2, c_2) for the cross products b_k of the bracket and
+# c_k of the co-bracket.  _PAIR_SUM adds b_2 to b_1 and c_2 to c_0, at most
+# two nonzero terms per sum, so it rounds as a plain sum (an in-place sum of
+# two views of one array would cost more, in numpy's overlap check).
+_PAIR_COLUMNS = np.concatenate(
+    [cols[:, part] for part in (slice(0, 6), slice(6, 9), slice(9, 15), slice(15, 18))
+     for cols in (_BRACKET_COLUMNS, _COBRACKET_COLUMNS + [[0], [6]])], axis=1)
+_PAIR_SUM = np.zeros((18, 12))
+_PAIR_SUM[range(12), range(12)] = _PAIR_SUM[range(12, 18), range(3, 9)] = 1.0
 
 
 _PLAIN = _SweepOps()
@@ -209,12 +211,13 @@ _PLAIN = _SweepOps()
 
 def fk(model: ChainModel, q) -> list[Pose]:
     """Absolute body poses, the first half of :func:`fk_body_form`."""
-    return fk_body_form(model, q)[0]
+    return _fk_stacks(model, q, relative=False)[0].poses()
 
 
 class _PoseStack(NamedTuple):
-    """The poses of all bodies as one read-only (n, 4, 4) stack ``mat`` of
-    homogeneous matrices; ``rot`` (n, 3, 3) and ``trans`` (n, 3) are views."""
+    """The poses of all bodies as one (n, 4, 4) stack ``mat`` of homogeneous
+    matrices, which nothing writes once built; ``rot`` (n, 3, 3) and
+    ``trans`` (n, 3) are views, and :meth:`poses` reads read-only ones."""
 
     mat: np.ndarray
 
@@ -227,11 +230,14 @@ class _PoseStack(NamedTuple):
         return self.mat[:, :3, 3]
 
     def poses(self) -> list[Pose]:
-        return [Pose._trusted(r, t) for r, t in zip(self.rot, self.trans)]
+        mat = self.mat.view()
+        mat.setflags(write=False)
+        return [Pose._trusted(r, t) for r, t in zip(mat[:, :3, :3], mat[:, :3, 3])]
 
 
-def _fk_stacks(model: ChainModel, q) -> tuple[_PoseStack, _PoseStack]:
-    """(absolute, relative) poses of :func:`fk_body_form` as (n, 4, 4) stacks."""
+def _fk_stacks(model: ChainModel, q, relative=True) -> tuple[_PoseStack, _PoseStack | None]:
+    """(absolute, relative) poses of :func:`fk_body_form` as (n, 4, 4) stacks;
+    with ``relative`` False the walk runs in place and leaves it out (None)."""
     q = np.asarray(q, dtype=float).reshape(model.n)
     if not np.isfinite(q).all():
         bad = np.flatnonzero(~np.isfinite(q))
@@ -242,12 +248,10 @@ def _fk_stacks(model: ChainModel, q) -> tuple[_PoseStack, _PoseStack]:
     coef = np.ones((model.n, 1, 4))
     coef[:, 0, 1], coef[:, 0, 2], coef[:, 0, 3] = np.sin(a), 1.0 - np.cos(a), a
     rel = (coef @ tab.exp).reshape(model.n, 4, 4)
-    walk = rel.copy()
+    walk = rel.copy() if relative else rel
     for i, p in model.links:
         walk[i] = walk[p] @ walk[i]
-    rel.setflags(write=False)
-    walk.setflags(write=False)
-    return _PoseStack(walk), _PoseStack(rel)
+    return _PoseStack(walk), _PoseStack(rel) if relative else None
 
 
 def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
@@ -316,8 +320,9 @@ def _twist_map(pose, from_rep: str, to_rep: str) -> np.ndarray:
 
 
 class _Frames(NamedTuple):
-    """The frame table of :func:`_frame_table`: read-only stacks over the
-    bodies in ``rep`` coordinates, and the pose stacks they came from;
+    """The frame table of :func:`_frame_table`: stacks over the bodies in
+    ``rep`` coordinates, which nothing writes after they are built, and
+    the pose stacks they came from;
     ``pseudo`` holds the carried pseudo-inertias W J W^T (None in body
     form)."""
 
@@ -358,13 +363,12 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
     of each through ``ops``; the hybrid ones are rotations.
     """
     tab, n = model.tables, model.n
-    rot = absolute.rot
     parent = pseudo = None
     if rep == "body":
         screws, inertias = tab.screw, tab.inertia
         if relative is not None:
             parent = _rep_map(relative, "spatial")[1]
-        gravity = (inertias[..., 3:] @ (model.gravity @ rot)[..., None])[..., 0]
+        gravity = (inertias[..., 3:] @ (model.gravity @ absolute.rot)[..., None])[..., 0]
     else:
         ops.count("frame_transforms_screw", n)
         ops.count("frame_transforms_tensor", n)
@@ -379,9 +383,6 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
         f = (w @ tab.lines).reshape(n, 12)
         screws = (f.take(_SCREW_COLUMNS[0], 1) * f.take(_SCREW_COLUMNS[1], 1)) @ _SCREW_SUM
         pseudo, inertias, gravity = _read_inertias(w, tab.pseudo, tab.readout)
-    for arr in (screws, inertias, parent, gravity, pseudo):
-        if arr is not None:
-            arr.setflags(write=False)
     return _Frames(rep, absolute, relative, screws, inertias, parent, gravity, pseudo)
 
 
@@ -444,7 +445,7 @@ def _jacobian(model: ChainModel, absolute: _PoseStack, rep: str) -> SystemJacobi
 
 def jacobian(model: ChainModel, q, rep: str = "body") -> SystemJacobian:
     _check_rep(rep)
-    return _jacobian(model, _fk_stacks(model, q)[0], rep)
+    return _jacobian(model, _fk_stacks(model, q, relative=False)[0], rep)
 
 
 def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
@@ -729,7 +730,8 @@ def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
     xa = np.where(par[:, None] >= 0, np.einsum("nji,nj->ni", frames.parent, x), 0.0)
     norm2 = np.einsum("ij,ij->i", x, x)
     qd = (np.einsum("ij,ij->i", x, V) - np.einsum("ij,ij->i", xa, V[par])) / norm2
-    return (np.einsum("ij,ij->i", x, Vd + qd[:, None] * _PLAIN.brackets(x, V))
+    xv = np.einsum("abc,ib,ic->ia", _SE3_BRACKET, x, V)  # [x_i, V_i]
+    return (np.einsum("ij,ij->i", x, Vd + qd[:, None] * xv)
             - np.einsum("ij,ij->i", xa, Vd[par])) / norm2
 
 

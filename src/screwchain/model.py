@@ -256,15 +256,16 @@ def inertia_readout(gravity) -> np.ndarray:
     symmetric part of J, so a J off symmetry by roundoff still gives an
     exactly symmetric inertia."""
     g = np.asarray(gravity, dtype=float).reshape(3)
+    unit = np.eye(16).reshape(16, 4, 4)  # the inertia of entry k of J, all k at once
+    j = 0.5 * (unit + unit.swapaxes(1, 2))
+    s, h, m = j[:, :3, :3], j[:, :3, 3], j[:, 3, 3, None, None]
+    hh = np.zeros((16, 3, 3))  # [h]x, as se3.hat3 builds it
+    hh[:, 2, 1], hh[:, 0, 2], hh[:, 1, 0] = h.T
+    hh[:, 1, 2], hh[:, 2, 0], hh[:, 0, 1] = -h.T
     out = np.zeros((16, 7, 6))  # rows 0-5 the inertia, row 6 the wrench
-    for k, unit in enumerate(np.eye(16).reshape(16, 4, 4)):
-        j = 0.5 * (unit + unit.T)
-        s, h, m = j[:3, :3], j[:3, 3], j[3, 3]
-        out[k, :3, :3] = np.trace(s) * np.eye(3) - s
-        out[k, :3, 3:] = hat3(h)
-        out[k, 3:6, :3] = -hat3(h)
-        out[k, 3:6, 3:] = m * np.eye(3)
-        out[k, 6] = np.concatenate([np.cross(h, g), m * g])
+    out[:, :3, :3] = np.trace(s, axis1=1, axis2=2)[:, None, None] * np.eye(3) - s
+    out[:, :3, 3:], out[:, 3:6, :3], out[:, 3:6, 3:] = hh, -hh, m * np.eye(3)
+    out[:, 6, :3], out[:, 6, 3:] = np.cross(h, g), m[:, 0] * g
     return out.reshape(16, 42)
 
 
@@ -343,8 +344,7 @@ class ChainModel:
     Bodies are indexed 0..n-1, ``parent[i]`` is the index of the parent
     body or -1 for the ground, and ``parent[i] < i`` always holds.
     ``tables`` holds the per-body arrays of :class:`ChainTables`, built
-    here once, ``links`` the (body, parent) pairs of non-root bodies and
-    ``nonroot`` their bodies as an index.
+    here once, and ``links`` the (body, parent) pairs of non-root bodies.
     """
 
     def __init__(self, bodies, joints, parent, gravity=DEFAULT_GRAVITY, name=""):
@@ -374,9 +374,6 @@ class ChainModel:
         for i, p in enumerate(self.parent):  # parents come first
             self._paths.append((self._paths[p] if p >= 0 else ()) + (i,))
         self.links = tuple((i, p) for i, p in enumerate(self.parent) if p >= 0)
-        # the bodies of ``links`` as an index (a slice when only body 0 is a root)
-        self.nonroot = (slice(1, None) if self.parent.count(-1) == 1
-                        else np.array([i for i, _ in self.links], dtype=int))
         # Relative reference pose of each body w.r.t. its parent.
         self._rel_ref = [
             b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose

@@ -5,7 +5,7 @@ import pytest
 
 from screwchain import se3
 from screwchain.model import BodyModel, ChainModel, JointModel, Pose, spatial_inertia_body
-from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, exp_se3, screw
+from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, exp_se3, hat3, screw
 
 
 def rand_rotation(rng, max_angle=2.5):
@@ -170,6 +170,24 @@ def spatial_backward_oracle(model, twists, accels, inertias, screws, ext):
         if model.parent[i] >= 0:
             W[model.parent[i]] += W[i]
     return Q, W
+
+
+def inertia_readout_oracle(gravity):
+    """The (16, 42) readout of :func:`screwchain.model.inertia_readout`
+    entry by entry: for each unit 4x4 matrix E_k, the 6x6 inertia
+    [[tr(S) I - S, [h]x], [-[h]x, m I]] and the gravity wrench (h x g, m g)
+    of its symmetric part J = [[S, h], [h^T, m]]."""
+    g = np.asarray(gravity, dtype=float).reshape(3)
+    out = np.zeros((16, 7, 6))
+    for k, unit in enumerate(np.eye(16).reshape(16, 4, 4)):
+        j = 0.5 * (unit + unit.T)
+        s, h, m = j[:3, :3], j[:3, 3], j[3, 3]
+        out[k, :3, :3] = np.trace(s) * np.eye(3) - s
+        out[k, :3, 3:] = hat3(h)
+        out[k, 3:6, :3] = -hat3(h)
+        out[k, 3:6, 3:] = m * np.eye(3)
+        out[k, 6] = np.concatenate([np.cross(h, g), m * g])
+    return out.reshape(16, 42)
 
 
 def subtree_sums_oracle(model, a):

@@ -303,6 +303,106 @@ def test_one_bias_sweep_and_one_factor_per_state_stage(rng, monkeypatch):
     assert counts == {"forward": 0, "backward": 4 * 10 + 1, "factors": 4 * 10 + 1}
 
 
+def _rk4_oracle(f, times, y0):
+    """Plain classical RK4 of y' = f(t, y) over the sample times."""
+    ys = [np.asarray(y0, dtype=float)]
+    for t, t_next in zip(times[:-1], times[1:]):
+        h, y = t_next - t, ys[-1]
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        ys.append(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return ys
+
+
+class _RecursiveDynamics:
+    """Forward dynamics and momentum rates from the recursive sweeps
+    alone: M's columns are body idyn(q, 0, e_k) without gravity, qdd =
+    M^-1 (tau - idyn(q, qd, 0)) with gravity and the applied body
+    wrenches, the spatial Jacobian's columns are the spatial twists of
+    the unit rates e_k, and each momentum rate is the spatial balance of
+    its body at the twists and accelerations of the recursive spatial
+    sweep, its inertia Ad(C^-1)^T M_b Ad(C^-1)."""
+
+    def __init__(self, model, torque, applied):
+        self.model, self.torque, self.applied = model, torque, applied
+
+    def mass(self, q):
+        n = self.model.n
+        return np.column_stack([dynamics.idyn(self.model, q, np.zeros(n), e, "body",
+                                              gravity=False) for e in np.eye(n)])
+
+    def qdd(self, t, q, qd):
+        n = self.model.n
+        bias = dynamics.idyn(self.model, q, qd, np.zeros(n), "body", applied=self.applied)
+        return np.linalg.solve(self.mass(q), self.torque(t, q, qd) - bias)
+
+    def momenta(self, q, qd):
+        cache = kinematics.twists(self.model, q, qd, "spatial")
+        return np.array([self._inertia(cache.poses[i], i) @ cache.twists[i]
+                         for i in range(self.model.n)])
+
+    def qd(self, q, pis):
+        n = self.model.n
+        cols = np.stack([kinematics.twists(self.model, q, e, "spatial").twists
+                         for e in np.eye(n)], axis=-1)  # cols[i, :, k] = J^s_i e_k
+        return np.linalg.solve(self.mass(q), np.einsum("ixk,ix->k", cols, pis))
+
+    def state_rhs(self, t, y):
+        n = self.model.n
+        return np.concatenate([y[n:], self.qdd(t, y[:n], y[n:])])
+
+    def momentum_rhs(self, t, y):
+        n = self.model.n
+        q, pis = y[:n], y[n:].reshape(n, 6)
+        qd = self.qd(q, pis)
+        cache = kinematics.accelerations(
+            self.model, kinematics.JointState(q, qd, self.qdd(t, q, qd)), "spatial")
+        rates = [dynamics.ne_wrench(cache.twists[i], cache.accels[i],
+                                    self._inertia(cache.poses[i], i), "spatial")
+                 for i in range(n)]
+        return np.concatenate([qd, np.ravel(rates)])
+
+    def _inertia(self, pose, i):
+        ad_inv = adjoint(pose.inverse())
+        return ad_inv.T @ self.model.inertia_body(i) @ ad_inv
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rk4_trajectories_match_recursive_dynamics(seed):
+    # 20 steps of both forms against a plain RK4 over the recursive sweeps,
+    # on a random tree with all three joint kinds, a torque of t, q and qd
+    # and applied wrenches: q, qd and qdd within 1e-10 of their largest entry
+    rng = np.random.default_rng(seed)
+    model = random_chain(rng, 5, tree=True)
+    while len({joint.kind for joint in model.joints}) < 3:
+        model = random_chain(rng, 5, tree=True)
+    n = model.n
+    q0, qd0 = rng.normal(size=n), rng.normal(size=n)
+    amp, applied = rng.normal(size=n), 0.5 * rng.normal(size=(n, 6))
+
+    def torque(t, q, qd):
+        return amp * np.cos(3.0 * t) - 0.5 * qd + 0.2 * np.sin(q)
+
+    oracle = _RecursiveDynamics(model, torque, applied)
+    for form in ("state", "momentum"):
+        traj = chain_simulate(model, q0, qd0, torque=torque, T=20 * 2e-3, h=2e-3,
+                              form=form, applied=applied)
+        assert traj.abort_reason is None and len(traj.times) == 21
+        if form == "state":
+            ys = _rk4_oracle(oracle.state_rhs, traj.times, np.concatenate([q0, qd0]))
+            q, qd = np.array([y[:n] for y in ys]), np.array([y[n:] for y in ys])
+        else:
+            y0 = np.concatenate([q0, oracle.momenta(q0, qd0).ravel()])
+            ys = _rk4_oracle(oracle.momentum_rhs, traj.times, y0)
+            q = np.array([y[:n] for y in ys])
+            qd = np.array([oracle.qd(y[:n], y[n:].reshape(n, 6)) for y in ys])
+        qdd = np.array([oracle.qdd(t, *x) for t, *x in zip(traj.times, q, qd)])
+        for got, want in ((traj.q, q), (traj.qd, qd), (traj.qdd, qdd)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_momentum_residual_falls_with_rk4_order():
     # max_i |Pi_i - M^s_i V^s_i(qd)| of the integrated momenta, which
     # RK4's error moves off the momenta of the recovered qd as h^4

@@ -6,13 +6,25 @@ from hypothesis import given, settings, strategies as st
 
 from screwchain import se3
 from screwchain.model import (
-    BodyModel, ChainModel, JointModel, ModelError, binet_inertia, load_model,
-    parse_model, screw_from_axis, serialize_model, spatial_inertia_body,
+    DEFAULT_GRAVITY, BodyModel, ChainModel, JointModel, ModelError, binet_inertia,
+    inertia_readout, load_model, parse_model, screw_from_axis, serialize_model,
+    spatial_inertia_body,
 )
 from screwchain.se3 import Pose, adjoint, screw
 from screwchain.samples import sample_model_path
 
-from conftest import rand_inertia, rand_rotation, random_chain
+from conftest import inertia_readout_oracle, rand_inertia, rand_rotation, random_chain
+
+
+# ------------------------------------------------------------ inertia_readout
+
+def test_inertia_readout_matches_entry_by_entry_oracle(rng):
+    # the stacked readout against the 16 entries built one by one, bit for
+    # bit (the signs of zeros too), at the default, zero and random gravity
+    for g in [DEFAULT_GRAVITY, (0.0, 0.0, 0.0), *rng.normal(size=(20, 3)) * 10.0]:
+        got, want = inertia_readout(g), inertia_readout_oracle(g)
+        assert got.shape == want.shape == (16, 42)
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ screw_from_axis

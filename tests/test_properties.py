@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from screwchain.dynamics import (
-    _Configuration, _backward_sweep, _loads, _path_sums, _subtree_sums, christoffel,
+    _Configuration, _backward_sweep, _loads, christoffel,
     convert_wrench,
     coriolis_matrix, fdyn, gravity_potential, gravity_wrenches, idyn, kinetic_energy,
     mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
@@ -428,17 +428,21 @@ def test_stacked_spatial_balances_match_per_body_loop(case):
 @given(chain_states(), st.booleans(), st.booleans())
 def test_configuration_motion_and_bias_match_recursive_sweeps(case, gravity, loaded):
     # the configuration pass's closed-form twists (path sums of js_j qd_j),
-    # accelerations at qdd = 0 (path sums of qd_j [V_j, js_j]) and the bias
-    # from them against the recursive spatial forward sweep, the oracle;
-    # the returned qdd solves with that bias
+    # accelerations at qdd = 0 (path sums of qd_j [V_j, js_j]), balances
+    # and the bias from them against the recursive spatial forward sweep,
+    # the oracle; the returned qdd solves with that bias
     model, q, qd, _, tau, wb = case
     applied = wb if loaded else None
     cfg = _Configuration(model, q)
-    qdd, V, vd = cfg.accel(qd, tau, applied, gravity)
+    qdd, V, vd, balances = cfg.accel(qd, tau, applied, gravity)
     cache = _forward_sweep(model, cfg.frames, JointState(q, qd), 1)
     loads = _loads(model, cfg.frames, applied, gravity, "body")
     got = _backward_sweep(model, cfg.frames, V, vd, loads)
     expect = _backward_sweep(model, cfg.frames, cache.twists, cache.accels, loads)
+    rates = np.array([ne_wrench(cache.twists[i], cache.accels[i], cfg.frames.inertias[i],
+                                "spatial") for i in range(model.n)])
+    # the balances at qdd = 0 vanish with qd, so they are compared on a scale of 1
+    assert np.abs(balances - rates).max() <= 1e-12 * max(1.0, np.abs(rates).max())
     for g, e in [(V, cache.twists), (vd, cache.accels), *zip(got, expect)]:
         assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
     assert np.array_equal(qdd, cfg.solve(tau - got[0]))
@@ -569,13 +573,16 @@ def test_single_jacobian_partials_equal_table_entries(case):
 @PROPERTY_SETTINGS
 @given(chain_states())
 def test_tree_sums_match_per_body_loops(case):
-    # the masked products against the leaves-to-roots and roots-to-leaves
-    # loops, on stacks of vectors and of matrices
+    # the products with the path matrix (path^T a over each body's path,
+    # path a over its subtree) against the roots-to-leaves and
+    # leaves-to-roots loops, on stacks of vectors and of matrices
     model, q, qd, _, _, wb = case
     frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
+    path = model.tables.path
     for a in (wb, frames.screws * qd[:, None], frames.inertias):
-        for got, want in ((_path_sums(model, a), path_sums_oracle(model, a)),
-                          (_subtree_sums(model, a), subtree_sums_oracle(model, a))):
+        flat = a.reshape(model.n, -1)
+        for got, want in (((path.T @ flat).reshape(a.shape), path_sums_oracle(model, a)),
+                          ((path @ flat).reshape(a.shape), subtree_sums_oracle(model, a))):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -583,17 +590,19 @@ def test_tree_sums_match_per_body_loops(case):
 @PROPERTY_SETTINGS
 @given(chain_states())
 def test_stacked_brackets_match_per_body_brackets(case):
-    # the gathered brackets and co-brackets against se3.lie_bracket and
-    # ad(x)^T p body by body; [x, x] is exactly zero
+    # the gathered brackets [x, y] and co-brackets ad(x)^T p against
+    # se3.lie_bracket and ad(x)^T p body by body; [x, x] is exactly zero
     model, q, qd, _, _, wb = case
     x = _frame_table(model, *_fk_stacks(model, q), "spatial").screws * qd[:, None]
-    got_b, got_c = _PLAIN.brackets(x, wb), _PLAIN.cobrackets(x, wb)
-    want_b = np.array([lie_bracket(x[i], wb[i]) for i in range(model.n)])
-    want_c = np.array([ad_matrix(x[i]).T @ wb[i] for i in range(model.n)])
+    y, p = wb, wb[:, ::-1]
+    got_b, got_c = _PLAIN.brackets(x, np.concatenate((y, p), axis=1), model.n)
+    want_b = np.array([lie_bracket(x[i], y[i]) for i in range(model.n)])
+    want_c = np.array([ad_matrix(x[i]).T @ p[i] for i in range(model.n)])
     for got, want in ((got_b, want_b), (got_c, want_c)):
         assert got.shape == (model.n, 6)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert not _PLAIN.brackets(x, x).any() and not _PLAIN.brackets(wb, wb).any()
+    for a in (x, wb):
+        assert not _PLAIN.brackets(a, np.concatenate((a, p), axis=1), model.n)[0].any()
 
 
 @PROPERTY_SETTINGS

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import sys
 import time
 import warnings
@@ -36,17 +37,16 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _fmt_row(values):
-    return ",".join(FMT % v for v in values)
+def _write_csv(path, header, rows, fmt=None):
+    """Write the header and then one line per row, each the ``%`` of the
+    row format ``fmt`` (by default ``FMT`` in every column) with the row's
+    values, so that the text of the whole table is never held in memory
+    (nor the rows, when ``rows`` computes them as it is iterated)."""
+    line = (fmt or ",".join([FMT] * len(header))) + "\n"
 
-
-def _write_csv(path, header, rows, fmt=_fmt_row):
-    """Write the header and then one line per row as ``fmt`` formats it,
-    so that the text of the whole table is never held in memory (nor the
-    rows, when ``rows`` computes them as it is iterated)."""
     def emit(fh):
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt(r) + "\n" for r in rows)
+        fh.writelines(line % tuple(r) for r in rows)
 
     if path is None or path == "-":
         emit(sys.stdout)
@@ -178,7 +178,7 @@ def cmd_check(args):
           f"total mass {FMT % model.total_mass()} kg")
     kinds = ",".join(j.kind for j in model.joints)
     print(f"joints: {kinds}")
-    print(f"gravity: [{_fmt_row(model.gravity)}]")
+    print(f"gravity: [{','.join(FMT % g for g in model.gravity)}]")
     return EXIT_OK
 
 
@@ -328,9 +328,9 @@ def cmd_christoffel(args):
     gamma = gammas[args.variant]
     deviation = float(np.abs(gammas["standard"] - gammas["binet"]).max())
     header = ["i", "j", "k", "gamma"]
-    rows = ((i + 1, j + 1, k + 1, gamma[i, j, k])
-            for i in range(n) for j in range(n) for k in range(n))
-    _write_csv(args.out, header, rows)
+    index = np.indices((n, n, n)).reshape(3, -1) + 1  # (i, j, k), 1-based, row-major
+    rows = zip(*index.tolist(), gamma.reshape(-1).tolist())
+    _write_csv(args.out, header, rows, fmt="%d,%d,%d," + FMT)
     print(f"variant_deviation {FMT % deviation}", file=sys.stderr)
     return EXIT_OK
 
@@ -370,10 +370,11 @@ def cmd_benchmark(args):
               "median_wall_s"]
     fields = ("frame_transforms_screw", "frame_transforms_tensor", "lie_brackets",
               "rotations_screw", "translations_screw")
+    models = {n: _benchmark_chain(n) for n in dict.fromkeys(sizes)}
     rows = []
     for rep in reps:
         for n in sizes:
-            model = _benchmark_chain(n)
+            model = models[n]
             rng = np.random.default_rng(1234)
             q, qd, qdd = (rng.normal(size=n) for _ in range(3))
             meas = dyn.idyn(model, q, qd, qdd, rep, gravity=False, full=True).report
@@ -385,8 +386,8 @@ def cmd_benchmark(args):
                 samples.append(time.perf_counter() - tic)
             rows.append([rep, n, *(getattr(pred, f) for f in fields),
                          *(getattr(meas, f) for f in fields), int(meas == pred),
-                         FMT % float(np.median(samples))])
-    _write_csv(args.out, header, rows, fmt=lambda row: ",".join(str(v) for v in row))
+                         float(np.median(samples))])
+    _write_csv(args.out, header, rows, fmt="%s," + "%d," * 12 + FMT)
     return EXIT_OK if all(row[-2] for row in rows) else EXIT_NUMERICAL
 
 
@@ -394,7 +395,10 @@ def cmd_benchmark(args):
 # Argument parsing
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The parser of every subcommand, built once: argparse keeps no state
+    between calls of ``parse_args``."""
     parser = argparse.ArgumentParser(
         prog="screwchain",
         description="Batch kinematics, dynamics, and simulation for "

@@ -9,8 +9,8 @@ one matrix product per link.  The poses are rotations by construction
 and are not validated again as ``Pose(...)`` would; a non-finite q, which
 would make them meaningless, is rejected with a ValueError instead.
 
-Twists, accelerations and jerks come from one recursive forward sweep per
-representation, each level the time derivative of the one below, O(n)
+Twists and accelerations come from one recursive forward sweep per
+representation, the second level the time derivative of the first, O(n)
 in the number of bodies.  The sweep builds no frame data of its own: it
 reads the frame table of its representation (:func:`_frame_table`), in
 which the joint screws, inertias, parent transforms and gravity loads of
@@ -20,6 +20,10 @@ The spatial and hybrid tables work on the homogeneous 4x4 pose stack of
 FK: each inertia is read out of one congruence W J W^T of the body's
 4x4 pseudo-inertia J (W the pose, or its rotation alone in hybrid form),
 and each screw is (R w, t x R w + R v) (spatial) or (R w, R v) (hybrid).
+
+Jerks need no recursion: as d/dt js_j = [V_j, js_j], the spatial motion
+to the jerks is path sums of stacked brackets of the spatial joint screws
+js_j, and every other representation maps it (:func:`jerks`).
 
 Twist representations (the ``rep`` argument everywhere).  Each is the
 body twist of one body mapped by a 6x6 matrix B fixed by the body's pose
@@ -131,8 +135,9 @@ class Twist:
 
 @dataclass
 class KinematicsCache:
-    """Per-body kinematic quantities from one forward sweep; ``poses`` and
-    ``rel_poses`` are built from the pose stacks on first read."""
+    """Per-body kinematic quantities from one forward sweep or from the
+    closed form of :func:`jerks`; ``poses`` and ``rel_poses`` are built
+    from the pose stacks on first read."""
 
     rep: str
     pose_stack: _PoseStack
@@ -380,10 +385,17 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
             parent = np.tile(_EYE6, (n, 1, 1))
             parent[:, 3:, :3] = _hat(np.where(par[:, None] >= 0, absolute.trans[par], 0.0)
                                      - absolute.trans)
-        f = (w @ tab.lines).reshape(n, 12)
-        screws = (f.take(_SCREW_COLUMNS[0], 1) * f.take(_SCREW_COLUMNS[1], 1)) @ _SCREW_SUM
+        screws = _carried_screws(w, tab.lines)
         pseudo, inertias, gravity = _read_inertias(w, tab.pseudo, tab.readout)
     return _Frames(rep, absolute, relative, screws, inertias, parent, gravity, pseudo)
+
+
+def _carried_screws(w, lines) -> np.ndarray:
+    """The screws (R w, t x R w + R v) of the body screws (w, v) whose
+    ``tables.lines`` the 4x4 matrices W = (R, t) carry, one gathered
+    product of the columns of W lines."""
+    f = (w @ lines).reshape(len(w), 12)
+    return (f.take(_SCREW_COLUMNS[0], 1) * f.take(_SCREW_COLUMNS[1], 1)) @ _SCREW_SUM
 
 
 def _read_inertias(w, pseudo, readout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,7 +449,7 @@ def _jacobian(model: ChainModel, absolute: _PoseStack, rep: str) -> SystemJacobi
     T_i = B_i Ad(C_i)^-1 applied to the spatial joint screws of the
     spatial frame table, masked by ``tables.on_path``."""
     n = model.n
-    js = _frame_table(model, absolute, None, "spatial").screws
+    js = _carried_screws(absolute.mat, model.tables.lines)
     blocks = _twist_map(absolute, "spatial", rep) @ js.T  # blocks[i, :, j] = T_i js_j
     J = np.where(model.tables.on_path.T[:, None, :], blocks, 0.0)
     return SystemJacobian(rep, J.reshape(6 * n, n), n)
@@ -465,21 +477,19 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
                    ops: _SweepOps = _PLAIN) -> KinematicsCache:
     """The one body/spatial/hybrid forward recursion in the representation
     of the frame table ``frames`` (:func:`_frame_table`), up to the
-    requested level (0 = twists, 1 = accelerations, 2 = jerks).
+    requested level (0 = twists, 1 = accelerations).
 
-    Each level is the time derivative of the one below it, so every body
-    costs O(1) screw operations per level.  The joint screws and parent
-    transforms come from the table; the loop only applies them, and
-    every screw transformation and bracket goes through ``ops``.
+    The accelerations are the time derivative of the twist recursion, so
+    every body costs O(1) screw operations per level.  The joint screws
+    and parent transforms come from the table; the loop only applies
+    them, and every screw transformation and bracket goes through ``ops``.
     """
     n = model.n
     rep = frames.rep
-    qd, qdd, qddd = (np.zeros(n) if v is None else v
-                     for v in (state.qd, state.qdd, state.qddd))
+    qd, qdd = (np.zeros(n) if v is None else v for v in (state.qd, state.qdd))
     x, xf = frames.screws, frames.parent
     V = np.zeros((n, 6))
     Vd = np.zeros((n, 6)) if level >= 1 else None
-    Vdd = np.zeros((n, 6)) if level >= 2 else None
     zero3 = np.zeros(3)
 
     for i in range(n):
@@ -487,50 +497,28 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
         V[i] = x[i] * qd[i]
         if level >= 1:
             Vd[i] = x[i] * qdd[i]
-        if level >= 2:
-            Vdd[i] = x[i] * qddd[i]
         if rep == "body":
             # xf[i] = Ad(rel_i^-1), d/dt Ad(rel_i^-1) = -qd_i ad(X_i) Ad(rel_i^-1)
             if p >= 0:
                 V[i] += ops.xform(xf[i], V[p])
                 if level >= 1:
-                    vd_p = ops.xform(xf[i], Vd[p])
-                    xv = ops.bracket(x[i], V[i])
-                    Vd[i] += vd_p - qd[i] * xv
-                if level >= 2:
-                    Vdd[i] += (ops.xform(xf[i], Vdd[p]) - qdd[i] * xv
-                               - qd[i] * ops.bracket(x[i], vd_p + Vd[i]))
+                    Vd[i] += ops.xform(xf[i], Vd[p]) - qd[i] * ops.bracket(x[i], V[i])
         elif rep == "spatial":
             # d/dt X^s_i = [V_p, X^s_i]
             if p >= 0:
                 V[i] += V[p]
                 if level >= 1:
                     Vd[i] += Vd[p] + ops.bracket(V[p], V[i])
-                if level >= 2:
-                    Vdd[i] += (Vdd[p] + ops.bracket(Vd[p], V[i])
-                               + ops.bracket(V[p], Vd[i] + qdd[i] * x[i]))
         else:  # hybrid: d/dt X^h_i = [omega_i, X^h_i], d/dt Ad(r) = ad(r-dot)
             if p >= 0:
                 V[i] += ops.xform(xf[i], V[p], kind="translations_screw")
             if level >= 1:
-                omega_i = screw(V[i][:3], zero3)
-                wx = ops.bracket(omega_i, x[i])
-                Vd[i] += wx * qd[i]
+                Vd[i] += ops.bracket(screw(V[i][:3], zero3), x[i]) * qd[i]
                 if p >= 0:
                     rdot_rel = screw(zero3, V[p][3:] - V[i][3:])
                     Vd[i] += (ops.xform(xf[i], Vd[p], kind="translations_screw")
                               + ops.bracket(rdot_rel, V[p]))
-            if level >= 2:
-                omegad_i = screw(Vd[i][:3], zero3)
-                Vdd[i] += (2.0 * qdd[i] * wx
-                           + qd[i] * (ops.bracket(omegad_i, x[i])
-                                      + ops.bracket(omega_i, wx)))
-                if p >= 0:
-                    rddot_rel = screw(zero3, Vd[p][3:] - Vd[i][3:])
-                    Vdd[i] += (ops.xform(xf[i], Vdd[p], kind="translations_screw")
-                               + 2.0 * ops.bracket(rdot_rel, Vd[p])
-                               + ops.bracket(rddot_rel, V[p]))
-    return KinematicsCache(rep, frames.poses, frames.rels, V, Vd, Vdd)
+    return KinematicsCache(rep, frames.poses, frames.rels, V, Vd)
 
 
 def _kinematics(model: ChainModel, state: JointState, rep: str, level: int,
@@ -561,15 +549,55 @@ def accelerations(model: ChainModel, state: JointState, rep: str = "body") -> Ki
 
 
 def jerks(model: ChainModel, state: JointState, rep: str = "body") -> KinematicsCache:
-    """Jerk-level forward sweep in the requested representation; requires
-    state.qd, state.qdd and state.qddd.
+    """Twists, accelerations and jerks in closed form from one FK pass;
+    requires state.qd, state.qdd and state.qddd.
 
-    Each jerk is the time derivative of the acceleration recursion, one
-    O(1) step per body on top of its parent's jerk.
+    The spatial motion is :func:`_spatial_motion`.  The body motion is
+    Ad(C)^-1 of it, less [V, Vdot] at the jerk level.  The hybrid motion
+    is (omega, r-dot) and its derivatives: r-dot = v + omega x r,
+    r-ddot = v-dot + omega-dot x r + omega x r-dot and
+    r-dddot = v-ddot + omega-ddot x r + 2 omega-dot x r-dot + omega x r-ddot.
+    Mixed is the view of hybrid.  :func:`twists`, :func:`accelerations`,
+    ``projection_eom`` and the counted body and hybrid ``idyn`` keep the
+    recursive sweep, an independent route to the first two levels.
     """
     if state.qd is None or state.qdd is None or state.qddd is None:
         raise ValueError("jerks: state.qd, state.qdd and state.qddd are required")
-    return _sweep(model, state, rep, 2)
+    _check_rep(rep)
+    absolute, relative = _fk_stacks(model, state.q)
+    motion = _spatial_motion(model, absolute, state.qd, state.qdd, state.qddd)
+    work = "hybrid" if rep == "mixed" else rep
+    if work != "spatial":
+        ang, lin = motion[..., :3], motion[..., 3:]
+        lin = lin + _product(_CROSS, ang, absolute.trans)  # v + omega x r at every level
+        if work == "body":  # R^T of (omega, v + omega x r), then less [V, Vdot]
+            motion = (np.concatenate((ang, lin), axis=-1).reshape(3, model.n, 2, 3)
+                      @ absolute.rot).reshape(3, model.n, 6)
+            motion[2] -= _product(_SE3_BRACKET, motion[0], motion[1])
+        else:
+            rates = _product(_CROSS, ang[:2], lin[0])  # omega x r-dot, omega-dot x r-dot
+            lin[1] += rates[0]
+            lin[2] += 2.0 * rates[1] + _product(_CROSS, ang[0], lin[1])
+            motion = np.concatenate((ang, lin), axis=-1)
+    cache = KinematicsCache(work, absolute, relative, *motion)
+    return _mixed_view(cache) if rep == "mixed" else cache
+
+
+def _spatial_motion(model: ChainModel, absolute: _PoseStack, qd, qdd, qddd) -> np.ndarray:
+    """(3, n, 6): the spatial twists, accelerations and jerks of all
+    bodies, as d/dt js_j = [V_j, js_j] sums over the joints j on each
+    body's path of js_j qd_j, js_j qdd_j + qd_j [V_j, js_j] and
+    js_j qddd_j + 2 qdd_j [V_j, js_j] + qd_j ([Vdot_j, js_j] + [V_j, [V_j, js_j]])."""
+    up = model.tables.path.T  # up @ a sums a over each body's path
+    js = _carried_screws(absolute.mat, model.tables.lines)
+    V = up @ (js * qd[:, None])
+    vjs = _product(_SE3_BRACKET, V, js)  # [V_j, js_j] = d/dt js_j
+    Vd = up @ (js * qdd[:, None] + vjs * qd[:, None])
+    # [V_j, [V_j, js_j]] and [Vdot_j, js_j]
+    second = _product(_SE3_BRACKET, np.stack((V, Vd)), np.stack((vjs, js)))
+    Vdd = up @ (js * qddd[:, None] + vjs * (2.0 * qdd[:, None])
+                + (second[0] + second[1]) * qd[:, None])
+    return np.stack((V, Vd, Vdd))
 
 
 # --------------------------------------------------------------------------
@@ -585,6 +613,13 @@ _SE3_BRACKET = np.zeros((6, 6, 6))
 _SE3_BRACKET[:3, :3, :3] = _SE3_BRACKET[3:, 3:, :3] = _SE3_BRACKET[3:, :3, 3:] = _CROSS
 _CROSS.setflags(write=False)
 _SE3_BRACKET.setflags(write=False)
+
+
+def _product(consts, x, y) -> np.ndarray:
+    """The bilinear product with structure constants ``consts`` of x and y
+    along their last axes (stacks of them): x x y for _CROSS, [x, y] for
+    _SE3_BRACKET."""
+    return np.einsum("abc,...b,...c->...a", consts, x, y)
 
 
 def _pair_table(consts, u, v) -> np.ndarray:
@@ -730,7 +765,7 @@ def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
     xa = np.where(par[:, None] >= 0, np.einsum("nji,nj->ni", frames.parent, x), 0.0)
     norm2 = np.einsum("ij,ij->i", x, x)
     qd = (np.einsum("ij,ij->i", x, V) - np.einsum("ij,ij->i", xa, V[par])) / norm2
-    xv = np.einsum("abc,ib,ic->ia", _SE3_BRACKET, x, V)  # [x_i, V_i]
+    xv = _product(_SE3_BRACKET, x, V)  # [x_i, V_i]
     return (np.einsum("ij,ij->i", x, Vd + qd[:, None] * xv)
             - np.einsum("ij,ij->i", xa, Vd[par])) / norm2
 

@@ -73,7 +73,9 @@ def screw_from_axis(axis, point, pitch: float = 0.0) -> np.ndarray:
         raise ModelError("axis", "joint axis must be a unit vector")
     if math.isinf(pitch):
         return screw(np.zeros(3), axis)
-    return screw(axis, np.cross(point, axis) + pitch * axis)
+    (y0, y1, y2), (e0, e1, e2) = point, axis  # y x e as np.cross forms it
+    moment = np.array([y1 * e2 - y2 * e1, y2 * e0 - y0 * e2, y0 * e1 - y1 * e0])
+    return screw(axis, moment + pitch * axis)
 
 
 def binet_inertia(theta) -> np.ndarray:
@@ -338,6 +340,17 @@ def _chain_tables(joints, bodies, paths, rel_ref, gravity) -> ChainTables:
     return tables
 
 
+def _relative_pose(parent: Pose, child: Pose) -> Pose:
+    """parent^-1 child, the reference pose of a body relative to its
+    parent, computed as ``parent.inverse() @ child`` does but not
+    validated again: both poses are."""
+    rt = parent.rot.T
+    rot, trans = rt @ child.rot, rt @ child.trans - rt @ parent.trans
+    rot.setflags(write=False)
+    trans.setflags(write=False)
+    return Pose._trusted(rot, trans)
+
+
 class ChainModel:
     """Validated tree of bodies; immutable once constructed.
 
@@ -376,7 +389,7 @@ class ChainModel:
         self.links = tuple((i, p) for i, p in enumerate(self.parent) if p >= 0)
         # Relative reference pose of each body w.r.t. its parent.
         self._rel_ref = [
-            b.ref_pose if p < 0 else self.bodies[p].ref_pose.inverse() @ b.ref_pose
+            b.ref_pose if p < 0 else _relative_pose(self.bodies[p].ref_pose, b.ref_pose)
             for b, p in zip(self.bodies, self.parent)]
         # finite inputs can still overflow, e.g. a mass times a squared
         # offset; the check below reports that, so numpy need not warn

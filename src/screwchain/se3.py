@@ -181,7 +181,10 @@ class Pose:
 
     @staticmethod
     def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
+        rot, trans = np.eye(3), np.zeros(3)
+        rot.setflags(write=False)
+        trans.setflags(write=False)
+        return Pose._trusted(rot, trans)
 
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.rot @ other.rot, self.rot @ other.trans + self.trans)

@@ -190,6 +190,53 @@ def inertia_readout_oracle(gravity):
     return out.reshape(16, 42)
 
 
+def jerk_recursion_oracle(model, state, rep):
+    """Jerks by the jerk-level forward recursion, body by body: each jerk
+    the time derivative of the acceleration recursion of
+    ``kinematics._forward_sweep`` (which gives the twists V and
+    accelerations Vd here) on top of the parent's jerk, with per-body
+    brackets; mixed is the hybrid recursion with its angular part rotated
+    by R^T."""
+    from screwchain.kinematics import _fk_stacks, _forward_sweep, _frame_table
+    from screwchain.se3 import lie_bracket
+
+    work = "hybrid" if rep == "mixed" else rep
+    frames = _frame_table(model, *_fk_stacks(model, state.q), work)
+    cache = _forward_sweep(model, frames, state, 1)
+    V, Vd = cache.twists, cache.accels
+    x, xf = frames.screws, frames.parent
+    qd, qdd, qddd = state.qd, state.qdd, state.qddd
+    zero3 = np.zeros(3)
+    Vdd = np.zeros((model.n, 6))
+    for i, p in enumerate(model.parent):
+        Vdd[i] = x[i] * qddd[i]
+        if work == "body":
+            # xf[i] = Ad(rel_i^-1), d/dt Ad(rel_i^-1) = -qd_i ad(X_i) Ad(rel_i^-1)
+            if p >= 0:
+                vd_p = xf[i] @ Vd[p]
+                Vdd[i] += (xf[i] @ Vdd[p] - qdd[i] * lie_bracket(x[i], V[i])
+                           - qd[i] * lie_bracket(x[i], vd_p + Vd[i]))
+        elif work == "spatial":
+            # d/dt X^s_i = [V_p, X^s_i]
+            if p >= 0:
+                Vdd[i] += (Vdd[p] + lie_bracket(Vd[p], V[i])
+                           + lie_bracket(V[p], Vd[i] + qdd[i] * x[i]))
+        else:  # hybrid: d/dt X^h_i = [omega_i, X^h_i], d/dt Ad(r) = ad(r-dot)
+            omega_i = screw(V[i][:3], zero3)
+            wx = lie_bracket(omega_i, x[i])
+            Vdd[i] += (2.0 * qdd[i] * wx
+                       + qd[i] * (lie_bracket(screw(Vd[i][:3], zero3), x[i])
+                                  + lie_bracket(omega_i, wx)))
+            if p >= 0:
+                rdot_rel = screw(zero3, V[p][3:] - V[i][3:])
+                rddot_rel = screw(zero3, Vd[p][3:] - Vd[i][3:])
+                Vdd[i] += (xf[i] @ Vdd[p] + 2.0 * lie_bracket(rdot_rel, Vd[p])
+                           + lie_bracket(rddot_rel, V[p]))
+    if rep == "mixed":
+        Vdd[:, :3] = np.einsum("nji,nj->ni", frames.poses.rot, Vdd[:, :3])
+    return Vdd
+
+
 def subtree_sums_oracle(model, a):
     """a[i] summed over the subtree rooted at body i, leaves to roots."""
     out = np.array(a, dtype=float)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import screwchain
+from screwchain import cli
 from screwchain.cli import main
 from screwchain.samples import sample_model_path
 
@@ -495,6 +496,26 @@ def test_benchmark_counts_exact(tmp_path):
     assert hybrid10[header.index("pred_brackets")] == "29"
 
 
+def test_benchmark_builds_one_chain_per_size(tmp_path, monkeypatch):
+    # sizes repeat and come unsorted: the rows keep the order of --reps and
+    # --n, and each size's chain is built once for all representations
+    built, build = [], cli._benchmark_chain
+
+    def chain(n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(cli, "_benchmark_chain", chain)
+    out = tmp_path / "bench.csv"
+    assert run_cli("benchmark", "--reps", "hybrid,body", "--n", "4,2,4", "--trials", "1",
+                   "--out", str(out)) == 0
+    with open(out) as fh:
+        keys = [tuple(line.split(",")[:2]) for line in fh.read().splitlines()[1:]]
+    assert keys == [("hybrid", "4"), ("hybrid", "2"), ("hybrid", "4"),
+                    ("body", "4"), ("body", "2"), ("body", "4")]
+    assert sorted(built) == [2, 4]
+
+
 @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "2,-1"], ["--n", "two"],
                                  ["--trials", "0"]])
 def test_benchmark_bad_sizes_exit_2(tmp_path, bad):
@@ -604,6 +625,86 @@ def test_fuzzed_joint_vectors_exit_cleanly(q0, qd0, q):
                              [out, out + ".report.csv"])
         assert_clean_outcome(["christoffel", "--model", MODEL_2R, f"--q={q}",
                               "--out", out], [out])
+
+
+# ------------------------------------------------- parser and CSV writing
+
+def _cli_outcome(argv, capsys, files):
+    """(exit code, stdout, stderr, bytes of each file) of one ``main`` call;
+    an argparse error counts as its SystemExit code."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return (code, captured.out, captured.err,
+            [open(f, "rb").read() if os.path.exists(f) else None for f in files])
+
+
+def test_cached_parser_behaves_as_fresh_parsers(tmp_path, capsys, rng):
+    # one parser serves consecutive calls of different subcommands, an
+    # argparse error (exit 2) among them, as a parser built for each does
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, np.arange(3) * 0.1, [rng.normal(size=(3, 2)) for _ in range(3)])
+    m, tr = ["--model", MODEL_2R], ["--traj", str(traj)]
+    calls = [["check", *m], ["idyn", *m, *tr, "--rep", "all"], ["fk", *m],
+             ["fk", *m, *tr, "--twists"], ["idyn", *m, *tr, "--rep", "nope"],
+             ["christoffel", *m, "--q=0.3,-0.2", "--variant", "binet"],
+             ["simulate", *m, "--T", "0.003", "--no-gravity"], ["check"]]
+
+    def outcomes(fresh):
+        got = []
+        for k, argv in enumerate(calls):
+            out = str(tmp_path / f"{fresh}_{k}.csv")
+            if fresh:
+                cli._build_parser.cache_clear()
+            got.append(_cli_outcome(argv + ["--out", out] * (k not in (0, 7)), capsys,
+                                    [out, out + ".report.csv"]))
+        return got
+
+    assert cli._build_parser() is cli._build_parser()
+    cached = outcomes(fresh=False)
+    assert [c[0] for c in cached] == [0, 0, 2, 0, 2, 0, 0, 2]
+    assert cached == outcomes(fresh=True)
+
+
+def _per_value_text(header, rows):
+    """A table as it was written before one format per row: every value
+    through ``%.17g`` on its own, a string as it is."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else "%.17g" % v for v in row)
+              for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_csv_text_equals_per_value_format(tmp_path, monkeypatch, rng):
+    # every command's table, written with one row format, against the same
+    # rows formatted value by value
+    tables = []
+
+    def spy(path, header, rows, fmt=None):
+        rows = [list(r) for r in rows]
+        tables.append((path, header, rows))
+        write(path, header, rows, fmt)
+
+    write = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, np.arange(4) * 0.1, [rng.normal(size=(4, 6)) for _ in range(3)])
+    out = str(tmp_path / "out.csv")
+    common = ["--model", MODEL_6R, "--traj", str(traj), "--out", out]
+    for argv in (["fk", *common], ["fk", *common, "--twists", "--rep", "hybrid"],
+                 ["jacobian", *common, "--rep", "spatial"], ["idyn", *common, "--rep", "all"],
+                 ["simulate", "--model", MODEL_6R, "--T", "0.005", "--out", out],
+                 ["christoffel", "--model", MODEL_6R, "--q=0.1,0.2,0.3,0.4,0.5,0.6",
+                  "--out", out],
+                 ["benchmark", "--n", "2,3", "--trials", "1", "--out", out]):
+        tables.clear()
+        assert main(argv) == 0
+        assert tables, argv
+        for path, header, rows in tables:
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == _per_value_text(header, rows), argv
 
 
 # --------------------------------------------------------------- entry point

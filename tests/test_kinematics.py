@@ -305,7 +305,7 @@ def test_jerks_match_finite_differences(rng):
 
 
 def test_jerks_match_finite_differences_on_long_chain():
-    # n = 30 is affordable only because the jerk sweep is O(n)
+    # n = 30 is affordable because the jerks are one stacked closed form
     model = _benchmark_chain(30)
     rng = np.random.default_rng(30)
     q, qd, qdd, qddd = (rng.normal(size=30) for _ in range(4))

@@ -11,7 +11,7 @@ from screwchain.model import (
     spatial_inertia_body,
 )
 from screwchain.se3 import Pose, adjoint, screw
-from screwchain.samples import sample_model_path
+from screwchain.samples import SAMPLE_MODELS, sample_model_path
 
 from conftest import inertia_readout_oracle, rand_inertia, rand_rotation, random_chain
 
@@ -49,6 +49,32 @@ def test_screw_from_axis_prismatic_sentinel():
 def test_screw_from_axis_rejects_non_unit():
     with pytest.raises(ModelError):
         screw_from_axis([0, 0, 2], [0, 0, 0])
+
+
+def test_screw_from_axis_moment_is_np_cross_bit_for_bit(rng):
+    for _ in range(50):
+        e = rng.normal(size=3)
+        e /= np.linalg.norm(e)
+        y, pitch = rng.normal(size=3) * 10.0, rng.uniform(-1.0, 1.0)
+        assert screw_from_axis(e, y, pitch).tobytes() == \
+            screw(e, np.cross(y, e) + pitch * e).tobytes()
+
+
+def test_computed_reference_poses_equal_validated_ones(rng):
+    # the identity and the relative reference poses that the loader builds
+    # unvalidated: read-only, and bit for bit what Pose(...) would give
+    ident = Pose.identity()
+    assert np.array_equal(ident.rot, np.eye(3)) and np.array_equal(ident.trans, np.zeros(3))
+    models = [load_model(sample_model_path(name)) for name in SAMPLE_MODELS]
+    models += [random_chain(rng, 6, tree=True) for _ in range(5)]
+    for model in models:
+        for i, p in enumerate(model.parent):
+            rel, ref = model.rel_ref_pose(i), model.bodies[i].ref_pose
+            want = ref if p < 0 else model.bodies[p].ref_pose.inverse() @ ref
+            assert rel.rot.tobytes() == want.rot.tobytes()
+            assert rel.trans.tobytes() == want.trans.tobytes()
+    for pose in [ident] + [models[-1].rel_ref_pose(i) for i in range(6)]:
+        assert not pose.rot.flags.writeable and not pose.trans.flags.writeable
 
 
 def test_revolute_screw_fixes_its_axis_point(rng):

@@ -31,7 +31,8 @@ from screwchain.se3 import (
 
 from conftest import (
     JacobianOracle, fk_spatial_oracle, gravity_wrenches_oracle, inertias_oracle,
-    instantaneous_screws_oracle, parent_transforms_oracle, path_sums_oracle,
+    instantaneous_screws_oracle, jerk_recursion_oracle, parent_transforms_oracle,
+    path_sums_oracle,
     random_chain, spatial_backward_oracle, subtree_sums_oracle,
 )
 
@@ -467,6 +468,23 @@ def test_jerks_match_closed_forms(case, seed):
     for rep, oracle in JERK_ORACLES.items():
         assert np.allclose(jerks(model, state, rep).jerks,
                            oracle(model, q, qd, qdd, qddd), rtol=0.0, atol=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(max_n=9), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_jerks_match_recursion(case, seed):
+    # the closed-form motion of jerks() against the recursive sweeps: the
+    # twists and accelerations of _forward_sweep and the jerk-level
+    # recursion of the oracle, in all four representations
+    model, q, qd, qdd = case[:4]
+    qddd = np.random.default_rng(seed).normal(size=model.n)
+    state = JointState(q, qd, qdd, qddd)
+    for rep in REPS:
+        got = jerks(model, state, rep)
+        sweep = accelerations(model, state, rep)
+        for g, e in ((got.twists, sweep.twists), (got.accels, sweep.accels),
+                     (got.jerks, jerk_recursion_oracle(model, state, rep))):
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(initial=0.0)
 
 
 @PROPERTY_SETTINGS

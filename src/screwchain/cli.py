@@ -3,8 +3,13 @@
 Commands load a chain model file, run kinematics/dynamics/simulation or
 the operation-count benchmark over CSV trajectory tables, and emit CSV.
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 numerical
-failure.  All numeric output is deterministic; floats are printed with 17
-significant digits so that values round-trip exactly.
+failure.  A table command (``fk``, ``jacobian``, ``idyn``) exits 3 at the
+first output value that is not finite, with a message that names the
+quantity and the data row; the rows before it stay written.
+``christoffel`` exits 3 when a symbol at ``--q`` is not finite, and
+``simulate`` aborts with its partial output written.  All numeric output
+is deterministic; floats are printed with 17 significant digits so that
+values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
+import itertools
 import sys
 import time
 import warnings
@@ -123,28 +129,22 @@ def _cell_number(cell):
     return float(value[0]) if value.size == 1 else None
 
 
-def _read_traj(path, n, need=1):
-    """Trajectory table: t plus n columns per provided derivative level.
-
-    ``need`` is the number of required blocks (1 = q, 2 = q,qd, 3 =
-    q,qd,qdd).  Returns (t, q, qd | None, qdd | None).
-    """
+def _read_traj(path, n, need):
+    """Trajectory table: t, then n columns of q and, where given, of qd and
+    qdd.  Returns t and the ``need`` blocks the command uses (1 = q, 2 =
+    q, qd, 3 = q, qd, qdd), so (t, q), (t, q, qd) or (t, q, qd, qdd)."""
     raw = _load_table(path, "trajectory")
     cols = raw.shape[1]
-    blocks = (cols - 1) // n if n else 0
-    if cols != 1 + blocks * n or blocks < 1 or blocks > 3:
+    blocks = (cols - 1) // n
+    if cols != 1 + blocks * n or not 1 <= blocks <= 3:
         raise CliError(EXIT_VALIDATION,
-                       f"trajectory has {cols} columns; expected 1 + {n}, "
-                       f"{2 * n} or {3 * n} for a {n}-joint model")
+                       f"trajectory has {cols} columns; expected {1 + n}, "
+                       f"{1 + 2 * n} or {1 + 3 * n} for a {n}-joint model")
     if blocks < need:
         raise CliError(EXIT_VALIDATION,
                        f"trajectory provides {blocks} block(s) of joint data; "
                        f"this command needs {need}")
-    t = raw[:, 0]
-    q = raw[:, 1:1 + n]
-    qd = raw[:, 1 + n:1 + 2 * n] if blocks >= 2 else None
-    qdd = raw[:, 1 + 2 * n:1 + 3 * n] if blocks >= 3 else None
-    return t, q, qd, qdd
+    return (raw[:, 0], *(raw[:, 1 + b * n:1 + (b + 1) * n] for b in range(need)))
 
 
 def _parse_vector(text, n, name):
@@ -182,83 +182,71 @@ def cmd_check(args):
     return EXIT_OK
 
 
-def cmd_fk(args):
+def _table_command(args, need, header, row, quantity):
+    """Run a trajectory-table command: load the model, read t and the
+    ``need`` blocks of the trajectory, and write the header ``["t"] +
+    header(n)``, then t and ``row(model, q[, qd[, qdd]])`` of each data
+    row.  The first row with a value that is not finite ends the table
+    with exit 3, naming ``quantity`` and the data row; the rows before it
+    stay written."""
     model = _load_model_checked(args.model)
-    n = model.n
-    t, q, qd, _ = _read_traj(args.traj, n, need=2 if args.twists else 1)
-    if args.twists:
-        header = ["t"] + [f"body{i + 1}_V{c + 1}" for i in range(n) for c in range(6)]
-        quiet = {"over": "ignore", "invalid": "ignore"}  # row() reports overflow
+    t, *blocks = _read_traj(args.traj, model.n, need)
 
-        def row(idx):
-            cache = kin.twists(model, q[idx], qd[idx], args.rep)
-            if not np.all(np.isfinite(cache.twists)):
-                raise CliError(EXIT_NUMERICAL, f"non-finite twist in data row {idx + 1}")
-            return [t[idx]] + list(cache.twists.reshape(-1))
-    else:
-        header = ["t"] + [f"body{i + 1}_{name}" for i in range(n)
-                          for name in ("R11", "R12", "R13", "R21", "R22", "R23",
-                                       "R31", "R32", "R33", "r1", "r2", "r3")]
-        quiet = {}
+    def rows():
+        for idx, (ti, *data) in enumerate(zip(t, *blocks), 1):
+            values = row(model, *data)
+            if not np.all(np.isfinite(values)):
+                raise CliError(EXIT_NUMERICAL, f"non-finite {quantity} in data row {idx}")
+            yield (ti, *values)
 
-        def row(idx):
-            poses = kin.fk(model, q[idx])
-            out = [t[idx]]
-            for p in poses:
-                out.extend(p.rot.reshape(-1))
-                out.extend(p.trans)
-            return out
-
-    with np.errstate(**quiet):
-        _write_csv(args.out, header, (row(idx) for idx in range(len(t))))
+    with np.errstate(over="ignore", invalid="ignore"):  # rows() reports it
+        _write_csv(args.out, ["t"] + header(model.n), rows())
     return EXIT_OK
+
+
+_POSE_COLUMNS = ("R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33",
+                 "r1", "r2", "r3")
+
+
+def cmd_fk(args):
+    if args.twists:
+        return _table_command(
+            args, 2, lambda n: [f"body{i + 1}_V{c + 1}" for i in range(n) for c in range(6)],
+            lambda model, q, qd: kin.twists(model, q, qd, args.rep).twists.reshape(-1),
+            "twist")
+
+    def row(model, q):
+        return np.concatenate([np.append(p.rot, p.trans) for p in kin.fk(model, q)])
+
+    return _table_command(
+        args, 1, lambda n: [f"body{i + 1}_{c}" for i in range(n) for c in _POSE_COLUMNS],
+        row, "pose")
 
 
 def cmd_jacobian(args):
-    model = _load_model_checked(args.model)
-    n = model.n
-    t, q, _, _ = _read_traj(args.traj, n, need=1)
-    header = ["t"] + [f"J{r + 1}_{c + 1}" for r in range(6 * n) for c in range(n)]
-
-    def row(idx):
-        sj = kin.jacobian(model, q[idx], args.rep)
-        return [t[idx]] + list(sj.J.reshape(-1))
-
-    _write_csv(args.out, header, (row(idx) for idx in range(len(t))))
-    return EXIT_OK
+    return _table_command(
+        args, 1, lambda n: [f"J{r + 1}_{c + 1}" for r in range(6 * n) for c in range(n)],
+        lambda model, q: kin.jacobian(model, q, args.rep).J.reshape(-1), "Jacobian")
 
 
 def cmd_idyn(args):
-    model = _load_model_checked(args.model)
-    n = model.n
-    t, q, qd, qdd = _read_traj(args.traj, n, need=3)
-    reps = ("body", "spatial", "hybrid") if args.rep == "all" else (args.rep,)
-    header = ["t"]
-    for rep in reps:
-        header += [f"Q{j + 1}_{rep}" if args.rep == "all" else f"Q{j + 1}"
-                   for j in range(n)]
-    if args.rep == "all":
-        header.append("max_rep_deviation")
+    gravity = not args.no_gravity
+    if args.rep != "all":
+        return _table_command(
+            args, 3, lambda n: [f"Q{j + 1}" for j in range(n)],
+            lambda model, q, qd, qdd: dyn.idyn(model, q, qd, qdd, args.rep, gravity=gravity),
+            "torque")
+    reps = ("body", "spatial", "hybrid")
 
-    def row(idx):
-        out = [t[idx]]
-        results = []
-        for rep in reps:
-            results.append(dyn.idyn(model, q[idx], qd[idx], qdd[idx], rep,
-                                    gravity=not args.no_gravity))
-            out.extend(results[-1])
-        if args.rep == "all":
-            dev = max(np.abs(results[a] - results[b]).max()
-                      for a in range(len(results)) for b in range(a + 1, len(results)))
-            out.append(dev)
-        return out
+    def header(n):
+        return [f"Q{j + 1}_{rep}" for rep in reps for j in range(n)] + ["max_rep_deviation"]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        rows = [row(idx) for idx in range(len(t))]
-    if not all(np.all(np.isfinite(r)) for r in rows):
-        raise CliError(EXIT_NUMERICAL, "non-finite torque encountered")
-    _write_csv(args.out, header, rows)
-    return EXIT_OK
+    def row(model, q, qd, qdd):
+        tau = [dyn.idyn(model, q, qd, qdd, rep, gravity=gravity) for rep in reps]
+        dev = max(np.abs(a - b).max() for a, b in itertools.combinations(tau, 2))
+        return np.append(tau, dev)
+
+    return _table_command(args, 3, header, row, "torque")
 
 
 def _torque_fn_from_file(path, n):
@@ -324,9 +312,12 @@ def cmd_christoffel(args):
     model = _load_model_checked(args.model)
     n = model.n
     q = _parse_vector(args.q, n, "--q")
-    gammas = {v: dyn.christoffel(model, q, variant=v) for v in ("standard", "binet")}
-    gamma = gammas[args.variant]
-    deviation = float(np.abs(gammas["standard"] - gammas["binet"]).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        gammas = {v: dyn.christoffel(model, q, variant=v) for v in ("standard", "binet")}
+        gamma = gammas[args.variant]
+        deviation = float(np.abs(gammas["standard"] - gammas["binet"]).max())
+    if not np.all(np.isfinite(gamma)):
+        raise CliError(EXIT_NUMERICAL, "non-finite Christoffel symbol at --q")
     header = ["i", "j", "k", "gamma"]
     index = np.indices((n, n, n)).reshape(3, -1) + 1  # (i, j, k), 1-based, row-major
     rows = zip(*index.tolist(), gamma.reshape(-1).tolist())

@@ -100,11 +100,7 @@ def mk_step(state: RigidBodyState, twist_field, h: float, t: float = 0.0) -> Rig
         v = np.asarray(twist_field(tau, pose), dtype=float)
         return dexp_inv(x, "left" if body else "right") @ v
 
-    k1 = xdot(t, np.zeros(6))
-    k2 = xdot(t + 0.5 * h, 0.5 * h * k1)
-    k3 = xdot(t + 0.5 * h, 0.5 * h * k2)
-    k4 = xdot(t + h, h * k3)
-    x = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x = _rk4(xdot, t, np.zeros(6), h, xdot(t, np.zeros(6)))
     step = exp_se3(x)
     pose1 = pose0 @ step if body else step @ pose0
     return RigidBodyState(pose1, twist_field(t + h, pose1), state.rep)

@@ -368,6 +368,8 @@ class ChainModel:
         self.gravity = np.asarray(gravity, dtype=float).reshape(3)
         self.gravity.setflags(write=False)
         self.n = len(self.bodies)
+        if not self.n:
+            raise ModelError("bodies", "must be a non-empty list")
         if len(self.joints) != self.n or len(self.parent) != self.n:
             raise ModelError("bodies", "bodies, joints and parent must have equal length")
         for i, p in enumerate(self.parent):

@@ -120,6 +120,15 @@ def test_fk_column_count_mismatch_exit_2(tmp_path):
                    "--out", str(tmp_path / "o.csv")) == 2
 
 
+def test_column_count_message_names_the_valid_totals(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, [0.0], [np.zeros((1, 11))])
+    assert run_cli("fk", "--model", MODEL_6R, "--traj", str(traj),
+                   "--out", str(tmp_path / "o.csv")) == 2
+    assert capsys.readouterr().err == ("error: trajectory has 12 columns; expected 7, 13 "
+                                       "or 19 for a 6-joint model\n")
+
+
 def test_fk_twists_needs_qd(tmp_path):
     traj = tmp_path / "traj.csv"
     write_traj(traj, [0.0], [np.zeros((1, 2))])
@@ -188,14 +197,17 @@ def test_idyn_rep_all_deviation_column(tmp_path, rng):
 
 
 def test_idyn_overflowing_row_exit_3_with_one_error_line(tmp_path, capsys):
-    # the rows overflow to inf and NaN; the finite check reports it without
-    # numpy's RuntimeWarning lines (which pytest would raise)
+    # the second row overflows to inf and NaN; the finite check names it
+    # without numpy's RuntimeWarning lines (which pytest would raise), and
+    # the first row is already written
     traj = tmp_path / "traj.csv"
-    write_traj(traj, [0.0], [np.full((1, 6), 1e300) for _ in range(3)])
+    write_traj(traj, [0.0, 0.1], [np.array([[0.1] * 6, [1e300] * 6]) for _ in range(3)])
+    out = tmp_path / "out.csv"
     assert run_cli("idyn", "--model", MODEL_6R, "--traj", str(traj), "--rep", "all",
-                   "--out", str(tmp_path / "out.csv")) == 3
+                   "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err == "error: non-finite torque encountered\n"
+    assert err == "error: non-finite torque in data row 2\n"
+    assert read_csv(out).shape == (1, 1 + 3 * 6 + 1)
 
 
 @pytest.mark.parametrize("rep", ["body", "spatial"])
@@ -211,6 +223,54 @@ def test_fk_twists_overflowing_row_exit_3_with_one_error_line(tmp_path, capsys, 
     assert capsys.readouterr().err == "error: non-finite twist in data row 2\n"
     written = read_csv(out)
     assert written.shape == (1, 1 + 6 * 6) and np.all(np.isfinite(written))
+
+
+def two_prismatic_model(tmp_path):
+    """A 3-body model file: two prismatic x-joints, then a revolute joint.
+    At q = HUGE_Q the sum of the two joint positions overflows."""
+    def body(parent, kind, point):
+        return {"parent": parent, "mass": 1.0, "com": [0.1, 0.0, 0.0],
+                "inertia_com": np.diag([0.01] * 3).tolist(),
+                "joint": {"type": kind, "axis": [1.0, 0.0, 0.0] if kind == "prismatic"
+                          else [0.0, 0.0, 1.0], "point": point}}
+    path = tmp_path / "two_prismatic.json"
+    path.write_text(json.dumps({"bodies": [body(0, "prismatic", [0.0, 0.0, 0.0]),
+                                           body(1, "prismatic", [0.0, 0.0, 0.0]),
+                                           body(2, "revolute", [0.5, 0.0, 0.0])]}))
+    return str(path)
+
+
+HUGE_Q = [1.7e308, 1.7e308, 0.5]
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["fk"], "pose"),
+    (["jacobian", "--rep", "body"], "Jacobian"),
+    (["jacobian", "--rep", "spatial"], "Jacobian"),
+    (["jacobian", "--rep", "hybrid"], "Jacobian"),
+], ids=["fk", "jacobian-body", "jacobian-spatial", "jacobian-hybrid"])
+def test_overflowing_table_row_exit_3_names_quantity_and_row(tmp_path, capsys, argv,
+                                                             quantity):
+    # the second row overflows: one error line naming the row, no numpy
+    # RuntimeWarning (which pytest would raise), the first row written
+    traj = tmp_path / "traj.csv"
+    write_traj(traj, [0.0, 0.1], [np.array([[0.1, 0.2, 0.3], HUGE_Q])])
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--model", two_prismatic_model(tmp_path), "--traj", str(traj),
+                   "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: non-finite {quantity} in data row 2\n"
+    written = read_csv(out)
+    assert written.shape[0] == 1 and written[0, 0] == 0.0 and np.all(np.isfinite(written))
+
+
+@pytest.mark.parametrize("variant", ["standard", "binet"])
+def test_christoffel_overflowing_q_exit_3_with_one_error_line(tmp_path, capsys, variant):
+    out = tmp_path / "gamma.csv"
+    q = ",".join(repr(v) for v in HUGE_Q)
+    assert run_cli("christoffel", "--model", two_prismatic_model(tmp_path), f"--q={q}",
+                   "--variant", variant, "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: non-finite Christoffel symbol at --q\n"
+    assert not out.exists()
 
 
 def test_idyn_rep_mixed_matches_body(tmp_path, rng):

@@ -399,6 +399,13 @@ def test_parent_order_enforced():
         ChainModel(bodies, joints, [1, -1])
 
 
+def test_chain_without_bodies_rejected():
+    # the error parse_model gives a file without bodies
+    with pytest.raises(ModelError) as info:
+        ChainModel([], [], [])
+    assert (info.value.path, info.value.message) == ("bodies", "must be a non-empty list")
+
+
 def test_paths_and_children(rng):
     model = random_chain(rng, 6, tree=True)
     for i in range(model.n):

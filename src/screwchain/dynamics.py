@@ -4,24 +4,20 @@ motion (mass matrix, Coriolis matrix, Christoffel symbols), forward dynamics,
 and the spatial-momentum phase-space form.
 
 Recursive Newton-Euler is one algorithm in three representations: the
-forward sweep of :mod:`screwchain.kinematics` followed by the one backward
+motion of :mod:`screwchain.kinematics` followed by the one backward
 wrench sweep here, both over the frame table of their representation
-(:func:`screwchain.kinematics._frame_table`).  ``idyn`` builds that
-table and runs the two sweeps, but in spatial form it reads the
-motion in closed form instead (:func:`_closed_motion`), as the
-configuration pass does.  Everything else reads one configuration pass
-(:class:`_Configuration`): the pose stack once, the spatial frame
-table at it and the composite-rigid-body mass matrix, whose inverse
-Cholesky factor, made once per pass, solves.  ``fdyn`` and
-``momentum_rhs`` need no forward sweep: their bias
-J^T (M Jdot qd - ad^T_V M V - loads) is closed-form, since the spatial
-Jacobian's column rates are brackets, Jdot^s_j = [V_j, X^s_j], and the
-sums over paths and subtrees are products with the model's path matrix.
-The spatial backward sweep needs no frame transform, so the balances of
-all bodies come with the closed-form motion, their brackets and
-co-brackets one gathered product (:func:`_closed_motion`); the momentum
-form's rates are those balances at qdd = 0 plus M_i times the path sums
-of js_j qdd_j.
+(:func:`screwchain.kinematics._frame_table`).  The motion is the counted
+forward recursion in body and hybrid form, and in spatial form the one
+path-sum kernel (:func:`screwchain.kinematics._spatial_motion`), which
+forms the balances of all bodies with it, since a spatial wrench passes
+to the parent unchanged; ``idyn`` reads all three from one call.
+Everything else reads one configuration pass (:class:`_Configuration`):
+the pose stack once, the spatial frame table at it and the
+composite-rigid-body mass matrix, whose inverse Cholesky factor, made
+once per pass, solves.  The bias J^T (M Jdot qd - ad^T_V M V - loads) of
+``fdyn`` and ``momentum_rhs`` is the kernel at qdd = 0 and one backward
+sweep; the momentum form's rates are those balances plus M_i times the
+path sums of js_j qdd_j.
 
 The last configuration pass is kept and reused by the next
 call at the same model object and the same bytes of q
@@ -68,7 +64,9 @@ from .kinematics import (
     _jacobian,
     _kinematics,
     _pair_table,
+    _check_indices,
     _read_inertias,
+    _spatial_motion,
     _twist_map,
 )
 from .se3 import (
@@ -135,10 +133,12 @@ class _Counter(_SweepOps):
 
 
 def predict_op_counts(rep: str, n: int) -> OpCountReport:
-    """Structural operation counts of the serial-chain inverse dynamics
-    sweep: body 3(n-1) screw transforms and 2n-1 brackets; spatial n screw
-    plus n tensor transforms and 2n-1 brackets; hybrid 3n-3 translational
-    plus n rotational screw transforms, n tensor rotations, 3n-1 brackets.
+    """Structural operation counts of inverse dynamics, exact on any tree
+    of n bodies with one root: body 3(n-1) screw transforms and 2n-1
+    brackets; spatial n screw plus n tensor transforms and 2n-1 brackets;
+    hybrid 3n-3 translational plus n rotational screw transforms, n tensor
+    rotations, 3n-1 brackets.  On a forest of r roots, r replaces each 1
+    (body: 3(n-r) transforms and 2n-r brackets).
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
     r = OpCountReport(rep=rep, n=n)
@@ -204,21 +204,26 @@ def convert_wrench(w, from_rep: str, to_rep: str, pose: Pose) -> np.ndarray:
 
 
 def gravity_wrenches(model: ChainModel, poses, rep: str) -> np.ndarray:
-    """Per-body gravity wrench in the requested representation: the
-    gravity loads of the frame table at the poses
+    """Per-body gravity wrench in the requested representation at one
+    pose per body (else ValueError): the gravity loads of the frame table
+    at the poses
     (:func:`screwchain.kinematics._frame_table`), each body's inertia
     times the acceleration of the gravity field.  The weight enters the
     recursions as a load in every representation rather than as a
     fictitious base acceleration.
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
+    if len(poses) != model.n:
+        raise ValueError(f"gravity_wrenches: expected {model.n} poses, got {len(poses)}")
     stack = _PoseStack(np.array([p.matrix() for p in poses]))
     return _frame_table(model, stack, None, rep).gravity.copy()
 
 
 def spatial_inertia_of(model: ChainModel, poses, i: int) -> np.ndarray:
     """Inertial-frame 6x6 inertia of body i at the given pose, read out of
-    its pseudo-inertia J carried by the pose W as W J W^T."""
+    its pseudo-inertia J carried by the pose W as W J W^T (IndexError
+    unless i names a body)."""
+    _check_indices("spatial_inertia_of", model.n, i)
     tab = model.tables
     return _read_inertias(poses[i].matrix(), tab.pseudo[i], tab.readout)[1]
 
@@ -230,9 +235,11 @@ def ne_wrench_arbitrary(model: ChainModel, state: JointState, i: int,
 
     ``i == j == k`` reproduces the body-fixed wrench, ``j == i`` with
     ``k = None`` the hybrid one, ``j = k = None`` the spatial one.
+    Raises IndexError unless i, j and k (when given) name bodies.
     """
     from .kinematics import accelerations
 
+    _check_indices("ne_wrench_arbitrary", model.n, *(m for m in (i, j, k) if m is not None))
     cache = accelerations(model, state, "spatial")
     poses = cache.poses
     vs, vsd = cache.twists, cache.accels
@@ -286,29 +293,17 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     torque with an inertial force, which has no native recursion) and
     converts ``applied`` from mixed to hybrid.
 
-    The body and hybrid forms run the recursive forward sweep of
-    :mod:`screwchain.kinematics`; the spatial form reads its twists and
-    accelerations in closed form (:func:`_closed_motion`), as the
-    configuration pass does, and counts the same operations as the
-    recursion.  With ``full=True`` an :class:`IdynResult` carrying the
-    transmitted joint wrenches and the operation-count report is
-    returned instead.
+    The frame table, the motion and, in spatial form, the balances come
+    from one :func:`screwchain.kinematics._kinematics` call.  With
+    ``full=True`` an :class:`IdynResult` carrying the transmitted joint
+    wrenches and the operation-count report is returned instead.
     """
     _check_rep(rep)
     work_rep = "hybrid" if rep == "mixed" else rep
     cnt = _Counter(work_rep, model.n)
-    state = JointState(q, qd, qdd)
-    balances = None
-    if work_rep == "spatial":
-        frames = _frame_table(model, _fk_stacks(model, state.q, relative=False)[0], None,
-                              "spatial", cnt)
-        qd = np.zeros(model.n) if state.qd is None else state.qd
-        V, Vd, balances = _closed_motion(model, frames, qd, state.qdd, cnt)
-    else:
-        frames, cache = _kinematics(model, state, work_rep, 1, cnt)
-        V, Vd = cache.twists, cache.accels
+    frames, cache, balances = _kinematics(model, JointState(q, qd, qdd), work_rep, 1, cnt)
     ext = _loads(model, frames, applied, gravity, rep)
-    Q, W = _backward_sweep(model, frames, V, Vd, ext, cnt, balances)
+    Q, W = _backward_sweep(model, frames, cache.twists, cache.accels, ext, cnt, balances)
     if full:
         return IdynResult(Q, W, cnt.report, work_rep)
     return Q
@@ -338,11 +333,9 @@ def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
     M Vdot + [omega, M omega]) less its load ``ext`` joins the wrenches
     its children transmit; the sum is projected on the joint screw and
     carried to the parent.  The spatial form carries a wrench to the
-    parent unchanged, so there the balances of all bodies are one
-    stacked product (:func:`_balances`), their subtree sums the
-    joint wrenches and one row-wise product the joint forces; a caller
-    that formed the balances with the motion (:func:`_closed_motion`)
-    passes them as ``balances``.  Returns (joint forces, joint wrenches).
+    parent unchanged, so there the balances of all bodies (``balances``,
+    else :func:`_balances`) have subtree sums the joint wrenches and one
+    row-wise product the joint forces.  Returns (joint forces, joint wrenches).
     """
     n = model.n
     rep = frames.rep
@@ -382,28 +375,6 @@ def _balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
 # Closed-form equations of motion
 # --------------------------------------------------------------------------
 
-def _closed_motion(model: ChainModel, frames: _Frames, qd, qdd=None,
-                   ops: _SweepOps = _PLAIN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spatial twists, accelerations and Newton-Euler balances
-    M_i Vdot_i - ad^T_{V_i} M_i V_i of all bodies in closed form from the
-    spatial frame table: V_i sums js_j qd_j over the path to body i, and,
-    as d/dt js_j = [V_j, js_j], Vdot_i sums qd_j [V_j, js_j] + js_j qdd_j
-    over it (qdd None is zero).  The brackets and co-brackets are one
-    gathered product (:meth:`_SweepOps.brackets`); a root's bracket,
-    [js_r qd_r, js_r qd_r], is exactly 0, so the count is that of the
-    recursive sweeps: the non-root bodies' brackets and n co-brackets."""
-    up = model.tables.path.T  # up @ a sums a over each body's path
-    js, inertias = frames.screws, frames.inertias
-    x = js * qd[:, None]
-    V = up @ x
-    xp = np.concatenate((x, (inertias @ V[..., None])[..., 0]), axis=1)  # [x | M V]
-    rates, cob = ops.brackets(V, xp, len(model.links))
-    if qdd is not None:
-        rates += js * qdd[:, None]
-    Vd = up @ rates
-    return V, Vd, (inertias @ Vd[..., None])[..., 0] - cob
-
-
 class _Configuration:
     """One configuration pass at q: the absolute pose stack of
     :func:`_fk_stacks` once, and from it the spatial frame table
@@ -416,9 +387,8 @@ class _Configuration:
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
     on the path to k, and zero off the paths; ``icjs`` keeps Ic_k js_k,
     which also gives the total momentum (:meth:`total_momentum`).  The
-    twist V_i sums js_j qd_j over the path to body i and, as Jdot_j =
-    [V_j, js_j], the acceleration at qdd = 0 sums qd_j [V_j, js_j] over it
-    (:func:`_closed_motion`).
+    twists, the accelerations at qdd = 0 and the balances of :meth:`accel`
+    are the path sums of :func:`screwchain.kinematics._spatial_motion`.
 
     At the first :meth:`solve` M = L L^T is factored, and L^-1 is kept
     (``_low``), so every solve is two matrix products.  The last bias
@@ -470,9 +440,9 @@ class _Configuration:
     def accel(self, qd, tau, applied, gravity: bool):
         """(qdd, twists, accelerations and balances at qdd = 0),
         qdd = M^-1 (tau - bias) with the bias J^T (M Jdot qd - ad^T_V M V - loads)
-        from the motion and balances of :func:`_closed_motion` and one
-        :func:`_backward_sweep`.  ``tau`` may be None; ``applied`` is in body
-        representation.  The last arrays are kept, as the class says."""
+        from the path sums of ``_spatial_motion`` and one :func:`_backward_sweep`.
+        ``tau`` may be None; ``applied`` is in body representation.  The
+        last arrays are kept, as the class says."""
         n = self.model.n
         qd = np.asarray(qd, dtype=float).reshape(n)
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
@@ -483,7 +453,7 @@ class _Configuration:
         kept = self._kept
         if kept is None or kept[0] != key:
             frames = self.frames
-            V, vd, rates = _closed_motion(self.model, frames, qd)
+            (V, vd), rates = _spatial_motion(self.model, frames, qd)
             loads = (frames.gravity if gravity and applied is None
                      else _loads(self.model, frames, applied, gravity, "body"))
             bias = _backward_sweep(self.model, frames, V, vd, loads, balances=rates)[0]
@@ -600,7 +570,7 @@ def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
     """Virtual-power projection residual (J^b)^T of the stacked per-body
     NE balances (:func:`_balances` less the loads); zero at states
     consistent with the applied loads."""
-    frames, cache = _kinematics(model, JointState(q, qd, qdd), "body", 1)
+    frames, cache, _ = _kinematics(model, JointState(q, qd, qdd), "body", 1)
     sj = _jacobian(model, frames.poses, "body")
     ext = _loads(model, frames, applied, gravity, "body")
     return sj.J.T @ (_balances(frames.inertias, cache.twists, cache.accels) - ext).reshape(-1)

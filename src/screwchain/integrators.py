@@ -243,12 +243,15 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     the step and the reason recorded, with NaN for what the last kept
     sample could not compute: its report fields and qdd, and in the
     momentum form after t = 0 its qd.  Raises ValueError unless h is
-    finite and positive and T finite and non-negative, and when the
-    samples of T / h steps cannot be stored.
+    finite and positive, T finite and non-negative and ``applied`` (body
+    wrenches, constant over the run) None or a finite (n, 6) array, and
+    when the samples of T / h steps cannot be stored.
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
     n = model.n
+    if applied is not None and (np.shape(applied) != (n, 6) or not np.isfinite(applied).all()):
+        raise ValueError(f"applied must be a finite ({n}, 6) array of body wrenches")
     # NaN where a failed step left no qd or qdd
     times, qs, qds, qdds = _sample_arrays(T, h, n, n, n)
     steps = len(times) - 1

@@ -9,21 +9,22 @@ one matrix product per link.  The poses are rotations by construction
 and are not validated again as ``Pose(...)`` would; a non-finite q, which
 would make them meaningless, is rejected with a ValueError instead.
 
-Twists and accelerations come from one recursive forward sweep per
-representation, the second level the time derivative of the first, O(n)
-in the number of bodies.  The sweep builds no frame data of its own: it
-reads the frame table of its representation (:func:`_frame_table`), in
-which the joint screws, inertias, parent transforms and gravity loads of
-all bodies are one stacked product each, and which the Jacobian,
+Spatial motion is path sums at every level (:func:`_spatial_motion`):
+as d/dt js_j = [V_j, js_j], the twists, accelerations and jerks of all
+bodies are sums over each body's path of the spatial joint screws js_j
+and their stacked brackets, and the Newton-Euler balances come with
+them.  Body and hybrid twists and accelerations keep the counted forward
+recursion (:func:`_forward_sweep`), O(n) in the number of bodies, the
+second level the time derivative of the first; their jerks map the
+spatial ones (:func:`jerks`).  Neither builds frame data of its own:
+both read the frame table of their representation (:func:`_frame_table`),
+in which the joint screws, inertias, parent transforms and gravity loads
+of all bodies are one stacked product each, and which the Jacobian,
 :func:`screwchain.dynamics.idyn`, ``fdyn`` and ``momentum_rhs`` read too.
 The spatial and hybrid tables work on the homogeneous 4x4 pose stack of
 FK: each inertia is read out of one congruence W J W^T of the body's
 4x4 pseudo-inertia J (W the pose, or its rotation alone in hybrid form),
 and each screw is (R w, t x R w + R v) (spatial) or (R w, R v) (hybrid).
-
-Jerks need no recursion: as d/dt js_j = [V_j, js_j], the spatial motion
-to the jerks is path sums of stacked brackets of the spatial joint screws
-js_j, and every other representation maps it (:func:`jerks`).
 
 Twist representations (the ``rep`` argument everywhere).  Each is the
 body twist of one body mapped by a 6x6 matrix B fixed by the body's pose
@@ -135,8 +136,8 @@ class Twist:
 
 @dataclass
 class KinematicsCache:
-    """Per-body kinematic quantities from one forward sweep or from the
-    closed form of :func:`jerks`; ``poses`` and ``rel_poses`` are built
+    """Per-body kinematic quantities from a forward sweep or from the path
+    sums of :func:`_spatial_motion`; ``poses`` and ``rel_poses`` are built
     from the pose stacks on first read."""
 
     rep: str
@@ -152,8 +153,8 @@ class KinematicsCache:
 
 class _SweepOps:
     """Screw transformations and Lie brackets of the recursive sweeps and
-    the closed-form motion.  Each call reports itself to :meth:`count`,
-    which does nothing here; the operation counter of
+    the path sums of :func:`_spatial_motion`.  Each call reports itself to
+    :meth:`count`, which does nothing here; the operation counter of
     :func:`screwchain.dynamics.idyn` overrides it, so the counts it
     reports come from the sweep that actually ran.  The stacked
     :meth:`brackets` count their ``moving`` brackets and one co-bracket per
@@ -475,9 +476,9 @@ def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
 
 def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level: int,
                    ops: _SweepOps = _PLAIN) -> KinematicsCache:
-    """The one body/spatial/hybrid forward recursion in the representation
-    of the frame table ``frames`` (:func:`_frame_table`), up to the
-    requested level (0 = twists, 1 = accelerations).
+    """The body or hybrid forward recursion in the representation of the
+    frame table ``frames`` (:func:`_frame_table`), up to the requested
+    level (0 = twists, 1 = accelerations).
 
     The accelerations are the time derivative of the twist recursion, so
     every body costs O(1) screw operations per level.  The joint screws
@@ -503,12 +504,6 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
                 V[i] += ops.xform(xf[i], V[p])
                 if level >= 1:
                     Vd[i] += ops.xform(xf[i], Vd[p]) - qd[i] * ops.bracket(x[i], V[i])
-        elif rep == "spatial":
-            # d/dt X^s_i = [V_p, X^s_i]
-            if p >= 0:
-                V[i] += V[p]
-                if level >= 1:
-                    Vd[i] += Vd[p] + ops.bracket(V[p], V[i])
         else:  # hybrid: d/dt X^h_i = [omega_i, X^h_i], d/dt Ad(r) = ad(r-dot)
             if p >= 0:
                 V[i] += ops.xform(xf[i], V[p], kind="translations_screw")
@@ -521,17 +516,50 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
     return KinematicsCache(rep, frames.poses, frames.rels, V, Vd)
 
 
+def _spatial_motion(model: ChainModel, frames: _Frames, qd, qdd=None, qddd=None,
+                    ops: _SweepOps = _PLAIN) -> tuple[list[np.ndarray], np.ndarray]:
+    """([V, Vdot] or, with qddd, [V, Vdot, Vddot], balances): the spatial
+    motion and Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of all
+    bodies, as sums over each body's path in the spatial frame table
+    (qdd None is zero).  As d/dt js_j = [V_j, js_j], these sum js_j qd_j,
+    [V_j, js_j qd_j] + js_j qdd_j and js_j qddd_j +
+    [V_j, 2 js_j qdd_j + [V_j, js_j qd_j]] + [Vdot_j, js_j qd_j].  The
+    first brackets and the co-brackets are one gathered product through
+    ``ops``; a root's, [js_r qd_r, js_r qd_r], is exactly 0, so the count
+    is a recursive sweep's: the non-root bodies' brackets, n co-brackets."""
+    up = model.tables.path.T  # up @ a sums a over each body's path
+    js, inertias = frames.screws, frames.inertias
+    x = js * qd[:, None]
+    V = up @ x
+    xp = np.concatenate((x, (inertias @ V[..., None])[..., 0]), axis=1)  # [x | M V]
+    rates, cob = ops.brackets(V, xp, len(model.links))
+    if qdd is not None:
+        rates += js * qdd[:, None]
+    Vd = up @ rates
+    motion = [V, Vd]
+    if qddd is not None:  # [V_j, rates_j + js_j qdd_j] and [Vdot_j, js_j qd_j]
+        second = _product(_SE3_BRACKET, np.stack((V, Vd)),
+                          np.stack((rates + js * qdd[:, None], x)))
+        motion.append(up @ (js * qddd[:, None] + second[0] + second[1]))
+    return motion, (inertias @ Vd[..., None])[..., 0] - cob
+
+
 def _kinematics(model: ChainModel, state: JointState, rep: str, level: int,
-                ops: _SweepOps = _PLAIN) -> tuple[_Frames, KinematicsCache]:
-    """The frame table of ``rep`` at state.q, built through ``ops``, and
-    :func:`_forward_sweep` over it."""
+                ops: _SweepOps = _PLAIN) -> tuple[_Frames, KinematicsCache, np.ndarray | None]:
+    """(frame table, motion, balances) of ``rep`` at ``state`` through
+    ``ops``: :func:`_spatial_motion` in spatial form, else
+    :func:`_forward_sweep` and None."""
     frames = _frame_table(model, *_fk_stacks(model, state.q), rep, ops)
-    return frames, _forward_sweep(model, frames, state, level, ops)
+    if rep != "spatial":
+        return frames, _forward_sweep(model, frames, state, level, ops), None
+    qd = np.zeros(model.n) if state.qd is None else state.qd
+    (V, Vd), balances = _spatial_motion(model, frames, qd, state.qdd, ops=ops)
+    cache = KinematicsCache(rep, frames.poses, frames.rels, V, Vd if level >= 1 else None)
+    return frames, cache, balances
 
 
 def _sweep(model: ChainModel, state: JointState, rep: str, level: int) -> KinematicsCache:
-    """:func:`_forward_sweep` in any of the four representations; mixed
-    is the view of the hybrid sweep."""
+    """The motion of :func:`_kinematics` in any representation; mixed views hybrid."""
     _check_rep(rep)
     if rep == "mixed":
         return _mixed_view(_kinematics(model, state, "hybrid", level)[1])
@@ -539,12 +567,12 @@ def _sweep(model: ChainModel, state: JointState, rep: str, level: int) -> Kinema
 
 
 def twists(model: ChainModel, q, qd, rep: str = "body") -> KinematicsCache:
-    """Velocity-level forward sweep in the requested representation."""
+    """Twists in the requested representation (:func:`_kinematics`)."""
     return _sweep(model, JointState(np.asarray(q, float), np.asarray(qd, float)), rep, 0)
 
 
 def accelerations(model: ChainModel, state: JointState, rep: str = "body") -> KinematicsCache:
-    """Acceleration-level forward sweep in the requested representation."""
+    """Twists and accelerations in the requested representation."""
     return _sweep(model, state, rep, 1)
 
 
@@ -552,52 +580,33 @@ def jerks(model: ChainModel, state: JointState, rep: str = "body") -> Kinematics
     """Twists, accelerations and jerks in closed form from one FK pass;
     requires state.qd, state.qdd and state.qddd.
 
-    The spatial motion is :func:`_spatial_motion`.  The body motion is
-    Ad(C)^-1 of it, less [V, Vdot] at the jerk level.  The hybrid motion
-    is (omega, r-dot) and its derivatives: r-dot = v + omega x r,
+    The spatial motion is the path sums of :func:`_spatial_motion`.  The
+    body motion is Ad(C)^-1 of it, less [V, Vdot] at the jerk level.  The
+    hybrid motion is (omega, r-dot) and its derivatives: r-dot = v + omega x r,
     r-ddot = v-dot + omega-dot x r + omega x r-dot and
     r-dddot = v-ddot + omega-ddot x r + 2 omega-dot x r-dot + omega x r-ddot.
-    Mixed is the view of hybrid.  :func:`twists`, :func:`accelerations`,
-    ``projection_eom`` and the counted body and hybrid ``idyn`` keep the
-    recursive sweep, an independent route to the first two levels.
+    Mixed is the view of hybrid.
     """
     if state.qd is None or state.qdd is None or state.qddd is None:
         raise ValueError("jerks: state.qd, state.qdd and state.qddd are required")
     _check_rep(rep)
-    absolute, relative = _fk_stacks(model, state.q)
-    motion = _spatial_motion(model, absolute, state.qd, state.qdd, state.qddd)
+    frames = _frame_table(model, *_fk_stacks(model, state.q), "spatial")
+    motion = np.stack(_spatial_motion(model, frames, state.qd, state.qdd, state.qddd)[0])
     work = "hybrid" if rep == "mixed" else rep
     if work != "spatial":
         ang, lin = motion[..., :3], motion[..., 3:]
-        lin = lin + _product(_CROSS, ang, absolute.trans)  # v + omega x r at every level
+        lin = lin + _product(_CROSS, ang, frames.poses.trans)  # v + omega x r at every level
         if work == "body":  # R^T of (omega, v + omega x r), then less [V, Vdot]
             motion = (np.concatenate((ang, lin), axis=-1).reshape(3, model.n, 2, 3)
-                      @ absolute.rot).reshape(3, model.n, 6)
+                      @ frames.poses.rot).reshape(3, model.n, 6)
             motion[2] -= _product(_SE3_BRACKET, motion[0], motion[1])
         else:
             rates = _product(_CROSS, ang[:2], lin[0])  # omega x r-dot, omega-dot x r-dot
             lin[1] += rates[0]
             lin[2] += 2.0 * rates[1] + _product(_CROSS, ang[0], lin[1])
             motion = np.concatenate((ang, lin), axis=-1)
-    cache = KinematicsCache(work, absolute, relative, *motion)
+    cache = KinematicsCache(work, frames.poses, frames.rels, *motion)
     return _mixed_view(cache) if rep == "mixed" else cache
-
-
-def _spatial_motion(model: ChainModel, absolute: _PoseStack, qd, qdd, qddd) -> np.ndarray:
-    """(3, n, 6): the spatial twists, accelerations and jerks of all
-    bodies, as d/dt js_j = [V_j, js_j] sums over the joints j on each
-    body's path of js_j qd_j, js_j qdd_j + qd_j [V_j, js_j] and
-    js_j qddd_j + 2 qdd_j [V_j, js_j] + qd_j ([Vdot_j, js_j] + [V_j, [V_j, js_j]])."""
-    up = model.tables.path.T  # up @ a sums a over each body's path
-    js = _carried_screws(absolute.mat, model.tables.lines)
-    V = up @ (js * qd[:, None])
-    vjs = _product(_SE3_BRACKET, V, js)  # [V_j, js_j] = d/dt js_j
-    Vd = up @ (js * qdd[:, None] + vjs * qd[:, None])
-    # [V_j, [V_j, js_j]] and [Vdot_j, js_j]
-    second = _product(_SE3_BRACKET, np.stack((V, Vd)), np.stack((vjs, js)))
-    Vdd = up @ (js * qddd[:, None] + vjs * (2.0 * qdd[:, None])
-                + (second[0] + second[1]) * qd[:, None])
-    return np.stack((V, Vd, Vdd))
 
 
 # --------------------------------------------------------------------------

@@ -190,20 +190,39 @@ def inertia_readout_oracle(gravity):
     return out.reshape(16, 42)
 
 
+def spatial_sweep_oracle(model, screws, qd, qdd=None):
+    """Spatial (twists, accelerations) by the forward recursion, body by
+    body from the roots: V_i = V_p + js_i qd_i and, as d/dt js_i =
+    [V_p, js_i], Vdot_i = Vdot_p + [V_p, V_i] + js_i qdd_i, for the spatial
+    joint screws js of a frame table (qdd None is zero)."""
+    from screwchain.se3 import lie_bracket
+
+    qdd = np.zeros(model.n) if qdd is None else qdd
+    V, Vd = screws * qd[:, None], screws * qdd[:, None]
+    for i, p in enumerate(model.parent):
+        if p >= 0:
+            V[i] += V[p]
+            Vd[i] += Vd[p] + lie_bracket(V[p], V[i])
+    return V, Vd
+
+
 def jerk_recursion_oracle(model, state, rep):
     """Jerks by the jerk-level forward recursion, body by body: each jerk
-    the time derivative of the acceleration recursion of
-    ``kinematics._forward_sweep`` (which gives the twists V and
-    accelerations Vd here) on top of the parent's jerk, with per-body
-    brackets; mixed is the hybrid recursion with its angular part rotated
-    by R^T."""
+    the time derivative of the acceleration recursion (which gives the
+    twists V and accelerations Vd here: ``kinematics._forward_sweep`` in
+    body and hybrid form, :func:`spatial_sweep_oracle` in spatial form) on
+    top of the parent's jerk, with per-body brackets; mixed is the hybrid
+    recursion with its angular part rotated by R^T."""
     from screwchain.kinematics import _fk_stacks, _forward_sweep, _frame_table
     from screwchain.se3 import lie_bracket
 
     work = "hybrid" if rep == "mixed" else rep
     frames = _frame_table(model, *_fk_stacks(model, state.q), work)
-    cache = _forward_sweep(model, frames, state, 1)
-    V, Vd = cache.twists, cache.accels
+    if work == "spatial":
+        V, Vd = spatial_sweep_oracle(model, frames.screws, state.qd, state.qdd)
+    else:
+        cache = _forward_sweep(model, frames, state, 1)
+        V, Vd = cache.twists, cache.accels
     x, xf = frames.screws, frames.parent
     qd, qdd, qddd = state.qd, state.qdd, state.qddd
     zero3 = np.zeros(3)

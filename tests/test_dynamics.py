@@ -11,8 +11,9 @@ from screwchain.dynamics import (
 )
 from screwchain.kinematics import JointState, Twist, accelerations, fk, jacobian, twists
 from screwchain.model import (
-    BodyModel, ChainModel, JointModel, SpatialInertia, spatial_inertia_body,
+    BodyModel, ChainModel, JointModel, SpatialInertia, load_model, spatial_inertia_body,
 )
+from screwchain.samples import sample_model_path
 from screwchain.se3 import Pose, ad_matrix, adjoint, adjoint_rot, lie_bracket, screw
 
 from conftest import (
@@ -113,6 +114,24 @@ def test_ne_wrench_arbitrary_special_cases(rng):
             assert np.allclose(
                 ne_wrench_arbitrary(model, st, i, j=None, k=None),
                 ne_wrench(cs.twists[i], cs.accels[i], ms, "spatial"), atol=1e-11)
+
+
+def test_per_body_helpers_reject_wrong_pose_counts_and_indices():
+    # one pose for six bodies, and negative body indices, used to return
+    # rows of the wrong pose or another body's values (or fail with an
+    # unrelated reshape or index error)
+    model = load_model(sample_model_path("arm_6r"))
+    q = np.linspace(0.1, 0.6, 6)
+    poses = fk(model, q)
+    for rep in ("body", "spatial", "hybrid"):
+        with pytest.raises(ValueError, match="gravity_wrenches: expected 6 poses, got 1"):
+            gravity_wrenches(model, poses[:1], rep)
+    with pytest.raises(IndexError, match="spatial_inertia_of: index -1 out of range"):
+        spatial_inertia_of(model, poses, -1)
+    st = JointState(q, q, q)
+    for args in ((-1,), (2, -1, -1), (2, None, -1), (6,), (2, 6, None)):
+        with pytest.raises(IndexError, match="ne_wrench_arbitrary: index (-1|6) out of range"):
+            ne_wrench_arbitrary(model, st, *args)
 
 
 def wrench_to_spatial(w, j, k, poses):

@@ -485,6 +485,19 @@ def test_chain_simulate_rejects_bad_form():
         chain_simulate(model, [0.0], [0.0], form="verlet")
 
 
+@pytest.mark.parametrize("form", ["state", "momentum"])
+@pytest.mark.parametrize("applied", [np.ones(5), np.ones(36), np.full((6, 6), np.nan),
+                                     np.where(np.eye(6, dtype=bool), np.inf, 1.0)])
+def test_chain_simulate_rejects_bad_applied(form, applied):
+    # applied is constant over the run, so a wrong shape or a non-finite
+    # entry is an argument error before the first step, not a numerical
+    # abort of a one-sample trajectory
+    model = load_model(sample_model_path("arm_6r"))
+    with pytest.raises(ValueError, match=r"applied must be a finite \(6, 6\) array"):
+        chain_simulate(model, np.zeros(6), np.zeros(6), T=0.01, h=1e-3, form=form,
+                       applied=applied)
+
+
 @pytest.mark.parametrize("T, h", [(1.0, 0.0), (1.0, -1e-3), (1.0, np.nan),
                                   (1.0, np.inf), (-0.1, 1e-3), (np.inf, 1e-3),
                                   (np.nan, 1e-3)])

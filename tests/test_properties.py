@@ -15,10 +15,11 @@ from screwchain.dynamics import (
     _Configuration, _backward_sweep, _loads, christoffel,
     convert_wrench,
     coriolis_matrix, fdyn, gravity_potential, gravity_wrenches, idyn, kinetic_energy,
-    mass_matrix, momentum_rhs, ne_wrench, spatial_inertia_of, spatial_momenta,
+    mass_matrix, momentum_rhs, ne_wrench, predict_op_counts, spatial_inertia_of,
+    spatial_momenta,
 )
 from screwchain.kinematics import (
-    _PLAIN, REPS, JointState, Twist, _fk_stacks, _forward_sweep, _frame_table,
+    _PLAIN, REPS, JointState, Twist, _fk_stacks, _frame_table, _spatial_motion,
     accelerations, convert_twist, fk, fk_body_form, hybrid_jacobian_partial2, jacobian,
     jacobian_partial, jacobian_partials, jerks, twists,
 )
@@ -33,7 +34,7 @@ from conftest import (
     JacobianOracle, fk_spatial_oracle, gravity_wrenches_oracle, inertias_oracle,
     instantaneous_screws_oracle, jerk_recursion_oracle, parent_transforms_oracle,
     path_sums_oracle,
-    random_chain, spatial_backward_oracle, subtree_sums_oracle,
+    random_chain, spatial_backward_oracle, spatial_sweep_oracle, subtree_sums_oracle,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -328,9 +329,9 @@ def test_stacked_spatial_idyn_matches_recursive_sweeps(case, gravity, loaded):
     applied = wb if loaded else None
     got = idyn(model, q, qd, qdd, "spatial", applied=applied, gravity=gravity, full=True)
     frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
-    cache = _forward_sweep(model, frames, JointState(q, qd, qdd), 1)
+    V, Vd = spatial_sweep_oracle(model, frames.screws, qd, qdd)
     ext = _loads(model, frames, applied, gravity, "spatial")
-    expect = _backward_sweep(model, frames, cache.twists, cache.accels, ext)
+    expect = _backward_sweep(model, frames, V, Vd, ext)
     for g, e in zip((got.Q, got.wrenches), expect):
         assert np.abs(g - e).max() <= 1e-12 * max(1.0, np.abs(e).max())
 
@@ -409,18 +410,17 @@ def test_stacked_spatial_balances_match_per_body_loop(case):
     # against the per-body ne_wrench loop on the same twists and loads
     model, q, qd, qdd, tau, wb = case
     frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
-    cache = _forward_sweep(model, frames, JointState(q, qd, qdd), 1)
+    V, Vd = spatial_sweep_oracle(model, frames.screws, qd, qdd)
     ext = _loads(model, frames, wb, True, "body")
-    got = _backward_sweep(model, frames, cache.twists, cache.accels, ext)
-    expect = spatial_backward_oracle(model, cache.twists, cache.accels, frames.inertias,
-                                     frames.screws, ext)
+    got = _backward_sweep(model, frames, V, Vd, ext)
+    expect = spatial_backward_oracle(model, V, Vd, frames.inertias, frames.screws, ext)
     for g, e in zip(got, expect):
         assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
 
     pidot, qd_rec = momentum_rhs(model, q, spatial_momenta(model, q, qd), tau, applied=wb)
-    cs = _forward_sweep(model, frames,
-                        JointState(q, qd_rec, fdyn(model, q, qd_rec, tau, applied=wb)), 1)
-    rates = np.array([ne_wrench(cs.twists[i], cs.accels[i], frames.inertias[i], "spatial")
+    V, Vd = spatial_sweep_oracle(model, frames.screws, qd_rec,
+                                 fdyn(model, q, qd_rec, tau, applied=wb))
+    rates = np.array([ne_wrench(V[i], Vd[i], frames.inertias[i], "spatial")
                       for i in range(model.n)])
     assert np.abs(pidot - rates).max() <= 1e-12 * np.abs(rates).max()
 
@@ -436,15 +436,15 @@ def test_configuration_motion_and_bias_match_recursive_sweeps(case, gravity, loa
     applied = wb if loaded else None
     cfg = _Configuration(model, q)
     qdd, V, vd, balances = cfg.accel(qd, tau, applied, gravity)
-    cache = _forward_sweep(model, cfg.frames, JointState(q, qd), 1)
+    sweep_v, sweep_vd = spatial_sweep_oracle(model, cfg.frames.screws, qd)
     loads = _loads(model, cfg.frames, applied, gravity, "body")
     got = _backward_sweep(model, cfg.frames, V, vd, loads)
-    expect = _backward_sweep(model, cfg.frames, cache.twists, cache.accels, loads)
-    rates = np.array([ne_wrench(cache.twists[i], cache.accels[i], cfg.frames.inertias[i],
+    expect = _backward_sweep(model, cfg.frames, sweep_v, sweep_vd, loads)
+    rates = np.array([ne_wrench(sweep_v[i], sweep_vd[i], cfg.frames.inertias[i],
                                 "spatial") for i in range(model.n)])
     # the balances at qdd = 0 vanish with qd, so they are compared on a scale of 1
     assert np.abs(balances - rates).max() <= 1e-12 * max(1.0, np.abs(rates).max())
-    for g, e in [(V, cache.twists), (vd, cache.accels), *zip(got, expect)]:
+    for g, e in [(V, sweep_v), (vd, sweep_vd), *zip(got, expect)]:
         assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
     assert np.array_equal(qdd, cfg.solve(tau - got[0]))
 
@@ -474,17 +474,46 @@ def test_jerks_match_closed_forms(case, seed):
 @given(chain_states(max_n=9), st.integers(0, 2 ** 32 - 1))
 def test_closed_form_jerks_match_recursion(case, seed):
     # the closed-form motion of jerks() against the recursive sweeps: the
-    # twists and accelerations of _forward_sweep and the jerk-level
-    # recursion of the oracle, in all four representations
+    # twists and accelerations of _forward_sweep (spatial_sweep_oracle in
+    # spatial form) and the jerk-level recursion of the oracle, in all four
+    # representations
     model, q, qd, qdd = case[:4]
     qddd = np.random.default_rng(seed).normal(size=model.n)
     state = JointState(q, qd, qdd, qddd)
+    screws = _frame_table(model, *_fk_stacks(model, q), "spatial").screws
     for rep in REPS:
         got = jerks(model, state, rep)
-        sweep = accelerations(model, state, rep)
-        for g, e in ((got.twists, sweep.twists), (got.accels, sweep.accels),
-                     (got.jerks, jerk_recursion_oracle(model, state, rep))):
+        if rep == "spatial":
+            sweep = spatial_sweep_oracle(model, screws, qd, qdd)
+        else:
+            cache = accelerations(model, state, rep)
+            sweep = cache.twists, cache.accels
+        for g, e in zip((got.twists, got.accels, got.jerks),
+                        (*sweep, jerk_recursion_oracle(model, state, rep))):
             assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(initial=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(), st.integers(0, 2 ** 32 - 1))
+def test_spatial_motion_kernel_matches_per_body_oracles(case, seed):
+    # every output of the one spatial path-sum kernel against a per-body
+    # oracle, to 1e-12 of the largest entry: the public spatial twists and
+    # accelerations and the kernel's own motion against the recursion, its
+    # balances against the ne_wrench loop and its jerks against the
+    # jerk-level recursion (public jerks: the test above)
+    model, q, qd, qdd = case[:4]
+    qddd = np.random.default_rng(seed).normal(size=model.n)
+    state = JointState(q, qd, qdd, qddd)
+    frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
+    V, Vd = spatial_sweep_oracle(model, frames.screws, qd, qdd)
+    motion, balances = _spatial_motion(model, frames, qd, qdd, qddd)
+    rates = np.array([ne_wrench(V[i], Vd[i], frames.inertias[i], "spatial")
+                      for i in range(model.n)])
+    acc = accelerations(model, state, "spatial")
+    for g, e in ((twists(model, q, qd, "spatial").twists, V), (acc.twists, V),
+                 (acc.accels, Vd), (motion[0], V), (motion[1], Vd), (balances, rates),
+                 (motion[2], jerk_recursion_oracle(model, state, "spatial"))):
+        assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
 
 
 @PROPERTY_SETTINGS
@@ -504,6 +533,9 @@ def test_idyn_op_counts_on_forest(case):
     assert (hybrid.translations_screw, hybrid.rotations_screw,
             hybrid.frame_transforms_tensor, hybrid.lie_brackets) == (
         3 * (n - r), n, n, 3 * n - r)
+    if r == 1:  # the prediction is exact on any single-root tree
+        for report in (body, spatial, hybrid):
+            assert report == predict_op_counts(report.rep, n)
 
 
 @PROPERTY_SETTINGS

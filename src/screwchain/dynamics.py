@@ -318,9 +318,18 @@ def _loads(model: ChainModel, frames: _Frames, applied, gravity: bool,
     ext = frames.gravity if gravity else np.zeros((n, 6))
     if applied is not None:
         m = _twist_map(frames.poses, frames.rep, applied_rep)
-        ext = ext + np.einsum("...ji,...j->...i", m,
-                              np.asarray(applied, dtype=float).reshape(n, 6))
+        ext = ext + np.einsum("...ji,...j->...i", m, _applied_wrenches(n, applied))
     return ext
+
+
+def _applied_wrenches(n: int, applied) -> np.ndarray | None:
+    """``applied`` as a finite (n, 6) float array; None stays None."""
+    if applied is None:
+        return None
+    applied = np.asarray(applied, dtype=float)
+    if applied.shape != (n, 6) or not np.isfinite(applied).all():
+        raise ValueError(f"applied must be a finite ({n}, 6) array of body wrenches")
+    return applied
 
 
 def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
@@ -446,8 +455,7 @@ class _Configuration:
         n = self.model.n
         qd = np.asarray(qd, dtype=float).reshape(n)
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
-        if applied is not None:
-            applied = np.asarray(applied, dtype=float).reshape(n, 6)
+        applied = _applied_wrenches(n, applied)
         key = (qd.tobytes(), tau.tobytes(),
                None if applied is None else applied.tobytes(), bool(gravity))
         kept = self._kept

@@ -250,8 +250,7 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
     n = model.n
-    if applied is not None and (np.shape(applied) != (n, 6) or not np.isfinite(applied).all()):
-        raise ValueError(f"applied must be a finite ({n}, 6) array of body wrenches")
+    applied = dyn._applied_wrenches(n, applied)
     # NaN where a failed step left no qd or qdd
     times, qs, qds, qdds = _sample_arrays(T, h, n, n, n)
     steps = len(times) - 1

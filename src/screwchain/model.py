@@ -20,6 +20,7 @@ body's relative pose as a closed form in sin and cos of its joint angle
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -356,6 +357,8 @@ class ChainModel:
 
     Bodies are indexed 0..n-1, ``parent[i]`` is the index of the parent
     body or -1 for the ground, and ``parent[i] < i`` always holds.
+    ``joints`` holds resolved copies of the given joints, which are left
+    unresolved, so one joint can serve models with different reference poses.
     ``tables`` holds the per-body arrays of :class:`ChainTables`, built
     here once, and ``links`` the (body, parent) pairs of non-root bodies.
     """
@@ -363,7 +366,7 @@ class ChainModel:
     def __init__(self, bodies, joints, parent, gravity=DEFAULT_GRAVITY, name=""):
         self.name = str(name)
         self.bodies: tuple[BodyModel, ...] = tuple(bodies)
-        self.joints: tuple[JointModel, ...] = tuple(joints)
+        self.joints: tuple[JointModel, ...] = tuple(copy.copy(j) for j in joints)
         self.parent: tuple[int, ...] = tuple(int(p) for p in parent)
         self.gravity = np.asarray(gravity, dtype=float).reshape(3)
         self.gravity.setflags(write=False)

@@ -12,6 +12,15 @@ Conventions used throughout the package (fixed, never reordered):
 All values are immutable in spirit: functions never mutate their inputs
 and freshly allocated arrays are returned everywhere, so everything here
 is safe to share across threads.
+
+The exponential family reads one coefficient function of the rotation
+angle t, with one small-angle rule: below t = 0.5 a table of Taylor
+coefficients through t**14, above it the closed forms a1 = sin t/t,
+a2 = (1 - cos t)/t^2, a3 = (t - sin t)/t^3 and the c's and d's of
+dexp = I + c1 A + c2 A^2 + c3 A^3 + c4 A^4 and dexp^-1 = I - A/2 +
+d2 A^2 + d4 A^4, where A = ad_X.  These are the degree-4 polynomials that
+match (e^z - 1)/z and z/(e^z - 1) at the eigenvalues 0, +-i t of ad_X and
+their first derivatives at +-i t (Mueller, Proc. R. Soc. A, 2021).
 """
 
 from __future__ import annotations
@@ -42,11 +51,6 @@ __all__ = [
     "dexp_inv",
 ]
 
-# Below this rotation angle the trigonometric coefficient functions are
-# evaluated by their 4th-order Taylor series (relative error < 1e-12,
-# no catastrophic cancellation).
-SMALL_ANGLE = 1e-4
-
 # Symmetric-part tolerance for vee3, orthogonality tolerance for Pose.
 _SKEW_ATOL = 1e-9
 
@@ -66,25 +70,53 @@ def vee3(m) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _sin_cos_coeffs(theta: float) -> tuple[float, float, float]:
-    """Coefficients a1 = sin(t)/t, a2 = (1-cos t)/t^2, a3 = (t-sin t)/t^3."""
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        a1 = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        a2 = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        a3 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        return a1, a2, a3
+# Row i of _SERIES: the coefficients of t**0, t**2, ..., t**14 in the i-th of
+# a1, a2, a3, c1..c4, d2, d4.  Against 50-digit values, a switch to the closed
+# forms anywhere from t = 0.3 to 0.7 keeps each coefficient's error, times the
+# power of t that its matrix carries, under 1e-15.
+_SERIES_ANGLE = 0.5
+_SERIES = np.array([
+    [1, -1/6, 1/120, -1/5040, 1/362880, -1/39916800, 1/6227020800,
+     -1/1307674368000],
+    [1/2, -1/24, 1/720, -1/40320, 1/3628800, -1/479001600, 1/87178291200,
+     -1/20922789888000],
+    [1/6, -1/120, 1/5040, -1/362880, 1/39916800, -1/6227020800,
+     1/1307674368000, -1/355687428096000],
+    [1/2, 0, -1/720, 1/20160, -1/1209600, 1/119750400, -1/17435658240,
+     1/3487131648000],
+    [1/6, 0, -1/5040, 1/181440, -1/13305600, 1/1556755200, -1/261534873600,
+     1/59281238016000],
+    [1/24, -1/360, 1/13440, -1/907200, 1/95800320, -1/14529715200,
+     1/2988969984000, -1/800296713216000],
+    [1/120, -1/2520, 1/120960, -1/9979200, 1/1245404160, -1/217945728000,
+     1/50812489728000, -1/15205637551104000],
+    [1/12, 0, -1/30240, -1/604800, -1/15966720, -691/326918592000,
+     -1/14944849920, -3617/1778437140480000],
+    [-1/720, -1/15120, -1/403200, -1/11975040, -691/261534873600,
+     -1/12454041600, -3617/1524374691840000, -43867/638636777146368000],
+])
+_POWERS = np.arange(8.0)
+
+
+def _exp_coeffs(theta):
+    """a1, a2, a3, c1, c2, c3, c4, d2, d4 (module docstring) at angle theta."""
+    if theta < _SERIES_ANGLE:
+        return _SERIES @ (theta * theta) ** _POWERS
+    t2 = theta * theta
     a1 = np.sin(theta) / theta
-    a2 = (1.0 - np.cos(theta)) / (theta * theta)
-    a3 = (theta - np.sin(theta)) / (theta * theta * theta)
-    return a1, a2, a3
+    a2 = 0.5 * (np.sin(0.5 * theta) / (0.5 * theta)) ** 2  # no 1 - cos t
+    a3 = (theta - np.sin(theta)) / (t2 * theta)
+    c3 = (2.0 * a2 - a1) / (2.0 * t2)
+    c4 = (3.0 * a3 - a2) / (2.0 * t2)
+    d4 = (c3 - 0.25 * a3) / (a2 * t2)
+    return (a1, a2, a3, 2.0 * a2 - 0.5 * a1, 0.5 * (5.0 * a3 - a2), c3, c4,
+            c3 / a2 + d4 * t2, d4)
 
 
 def exp_so3(omega) -> np.ndarray:
     """Rodrigues formula: the exponential of a rotation vector."""
     omega = np.asarray(omega, dtype=float)
-    theta = float(np.linalg.norm(omega))
-    a1, a2, _ = _sin_cos_coeffs(theta)
+    a1, a2 = _exp_coeffs(float(np.linalg.norm(omega)))[:2]
     k = hat3(omega)
     return np.eye(3) + a1 * k + a2 * (k @ k)
 
@@ -102,9 +134,6 @@ def log_so3(r) -> np.ndarray:
     s = 0.5 * float(np.linalg.norm(w))  # sin(theta) >= 0 on [0, pi]
     c = 0.5 * (float(np.trace(r)) - 1.0)
     theta = float(np.arctan2(s, c))  # well conditioned at both ends
-    if theta < SMALL_ANGLE:
-        # log(R) ~ skew part, correct to O(theta^3)
-        return 0.5 * (1.0 + theta * theta / 6.0) * w
     if np.pi - theta < 1e-6:
         b = (r + np.eye(3)) / 2.0  # == axis outer(axis) at theta == pi
         i = int(np.argmax(np.diag(b)))
@@ -115,14 +144,13 @@ def log_so3(r) -> np.ndarray:
                     axis = -axis
                 break
         return theta * axis / np.linalg.norm(axis)
-    return theta / (2.0 * s) * w
+    return w / (2.0 * _exp_coeffs(theta)[0])  # theta / (2 sin theta) * w
 
 
 def so3_left_jacobian(omega) -> np.ndarray:
     """V(omega) with exp_se3 translation = V @ lin; also the SO(3) dexp."""
     omega = np.asarray(omega, dtype=float)
-    theta = float(np.linalg.norm(omega))
-    _, a2, a3 = _sin_cos_coeffs(theta)
+    a2, a3 = _exp_coeffs(float(np.linalg.norm(omega)))[1:3]
     k = hat3(omega)
     return np.eye(3) + a2 * k + a3 * (k @ k)
 
@@ -131,16 +159,8 @@ def so3_left_jacobian_inv(omega) -> np.ndarray:
     """Closed-form inverse of :func:`so3_left_jacobian` (angle < 2*pi)."""
     omega = np.asarray(omega, dtype=float)
     theta = float(np.linalg.norm(omega))
-    if theta < 0.15:
-        # cancellation in 1 - theta sin/(2(1-cos)) dominates below ~0.15;
-        # the quartic-plus Taylor tail is exact to ~1e-13 there
-        t2 = theta * theta
-        a4 = (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-              + t2 * t2 * t2 / 1209600.0)
-    else:
-        a4 = (1.0 - 0.5 * theta * np.sin(theta) / (1.0 - np.cos(theta))) / (
-            theta * theta
-        )
+    d2, d4 = _exp_coeffs(theta)[7:]
+    a4 = d2 - theta * theta * d4
     k = hat3(omega)
     return np.eye(3) - 0.5 * k + a4 * (k @ k)
 
@@ -278,39 +298,6 @@ def reciprocal_product(x1, x2) -> float:
     return float(x1[:3] @ x2[3:] + x1[3:] @ x2[:3])
 
 
-def _dexp_translation_block(omega, v) -> np.ndarray:
-    """Off-diagonal block of the SE(3) dexp in closed form.
-
-    Coefficients are the standard trigonometric ones for the mixed block
-    of the SE(3) left Jacobian; below SMALL_ANGLE they switch to their
-    Taylor series.
-    """
-    omega = np.asarray(omega, dtype=float)
-    v = np.asarray(v, dtype=float)
-    theta = float(np.linalg.norm(omega))
-    wh = hat3(omega)
-    vh = hat3(v)
-    if theta < 0.1:
-        # the closed forms of b2/b3 cancel catastrophically below ~0.1;
-        # four Taylor terms keep the absolute error under 1e-13 up to there
-        t2 = theta * theta
-        t4 = t2 * t2
-        b1 = 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t4 * t2 / 362880.0
-        b2 = 1.0 / 24.0 - t2 / 720.0 + t4 / 40320.0 - t4 * t2 / 3628800.0
-        b3 = 1.0 / 120.0 - t2 / 2520.0 + t4 / 120960.0 - t4 * t2 / 9979200.0
-    else:
-        t2 = theta * theta
-        s, c = np.sin(theta), np.cos(theta)
-        b1 = (theta - s) / (t2 * theta)
-        b2 = (t2 + 2.0 * c - 2.0) / (2.0 * t2 * t2)
-        b3 = (2.0 * theta - 3.0 * s + theta * c) / (2.0 * t2 * t2 * theta)
-    q = 0.5 * vh
-    q += b1 * (wh @ vh + vh @ wh + wh @ vh @ wh)
-    q += b2 * (wh @ wh @ vh + vh @ wh @ wh - 3.0 * wh @ vh @ wh)
-    q += b3 * (wh @ vh @ wh @ wh + wh @ wh @ vh @ wh)
-    return q
-
-
 def dexp(x, direction: str = "right") -> np.ndarray:
     """Trivialized differential of exp on SE(3).
 
@@ -322,32 +309,27 @@ def dexp(x, direction: str = "right") -> np.ndarray:
         x = -x
     elif direction != "right":
         raise ValueError("direction must be 'right' or 'left'")
-    omega, v = x[:3], x[3:]
-    d = np.zeros((6, 6))
-    block = so3_left_jacobian(omega)
-    d[:3, :3] = block
-    d[3:, 3:] = block
-    d[3:, :3] = _dexp_translation_block(omega, v)
-    return d
+    c1, c2, c3, c4 = _exp_coeffs(float(np.linalg.norm(x[:3])))[3:7]
+    a = ad_matrix(x)
+    a2 = a @ a
+    return np.eye(6) + c1 * a + c2 * a2 + (c3 * a + c4 * a2) @ a2
 
 
 def dexp_inv(x, direction: str = "right") -> np.ndarray:
     """Inverse of :func:`dexp`; rejects rotation angles at/past 2*pi."""
     x = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(x[:3])) >= 2.0 * np.pi - 1e-6:
+    theta = float(np.linalg.norm(x[:3]))
+    # written so that a NaN or infinite angle fails the test too
+    if not theta < 2.0 * np.pi - 1e-6:
         raise ValueError("dexp_inv: rotation angle too close to 2*pi")
     if direction == "left":
         x = -x
     elif direction != "right":
         raise ValueError("direction must be 'right' or 'left'")
-    omega, v = x[:3], x[3:]
-    vinv = so3_left_jacobian_inv(omega)
-    q = _dexp_translation_block(omega, v)
-    d = np.zeros((6, 6))
-    d[:3, :3] = vinv
-    d[3:, 3:] = vinv
-    d[3:, :3] = -vinv @ q @ vinv
-    return d
+    d2, d4 = _exp_coeffs(theta)[7:]
+    a = ad_matrix(x)
+    a2 = a @ a
+    return np.eye(6) - 0.5 * a + d2 * a2 + d4 * (a2 @ a2)
 
 
 def exp_se3(x) -> Pose:

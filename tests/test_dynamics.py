@@ -573,6 +573,26 @@ def test_fdyn_balanced_coriolis_gives_zero_accel(rng):
 
 # ------------------------------------------------------------- momentum form
 
+BAD_APPLIED_ENTRY_POINTS = {
+    "idyn_body": lambda model, z, a: idyn(model, z, z, z, "body", applied=a),
+    "idyn_spatial": lambda model, z, a: idyn(model, z, z, z, "spatial", applied=a),
+    "projection_eom": lambda model, z, a: projection_eom(model, z, z, z, applied=a),
+    "fdyn": lambda model, z, a: fdyn(model, z, z, applied=a),
+    "momentum_rhs": lambda model, z, a: momentum_rhs(model, z, np.zeros((6, 6)), applied=a),
+}
+
+
+@pytest.mark.parametrize("applied", [np.ones((3, 12)), np.ones(36), np.full((6, 6), np.nan),
+                                     np.where(np.eye(6, dtype=bool), np.inf, 1.0)])
+@pytest.mark.parametrize("entry", list(BAD_APPLIED_ENTRY_POINTS))
+def test_per_call_dynamics_reject_bad_applied(entry, applied):
+    # the per-call functions check applied as chain_simulate does, rather
+    # than reshaping any 6n entries or carrying NaN into the torques
+    model = load_model(sample_model_path("arm_6r"))
+    with pytest.raises(ValueError, match=r"applied must be a finite \(6, 6\) array"):
+        BAD_APPLIED_ENTRY_POINTS[entry](model, np.zeros(6), applied)
+
+
 def test_momentum_rhs_trivial(rng):
     model = random_chain(rng, 3, gravity=(0, 0, 0))
     q = rng.normal(size=3)

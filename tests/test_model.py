@@ -88,6 +88,28 @@ def test_revolute_screw_fixes_its_axis_point(rng):
         assert np.allclose(p.apply(y), y, atol=1e-12)
 
 
+@pytest.mark.parametrize("frame", ["spatial", "body"])
+def test_one_joint_serves_models_with_different_reference_poses(rng, frame):
+    # a model resolves copies of its joints, so the joint it was given
+    # still carries only the screw it was built with
+    def joint():
+        return JointModel("revolute", axis=[0.0, 0.6, 0.8], point=[0.1, -0.2, 0.3],
+                          frame=frame)
+
+    def one_body(ref):
+        return [BodyModel(1.5, [0.1, 0.0, 0.0], np.diag([1.0, 2.0, 2.5]), ref)]
+
+    shared = joint()
+    ChainModel(one_body(Pose.identity()), [shared], [-1])
+    ref = Pose(rand_rotation(rng), rng.normal(size=3))
+    second = ChainModel(one_body(ref), [shared], [-1])
+    fresh = ChainModel(one_body(ref), [joint()], [-1])
+    for got, want in zip(second.tables, fresh.tables):
+        assert np.array_equal(got, want)
+    assert np.array_equal(second.joints[0].screw_spatial, fresh.joints[0].screw_spatial)
+    assert np.array_equal(second.joints[0].screw_body, fresh.joints[0].screw_body)
+
+
 # ------------------------------------------------------------ spatial inertia
 
 def test_spatial_inertia_zero_offset_blockdiag(rng):

@@ -21,12 +21,10 @@ path sums of js_j qdd_j.
 
 The last configuration pass is kept and reused by the next
 call at the same model object and the same bytes of q
-(:func:`_configuration`); so is the last bias solve of that pass, for
-the next call with the same bytes of qd, tau and applied wrenches and
-the same gravity switch.  A simulation sample needs its configuration
-more than once through the public functions, which keep their
-signatures, so the pass and the solve are shared this way rather than
-through a parameter.
+(:func:`_configuration`).  A simulation sample reads the pass of its
+first RK4 stage through the public functions, which keep their
+signatures, so the pass is shared this way rather than through a
+parameter.
 
 The closed-form Coriolis matrix and Christoffel symbols contract the one
 bracket table of :mod:`screwchain.kinematics` (``_bracket_table``): the
@@ -400,10 +398,7 @@ class _Configuration:
     are the path sums of :func:`screwchain.kinematics._spatial_motion`.
 
     At the first :meth:`solve` M = L L^T is factored, and L^-1 is kept
-    (``_low``), so every solve is two matrix products.  The last bias
-    solve of :meth:`accel` is kept with its arguments and the balances it
-    formed; a second call with the same bytes of qd, tau and ``applied``
-    and the same ``gravity`` returns it without a sweep.
+    (``_low``), so every solve is two matrix products.
     """
 
     def __init__(self, model: ChainModel, q):
@@ -419,7 +414,6 @@ class _Configuration:
         g = js @ self.icjs.T  # g[j, k] = js_j . Ic_k js_k
         self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.T, 0.0))
         self._low = None  # L^-1 for the Cholesky factor L of the mass matrix
-        self._kept = None  # arguments, qdd, and V, Vdot and balances at qdd = 0
 
     def twists(self, qd) -> np.ndarray:
         """Spatial twists V^s_i: js_j qd_j summed over the path to body i."""
@@ -450,23 +444,28 @@ class _Configuration:
         """(qdd, twists, accelerations and balances at qdd = 0),
         qdd = M^-1 (tau - bias) with the bias J^T (M Jdot qd - ad^T_V M V - loads)
         from the path sums of ``_spatial_motion`` and one :func:`_backward_sweep`.
-        ``tau`` may be None; ``applied`` is in body representation.  The
-        last arrays are kept, as the class says."""
+        ``tau`` may be None; ``applied`` is in body representation."""
         n = self.model.n
         qd = np.asarray(qd, dtype=float).reshape(n)
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
         applied = _applied_wrenches(n, applied)
-        key = (qd.tobytes(), tau.tobytes(),
-               None if applied is None else applied.tobytes(), bool(gravity))
-        kept = self._kept
-        if kept is None or kept[0] != key:
-            frames = self.frames
-            (V, vd), rates = _spatial_motion(self.model, frames, qd)
-            loads = (frames.gravity if gravity and applied is None
-                     else _loads(self.model, frames, applied, gravity, "body"))
-            bias = _backward_sweep(self.model, frames, V, vd, loads, balances=rates)[0]
-            kept = self._kept = (key, self.solve(tau - bias), V, vd, rates)
-        return kept[1:]
+        frames = self.frames
+        (V, vd), rates = _spatial_motion(self.model, frames, qd)
+        loads = (frames.gravity if gravity and applied is None
+                 else _loads(self.model, frames, applied, gravity, "body"))
+        bias = _backward_sweep(self.model, frames, V, vd, loads, balances=rates)[0]
+        return self.solve(tau - bias), V, vd, rates
+
+    def momentum_rates(self, pi_stack, tau, applied, gravity: bool):
+        """(rates of the spatial momenta, qd, qdd) at the stacked momenta
+        ``pi_stack``, as :func:`momentum_rhs` describes; ``tau`` may be a
+        callable of the recovered qd."""
+        model, js = self.model, self.frames.screws
+        # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
+        subtree = model.tables.path @ np.asarray(pi_stack, dtype=float).reshape(model.n, 6)
+        qd = self.solve((js * subtree).sum(axis=1))
+        qdd, _, _, rates = self.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
+        return rates + (self.frames.inertias @ self.twists(qdd)[..., None])[..., 0], qd, qdd
 
 
 # The last configuration pass, reused as the module docstring explains.
@@ -594,10 +593,9 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
     [V_j, X^s_j], one backward sweep over path sums
     (:meth:`_Configuration.accel`).  Raises ValueError when M is not
     positive definite or tau - bias is not finite.  ``applied`` takes
-    per-body external wrenches in body representation.  A call with the
-    arguments of the pass's last bias solve returns a copy of it.
+    per-body external wrenches in body representation.
     """
-    return _configuration(model, q).accel(qd, tau, applied, gravity)[0].copy()
+    return _configuration(model, q).accel(qd, tau, applied, gravity)[0]
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
@@ -619,16 +617,9 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     so they are the balances at qdd = 0 that the bias formed plus M_i
     times the path sums of js_j qdd_j.  ``tau`` may
     be a callable of the recovered qd; applied wrenches are in body
-    representation.  The bias solve is kept, so :func:`fdyn` at the
-    recovered qd and the same loads returns its qdd.
+    representation.
     """
-    cfg = _configuration(model, q)
-    js = cfg.frames.screws
-    # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
-    subtree = model.tables.path @ np.asarray(pi_stack, dtype=float).reshape(model.n, 6)
-    qd = cfg.solve((js * subtree).sum(axis=1))
-    qdd, _, _, rates = cfg.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
-    return rates + (cfg.frames.inertias @ cfg.twists(qdd)[..., None])[..., 0], qd
+    return _configuration(model, q).momentum_rates(pi_stack, tau, applied, gravity)[:2]
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:

@@ -5,19 +5,16 @@ spatial-momentum formulation with conservation diagnostics.
 Joint space is a plain vector space for the supported joints, so chain
 trajectories use ordinary RK4 on (q, qd) or on (q, spatial momenta); the
 Lie-group machinery is exercised by the absolute-motion integrators.  The
-right-hand sides are :func:`screwchain.dynamics.fdyn` and
+right-hand sides are :func:`screwchain.dynamics.fdyn` and the body of
 :func:`screwchain.dynamics.momentum_rhs`, which share one configuration
 pass, its closed-form bias J^T (M Jdot qd - ad^T_V M V - loads) and the
 SPD solve of that module; the free body recovers its twist likewise.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
-step reuses.  That stage leaves its configuration pass, with the pass's
-inverse Cholesky factor and its bias solve, as the last one of
-:mod:`screwchain.dynamics`.  The momentum form's ``fdyn`` for the
-sample's qdd returns that kept solve, and the sample's report reads the
-pass's mass matrix, pseudo-inertias and pose stack, so a run costs one
-configuration pass, one backward sweep and one factorization per RK4
-stage.
+step reuses.  That stage leaves its configuration pass as the last one of
+:mod:`screwchain.dynamics`, and the sample's report reads the pass's mass
+matrix, pseudo-inertias and pose stack, so a run costs one configuration
+pass, one backward sweep and one factorization per RK4 stage.
 """
 
 from __future__ import annotations
@@ -221,15 +218,13 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
 
     Sample k is recorded from RK4's first stage f(t_k, y_k), which the
     step from it reuses: qd is the stage's first n entries (recovered from
-    the momenta in the momentum form), qdd the rest of the stage (state
-    form) or :func:`fdyn` (momentum form), which returns the bias solve
-    that stage's :func:`momentum_rhs` kept.  The report is read from the
-    configuration pass that stage built: the kinetic energy from its mass
-    matrix, the potential energy -g . sum h_i from the first moments of
-    its pseudo-inertias, the total momentum (Ic_k js_k)^T qd from its
+    the momenta in the momentum form) and qdd the acceleration the stage
+    solved, so ``torque`` runs once per stage.  The report is read from
+    the configuration pass that stage built: the kinetic energy from its
+    mass matrix, the potential energy -g . sum h_i from the first moments
+    of its pseudo-inertias, the total momentum (Ic_k js_k)^T qd from its
     subtree inertias and the drift from its pose stack, so the sample
-    costs no pass, sweep or factorization
-    of its own.  In both forms its ``constraint_drift`` is the largest
+    costs no pass, sweep or factorization of its own.  In both forms its ``constraint_drift`` is the largest
     distance |R^T R - I| of a body rotation from SO(3), which is roundoff
     of the rotations FK builds.  The momentum form also reports the
     residual that its integration can really move off zero,
@@ -262,20 +257,19 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
             return np.zeros(n)
         return np.asarray(torque(t, q, qd), dtype=float).reshape(n)
 
-    def accel(t, q, qd):
-        return dyn.fdyn(model, q, qd, tau_at(t, q, qd), applied=applied,
-                        gravity=gravity)
+    def stage(t, y):
+        """f(t, y) of the form's ODE, and the qdd it solved."""
+        q = y[:n]
+        if form == "state":
+            qdd = dyn.fdyn(model, q, y[n:], tau_at(t, q, y[n:]), applied=applied,
+                           gravity=gravity)
+            return np.concatenate([y[n:], qdd]), qdd
+        rates, qd, qdd = dyn._configuration(model, q).momentum_rates(
+            y[n:], lambda qd_: tau_at(t, q, qd_), applied, gravity)
+        return np.concatenate([qd, rates.reshape(-1)]), qdd
 
-    if form == "state":
-        def f(t, y):
-            return np.concatenate([y[n:], accel(t, y[:n], y[n:])])
-    else:
-        def f(t, y):
-            q, pis = y[:n], y[n:]
-            pidot, qd = dyn.momentum_rhs(
-                model, q, pis, tau=lambda qd_: tau_at(t, q, qd_),
-                applied=applied, gravity=gravity)
-            return np.concatenate([qd, pidot.reshape(-1)])
+    def f(t, y):
+        return stage(t, y)[0]
 
     # NaN fields stand until computed, so an abort keeps one report per sample
     reports = [StepReport(t, np.nan, np.full(6, np.nan), np.nan) for t in times]
@@ -286,9 +280,8 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
         qs[k] = q
         if form == "state":  # kept if the stage fails
             qds[k] = y[n:]
-        k1 = f(t, y)
+        k1, qdds[k] = stage(t, y)
         qd = qds[k] = k1[:n]
-        qdds[k] = k1[n:] if form == "state" else accel(t, q, qd)
         cfg = dyn._configuration(model, q)
         energy = 0.5 * float(qd @ cfg.mass @ qd)
         if gravity:

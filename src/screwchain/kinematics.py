@@ -99,7 +99,9 @@ def _check_rep(rep: str, allowed=REPS):
 
 @dataclass(frozen=True)
 class JointState:
-    """Joint position/rate vectors; qdd and qddd may be omitted."""
+    """Joint position/rate vectors; qdd and qddd may be omitted.  Raises
+    ValueError when a vector has the wrong length or a rate is not finite
+    (q is checked where the poses are built, :func:`_fk_stacks`)."""
 
     q: np.ndarray
     qd: np.ndarray | None = None
@@ -115,6 +117,10 @@ class JointState:
             v = np.asarray(v, dtype=float).reshape(-1)
             if v.size != n:
                 raise ValueError(f"JointState.{name}: expected length {n}, got {v.size}")
+            if name != "q" and not np.isfinite(v).all():
+                bad = np.flatnonzero(~np.isfinite(v))[0]
+                raise ValueError(f"JointState: {name} must be finite, "
+                                 f"got {name}[{bad}] = {v[bad]!r}")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 

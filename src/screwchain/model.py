@@ -126,8 +126,10 @@ class JointModel:
             raise ModelError("joint.type", f"unknown joint type {kind!r}")
         self.kind = kind
         self.pitch = float(pitch)
-        self.axis = None if axis is None else np.asarray(axis, dtype=float)
-        self.point = None if point is None else np.asarray(point, dtype=float)
+        # copies, so the caller's arrays stay writable and later writes to
+        # them leave the model as built
+        self.axis = None if axis is None else np.array(axis, dtype=float)
+        self.point = None if point is None else np.array(point, dtype=float)
         self.frame = frame
         if screw_spatial is None and screw_body is None:
             if self.axis is None:
@@ -142,9 +144,9 @@ class JointModel:
             else:
                 raise ModelError("joint.frame", f"unknown frame tag {frame!r}")
         self._screw_spatial = (None if screw_spatial is None
-                               else np.asarray(screw_spatial, dtype=float))
+                               else np.array(screw_spatial, dtype=float))
         self._screw_body = (None if screw_body is None
-                            else np.asarray(screw_body, dtype=float))
+                            else np.array(screw_body, dtype=float))
         self._check_shape()
 
     def _check_shape(self):

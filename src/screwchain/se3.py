@@ -333,10 +333,16 @@ def dexp_inv(x, direction: str = "right") -> np.ndarray:
 
 
 def exp_se3(x) -> Pose:
-    """Exponential of a screw: closed form via Rodrigues + left Jacobian."""
+    """Exponential of a screw: the rotation of :func:`exp_so3` and the
+    translation V @ lin of :func:`so3_left_jacobian`, from one coefficient
+    evaluation and one skew matrix."""
     x = np.asarray(x, dtype=float)
-    omega, v = x[:3], x[3:]
-    return Pose(exp_so3(omega), so3_left_jacobian(omega) @ v)
+    omega = x[:3]
+    a1, a2, a3 = _exp_coeffs(float(np.linalg.norm(omega)))[:3]
+    k = hat3(omega)
+    kk = k @ k
+    eye = np.eye(3)
+    return Pose(eye + a1 * k + a2 * kk, (eye + a2 * k + a3 * kk) @ x[3:])
 
 
 def log_se3(p: Pose) -> np.ndarray:

@@ -504,6 +504,26 @@ def test_simulate_abort_names_step_and_reason(tmp_path, capsys, form):
     assert "overflow" in errors[0]
 
 
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_fdyn_command_is_simulate(tmp_path, form):
+    # the fdyn alias writes the trajectory and report files of simulate,
+    # byte for byte, with its exit code, and refuses --h 0 as it does
+    tt = np.linspace(0.0, 0.01, 5)
+    torque_file = tmp_path / "tau.csv"
+    write_traj(torque_file, tt, [np.column_stack([np.sin(40 * tt + j) for j in range(6)])])
+    files = {}
+    for command in ("simulate", "fdyn"):
+        out = tmp_path / f"{command}.csv"
+        code = run_cli(command, "--model", MODEL_6R, "--form", form, "--torques",
+                       str(torque_file), "--T", "0.01", "--out", str(out))
+        files[command] = (code, out.read_bytes(),
+                          (tmp_path / f"{command}.csv.report.csv").read_bytes())
+        assert run_cli(command, "--model", MODEL_6R, "--form", form, "--h", "0",
+                       "--out", str(tmp_path / "bad.csv")) == 2
+    assert files["fdyn"] == files["simulate"]
+    assert files["simulate"][0] == 0
+
+
 # ------------------------------------------------------------ cmd christoffel
 
 def test_christoffel_single_joint_all_zero(tmp_path, capsys):

@@ -9,7 +9,9 @@ from screwchain.dynamics import (
     ne_wrench, ne_wrench_arbitrary, predict_op_counts, projection_eom,
     spatial_inertia_of, spatial_momenta,
 )
-from screwchain.kinematics import JointState, Twist, accelerations, fk, jacobian, twists
+from screwchain.kinematics import (
+    JointState, Twist, accelerations, fk, jacobian, jerks, twists,
+)
 from screwchain.model import (
     BodyModel, ChainModel, JointModel, SpatialInertia, load_model, spatial_inertia_body,
 )
@@ -518,6 +520,33 @@ NON_FINITE_Q_ENTRY_POINTS = {
 def test_non_finite_q_is_rejected_as_such(entry, value):
     with pytest.raises(ValueError, match="q must be finite"):
         NON_FINITE_Q_ENTRY_POINTS[entry](planar_2r_model(), [0.3, value])
+
+
+# entry point -> (call on a dict of q and rates, the rates it reads)
+NON_FINITE_RATE_ENTRY_POINTS = {
+    **{f"idyn_{rep}": (lambda model, r, rep=rep: idyn(model, r["q"], r["qd"], r["qdd"], rep),
+                       ("qd", "qdd")) for rep in ("body", "spatial", "hybrid", "mixed")},
+    "twists": (lambda model, r: twists(model, r["q"], r["qd"]), ("qd",)),
+    "accelerations": (lambda model, r: accelerations(model, JointState(r["q"], r["qd"], r["qdd"])),
+                      ("qd", "qdd")),
+    "jerks": (lambda model, r: jerks(model, JointState(**r)), ("qd", "qdd", "qddd")),
+    "projection_eom": (lambda model, r: projection_eom(model, r["q"], r["qd"], r["qdd"]),
+                       ("qd", "qdd")),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry, field", [(entry, field) for entry, (_, fields)
+                                          in NON_FINITE_RATE_ENTRY_POINTS.items()
+                                          for field in fields])
+def test_non_finite_rate_is_rejected_as_such(entry, field, value):
+    # a non-finite rate raises, naming the field and its first bad index,
+    # rather than giving a silent vector of NaNs
+    rates = {name: np.array([0.3, -0.2]) for name in ("q", "qd", "qdd", "qddd")}
+    rates[field][1] = value
+    call = NON_FINITE_RATE_ENTRY_POINTS[entry][0]
+    with pytest.raises(ValueError, match=rf"{field} must be finite, got {field}\[1\]"):
+        call(planar_2r_model(), rates)
 
 
 def test_reused_configuration_cannot_go_stale(rng):

@@ -264,6 +264,49 @@ def test_one_configuration_pass_per_rk4_stage(rng, monkeypatch, form):
     assert len(built) == 4 * steps + 1
 
 
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_torque_runs_once_per_rk4_stage(rng, form):
+    # four stages per step and one for the last sample; a sample's qdd
+    # comes from its first stage, not from a call of its own
+    model = random_chain(rng, 3, tree=True)
+    calls = []
+
+    def torque(t, q, qd):
+        calls.append(t)
+        return -0.5 * qd
+
+    steps, h = 10, 1e-3
+    traj = chain_simulate(model, rng.normal(size=3), rng.normal(size=3), torque=torque,
+                          T=steps * h, h=h, form=form)
+    assert len(traj.times) == steps + 1
+    assert len(calls) == 4 * steps + 1
+
+
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_sample_qdd_is_its_first_stage_solve(rng, form):
+    # a torque that returns a new value on every call: each sample's qdd
+    # is fdyn at the torque its first stage received, the first call at
+    # the sample's time and configuration
+    from screwchain.dynamics import fdyn
+
+    model = random_chain(rng, 3, tree=True)
+    calls = []
+
+    def torque(t, q, qd):
+        tau = np.array([0.3, -0.2, 0.1]) * len(calls) - 0.5 * qd
+        calls.append((t, np.copy(q), tau))
+        return tau
+
+    steps, h = 10, 1e-3
+    traj = chain_simulate(model, rng.normal(size=3), rng.normal(size=3), torque=torque,
+                          T=steps * h, h=h, form=form)
+    assert traj.abort_reason is None and len(traj.times) == steps + 1
+    for k, (t, q, qd, qdd) in enumerate(zip(traj.times, traj.q, traj.qd, traj.qdd)):
+        tau = next(tau for t_, q_, tau in calls if t_ == t and np.array_equal(q_, q))
+        expect = fdyn(model, q, qd, tau)
+        assert np.abs(qdd - expect).max() <= 1e-12 * np.abs(expect).max(), k
+
+
 def _count_sweeps_and_factors(rng, monkeypatch, form, steps=10, h=1e-3):
     """Forward sweeps, backward sweeps and Cholesky factors of a run of
     ``steps`` steps in ``form``."""

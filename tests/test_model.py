@@ -110,6 +110,26 @@ def test_one_joint_serves_models_with_different_reference_poses(rng, frame):
     assert np.array_equal(second.joints[0].screw_body, fresh.joints[0].screw_body)
 
 
+@pytest.mark.parametrize("frame", ["spatial", "body"])
+def test_model_keeps_copies_of_the_callers_joint_arrays(frame):
+    # the caller's axis, point and screw arrays stay writable after the
+    # build, and writing into them leaves the model's tables and its
+    # serialized form as built
+    axis, point = np.array([0.0, 0.6, 0.8]), np.array([0.1, -0.2, 0.3])
+    s = screw_from_axis(axis, point)
+    joints = [JointModel("revolute", axis=axis, point=point, frame=frame),
+              JointModel("revolute", **{f"screw_{frame}": s})]
+    bodies = [BodyModel(1.5, [0.1, 0.0, 0.0], np.diag([1.0, 2.0, 2.5])) for _ in range(2)]
+    model = ChainModel(bodies, joints, [-1, 0])
+    text, tables = serialize_model(model), [np.copy(t) for t in model.tables]
+    for arr in (axis, point, s):
+        assert arr.flags.writeable
+        arr[:] = 9.0
+    assert serialize_model(model) == text
+    for got, want in zip(model.tables, tables):
+        assert np.array_equal(got, want)
+
+
 # ------------------------------------------------------------ spatial inertia
 
 def test_spatial_inertia_zero_offset_blockdiag(rng):

@@ -114,6 +114,29 @@ def test_exp_se3_screw_motion_series_oracle():
     assert np.allclose(p.rot, exp_so3([0, 0, theta]), atol=0.0)
 
 
+def test_exp_se3_evaluates_its_coefficients_once(rng, monkeypatch):
+    # one coefficient evaluation per exponential, and the pose bit for bit
+    # that of exp_so3 and so3_left_jacobian, across the series switch
+    calls = []
+    coeffs = se3._exp_coeffs
+
+    def counted(theta):
+        calls.append(theta)
+        return coeffs(theta)
+
+    for theta in (0.0, 1e-3, 0.4999, 0.5, 1.3, 3.0):
+        x = rand_screw(rng)
+        x[:3] *= theta / max(np.linalg.norm(x[:3]), 1e-300)
+        expect = Pose(exp_so3(x[:3]), se3.so3_left_jacobian(x[:3]) @ x[3:])
+        monkeypatch.setattr(se3, "_exp_coeffs", counted)
+        got = exp_se3(x)
+        monkeypatch.setattr(se3, "_exp_coeffs", coeffs)
+        assert len(calls) == 1
+        calls.clear()
+        assert got.rot.tobytes() == expect.rot.tobytes()
+        assert got.trans.tobytes() == expect.trans.tobytes()
+
+
 def test_log_exp_se3_round_trip(rng):
     worst = 0.0
     for _ in range(200):

@@ -8,9 +8,11 @@ motion of :mod:`screwchain.kinematics` followed by the one backward
 wrench sweep here, both over the frame table of their representation
 (:func:`screwchain.kinematics._frame_table`).  The motion is the counted
 forward recursion in body and hybrid form, and in spatial form the one
-path-sum kernel (:func:`screwchain.kinematics._spatial_motion`), which
-forms the balances of all bodies with it, since a spatial wrench passes
-to the parent unchanged; ``idyn`` reads all three from one call.
+path-sum kernel (:func:`screwchain.kinematics._spatial_motion`).  The
+balances of all bodies are one stacked product in every form (the kernel
+forms the spatial ones with the motion); the sweep then only carries
+wrenches to the parents, unchanged in spatial form (subtree sums) and by
+the transposed parent transforms in body and hybrid form.
 Everything else reads one configuration pass (:class:`_Configuration`):
 the pose stack once, the spatial frame table at it and the
 composite-rigid-body mass matrix, whose inverse Cholesky factor, made
@@ -336,45 +338,34 @@ def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
     over the frame table ``frames`` and the twists V and accelerations Vd
     of all bodies in its representation.
 
-    Each body's balance (body and spatial: M Vdot - ad^T_V M V; hybrid:
-    M Vdot + [omega, M omega]) less its load ``ext`` joins the wrenches
-    its children transmit; the sum is projected on the joint screw and
-    carried to the parent.  The spatial form carries a wrench to the
-    parent unchanged, so there the balances of all bodies (``balances``,
-    else :func:`_balances`) have subtree sums the joint wrenches and one
-    row-wise product the joint forces.  Returns (joint forces, joint wrenches).
+    Each body's joint wrench is its balance (``balances``, else
+    :func:`_balances`) less its load ``ext``, plus the joint wrenches of
+    its children.  A wrench passes to the parent unchanged in spatial
+    form, so there the joint wrenches are subtree sums; in body and
+    hybrid form the loop carries each by the transpose of its parent
+    transform.  Returns (joint forces, joint wrenches), each force the
+    projection of its joint wrench on the joint screw.
     """
-    n = model.n
-    rep = frames.rep
-    x, xf = frames.screws, frames.parent
-    if rep == "spatial":
-        if balances is None:
-            balances = _balances(frames.inertias, V, Vd, ops)
-        W = model.tables.path @ (balances - ext)
-        return (x * W).sum(axis=1), W
-    kind = "translations_screw" if rep == "hybrid" else None
-    W = np.zeros((n, 6))
-    Q = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        m = frames.inertias[i]
-        if rep == "hybrid":
-            omega = screw(V[i][:3], np.zeros(3))
-            W[i] += m @ Vd[i] + ops.bracket(omega, m @ omega) - ext[i]
-        else:
-            W[i] += m @ Vd[i] - ops.cobracket(V[i], m @ V[i]) - ext[i]
-        Q[i] = x[i] @ W[i]
-        p = model.parent[i]
-        if p >= 0:
-            W[p] += ops.xform(xf[i].T, W[i], kind=kind)
-    return Q, W
+    W = (_balances(frames, V, Vd, ops) if balances is None else balances) - ext
+    if frames.rep == "spatial":
+        W = model.tables.path @ W
+    else:
+        kind = "translations_screw" if frames.rep == "hybrid" else None
+        for i, p in reversed(model.links):
+            W[p] += ops.xform(frames.parent[i].T, W[i], kind)
+    return (frames.screws * W).sum(axis=1), W
 
 
-def _balances(inertias, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
-    """The Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of all
-    bodies, one stacked product, from their inertias, twists and
-    accelerations in body or in spatial form (the two share the formula);
-    the n co-brackets go through ``ops``, beside the brackets [V_i, V_i] = 0."""
-    mv = (inertias @ np.array([V, Vd])[..., None])[..., 0]  # M_i V_i and M_i Vdot_i
+def _balances(frames: _Frames, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
+    """The Newton-Euler balances of all bodies in the representation of
+    the frame table ``frames`` from their twists V and accelerations Vd,
+    one stacked product: M Vdot - ad^T_U M U with U = V in body and
+    spatial form and U = (omega, 0) in hybrid form, where -ad^T_U M U is
+    [omega, M omega].  The n co-brackets go through ``ops``, beside the
+    brackets [U_i, U_i] = 0."""
+    if frames.rep == "hybrid":
+        V = np.concatenate((V[:, :3], np.zeros_like(V[:, 3:])), axis=1)
+    mv = (frames.inertias @ np.array([V, Vd])[..., None])[..., 0]  # M_i U_i and M_i Vdot_i
     return mv[1] - ops.brackets(V, np.concatenate((V, mv[0]), axis=1), 0)[1]
 
 
@@ -580,7 +571,7 @@ def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
     frames, cache, _ = _kinematics(model, JointState(q, qd, qdd), "body", 1)
     sj = _jacobian(model, frames.poses, "body")
     ext = _loads(model, frames, applied, gravity, "body")
-    return sj.J.T @ (_balances(frames.inertias, cache.twists, cache.accels) - ext).reshape(-1)
+    return sj.J.T @ (_balances(frames, cache.twists, cache.accels) - ext).reshape(-1)
 
 
 def fdyn(model: ChainModel, q, qd, tau=None, applied=None,

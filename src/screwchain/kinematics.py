@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChainModel
-from .se3 import Pose, ad_matrix, lie_bracket, screw
+from .se3 import Pose, lie_bracket, screw
 
 __all__ = [
     "REPS",
@@ -114,7 +114,7 @@ class JointState:
             v = getattr(self, name)
             if v is None:
                 continue
-            v = np.asarray(v, dtype=float).reshape(-1)
+            v = np.array(v, dtype=float).reshape(-1)
             if v.size != n:
                 raise ValueError(f"JointState.{name}: expected length {n}, got {v.size}")
             if name != "q" and not np.isfinite(v).all():
@@ -181,10 +181,6 @@ class _SweepOps:
     def bracket(self, x, y):
         self.count("lie_brackets")
         return lie_bracket(x, y)
-
-    def cobracket(self, x, p):
-        self.count("lie_brackets")
-        return ad_matrix(x).T @ p
 
     def brackets(self, v, xp, moving):
         """([v_i, x_i], ad(v_i)^T p_i) for every body i from the (n, 12) stack

@@ -170,8 +170,9 @@ class Pose:
     """Element of SE(3): rotation matrix plus translation vector.
 
     ``Pose(R, r)`` maps body coordinates x to world coordinates R x + r.
-    Construction validates orthogonality and det = +1; pass arrays that
-    satisfy them (compose/inverse/exp_se3 all do).
+    Construction validates orthogonality, det = +1 and a finite
+    translation; pass arrays that satisfy them (compose/inverse/exp_se3
+    all do).
     """
 
     rot: np.ndarray
@@ -185,6 +186,8 @@ class Pose:
             raise ValueError("Pose: rotation is not orthogonal")
         if np.linalg.det(rot) < 0.0:
             raise ValueError("Pose: not a proper rotation (det = -1)")
+        if not np.isfinite(trans).all():
+            raise ValueError("Pose: translation is not finite")
         rot.setflags(write=False)
         trans.setflags(write=False)
         object.__setattr__(self, "rot", rot)
@@ -316,7 +319,14 @@ def dexp(x, direction: str = "right") -> np.ndarray:
 
 
 def dexp_inv(x, direction: str = "right") -> np.ndarray:
-    """Inverse of :func:`dexp`; rejects rotation angles at/past 2*pi."""
+    """Inverse of :func:`dexp`; rejects rotation angles at/past 2*pi.
+
+    Near that limit d2 A^2 and d4 A^4 grow large and cancel, so the result
+    loses about a digit against the correctly rounded inverse: at angle
+    6.25 with |v| = 10 the residual dexp_inv(X) dexp(X) - I (against a
+    50-digit dexp) reaches 1.2e-11 to 1.7e-11, where the rounded exact
+    inverse reaches 1.1e-12.
+    """
     x = np.asarray(x, dtype=float)
     theta = float(np.linalg.norm(x[:3]))
     # written so that a NaN or infinite angle fails the test too

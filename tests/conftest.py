@@ -155,20 +155,24 @@ def parent_transforms_oracle(model, poses, rels, rep):
     return out
 
 
-def spatial_backward_oracle(model, twists, accels, inertias, screws, ext):
-    """The spatial Newton-Euler backward sweep body by body: each body's
-    balance :func:`ne_wrench` less its load joins the wrenches of its
-    children, is projected on its joint screw and passed to its parent
-    unchanged.  Returns (joint forces, joint wrenches)."""
+def spatial_backward_oracle(model, twists, accels, inertias, screws, ext, rep="spatial",
+                            transforms=None):
+    """The Newton-Euler backward sweep body by body: each body's balance
+    :func:`ne_wrench` in ``rep`` less its load joins the wrenches of its
+    children, is projected on its joint screw and passed to its parent,
+    unchanged in spatial form and by ``transforms[i]`` transposed
+    (:func:`parent_transforms_oracle`) in body and hybrid form.
+    Returns (joint forces, joint wrenches)."""
     from screwchain.dynamics import ne_wrench
 
     n = model.n
     W, Q = np.zeros((n, 6)), np.zeros(n)
     for i in range(n - 1, -1, -1):
-        W[i] += ne_wrench(twists[i], accels[i], inertias[i], "spatial") - ext[i]
+        W[i] += ne_wrench(twists[i], accels[i], inertias[i], rep) - ext[i]
         Q[i] = screws[i] @ W[i]
-        if model.parent[i] >= 0:
-            W[model.parent[i]] += W[i]
+        p = model.parent[i]
+        if p >= 0:
+            W[p] += W[i] if rep == "spatial" else transforms[i].T @ W[i]
     return Q, W
 
 

@@ -664,6 +664,29 @@ def test_operation_counts_match_predictions(rng, rep, n):
     assert res.report.translations_screw == pred.translations_screw
 
 
+
+@pytest.mark.parametrize("rep", ["body", "spatial", "hybrid"])
+def test_operation_counts_on_trees_and_forests(rng, rep):
+    # a forest of r roots counts as a chain with r in place of its one root:
+    # each non-root body adds the transforms and brackets of its link
+    roots = set()
+    for n in (1, 2, 3, 5, 8, 12):
+        for _ in range(4):
+            model = random_chain(rng, n, tree=True)
+            r = sum(p < 0 for p in model.parent)
+            roots.add(r)
+            q, qd, qdd = (rng.normal(size=n) for _ in range(3))
+            got = idyn(model, q, qd, qdd, rep, applied=rng.normal(size=(n, 6)),
+                       full=True).report
+            # (screw transforms, tensor transforms, brackets, rotations, translations)
+            expect = {"body": (3 * (n - r), 0, 2 * n - r, 0, 0),
+                      "spatial": (n, n, 2 * n - r, 0, 0),
+                      "hybrid": (4 * n - 3 * r, n, 3 * n - r, n, 3 * (n - r))}[rep]
+            assert (got.frame_transforms_screw, got.frame_transforms_tensor,
+                    got.lie_brackets, got.rotations_screw, got.translations_screw) == expect
+    assert max(roots) >= 3
+
+
 def test_predicted_counts_reference_values():
     body = predict_op_counts("body", 4)
     assert (body.frame_transforms_screw, body.lie_brackets) == (9, 7)

@@ -200,6 +200,19 @@ def test_convert_twist_spatial_of_pure_rotation(rng):
         assert np.allclose(out.s, screw(w, np.cross(pose.trans, w)), atol=1e-13)
 
 
+
+def test_joint_state_copies_its_inputs():
+    # writes into the caller's arrays after construction leave the state
+    # as it was, and the caller's arrays stay writable
+    q, qd, qdd, qddd = (np.array([0.3, -0.2]) for _ in range(4))
+    st = JointState(q, qd, qdd, qddd)
+    for v in (q, qd, qdd, qddd):
+        v[0] = 5.0
+    for name in ("q", "qd", "qdd", "qddd"):
+        assert getattr(st, name)[0] == 0.3
+        assert not getattr(st, name).flags.writeable
+
+
 # ------------------------------------------------------------- accelerations
 
 def test_accelerations_trivials(rng):

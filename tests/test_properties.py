@@ -425,6 +425,26 @@ def test_stacked_spatial_balances_match_per_body_loop(case):
     assert np.abs(pidot - rates).max() <= 1e-12 * np.abs(rates).max()
 
 
+
+@PROPERTY_SETTINGS
+@given(chain_states(), st.booleans(), st.booleans())
+def test_body_and_hybrid_backward_sweep_match_per_body_loop(case, gravity, loaded):
+    # the stacked balances and the carry-only loop against the per-body
+    # ne_wrench loop, which carries by the oracle's parent transforms
+    model, q, qd, qdd, _, wb = case
+    applied = wb if loaded else None
+    for rep in ("body", "hybrid"):
+        frames = _frame_table(model, *_fk_stacks(model, q), rep)
+        cache = accelerations(model, JointState(q, qd, qdd), rep)
+        ext = _loads(model, frames, applied, gravity, rep)
+        got = _backward_sweep(model, frames, cache.twists, cache.accels, ext)
+        carry = parent_transforms_oracle(model, cache.poses, cache.rel_poses, rep)
+        expect = spatial_backward_oracle(model, cache.twists, cache.accels, frames.inertias,
+                                         frames.screws, ext, rep, carry)
+        for g, e in zip(got, expect):
+            assert np.abs(g - e).max() <= 1e-12 * max(1.0, np.abs(e).max())
+
+
 @PROPERTY_SETTINGS
 @given(chain_states(), st.booleans(), st.booleans())
 def test_configuration_motion_and_bias_match_recursive_sweeps(case, gravity, loaded):

@@ -182,6 +182,15 @@ def test_pose_rejects_non_finite_rotation(bad):
         Pose(np.full((3, 3), bad), np.zeros(3))
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pose_rejects_non_finite_translation(bad):
+    with pytest.raises(ValueError, match="translation is not finite"):
+        Pose(np.eye(3), [bad, 0.0, 0.0])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="translation is not finite"):
+        exp_se3([0.0, 0.0, 0.0, bad, 0.0, 0.0])
+
+
 # ------------------------------------------------------------------- adjoint
 
 def test_adjoint_identity():

@@ -21,12 +21,12 @@ once per pass, solves.  The bias J^T (M Jdot qd - ad^T_V M V - loads) of
 sweep; the momentum form's rates are those balances plus M_i times the
 path sums of js_j qdd_j.
 
-The last configuration pass is kept and reused by the next
-call at the same model object and the same bytes of q
-(:func:`_configuration`).  A simulation sample reads the pass of its
-first RK4 stage through the public functions, which keep their
-signatures, so the pass is shared this way rather than through a
-parameter.
+Each public call builds its own pass, except ``fdyn``: it keeps its
+last pass for the next call at the same model object and the same bytes
+of q (:func:`_configuration`), which is how a state-form sample of
+:func:`screwchain.integrators.chain_simulate` reads the pass its RK4
+stage solved on.  A momentum-form stage builds its pass and hands it to
+its sample.
 
 The closed-form Coriolis matrix and Christoffel symbols contract the one
 bracket table of :mod:`screwchain.kinematics` (``_bracket_table``): the
@@ -377,9 +377,10 @@ class _Configuration:
     """One configuration pass at q: the absolute pose stack of
     :func:`_fk_stacks` once, and from it the spatial frame table
     ``frames`` (the spatial joint screws js, body inertias and pose stack
-    among it) and the composite-rigid-body mass matrix.  Every call at
-    its configuration shares the pass, so nothing writes its arrays, and
-    the public functions hand out copies or new arrays.
+    among it) and the composite-rigid-body mass matrix.  The pass ``fdyn``
+    keeps is shared with the next reader at its configuration, so nothing
+    writes a pass's arrays; a public function hands out new arrays or
+    those of a pass of its own.
 
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
@@ -459,12 +460,12 @@ class _Configuration:
         return rates + (self.frames.inertias @ self.twists(qdd)[..., None])[..., 0], qd, qdd
 
 
-# The last configuration pass, reused as the module docstring explains.
+# The last configuration pass of fdyn, reused as the module docstring explains.
 _last_configuration: _Configuration | None = None
 
 
 def _configuration(model: ChainModel, q) -> _Configuration:
-    """The :class:`_Configuration` at (model, q): the last one built when
+    """The :class:`_Configuration` at (model, q): the last one kept when
     it was built for this model object at a q with the same bytes,
     otherwise a new one, which replaces it."""
     global _last_configuration
@@ -478,7 +479,7 @@ def _configuration(model: ChainModel, q) -> _Configuration:
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Generalized mass matrix by the composite-rigid-body algorithm."""
-    return _configuration(model, q).mass.copy()
+    return _Configuration(model, q).mass
 
 
 def _spd_factor(m) -> np.ndarray:
@@ -591,7 +592,7 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
     """Stacked per-body spatial momentum co-screws Pi_i = M^s_i V^s_i."""
-    return _configuration(model, q).momenta(qd)
+    return _Configuration(model, q).momenta(qd)
 
 
 def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
@@ -610,7 +611,7 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     be a callable of the recovered qd; applied wrenches are in body
     representation.
     """
-    return _configuration(model, q).momentum_rates(pi_stack, tau, applied, gravity)[:2]
+    return _Configuration(model, q).momentum_rates(pi_stack, tau, applied, gravity)[:2]
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:

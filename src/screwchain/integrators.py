@@ -11,10 +11,12 @@ pass, its closed-form bias J^T (M Jdot qd - ad^T_V M V - loads) and the
 SPD solve of that module; the free body recovers its twist likewise.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
-step reuses.  That stage leaves its configuration pass as the last one of
-:mod:`screwchain.dynamics`, and the sample's report reads the pass's mass
-matrix, pseudo-inertias and pose stack, so a run costs one configuration
-pass, one backward sweep and one factorization per RK4 stage.
+step reuses.  The sample's report reads the configuration pass that
+stage solved on: a momentum-form stage builds its pass and hands it to
+its sample, and a state-form sample reads the pass ``fdyn`` kept.  The
+report takes the pass's mass matrix, pseudo-inertias and pose stack, so
+a run costs one configuration pass, one backward sweep and one
+factorization per RK4 stage.
 """
 
 from __future__ import annotations
@@ -220,17 +222,20 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     step from it reuses: qd is the stage's first n entries (recovered from
     the momenta in the momentum form) and qdd the acceleration the stage
     solved, so ``torque`` runs once per stage.  The report is read from
-    the configuration pass that stage built: the kinetic energy from its
-    mass matrix, the potential energy -g . sum h_i from the first moments
-    of its pseudo-inertias, the total momentum (Ic_k js_k)^T qd from its
-    subtree inertias and the drift from its pose stack, so the sample
-    costs no pass, sweep or factorization of its own.  In both forms its ``constraint_drift`` is the largest
-    distance |R^T R - I| of a body rotation from SO(3), which is roundoff
-    of the rotations FK builds.  The momentum form also reports the
-    residual that its integration can really move off zero,
+    the configuration pass that stage solved on: the momentum-form stage
+    hands its pass to the sample (sample 0's is the pass at q0 that gave
+    the initial momenta), and the state-form sample reads the pass
+    ``fdyn`` kept.  It takes the kinetic energy from the pass's mass
+    matrix, the potential energy -g . sum h_i from its pseudo-inertias'
+    first moments, the total momentum (Ic_k js_k)^T qd from its subtree
+    inertias and the drift from its pose stack: no pass, sweep or
+    factorization of its own.  In both forms its ``constraint_drift`` is
+    the largest distance |R^T R - I| of a body rotation from SO(3), which
+    is roundoff of the rotations FK builds.  The momentum form also
+    reports the residual that its integration can really move off zero,
     ``momentum_residual`` = max_i |Pi_i - M^s_i V^s_i(qd)|: how far the
-    integrated body momenta sit from the momenta the recovered qd
-    implies (it falls as h^4 with RK4).
+    integrated body momenta sit from the momenta the recovered qd implies
+    (it falls as h^4 with RK4).
 
     A step that fails (a floating-point overflow, division by zero or
     invalid operation, a mass matrix that is not positive definite, a
@@ -257,16 +262,20 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
             return np.zeros(n)
         return np.asarray(torque(t, q, qd), dtype=float).reshape(n)
 
-    def stage(t, y):
-        """f(t, y) of the form's ODE, and the qdd it solved."""
+    def stage(t, y, cfg=None):
+        """f(t, y) of the form's ODE, the qdd it solved and, in the
+        momentum form, the configuration pass at y's q that it solved on
+        (``cfg`` if given); the state form solves by ``fdyn``, which keeps
+        its pass, and returns None for it."""
         q = y[:n]
         if form == "state":
             qdd = dyn.fdyn(model, q, y[n:], tau_at(t, q, y[n:]), applied=applied,
                            gravity=gravity)
-            return np.concatenate([y[n:], qdd]), qdd
-        rates, qd, qdd = dyn._configuration(model, q).momentum_rates(
-            y[n:], lambda qd_: tau_at(t, q, qd_), applied, gravity)
-        return np.concatenate([qd, rates.reshape(-1)]), qdd
+            return np.concatenate([y[n:], qdd]), qdd, None
+        cfg = dyn._Configuration(model, q) if cfg is None else cfg
+        rates, qd, qdd = cfg.momentum_rates(y[n:], lambda qd_: tau_at(t, q, qd_),
+                                            applied, gravity)
+        return np.concatenate([qd, rates.reshape(-1)]), qdd, cfg
 
     def f(t, y):
         return stage(t, y)[0]
@@ -274,15 +283,16 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     # NaN fields stand until computed, so an abort keeps one report per sample
     reports = [StepReport(t, np.nan, np.full(6, np.nan), np.nan) for t in times]
 
-    def sample(k, y):
+    def sample(k, y, cfg=None):
         """Record sample k of the state y and return f(t_k, y)."""
         t, q = times[k], y[:n]
         qs[k] = q
         if form == "state":  # kept if the stage fails
             qds[k] = y[n:]
-        k1, qdds[k] = stage(t, y)
+        k1, qdds[k], cfg = stage(t, y, cfg)
         qd = qds[k] = k1[:n]
-        cfg = dyn._configuration(model, q)
+        if cfg is None:  # the pass fdyn kept for the stage
+            cfg = dyn._configuration(model, q)
         energy = 0.5 * float(qd @ cfg.mass @ qd)
         if gravity:
             energy += cfg.potential()
@@ -297,9 +307,10 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     # floating-point faults raise, so the first one is the abort reason
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            rest = qd0 if form == "state" else dyn._configuration(model, q0).momenta(qd0)
+            cfg = None if form == "state" else dyn._Configuration(model, q0)
+            rest = qd0 if cfg is None else cfg.momenta(qd0)
             y = np.concatenate([q0, rest.reshape(-1)])
-            k1 = sample(0, y)
+            k1 = sample(0, y, cfg)
             for k in range(steps):
                 y = _rk4(f, times[k], y, h, k1)
                 if not np.all(np.isfinite(y)):

@@ -170,17 +170,17 @@ class Pose:
     """Element of SE(3): rotation matrix plus translation vector.
 
     ``Pose(R, r)`` maps body coordinates x to world coordinates R x + r.
-    Construction validates orthogonality, det = +1 and a finite
-    translation; pass arrays that satisfy them (compose/inverse/exp_se3
-    all do).
+    Construction copies its inputs and validates orthogonality, det = +1
+    and a finite translation; pass arrays that satisfy them
+    (compose/inverse/exp_se3 all do).
     """
 
     rot: np.ndarray
     trans: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rot, dtype=float).reshape(3, 3)
-        trans = np.asarray(self.trans, dtype=float).reshape(3)
+        rot = np.array(self.rot, dtype=float).reshape(3, 3)
+        trans = np.array(self.trans, dtype=float).reshape(3)
         # written so that a NaN or infinite entry fails the test too
         if not np.linalg.norm(rot.T @ rot - np.eye(3)) <= _SKEW_ATOL:
             raise ValueError("Pose: rotation is not orthogonal")
@@ -345,8 +345,12 @@ def dexp_inv(x, direction: str = "right") -> np.ndarray:
 def exp_se3(x) -> Pose:
     """Exponential of a screw: the rotation of :func:`exp_so3` and the
     translation V @ lin of :func:`so3_left_jacobian`, from one coefficient
-    evaluation and one skew matrix."""
+    evaluation and one skew matrix; a non-finite x raises ValueError first."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise ValueError(f"exp_se3: {'rotation' if bad < 3 else 'translation'} is not "
+                         f"finite, got x[{bad}] = {x[bad]!r}")
     omega = x[:3]
     a1, a2, a3 = _exp_coeffs(float(np.linalg.norm(omega)))[:3]
     k = hat3(omega)

@@ -264,6 +264,27 @@ def test_one_configuration_pass_per_rk4_stage(rng, monkeypatch, form):
     assert len(built) == 4 * steps + 1
 
 
+def test_only_fdyn_keeps_a_configuration_pass(rng, monkeypatch):
+    # mass_matrix, spatial_momenta, momentum_rhs and the momentum form's
+    # stages own their passes; fdyn keeps its last one, which a state-form
+    # sample reads
+    model = random_chain(rng, 3, tree=True)
+    q, qd = rng.normal(size=3), rng.normal(size=3)
+
+    def kept():
+        return [name for name, value in vars(dynamics).items()
+                if isinstance(value, dynamics._Configuration)]
+
+    monkeypatch.setattr(dynamics, "_last_configuration", None)
+    dynamics.mass_matrix(model, q)
+    dynamics.momentum_rhs(model, q, dynamics.spatial_momenta(model, q, qd))
+    chain_simulate(model, q, qd, torque=lambda t, q, qd: -0.5 * qd, T=5e-3, h=1e-3,
+                   form="momentum")
+    assert kept() == []
+    dynamics.fdyn(model, q, qd)
+    assert kept() == ["_last_configuration"]
+
+
 @pytest.mark.parametrize("form", ["state", "momentum"])
 def test_torque_runs_once_per_rk4_stage(rng, form):
     # four stages per step and one for the last sample; a sample's qdd

@@ -191,6 +191,27 @@ def test_pose_rejects_non_finite_translation(bad):
         exp_se3([0.0, 0.0, 0.0, bad, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", range(6))
+def test_exp_se3_rejects_non_finite_entries_first(bad, index):
+    # no numpy warning (an error under the suite's filterwarnings) and no
+    # misleading orthogonality failure: the first bad entry is named
+    x = np.array([0.3, -0.2, 0.1, 1.0, 2.0, np.nan])  # a later bad entry
+    x[index] = bad
+    part = "rotation" if index < 3 else "translation"
+    with pytest.raises(ValueError, match=rf"exp_se3: {part} is not finite, got x\[{index}\]"):
+        exp_se3(x)
+
+
+def test_pose_copies_its_inputs():
+    rot, trans = np.eye(3), np.array([1.0, 2.0, 3.0])
+    p = Pose(rot, trans)
+    trans[0] = 5.0
+    rot[0, 1] = 2.0
+    assert np.array_equal(p.trans, [1.0, 2.0, 3.0])
+    assert np.array_equal(p.rot, np.eye(3))
+
+
 # ------------------------------------------------------------------- adjoint
 
 def test_adjoint_identity():

@@ -193,11 +193,11 @@ def _table_command(args, need, header, row, quantity):
     t, *blocks = _read_traj(args.traj, model.n, need)
 
     def rows():
-        for idx, (ti, *data) in enumerate(zip(t, *blocks), 1):
+        for idx, (ti, *data) in enumerate(zip(t.tolist(), *blocks), 1):
             values = row(model, *data)
             if not np.all(np.isfinite(values)):
                 raise CliError(EXIT_NUMERICAL, f"non-finite {quantity} in data row {idx}")
-            yield (ti, *values)
+            yield (ti, *values.tolist())  # one call, not a numpy scalar per value
 
     with np.errstate(over="ignore", invalid="ignore"):  # rows() reports it
         _write_csv(args.out, ["t"] + header(model.n), rows())
@@ -288,18 +288,17 @@ def cmd_simulate(args):
 
     header = (["t"] + [f"q{j + 1}" for j in range(n)]
               + [f"qd{j + 1}" for j in range(n)] + [f"qdd{j + 1}" for j in range(n)])
-    rows = [[traj.times[k]] + list(traj.q[k]) + list(traj.qd[k]) + list(traj.qdd[k])
-            for k in range(len(traj.times))]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header,
+               np.column_stack([traj.times, traj.q, traj.qd, traj.qdd]).tolist())
 
     rep_path = args.report
     if rep_path is None and args.out not in (None, "-"):
         rep_path = args.out + ".report.csv"
     if rep_path is not None:
         rheader = ["t", "energy", "momentum_norm", "constraint_drift"]
-        rrows = [[r.t, r.energy, float(np.linalg.norm(r.momentum_spatial)),
-                  r.constraint_drift] for r in traj.reports]
-        _write_csv(rep_path, rheader, rrows)
+        norms = np.linalg.norm([r.momentum_spatial for r in traj.reports], axis=1).tolist()
+        _write_csv(rep_path, rheader, [(r.t, r.energy, norm, r.constraint_drift)
+                                       for r, norm in zip(traj.reports, norms)])
     if traj.abort_reason is not None:
         raise CliError(EXIT_NUMERICAL,
                        f"simulation aborted in step {traj.abort_step} from "

@@ -385,7 +385,7 @@ class _Configuration:
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
     on the path to k, and zero off the paths; ``icjs`` keeps Ic_k js_k,
-    which also gives the total momentum (:meth:`total_momentum`).  The
+    which also gives the total momentum sum_i M^s_i V^s_i = qd . icjs.  The
     twists, the accelerations at qdd = 0 and the balances of :meth:`accel`
     are the path sums of :func:`screwchain.kinematics._spatial_motion`.
 
@@ -410,16 +410,6 @@ class _Configuration:
     def twists(self, qd) -> np.ndarray:
         """Spatial twists V^s_i: js_j qd_j summed over the path to body i."""
         return self.model.tables.path.T @ (self.frames.screws * qd[:, None])
-
-    def potential(self) -> float:
-        """Potential energy -g . sum h_i, h_i = m_i r_com_i the first moment
-        of body i's pseudo-inertia in the frame table."""
-        return -float(self.model.gravity @ self.frames.pseudo[:, :3, 3].sum(axis=0))
-
-    def total_momentum(self, qd) -> np.ndarray:
-        """The spatial momentum of all bodies, sum_i M^s_i V^s_i: each
-        joint's rate times the momentum Ic_k js_k of its subtree per unit rate."""
-        return np.asarray(qd, dtype=float).reshape(self.model.n) @ self.icjs
 
     def momenta(self, qd) -> np.ndarray:
         """Per-body spatial momenta M^s_i V^s_i."""

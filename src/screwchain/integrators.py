@@ -11,11 +11,13 @@ pass, its closed-form bias J^T (M Jdot qd - ad^T_V M V - loads) and the
 SPD solve of that module; the free body recovers its twist likewise.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
-step reuses.  The sample's report reads the configuration pass that
-stage solved on: a momentum-form stage builds its pass and hands it to
-its sample, and a state-form sample reads the pass ``fdyn`` kept.  The
-report takes the pass's mass matrix, pseudo-inertias and pose stack, so
-a run costs one configuration pass, one backward sweep and one
+step reuses.  The sample keeps what its report reads of the configuration
+pass that stage solved on (a momentum-form stage hands its pass to its
+sample, a state-form sample reads the pass ``fdyn`` kept): mass matrix,
+subtree momenta, pseudo-inertias and pose stack.  The reports of
+``REPORT_CHUNK`` samples are formed together by a few stacked products
+once the last of them is kept, and the rest at the end or abort of the
+run, so a run costs one configuration pass, one backward sweep and one
 factorization per RK4 stage.
 """
 
@@ -43,6 +45,9 @@ __all__ = [
 
 # Polar re-projection cadence for long pose integrations.
 REORTHONORMALIZE_EVERY = 1000
+# Samples of a chain run whose reports stacked products form together:
+# enough to spread numpy's cost per call, few enough to keep a few MB at n = 30.
+REPORT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,7 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
 
     def report(t, pose, v_s):
         p = spatial_inertia_at(pose) @ v_s  # recomputed, not the held pi
-        return StepReport(t, 0.5 * float(v_s @ p), p, _drift(pose.rot))
+        return StepReport(t, 0.5 * float(v_s @ p), p, float(_drift(pose.rot)))
 
     reports.append(report(0.0, state.pose, state.twist))
     for k in range(steps):
@@ -173,11 +178,11 @@ class ChainTrajectory:
     abort_step: int | None = None
 
 
-def _drift(rot) -> float:
-    """Largest distance |R^T R - I| from SO(3) of a rotation or of a
-    stack of them, in the Frobenius norm."""
+def _drift(rot) -> np.ndarray:
+    """Distance |R^T R - I| from SO(3), in the Frobenius norm, of a
+    rotation or of each of a stack of them."""
     d = np.swapaxes(rot, -1, -2) @ rot - np.eye(3)
-    return float(np.sqrt((d * d).sum(axis=(-2, -1)).max()))
+    return np.sqrt((d * d).sum(axis=(-2, -1)))
 
 
 def _sample_arrays(T, h, *widths) -> tuple[np.ndarray, ...]:
@@ -221,31 +226,35 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     Sample k is recorded from RK4's first stage f(t_k, y_k), which the
     step from it reuses: qd is the stage's first n entries (recovered from
     the momenta in the momentum form) and qdd the acceleration the stage
-    solved, so ``torque`` runs once per stage.  The report is read from
-    the configuration pass that stage solved on: the momentum-form stage
+    solved, so ``torque`` runs once per stage.  The report reads the
+    configuration pass that stage solved on: the momentum-form stage
     hands its pass to the sample (sample 0's is the pass at q0 that gave
     the initial momenta), and the state-form sample reads the pass
-    ``fdyn`` kept.  It takes the kinetic energy from the pass's mass
-    matrix, the potential energy -g . sum h_i from its pseudo-inertias'
-    first moments, the total momentum (Ic_k js_k)^T qd from its subtree
-    inertias and the drift from its pose stack: no pass, sweep or
-    factorization of its own.  In both forms its ``constraint_drift`` is
-    the largest distance |R^T R - I| of a body rotation from SO(3), which
-    is roundoff of the rotations FK builds.  The momentum form also
-    reports the residual that its integration can really move off zero,
-    ``momentum_residual`` = max_i |Pi_i - M^s_i V^s_i(qd)|: how far the
-    integrated body momenta sit from the momenta the recovered qd implies
-    (it falls as h^4 with RK4).
+    ``fdyn`` kept.  The sample keeps the pass's mass matrix, subtree
+    momenta Ic_k js_k, pseudo-inertias and pose stack in buffers of
+    ``REPORT_CHUNK`` samples.  When a chunk is full, and at the end or
+    abort of the run, stacked products form their reports: the kinetic
+    energy from the mass matrix, the potential energy -g . sum h_i from
+    the first moments, the total momentum (Ic_k js_k)^T qd and the drift
+    from the pose stack, with no pass, sweep or factorization of their
+    own.  In both forms ``constraint_drift`` is the largest distance
+    |R^T R - I| of a body rotation from SO(3), which is roundoff of the
+    rotations FK builds.  The momentum form also reports the residual
+    that its integration can really move off zero, ``momentum_residual`` =
+    max_i |Pi_i - M^s_i V^s_i(qd)|: how far the integrated body momenta
+    sit from the momenta the recovered qd implies (it falls as h^4 with
+    RK4).
 
     A step that fails (a floating-point overflow, division by zero or
     invalid operation, a mass matrix that is not positive definite, a
-    non-finite state) aborts the run; the samples before it are kept and
-    the step and the reason recorded, with NaN for what the last kept
-    sample could not compute: its report fields and qdd, and in the
-    momentum form after t = 0 its qd.  Raises ValueError unless h is
-    finite and positive, T finite and non-negative and ``applied`` (body
-    wrenches, constant over the run) None or a finite (n, 6) array, and
-    when the samples of T / h steps cannot be stored.
+    non-finite state) aborts the run; the samples before it are kept,
+    each with its report, and the step and the reason recorded.  A report
+    that faults ends the kept samples before its own sample in the same
+    way, and a failed sample 0 is kept with NaN report fields and qdd.
+    Raises ValueError unless h is finite and positive, T finite and
+    non-negative and ``applied`` (body wrenches, constant over the run)
+    None or a finite (n, 6) array, and when the samples of T / h steps
+    cannot be stored.
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
@@ -280,27 +289,59 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     def f(t, y):
         return stage(t, y)[0]
 
-    # NaN fields stand until computed, so an abort keeps one report per sample
-    reports = [StepReport(t, np.nan, np.full(6, np.nan), np.nan) for t in times]
+    # what a chunk's reports read: mass matrices, Ic_k js_k, pseudo-inertias and
+    # poses, and in the momentum form the integrated momenta, screws and inertias
+    rows = min(REPORT_CHUNK, len(times))
+    kept = [np.empty((rows, *shape)) for shape in ((n, n), (n, 6), (n, 4, 4), (n, 4, 4))
+            + (((6 * n,), (n, 6), (n, 6, 6)) if form == "momentum" else ())]
+    reports, done = [], 0  # done: samples whose products are kept
 
     def sample(k, y, cfg=None):
-        """Record sample k of the state y and return f(t_k, y)."""
-        t, q = times[k], y[:n]
-        qs[k] = q
+        """Record sample k of the state y, keep its pass products, return f(t_k, y)."""
+        nonlocal done
+        q = qs[k] = y[:n]
         if form == "state":  # kept if the stage fails
             qds[k] = y[n:]
-        k1, qdds[k], cfg = stage(t, y, cfg)
-        qd = qds[k] = k1[:n]
+        k1, qdds[k], cfg = stage(times[k], y, cfg)
+        qds[k] = k1[:n]
         if cfg is None:  # the pass fdyn kept for the stage
             cfg = dyn._configuration(model, q)
-        energy = 0.5 * float(qd @ cfg.mass @ qd)
-        if gravity:
-            energy += cfg.potential()
-        residual = (np.nan if form == "state" else float(np.linalg.norm(
-            y[n:].reshape(n, 6) - cfg.momenta(qd), axis=1).max()))
-        reports[k] = StepReport(t, energy, cfg.total_momentum(qd),
-                                _drift(cfg.frames.poses.rot), residual)
+        frames = cfg.frames
+        for buf, value in zip(kept, (cfg.mass, cfg.icjs, frames.pseudo, frames.poses.mat,
+                                     y[n:], frames.screws, frames.inertias)):
+            buf[k % rows] = value
+        done = k + 1
+        if done % rows == 0:
+            form_reports()
         return k1
+
+    def chunk_reports(start, stop):
+        """The reports of the kept samples start .. stop - 1, all of one chunk."""
+        mass, icjs, pseudo, poses, *momentum_form = (buf[start % rows:][:stop - start]
+                                                     for buf in kept)
+        qd = qds[start:stop]
+        energy = 0.5 * ((qd[..., None] * mass).sum(axis=1) * qd).sum(axis=1)
+        if gravity:  # -g . sum h_i, h_i the first moments
+            energy -= pseudo[..., :3, 3].sum(axis=1) @ model.gravity
+        residual = np.full(stop - start, np.nan)
+        if momentum_form:
+            pis, screws, inertias = momentum_form
+            twists = model.tables.path.T @ (screws * qd[..., None])
+            momenta = np.einsum("...ijk,...ik->...ij", inertias, twists)
+            residual = np.linalg.norm(pis.reshape(-1, n, 6) - momenta, axis=-1).max(axis=1)
+        return map(StepReport, times[start:stop].tolist(), energy.tolist(),
+                   (qd[..., None] * icjs).sum(axis=1),
+                   _drift(poses[..., :3, :3]).max(axis=1).tolist(), residual.tolist())
+
+    def form_reports():
+        """Append the reports of the kept samples from len(reports) to
+        done - 1; at a floating-point fault, those before the first sample
+        whose own report faults, and raise that fault."""
+        try:
+            reports.extend(chunk_reports(len(reports), done))
+        except ArithmeticError:
+            for j in range(len(reports), done):
+                reports.extend(chunk_reports(j, j + 1))
 
     k = 0
     qs[0], qds[0] = q0, qd0
@@ -316,9 +357,16 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
                 if not np.all(np.isfinite(y)):
                     raise ValueError("non-finite state")
                 k1 = sample(k + 1, y)
+            form_reports()
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
-            return ChainTrajectory(times[:k + 1], qs[:k + 1], qds[:k + 1],
-                                   qdds[:k + 1], reports[:k + 1], form,
-                                   abort_reason=str(err) or type(err).__name__,
-                                   abort_step=k)
+            try:  # the kept samples after the last full chunk
+                form_reports()
+            except ArithmeticError as fault:  # a kept sample's report faults first
+                err = fault
+            if not reports:  # sample 0 failed: its report stays NaN
+                reports.append(StepReport(times[0], np.nan, np.full(6, np.nan), np.nan))
+            keep = len(reports)  # samples up to the first without a report
+            return ChainTrajectory(times[:keep], qs[:keep], qds[:keep], qdds[:keep],
+                                   reports, form, abort_reason=str(err) or type(err).__name__,
+                                   abort_step=keep - 1)
     return ChainTrajectory(times, qs, qds, qdds, reports, form)

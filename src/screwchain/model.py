@@ -174,8 +174,9 @@ class JointModel:
         ad = adjoint(ref_pose)
         if self._screw_spatial is None:
             self._screw_spatial = ad @ self._screw_body
-        elif self._screw_body is None:
-            self._screw_body = np.linalg.solve(ad, self._screw_spatial)
+        elif self._screw_body is None:  # Ad(C)^-1 is Ad(C) with each 3x3 block transposed
+            inv = ad.reshape(2, 3, 2, 3).swapaxes(1, 3).reshape(6, 6)
+            self._screw_body = inv @ self._screw_spatial
         else:
             if np.max(np.abs(self._screw_spatial - ad @ self._screw_body)) > 1e-9:
                 raise ModelError(
@@ -203,8 +204,8 @@ class BodyModel:
             raise ModelError(f"{_path}.mass", "expected a number") from None
         if not math.isfinite(self.mass):
             raise ModelError(f"{_path}.mass", "must be finite")
-        self.com_offset = np.asarray(com_offset, dtype=float).reshape(3)
-        self.inertia_com = np.asarray(inertia_com, dtype=float).reshape(3, 3)
+        self.com_offset = np.array(com_offset, dtype=float).reshape(3)
+        self.inertia_com = np.array(inertia_com, dtype=float).reshape(3, 3)
         self.ref_pose = ref_pose if ref_pose is not None else Pose.identity()
         if self.mass <= 0.0:
             raise ModelError(f"{_path}.mass", "must be positive")

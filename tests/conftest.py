@@ -278,6 +278,40 @@ def path_sums_oracle(model, a):
     return out
 
 
+def pass_potential_oracle(cfg):
+    """Potential energy -g . sum h_i of a configuration pass, h_i = m_i r_com_i
+    the first moment of body i's pseudo-inertia in its frame table."""
+    return -float(cfg.model.gravity @ cfg.frames.pseudo[:, :3, 3].sum(axis=0))
+
+
+def pass_total_momentum_oracle(cfg, qd):
+    """The spatial momentum of all bodies, sum_i M^s_i V^s_i, from a
+    configuration pass: each joint's rate times the momentum Ic_k js_k of
+    its subtree per unit rate."""
+    return np.asarray(qd, dtype=float).reshape(cfg.model.n) @ cfg.icjs
+
+
+def step_report_oracle(model, q, qd, pis=None, gravity=True):
+    """(energy, total momentum, constraint drift, momentum residual) of one
+    chain-simulation sample, formed on its own as each sample once formed
+    its report: from the configuration pass at q, the kinetic energy
+    qd . M qd / 2 plus the potential, the total momentum, the largest
+    |R^T R - I| of a body rotation and, given the integrated momenta
+    ``pis``, the largest |Pi_i - M^s_i V^s_i(qd)| (NaN without)."""
+    from screwchain.dynamics import _Configuration
+
+    cfg = _Configuration(model, q)
+    energy = 0.5 * float(qd @ cfg.mass @ qd)
+    if gravity:
+        energy += pass_potential_oracle(cfg)
+    rot = cfg.frames.poses.rot
+    d = np.swapaxes(rot, -1, -2) @ rot - np.eye(3)
+    drift = float(np.sqrt((d * d).sum(axis=(-2, -1)).max()))
+    residual = (np.nan if pis is None else float(np.linalg.norm(
+        np.reshape(pis, (model.n, 6)) - cfg.momenta(qd), axis=1).max()))
+    return energy, pass_total_momentum_oracle(cfg, qd), drift, residual
+
+
 PLANAR_2R = dict(m1=1.1, m2=0.9, l1=1.0, lc1=0.55, lc2=0.45, I1=0.055, I2=0.031,
                  g=9.80665)
 

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from screwchain import dynamics, kinematics, se3
+from screwchain import dynamics, integrators, kinematics, se3
 from screwchain.integrators import (
-    RigidBodyState, chain_simulate, free_body_simulate, mk_step,
+    REPORT_CHUNK, RigidBodyState, chain_simulate, free_body_simulate, mk_step,
 )
 from screwchain.model import BodyModel, ChainModel, JointModel, load_model
 from screwchain.samples import sample_model_path
 from screwchain.se3 import Pose, adjoint, exp_se3, log_se3, screw
 
-from conftest import random_chain
+from conftest import random_chain, step_report_oracle
 
 
 def pendulum_model(mass=1.3, length=0.8, izz=0.02, g=9.80665):
@@ -239,6 +239,112 @@ def test_recorded_samples_match_public_functions(rng, form):
     for key, value in got.items():
         ref = np.array(expect[key])
         assert np.abs(np.array(value) - ref).max() <= 1e-12 * np.abs(ref).max(), key
+
+
+def _all_kinds_tree(rng, n=5):
+    """A random tree with at least one revolute, prismatic and helical joint."""
+    while True:
+        model = random_chain(rng, n, tree=True)
+        if len({joint.kind for joint in model.joints}) == 3:
+            return model
+
+
+def _simulate_with_momenta(monkeypatch, model, q0, qd0, **kwargs):
+    """chain_simulate and the integrated state of every sample it kept:
+    the initial one, then each RK4 step's result."""
+    states = [np.concatenate([q0, qd0 if kwargs.get("form", "state") == "state"
+                              else dynamics.spatial_momenta(model, q0, qd0).ravel()])]
+    rk4 = integrators._rk4
+
+    def recorded(*args):
+        states.append(rk4(*args))
+        return states[-1]
+
+    monkeypatch.setattr(integrators, "_rk4", recorded)
+    traj = chain_simulate(model, q0, qd0, **kwargs)
+    return traj, states[:len(traj.times)]
+
+
+def _assert_reports_match_oracle(model, traj, states, gravity=True):
+    # each field within 1e-12 of its largest oracle entry; the drift and
+    # the residual are formed by the same products and so match exactly
+    n = model.n
+    expect = [step_report_oracle(model, q, qd, None if traj.form == "state" else y[n:],
+                                 gravity)
+              for q, qd, y in zip(traj.q, traj.qd, states)]
+    got = [(r.energy, r.momentum_spatial, r.constraint_drift, r.momentum_residual)
+           for r in traj.reports]
+    assert [r.t for r in traj.reports] == list(traj.times)
+    for field, name in enumerate(("energy", "momentum", "drift", "residual")):
+        want = np.array([e[field] for e in expect])
+        have = np.array([g[field] for g in got])
+        if name == "residual" and traj.form == "state":
+            assert np.all(np.isnan(have))
+            continue
+        scale = np.abs(want).max()
+        assert np.abs(have - want).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("form", ["state", "momentum"])
+@pytest.mark.parametrize("chunk, steps", [(8, 4), (8, 7), (8, 20), (REPORT_CHUNK, 300)])
+def test_chunked_reports_match_per_sample_oracle(rng, monkeypatch, form, chunk, steps):
+    # runs shorter than, as long as and longer than one chunk of reports,
+    # with torques and applied wrenches, on a tree with all three joint kinds
+    monkeypatch.setattr(integrators, "REPORT_CHUNK", chunk)
+    model = _all_kinds_tree(rng)
+    applied = rng.normal(size=(model.n, 6))
+    traj, states = _simulate_with_momenta(
+        monkeypatch, model, rng.normal(size=model.n) * 0.4, rng.normal(size=model.n) * 0.4,
+        torque=lambda t, q, qd: np.sin(7.0 * t) - 0.4 * qd, T=steps * 1e-3, h=1e-3,
+        form=form, applied=applied)
+    assert traj.abort_reason is None and len(traj.reports) == steps + 1
+    _assert_reports_match_oracle(model, traj, states)
+
+
+@pytest.mark.parametrize("form", ["state", "momentum"])
+@pytest.mark.parametrize("chunk", [8, REPORT_CHUNK])
+def test_aborted_run_keeps_per_sample_reports(rng, monkeypatch, form, chunk):
+    # a torque that overflows from t = 12.5 ms aborts the run in its second
+    # chunk of 8: every kept sample's report is the oracle's; a run whose
+    # sample 0 fails keeps that sample with NaN report fields
+    monkeypatch.setattr(integrators, "REPORT_CHUNK", chunk)
+    model = _all_kinds_tree(rng)
+
+    def torque(t, q, qd):
+        return np.full(model.n, 1e308 if t > 12.5e-3 else 0.5) - 0.3 * qd
+
+    traj, states = _simulate_with_momenta(
+        monkeypatch, model, rng.normal(size=model.n) * 0.4, rng.normal(size=model.n) * 0.4,
+        torque=torque, T=0.03, h=1e-3, form=form)
+    assert traj.abort_step == 12 == len(traj.reports) - 1
+    assert "overflow" in traj.abort_reason
+    _assert_reports_match_oracle(model, traj, states)
+
+    first = chain_simulate(model, np.zeros(model.n), np.full(model.n, 1e200), T=0.03,
+                           h=1e-3, form=form)
+    assert first.abort_step == 0 and len(first.reports) == 1
+    r = first.reports[0]
+    assert r.t == 0.0 and np.isnan([r.energy, *r.momentum_spatial, r.constraint_drift,
+                                    r.momentum_residual]).all()
+
+
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_report_that_overflows_ends_the_kept_samples(monkeypatch, form):
+    # a spin about a principal axis that a torque speeds up by 1e153 per
+    # step: the dynamics stay finite, but the kinetic energy of sample 4
+    # overflows, so the run keeps samples 0 to 3, each with the oracle's
+    # report, and names the fault, as a failed step does
+    monkeypatch.setattr(integrators, "REPORT_CHUNK", 8)
+    model = ChainModel([BodyModel(1.0, [0, 0, 0], np.eye(3))],
+                       [JointModel("revolute", axis=[0, 0, 1])], [-1])
+    traj, states = _simulate_with_momenta(
+        monkeypatch, model, np.zeros(1), np.array([1e154]),
+        torque=lambda t, q, qd: [1e156], T=0.01, h=1e-3, form=form, gravity=False)
+    assert traj.abort_step == 3 and len(traj.reports) == len(traj.times) == 4
+    assert "overflow" in traj.abort_reason
+    _assert_reports_match_oracle(model, traj, states, gravity=False)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        step_report_oracle(model, [0.0], [1.4e154], gravity=False)
 
 
 @pytest.mark.parametrize("form", ["state", "momentum"])

@@ -130,6 +130,35 @@ def test_model_keeps_copies_of_the_callers_joint_arrays(frame):
         assert np.array_equal(got, want)
 
 
+def test_body_model_keeps_copies_of_the_callers_arrays():
+    # a write into the caller's COM offset or inertia after the build
+    # leaves the body, a model built from it later and its serialized form
+    # as given
+    com, inertia = np.array([0.1, 0.0, 0.0]), np.diag([1.0, 2.0, 2.5])
+    body = BodyModel(1.5, com, inertia)
+    com[0], inertia[0, 0] = 7.0, -1.0
+    assert com.flags.writeable and inertia.flags.writeable
+    assert body.com_offset[0] == 0.1 and body.inertia_com[0, 0] == 1.0
+    model = ChainModel([body], [JointModel("revolute", axis=[0, 0, 1])], [-1])
+    assert np.linalg.eigvalsh(model.tables.inertia[0]).min() > 0.0
+    doc = json.loads(serialize_model(model))["bodies"][0]
+    assert doc["com"][0] == 0.1 and doc["inertia_com"][0][0] == 1.0
+
+
+def test_body_screw_of_a_spatial_joint_is_the_solve_through_its_pose(rng):
+    # the body screw of a joint given in spatial form is Ad(C)^-1 s, read
+    # in closed form, within a few roundoffs (1e-14 of its largest entry)
+    # of solving Ad(C) x = s
+    for _ in range(20):
+        ref = Pose(rand_rotation(rng), rng.normal(size=3))
+        axis = rng.normal(size=3)
+        joint = JointModel("helical", axis=axis / np.linalg.norm(axis),
+                           point=rng.normal(size=3), pitch=0.2)
+        model = ChainModel([BodyModel(1.0, [0, 0, 0], np.eye(3), ref)], [joint], [-1])
+        want = np.linalg.solve(adjoint(ref), model.joints[0].screw_spatial)
+        assert np.abs(model.joints[0].screw_body - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # ------------------------------------------------------------ spatial inertia
 
 def test_spatial_inertia_zero_offset_blockdiag(rng):

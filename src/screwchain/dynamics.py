@@ -12,7 +12,8 @@ path-sum kernel (:func:`screwchain.kinematics._spatial_motion`).  The
 balances of all bodies are one stacked product in every form (the kernel
 forms the spatial ones with the motion); the sweep then only carries
 wrenches to the parents, unchanged in spatial form (subtree sums) and by
-the transposed parent transforms in body and hybrid form.
+the transposed parent transforms in body and hybrid form.  Each step
+adds its operation counts to the one report of :func:`idyn`.
 Everything else reads one configuration pass (:class:`_Configuration`):
 the pose stack once, the spatial frame table at it and the
 composite-rigid-body mass matrix, whose inverse Cholesky factor, made
@@ -53,11 +54,10 @@ from .kinematics import (
     Twist,
     _CROSS,
     _Frames,
-    _PLAIN,
     _PoseStack,
     _SE3_BRACKET,
-    _SweepOps,
     _bracket_table,
+    _brackets,
     _check_rep,
     _fk_stacks,
     _frame_table,
@@ -102,7 +102,10 @@ __all__ = [
 
 @dataclass
 class OpCountReport:
-    """Structural operation counts of one inverse-dynamics evaluation."""
+    """Structural operation counts of one inverse-dynamics evaluation, each
+    added once per loop or stacked call, from its extent, by the step doing
+    the work: the frame table, forward sweep and path sums of
+    :mod:`screwchain.kinematics`, :func:`_balances` and :func:`_backward_sweep`."""
 
     rep: str = ""
     n: int = 0
@@ -113,49 +116,26 @@ class OpCountReport:
     translations_screw: int = 0
 
 
-class _Counter(_SweepOps):
-    """Per-invocation operation counter of :func:`idyn`.
-
-    A fresh instance lives inside each idyn call (no shared state) and the
-    forward and backward sweeps route their algebra through it.  The
-    counted quantities are screw frame transformations (with the
-    rotation/translation split the hybrid recursion cares about), inertia
-    tensor congruences, and Lie brackets including their duals.
-    """
-
-    __slots__ = ("report",)
-
-    def __init__(self, rep, n):
-        self.report = OpCountReport(rep=rep, n=n)
-
-    def count(self, field, times=1):
-        setattr(self.report, field, getattr(self.report, field) + times)
-
-
 def predict_op_counts(rep: str, n: int) -> OpCountReport:
     """Structural operation counts of inverse dynamics, exact on any tree
     of n bodies with one root: body 3(n-1) screw transforms and 2n-1
     brackets; spatial n screw plus n tensor transforms and 2n-1 brackets;
     hybrid 3n-3 translational plus n rotational screw transforms, n tensor
     rotations, 3n-1 brackets.  On a forest of r roots, r replaces each 1
-    (body: 3(n-r) transforms and 2n-r brackets).
+    (body: 3(n-r) transforms and 2n-r brackets).  n must be an integer >= 1.
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
-    r = OpCountReport(rep=rep, n=n)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"predict_op_counts: n must be an integer >= 1, got {n!r}")
     if rep == "body":
-        r.frame_transforms_screw = 3 * (n - 1)
-        r.lie_brackets = 2 * n - 1
-    elif rep == "spatial":
-        r.frame_transforms_screw = n
-        r.frame_transforms_tensor = n
-        r.lie_brackets = 2 * n - 1
-    else:
-        r.translations_screw = 3 * n - 3
-        r.rotations_screw = n
-        r.frame_transforms_screw = 4 * n - 3
-        r.frame_transforms_tensor = n
-        r.lie_brackets = 3 * n - 1
-    return r
+        return OpCountReport(rep, n, frame_transforms_screw=3 * (n - 1),
+                             lie_brackets=2 * n - 1)
+    if rep == "spatial":
+        return OpCountReport(rep, n, frame_transforms_screw=n, frame_transforms_tensor=n,
+                             lie_brackets=2 * n - 1)
+    return OpCountReport(rep, n, frame_transforms_screw=4 * n - 3, frame_transforms_tensor=n,
+                         lie_brackets=3 * n - 1, rotations_screw=n,
+                         translations_screw=3 * n - 3)
 
 
 # --------------------------------------------------------------------------
@@ -300,12 +280,12 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     """
     _check_rep(rep)
     work_rep = "hybrid" if rep == "mixed" else rep
-    cnt = _Counter(work_rep, model.n)
-    frames, cache, balances = _kinematics(model, JointState(q, qd, qdd), work_rep, 1, cnt)
+    report = OpCountReport(work_rep, model.n)
+    frames, cache, balances = _kinematics(model, JointState(q, qd, qdd), work_rep, 1, report)
     ext = _loads(model, frames, applied, gravity, rep)
-    Q, W = _backward_sweep(model, frames, cache.twists, cache.accels, ext, cnt, balances)
+    Q, W = _backward_sweep(model, frames, cache.twists, cache.accels, ext, report, balances)
     if full:
-        return IdynResult(Q, W, cnt.report, work_rep)
+        return IdynResult(Q, W, report, work_rep)
     return Q
 
 
@@ -333,7 +313,7 @@ def _applied_wrenches(n: int, applied) -> np.ndarray | None:
 
 
 def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
-                    ops: _SweepOps = _PLAIN, balances=None) -> tuple[np.ndarray, np.ndarray]:
+                    ops=None, balances=None) -> tuple[np.ndarray, np.ndarray]:
     """The one Newton-Euler wrench recursion, from the leaves to the roots,
     over the frame table ``frames`` and the twists V and accelerations Vd
     of all bodies in its representation.
@@ -344,29 +324,32 @@ def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
     form, so there the joint wrenches are subtree sums; in body and
     hybrid form the loop carries each by the transpose of its parent
     transform.  Returns (joint forces, joint wrenches), each force the
-    projection of its joint wrench on the joint screw.
-    """
+    projection of its joint wrench on the joint screw.  ``ops`` counts
+    the loop's transforms, one per link (translations in hybrid form)."""
     W = (_balances(frames, V, Vd, ops) if balances is None else balances) - ext
     if frames.rep == "spatial":
         W = model.tables.path @ W
     else:
-        kind = "translations_screw" if frames.rep == "hybrid" else None
         for i, p in reversed(model.links):
-            W[p] += ops.xform(frames.parent[i].T, W[i], kind)
+            W[p] += frames.parent[i].T @ W[i]
+        if ops is not None:
+            ops.frame_transforms_screw += len(model.links)
+            ops.translations_screw += len(model.links) * (frames.rep == "hybrid")
     return (frames.screws * W).sum(axis=1), W
 
 
-def _balances(frames: _Frames, V, Vd, ops: _SweepOps = _PLAIN) -> np.ndarray:
+def _balances(frames: _Frames, V, Vd, ops=None) -> np.ndarray:
     """The Newton-Euler balances of all bodies in the representation of
     the frame table ``frames`` from their twists V and accelerations Vd,
     one stacked product: M Vdot - ad^T_U M U with U = V in body and
     spatial form and U = (omega, 0) in hybrid form, where -ad^T_U M U is
-    [omega, M omega].  The n co-brackets go through ``ops``, beside the
-    brackets [U_i, U_i] = 0."""
+    [omega, M omega]; ``ops`` counts the n co-brackets ([U_i, U_i] = 0)."""
     if frames.rep == "hybrid":
         V = np.concatenate((V[:, :3], np.zeros_like(V[:, 3:])), axis=1)
     mv = (frames.inertias @ np.array([V, Vd])[..., None])[..., 0]  # M_i U_i and M_i Vdot_i
-    return mv[1] - ops.brackets(V, np.concatenate((V, mv[0]), axis=1), 0)[1]
+    if ops is not None:
+        ops.lie_brackets += len(V)
+    return mv[1] - _brackets(V, np.concatenate((V, mv[0]), axis=1))[1]
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,8 @@ both read the frame table of their representation (:func:`_frame_table`),
 in which the joint screws, inertias, parent transforms and gravity loads
 of all bodies are one stacked product each, and which the Jacobian,
 :func:`screwchain.dynamics.idyn`, ``fdyn`` and ``momentum_rhs`` read too.
+The table, the sweep and the path sums count the operations of ``idyn``
+into its report ``ops``, once per stacked call or loop.
 The spatial and hybrid tables work on the homogeneous 4x4 pose stack of
 FK: each inertia is read out of one congruence W J W^T of the body's
 4x4 pseudo-inertia J (W the pose, or its rotation alone in hybrid form),
@@ -157,41 +159,14 @@ class KinematicsCache:
     rel_poses = cached_property(lambda self: self.rel_stack.poses())
 
 
-class _SweepOps:
-    """Screw transformations and Lie brackets of the recursive sweeps and
-    the path sums of :func:`_spatial_motion`.  Each call reports itself to
-    :meth:`count`, which does nothing here; the operation counter of
-    :func:`screwchain.dynamics.idyn` overrides it, so the counts it
-    reports come from the sweep that actually ran.  The stacked
-    :meth:`brackets` count their ``moving`` brackets and one co-bracket per
-    row, and the frame tables count their stacked screw transforms and
-    inertia congruences one per body."""
-
-    __slots__ = ()
-
-    def count(self, field, times=1):
-        """Hook for a counter; ``field`` names an ``OpCountReport`` field."""
-
-    def xform(self, mat, s, kind=None):
-        self.count("frame_transforms_screw")
-        if kind is not None:
-            self.count(kind)
-        return mat @ s
-
-    def bracket(self, x, y):
-        self.count("lie_brackets")
-        return lie_bracket(x, y)
-
-    def brackets(self, v, xp, moving):
-        """([v_i, x_i], ad(v_i)^T p_i) for every body i from the (n, 12) stack
-        xp = [x | p]: with v_i = (w, v), x_i = (a, b) and p_i = (c, d), the
-        cross products of (w x a, w x b + v x a) and -(w x c + v x d, w x d)
-        in one gathered product of 36 columns.  Counts ``moving`` brackets
-        (the others being [x, x], exactly 0) and one co-bracket per body."""
-        self.count("lie_brackets", moving + len(v))
-        p = v.take(_PAIR_COLUMNS[0], 1) * xp.take(_PAIR_COLUMNS[1], 1)
-        c = (p[:, :18] - p[:, 18:]) @ _PAIR_SUM
-        return c[:, :6], c[:, 6:]
+def _brackets(v, xp) -> tuple[np.ndarray, np.ndarray]:
+    """([v_i, x_i], ad(v_i)^T p_i) for every row i of v and of the (n, 12)
+    stack xp = [x | p]: with v_i = (w, v), x_i = (a, b) and p_i = (c, d),
+    the cross products of (w x a, w x b + v x a) and -(w x c + v x d, w x d)
+    in one gathered product of 36 columns; its callers count them."""
+    p = v.take(_PAIR_COLUMNS[0], 1) * xp.take(_PAIR_COLUMNS[1], 1)
+    c = (p[:, :18] - p[:, 18:]) @ _PAIR_SUM
+    return c[:, :6], c[:, 6:]
 
 
 # Columns (l, r) of x = (w, v) and y = (a, b) whose products p = x[:, l] y[:, r]
@@ -212,9 +187,6 @@ _PAIR_COLUMNS = np.concatenate(
      for cols in (_BRACKET_COLUMNS, _COBRACKET_COLUMNS + [[0], [6]])], axis=1)
 _PAIR_SUM = np.zeros((18, 12))
 _PAIR_SUM[range(12), range(12)] = _PAIR_SUM[range(12, 18), range(3, 9)] = 1.0
-
-
-_PLAIN = _SweepOps()
 
 
 def fk(model: ChainModel, q) -> list[Pose]:
@@ -345,7 +317,7 @@ class _Frames(NamedTuple):
 
 
 def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack | None,
-                 rep: str, ops: _SweepOps = _PLAIN) -> _Frames:
+                 rep: str, ops=None) -> _Frames:
     """Every per-body frame quantity a ``rep`` sweep (body, spatial or
     hybrid) reads, at the pose stacks of :func:`_fk_stacks`, one stacked
     product each:
@@ -367,8 +339,8 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
       gravity field B Ad(C)^-1 (0, g): M (0, R^T g) in body form and
       I (0, g) = (h x g, m g) in spatial and hybrid form.
 
-    A stack of n screw transforms and n inertia congruences counts as n
-    of each through ``ops``; the hybrid ones are rotations.
+    The spatial and hybrid tables count one screw transform and one
+    inertia congruence per pose into ``ops``; the hybrid ones are rotations.
     """
     tab, n = model.tables, model.n
     parent = pseudo = None
@@ -378,11 +350,8 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
             parent = _rep_map(relative, "spatial")[1]
         gravity = (inertias[..., 3:] @ (model.gravity @ absolute.rot)[..., None])[..., 0]
     else:
-        ops.count("frame_transforms_screw", n)
-        ops.count("frame_transforms_tensor", n)
         w = absolute.mat
         if rep == "hybrid":  # the rotations alone, about each body's origin
-            ops.count("rotations_screw", n)
             w = w * _ROTATION_PART
             par = np.asarray(model.parent)
             parent = np.tile(_EYE6, (n, 1, 1))
@@ -390,6 +359,10 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
                                      - absolute.trans)
         screws = _carried_screws(w, tab.lines)
         pseudo, inertias, gravity = _read_inertias(w, tab.pseudo, tab.readout)
+        if ops is not None:
+            ops.frame_transforms_screw += len(w)
+            ops.frame_transforms_tensor += len(w)
+            ops.rotations_screw += len(w) * (rep == "hybrid")
     return _Frames(rep, absolute, relative, screws, inertias, parent, gravity, pseudo)
 
 
@@ -477,7 +450,7 @@ def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
 
 
 def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level: int,
-                   ops: _SweepOps = _PLAIN) -> KinematicsCache:
+                   ops=None) -> KinematicsCache:
     """The body or hybrid forward recursion in the representation of the
     frame table ``frames`` (:func:`_frame_table`), up to the requested
     level (0 = twists, 1 = accelerations).
@@ -485,7 +458,8 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
     The accelerations are the time derivative of the twist recursion, so
     every body costs O(1) screw operations per level.  The joint screws
     and parent transforms come from the table; the loop only applies
-    them, and every screw transformation and bracket goes through ``ops``.
+    them; after it, ``ops`` counts per link one transform a level and one
+    bracket at level 1 (hybrid: translations, and n brackets more).
     """
     n = model.n
     rep = frames.rep
@@ -503,38 +477,44 @@ def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level:
         if rep == "body":
             # xf[i] = Ad(rel_i^-1), d/dt Ad(rel_i^-1) = -qd_i ad(X_i) Ad(rel_i^-1)
             if p >= 0:
-                V[i] += ops.xform(xf[i], V[p])
+                V[i] += xf[i] @ V[p]
                 if level >= 1:
-                    Vd[i] += ops.xform(xf[i], Vd[p]) - qd[i] * ops.bracket(x[i], V[i])
+                    Vd[i] += xf[i] @ Vd[p] - qd[i] * lie_bracket(x[i], V[i])
         else:  # hybrid: d/dt X^h_i = [omega_i, X^h_i], d/dt Ad(r) = ad(r-dot)
             if p >= 0:
-                V[i] += ops.xform(xf[i], V[p], kind="translations_screw")
+                V[i] += xf[i] @ V[p]
             if level >= 1:
-                Vd[i] += ops.bracket(screw(V[i][:3], zero3), x[i]) * qd[i]
+                Vd[i] += lie_bracket(screw(V[i][:3], zero3), x[i]) * qd[i]
                 if p >= 0:
                     rdot_rel = screw(zero3, V[p][3:] - V[i][3:])
-                    Vd[i] += (ops.xform(xf[i], Vd[p], kind="translations_screw")
-                              + ops.bracket(rdot_rel, V[p]))
+                    Vd[i] += xf[i] @ Vd[p] + lie_bracket(rdot_rel, V[p])
+    if ops is not None:
+        hybrid, accel = rep == "hybrid", level >= 1
+        ops.frame_transforms_screw += len(model.links) * (1 + accel)
+        ops.translations_screw += len(model.links) * (1 + accel) * hybrid
+        ops.lie_brackets += (len(model.links) + n * hybrid) * accel
     return KinematicsCache(rep, frames.poses, frames.rels, V, Vd)
 
 
 def _spatial_motion(model: ChainModel, frames: _Frames, qd, qdd=None, qddd=None,
-                    ops: _SweepOps = _PLAIN) -> tuple[list[np.ndarray], np.ndarray]:
+                    ops=None) -> tuple[list[np.ndarray], np.ndarray]:
     """([V, Vdot] or, with qddd, [V, Vdot, Vddot], balances): the spatial
     motion and Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of all
     bodies, as sums over each body's path in the spatial frame table
     (qdd None is zero).  As d/dt js_j = [V_j, js_j], these sum js_j qd_j,
     [V_j, js_j qd_j] + js_j qdd_j and js_j qddd_j +
     [V_j, 2 js_j qdd_j + [V_j, js_j qd_j]] + [Vdot_j, js_j qd_j].  The
-    first brackets and the co-brackets are one gathered product through
-    ``ops``; a root's, [js_r qd_r, js_r qd_r], is exactly 0, so the count
-    is a recursive sweep's: the non-root bodies' brackets, n co-brackets."""
+    first brackets and the co-brackets are one :func:`_brackets` call; a
+    root's, [js_r qd_r, js_r qd_r], is exactly 0, so ``ops`` counts a
+    recursive sweep's: a bracket per link, n co-brackets."""
     up = model.tables.path.T  # up @ a sums a over each body's path
     js, inertias = frames.screws, frames.inertias
     x = js * qd[:, None]
     V = up @ x
     xp = np.concatenate((x, (inertias @ V[..., None])[..., 0]), axis=1)  # [x | M V]
-    rates, cob = ops.brackets(V, xp, len(model.links))
+    rates, cob = _brackets(V, xp)
+    if ops is not None:
+        ops.lie_brackets += len(model.links) + len(V)
     if qdd is not None:
         rates += js * qdd[:, None]
     Vd = up @ rates
@@ -547,8 +527,8 @@ def _spatial_motion(model: ChainModel, frames: _Frames, qd, qdd=None, qddd=None,
 
 
 def _kinematics(model: ChainModel, state: JointState, rep: str, level: int,
-                ops: _SweepOps = _PLAIN) -> tuple[_Frames, KinematicsCache, np.ndarray | None]:
-    """(frame table, motion, balances) of ``rep`` at ``state`` through
+                ops=None) -> tuple[_Frames, KinematicsCache, np.ndarray | None]:
+    """(frame table, motion, balances) of ``rep`` at ``state``, counted into
     ``ops``: :func:`_spatial_motion` in spatial form, else
     :func:`_forward_sweep` and None."""
     frames = _frame_table(model, *_fk_stacks(model, state.q), rep, ops)

@@ -20,7 +20,8 @@ a2 = (1 - cos t)/t^2, a3 = (t - sin t)/t^3 and the c's and d's of
 dexp = I + c1 A + c2 A^2 + c3 A^3 + c4 A^4 and dexp^-1 = I - A/2 +
 d2 A^2 + d4 A^4, where A = ad_X.  These are the degree-4 polynomials that
 match (e^z - 1)/z and z/(e^z - 1) at the eigenvalues 0, +-i t of ad_X and
-their first derivatives at +-i t (Mueller, Proc. R. Soc. A, 2021).
+their first derivatives at +-i t (Mueller, Proc. R. Soc. A, 2021).  Each
+function of the family raises ValueError on a non-finite argument.
 """
 
 from __future__ import annotations
@@ -113,9 +114,20 @@ def _exp_coeffs(theta):
             c3 / a2 + d4 * t2, d4)
 
 
+def _finite(fn: str, x, name: str = "x") -> np.ndarray:
+    """x as a float array; ValueError from ``fn`` at its first non-finite entry."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        bad = np.argwhere(~np.isfinite(x))[0]
+        part = "translation" if x.shape == (6,) and bad[0] >= 3 else "rotation"
+        raise ValueError(f"{fn}: {part} is not finite, got "
+                         f"{name}[{', '.join(map(str, bad))}] = {x[tuple(bad)]!r}")
+    return x
+
+
 def exp_so3(omega) -> np.ndarray:
     """Rodrigues formula: the exponential of a rotation vector."""
-    omega = np.asarray(omega, dtype=float)
+    omega = _finite("exp_so3", omega, "omega")
     a1, a2 = _exp_coeffs(float(np.linalg.norm(omega)))[:2]
     k = hat3(omega)
     return np.eye(3) + a1 * k + a2 * (k @ k)
@@ -129,7 +141,7 @@ def log_so3(r) -> np.ndarray:
     fixed by making the first nonzero component positive, which makes the
     result deterministic.
     """
-    r = np.asarray(r, dtype=float)
+    r = _finite("log_so3", r, "r")
     w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     s = 0.5 * float(np.linalg.norm(w))  # sin(theta) >= 0 on [0, pi]
     c = 0.5 * (float(np.trace(r)) - 1.0)
@@ -149,7 +161,7 @@ def log_so3(r) -> np.ndarray:
 
 def so3_left_jacobian(omega) -> np.ndarray:
     """V(omega) with exp_se3 translation = V @ lin; also the SO(3) dexp."""
-    omega = np.asarray(omega, dtype=float)
+    omega = _finite("so3_left_jacobian", omega, "omega")
     a2, a3 = _exp_coeffs(float(np.linalg.norm(omega)))[1:3]
     k = hat3(omega)
     return np.eye(3) + a2 * k + a3 * (k @ k)
@@ -157,7 +169,7 @@ def so3_left_jacobian(omega) -> np.ndarray:
 
 def so3_left_jacobian_inv(omega) -> np.ndarray:
     """Closed-form inverse of :func:`so3_left_jacobian` (angle < 2*pi)."""
-    omega = np.asarray(omega, dtype=float)
+    omega = _finite("so3_left_jacobian_inv", omega, "omega")
     theta = float(np.linalg.norm(omega))
     d2, d4 = _exp_coeffs(theta)[7:]
     a4 = d2 - theta * theta * d4
@@ -216,8 +228,10 @@ class Pose:
         return self.compose(other)
 
     def inverse(self) -> "Pose":
-        rt = self.rot.T
-        return Pose(rt, -(rt @ self.trans))
+        rt = self.rot.T  # a rotation, read-only as self.rot is: not validated again
+        trans = -(rt @ self.trans)
+        trans.setflags(write=False)
+        return Pose._trusted(rt, trans)
 
     def apply(self, point) -> np.ndarray:
         return self.rot @ np.asarray(point, dtype=float) + self.trans
@@ -307,7 +321,7 @@ def dexp(x, direction: str = "right") -> np.ndarray:
     ``dexp(X, "right") @ Xdot`` is the spatial twist of exp(X(t)) and
     ``dexp(X, "left") @ Xdot`` (= dexp at -X) the body-fixed twist.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite("dexp", x)
     if direction == "left":
         x = -x
     elif direction != "right":
@@ -319,7 +333,7 @@ def dexp(x, direction: str = "right") -> np.ndarray:
 
 
 def dexp_inv(x, direction: str = "right") -> np.ndarray:
-    """Inverse of :func:`dexp`; rejects rotation angles at/past 2*pi.
+    """Inverse of :func:`dexp`; rejects rotation angles at/past 2*pi first.
 
     Near that limit d2 A^2 and d4 A^4 grow large and cancel, so the result
     loses about a digit against the correctly rounded inverse: at angle
@@ -332,6 +346,7 @@ def dexp_inv(x, direction: str = "right") -> np.ndarray:
     # written so that a NaN or infinite angle fails the test too
     if not theta < 2.0 * np.pi - 1e-6:
         raise ValueError("dexp_inv: rotation angle too close to 2*pi")
+    _finite("dexp_inv", x)
     if direction == "left":
         x = -x
     elif direction != "right":
@@ -346,11 +361,7 @@ def exp_se3(x) -> Pose:
     """Exponential of a screw: the rotation of :func:`exp_so3` and the
     translation V @ lin of :func:`so3_left_jacobian`, from one coefficient
     evaluation and one skew matrix; a non-finite x raises ValueError first."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise ValueError(f"exp_se3: {'rotation' if bad < 3 else 'translation'} is not "
-                         f"finite, got x[{bad}] = {x[bad]!r}")
+    x = _finite("exp_se3", x)
     omega = x[:3]
     a1, a2, a3 = _exp_coeffs(float(np.linalg.norm(omega)))[:3]
     k = hat3(omega)

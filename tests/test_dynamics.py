@@ -715,6 +715,15 @@ def test_idyn_counts_do_not_depend_on_the_configuration_cache(rng, monkeypatch, 
     assert idyn(model, q, qd, qdd, rep, applied, full=True).report == pred
 
 
+@pytest.mark.parametrize("n", [0, -2, 2.5, 3.0, "4", None, True])
+def test_predicted_counts_reject_n_that_is_no_body_count(n):
+    # a tree has an integer number of bodies, at least one: n = 0 would
+    # predict -3 body transforms, n = 2.5 fractional ones
+    for rep in ("body", "spatial", "hybrid"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            predict_op_counts(rep, n)
+
+
 def test_counts_monotone_in_n():
     for rep in ("body", "spatial", "hybrid"):
         prev = predict_op_counts(rep, 2)

@@ -9,17 +9,19 @@ the Christoffel symbols and the Coriolis matrix against bracket-by-bracket
 loops and the matrix form."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from screwchain import dynamics, kinematics
 from screwchain.dynamics import (
-    _Configuration, _backward_sweep, _loads, christoffel,
+    OpCountReport, _Configuration, _backward_sweep, _loads, christoffel,
     convert_wrench,
     coriolis_matrix, fdyn, gravity_potential, gravity_wrenches, idyn, kinetic_energy,
     mass_matrix, momentum_rhs, ne_wrench, predict_op_counts, spatial_inertia_of,
     spatial_momenta,
 )
 from screwchain.kinematics import (
-    _PLAIN, REPS, JointState, Twist, _fk_stacks, _frame_table, _spatial_motion,
+    REPS, JointState, Twist, _brackets, _fk_stacks, _frame_table, _spatial_motion,
     accelerations, convert_twist, fk, fk_body_form, hybrid_jacobian_partial2, jacobian,
     jacobian_partial, jacobian_partials, jerks, twists,
 )
@@ -559,6 +561,80 @@ def test_idyn_op_counts_on_forest(case):
             assert report == predict_op_counts(report.rep, n)
 
 
+def tallied_idyn(model, q, qd, qdd, rep, applied, gravity):
+    """(report, tally) of one ``idyn(..., full=True)`` call.  The tally
+    counts the work that ran: one screw transform and one congruence per
+    row of the 4x4 matrices that carry the frame table's screws and
+    inertias (rotations when the matrices carry no translation); one screw
+    transform per product with the parent-transform stack (a translation
+    when its rotation blocks are I); one bracket per call of
+    ``kinematics.lie_bracket``; and per row of a stacked ``_brackets``
+    call one co-bracket, plus one bracket unless its two screws are equal
+    (then it is exactly 0)."""
+    tally = OpCountReport("hybrid" if rep == "mixed" else rep, model.n)
+    eye3 = np.eye(3)
+
+    class Products(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [a.view(np.ndarray) if isinstance(a, Products) else a for a in inputs]
+            if ufunc is np.matmul:
+                m = plain[0]
+                tally.frame_transforms_screw += 1
+                tally.translations_screw += (np.array_equal(m[:3, :3], eye3)
+                                             and np.array_equal(m[3:, 3:], eye3))
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    def frame_table(*args):
+        frames = table(*args)
+        if frames.parent is None:
+            return frames
+        return frames._replace(parent=frames.parent.view(Products))
+
+    def carried_screws(w, lines):
+        tally.frame_transforms_screw += len(w)
+        tally.rotations_screw += 0 if w[:, :3, 3].any() else len(w)
+        return screws(w, lines)
+
+    def read_inertias(w, pseudo, readout):
+        tally.frame_transforms_tensor += len(w)
+        return inertias(w, pseudo, readout)
+
+    def lie_bracket_(x, y):
+        tally.lie_brackets += 1
+        return bracket(x, y)
+
+    def brackets_(v, xp):
+        tally.lie_brackets += len(v) + int((v != xp[:, :6]).any(axis=1).sum())
+        return brackets(v, xp)
+
+    table, screws, inertias = (kinematics._frame_table, kinematics._carried_screws,
+                               kinematics._read_inertias)
+    bracket, brackets = kinematics.lie_bracket, kinematics._brackets
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, fn in ((kinematics, "_frame_table", frame_table),
+                                 (kinematics, "_carried_screws", carried_screws),
+                                 (kinematics, "_read_inertias", read_inertias),
+                                 (kinematics, "lie_bracket", lie_bracket_),
+                                 (kinematics, "_brackets", brackets_),
+                                 (dynamics, "_brackets", brackets_)):
+            mp.setattr(module, name, fn)
+        report = idyn(model, q, qd, qdd, rep, applied=applied, gravity=gravity,
+                      full=True).report
+    return report, tally
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(max_n=9), st.booleans(), st.booleans())
+def test_reported_op_counts_equal_the_operations_executed(case, gravity, loaded):
+    # the report of each representation against a tally of the transforms
+    # and brackets that the call executed (tallied_idyn), so a count taken
+    # once per loop still measures the loop that ran
+    model, q, qd, qdd, _, wb = case
+    for rep in REPS:
+        report, tally = tallied_idyn(model, q, qd, qdd, rep, wb if loaded else None, gravity)
+        assert report == tally
+
+
 @PROPERTY_SETTINGS
 @given(chain_states())
 def test_jacobian_matches_per_pair_oracle(case):
@@ -666,14 +742,14 @@ def test_stacked_brackets_match_per_body_brackets(case):
     model, q, qd, _, _, wb = case
     x = _frame_table(model, *_fk_stacks(model, q), "spatial").screws * qd[:, None]
     y, p = wb, wb[:, ::-1]
-    got_b, got_c = _PLAIN.brackets(x, np.concatenate((y, p), axis=1), model.n)
+    got_b, got_c = _brackets(x, np.concatenate((y, p), axis=1))
     want_b = np.array([lie_bracket(x[i], y[i]) for i in range(model.n)])
     want_c = np.array([ad_matrix(x[i]).T @ p[i] for i in range(model.n)])
     for got, want in ((got_b, want_b), (got_c, want_c)):
         assert got.shape == (model.n, 6)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for a in (x, wb):
-        assert not _PLAIN.brackets(a, np.concatenate((a, p), axis=1), model.n)[0].any()
+        assert not _brackets(a, np.concatenate((a, p), axis=1))[0].any()
 
 
 @PROPERTY_SETTINGS

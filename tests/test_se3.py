@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -400,6 +402,27 @@ def test_dexp_inv_rejects_large_angle():
 def test_dexp_inv_rejects_non_finite_angle(bad):
     with pytest.raises(ValueError, match="2\\*pi"):
         dexp_inv(np.full(6, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fn, arg, name", [
+    (exp_so3, [0.0, 0.0, 0.0], "omega[1]"),
+    (se3.so3_left_jacobian, [0.1, 0.0, 0.0], "omega[1]"),
+    (se3.so3_left_jacobian_inv, [0.1, 0.0, 0.0], "omega[1]"),
+    (dexp, [0.1, 0.0, 0.0, 0.0, 0.0, 0.0], "x[1]"),
+    (dexp, [0.1, 0.0, 0.0, 0.0, 0.0, 0.0], "x[4]"),
+    (log_so3, np.eye(3), "r[0, 1]"),
+    (dexp_inv, [0.1, 0.0, 0.0, 0.0, 0.0, 0.0], "x[4]"),  # a finite angle
+])
+def test_exponential_family_rejects_non_finite_input(fn, arg, name, bad):
+    # the entry named gets the bad value; a NaN table out instead of an
+    # error would pass silently into the integrators
+    x = np.array(arg, dtype=float)
+    x[tuple(int(i) for i in name[name.index("[") + 1:-1].split(","))] = bad
+    part = "translation" if name in ("x[4]",) else "rotation"
+    with pytest.raises(ValueError, match=rf"{fn.__name__}: {part} is not finite, "
+                                         rf"got {re.escape(name)} = "):
+        fn(x)
 
 
 def _van_loan(m):

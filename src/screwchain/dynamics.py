@@ -400,10 +400,13 @@ class _Configuration:
         return np.einsum("ijk,ik->ij", self.frames.inertias, self.twists(qd))
 
     def solve(self, b) -> np.ndarray:
-        """M^-1 b = L^-T (L^-1 b) by :func:`_spd_solve`, with the one kept L^-1."""
+        """M^-1 b = L^-T (L^-1 b), with the one kept L^-1 of :func:`_spd_factor`;
+        ValueError when b holds a NaN or an infinity."""
         if self._low is None:
             self._low = _spd_factor(self.mass)
-        return _spd_solve(self.mass, b, self._low)
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return self._low.T @ (self._low @ b)
 
     def accel(self, qd, tau, applied, gravity: bool):
         """(qdd, twists, accelerations and balances at qdd = 0),
@@ -466,17 +469,6 @@ def _spd_factor(m) -> np.ndarray:
         return np.linalg.inv(np.linalg.cholesky(m))
     except np.linalg.LinAlgError as err:
         raise ValueError(f"matrix is not positive definite: {err}") from None
-
-
-def _spd_solve(m, b, low=None) -> np.ndarray:
-    """x = L^-T (L^-1 b) solves m x = b, with the checks of :func:`_spd_factor`
-    and b finite; ``low`` is the inverse factor L^-1 of m when the caller
-    kept one."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if low is None:
-        low = _spd_factor(m)
-    return low.T @ (low @ b)
 
 
 def _mirror_upper(g) -> np.ndarray:

@@ -8,7 +8,8 @@ Lie-group machinery is exercised by the absolute-motion integrators.  The
 right-hand sides are :func:`screwchain.dynamics.fdyn` and the body of
 :func:`screwchain.dynamics.momentum_rhs`, which share one configuration
 pass, its closed-form bias J^T (M Jdot qd - ad^T_V M V - loads) and the
-SPD solve of that module; the free body recovers its twist likewise.
+SPD solve of that module; the free body recovers its twist through its
+constant body inertia.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
 step reuses.  The sample keeps what its report reads of the configuration
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BodyModel, ChainModel, inertia_readout, pseudo_inertia
-from .se3 import Pose, dexp_inv, exp_se3
+from .model import BodyModel, ChainModel, spatial_inertia_body
+from .se3 import Pose, _finite, adjoint, dexp_inv, exp_se3
 from . import dynamics as dyn
-from .dynamics import _spd_solve
-from .kinematics import _read_inertias, _twist_map
+from .kinematics import _twist_map
 
 __all__ = [
     "RigidBodyState",
@@ -52,7 +52,8 @@ REPORT_CHUNK = 256
 
 @dataclass(frozen=True)
 class RigidBodyState:
-    """Absolute pose plus twist, tagged body or spatial."""
+    """Absolute pose plus twist, tagged body or spatial; holds a copy of
+    the twist, which must be finite (ValueError)."""
 
     pose: Pose
     twist: np.ndarray
@@ -61,7 +62,7 @@ class RigidBodyState:
     def __post_init__(self):
         if self.rep not in ("body", "spatial"):
             raise ValueError("RigidBodyState.rep must be 'body' or 'spatial'")
-        t = np.asarray(self.twist, dtype=float).reshape(6)
+        t = np.array(_finite("RigidBodyState", self.twist, "twist")).reshape(6)
         t.setflags(write=False)
         object.__setattr__(self, "twist", t)
 
@@ -122,33 +123,35 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
                        h: float) -> FreeBodyTrajectory:
     """Torque-free rigid body by the momentum formulation.
 
-    The spatial momentum is held constant; the twist is recovered
-    pointwise from it and the pose advanced by Munthe-Kaas RK4.  Each
-    report gives M^s(C_k) V^s_k, recomputed from the integrated pose and
-    twist, so its constancy is a check.  Raises ValueError as
-    :func:`chain_simulate` does for T and h.
+    The spatial momentum Pi is held constant and the pose C advanced by
+    Munthe-Kaas RK4 under the twist V^s = Ad(C) M_b^-1 Ad(C)^T Pi, with
+    M_b^-1 formed once from the constant body inertia.  Each report gives
+    M^s(C_k) V^s_k = Ad(C_k^-1)^T M_b Ad(C_k^-1) V^s_k, recomputed from the
+    integrated pose and twist, so its constancy is a check.  Raises
+    ValueError as :func:`chain_simulate` does for T and h.
     """
-    pseudo, readout = pseudo_inertia(body), inertia_readout(np.zeros(3))
+    m_body = spatial_inertia_body(body).matrix
+    m_inv = np.linalg.inv(m_body)
     state = RigidBodyState(initial.pose, initial.spatial_twist(), "spatial")
 
-    def spatial_inertia_at(pose: Pose) -> np.ndarray:
-        return _read_inertias(pose.matrix(), pseudo, readout)[1]
+    def momentum(pose: Pose, v_s) -> np.ndarray:  # M^s(C) V^s
+        ad_inv = adjoint(pose.inverse())
+        return ad_inv.T @ (m_body @ (ad_inv @ v_s))
 
     times, = _sample_arrays(T, h)
     steps = len(times) - 1
-    ms0 = spatial_inertia_at(state.pose)
-    pi = ms0 @ state.twist  # held constant: momentum balance with zero wrench
-    _spd_solve(ms0, pi)  # fails early on a degenerate inertia or a non-finite twist
+    pi = momentum(state.pose, state.twist)  # held constant: momentum balance with zero wrench
 
     def twist_field(_t, pose):
-        return _spd_solve(spatial_inertia_at(pose), pi)
+        ad = adjoint(pose)
+        return ad @ (m_inv @ (ad.T @ pi))
 
     poses = [state.pose]
     twists = [state.twist]
     reports = []
 
     def report(t, pose, v_s):
-        p = spatial_inertia_at(pose) @ v_s  # recomputed, not the held pi
+        p = momentum(pose, v_s)  # recomputed, not the held pi
         return StepReport(t, 0.5 * float(v_s @ p), p, float(_drift(pose.rot)))
 
     reports.append(report(0.0, state.pose, state.twist))

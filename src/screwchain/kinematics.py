@@ -122,7 +122,7 @@ class JointState:
             if name != "q" and not np.isfinite(v).all():
                 bad = np.flatnonzero(~np.isfinite(v))[0]
                 raise ValueError(f"JointState: {name} must be finite, "
-                                 f"got {name}[{bad}] = {v[bad]!r}")
+                                 f"got {name}[{bad}] = {float(v[bad])}")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
@@ -210,9 +210,7 @@ class _PoseStack(NamedTuple):
         return self.mat[:, :3, 3]
 
     def poses(self) -> list[Pose]:
-        mat = self.mat.view()
-        mat.setflags(write=False)
-        return [Pose._trusted(r, t) for r, t in zip(mat[:, :3, :3], mat[:, :3, 3])]
+        return [Pose._trusted(r, t) for r, t in zip(self.rot, self.trans)]
 
 
 def _fk_stacks(model: ChainModel, q, relative=True) -> tuple[_PoseStack, _PoseStack | None]:
@@ -222,7 +220,7 @@ def _fk_stacks(model: ChainModel, q, relative=True) -> tuple[_PoseStack, _PoseSt
     if not np.isfinite(q).all():
         bad = np.flatnonzero(~np.isfinite(q))
         raise ValueError(f"fk_body_form: q must be finite, "
-                         f"got q[{bad[0]}] = {q[bad[0]]!r}")
+                         f"got q[{bad[0]}] = {float(q[bad[0]])}")
     tab = model.tables
     a = tab.rate * q
     coef = np.ones((model.n, 1, 4))
@@ -242,9 +240,8 @@ def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
     is its configuration in the parent frame, B_i exp(X_i q_i), in closed
     form for the revolute, prismatic and helical joints, all of them one
     stacked product with a table of the model; the walk down the tree
-    then makes one homogeneous 4x4 product per link.  The returned poses
-    are not validated again, since they are rotations by construction;
-    instead q itself must be finite (ValueError otherwise).
+    then makes one homogeneous 4x4 product per link.  The poses are
+    trusted (:class:`screwchain.se3.Pose`); q must be finite (ValueError).
     """
     absolute, relative = _fk_stacks(model, q)
     return absolute.poses(), relative.poses()

@@ -153,6 +153,8 @@ class JointModel:
         s = self._screw_spatial if self._screw_spatial is not None else self._screw_body
         if s.shape != (6,):
             raise ModelError("joint", "joint screw must be a 6-vector")
+        if not np.isfinite(s).all():  # from a screw, or an axis, point or pitch
+            raise ModelError("joint", "joint screw must be finite")
         if np.linalg.norm(s) < _UNIT_ATOL:
             raise ModelError("joint", "joint screw must be nonzero")
         ang, lin = s[:3], s[3:]
@@ -206,6 +208,9 @@ class BodyModel:
             raise ModelError(f"{_path}.mass", "must be finite")
         self.com_offset = np.array(com_offset, dtype=float).reshape(3)
         self.inertia_com = np.array(inertia_com, dtype=float).reshape(3, 3)
+        for name in ("com_offset", "inertia_com"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ModelError(f"{_path}.{name}", "must be finite")
         self.ref_pose = ref_pose if ref_pose is not None else Pose.identity()
         if self.mass <= 0.0:
             raise ModelError(f"{_path}.mass", "must be positive")
@@ -344,17 +349,6 @@ def _chain_tables(joints, bodies, paths, rel_ref, gravity) -> ChainTables:
     return tables
 
 
-def _relative_pose(parent: Pose, child: Pose) -> Pose:
-    """parent^-1 child, the reference pose of a body relative to its
-    parent, computed as ``parent.inverse() @ child`` does but not
-    validated again: both poses are."""
-    rt = parent.rot.T
-    rot, trans = rt @ child.rot, rt @ child.trans - rt @ parent.trans
-    rot.setflags(write=False)
-    trans.setflags(write=False)
-    return Pose._trusted(rot, trans)
-
-
 class ChainModel:
     """Validated tree of bodies; immutable once constructed.
 
@@ -371,7 +365,9 @@ class ChainModel:
         self.bodies: tuple[BodyModel, ...] = tuple(bodies)
         self.joints: tuple[JointModel, ...] = tuple(copy.copy(j) for j in joints)
         self.parent: tuple[int, ...] = tuple(int(p) for p in parent)
-        self.gravity = np.asarray(gravity, dtype=float).reshape(3)
+        self.gravity = np.array(gravity, dtype=float).reshape(3)
+        if not np.isfinite(self.gravity).all():
+            raise ModelError("gravity", "must be finite")
         self.gravity.setflags(write=False)
         self.n = len(self.bodies)
         if not self.n:
@@ -395,13 +391,17 @@ class ChainModel:
         for i, p in enumerate(self.parent):  # parents come first
             self._paths.append((self._paths[p] if p >= 0 else ()) + (i,))
         self.links = tuple((i, p) for i, p in enumerate(self.parent) if p >= 0)
-        # Relative reference pose of each body w.r.t. its parent.
-        self._rel_ref = [
-            b.ref_pose if p < 0 else _relative_pose(self.bodies[p].ref_pose, b.ref_pose)
-            for b, p in zip(self.bodies, self.parent)]
-        # finite inputs can still overflow, e.g. a mass times a squared
-        # offset; the check below reports that, so numpy need not warn
+        # finite inputs can still overflow, e.g. a relative reference
+        # translation or a mass times a squared offset; the checks below
+        # report that, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
+            self._rel_ref = []  # reference pose of each body in its parent's frame
+            for i, (b, p) in enumerate(zip(self.bodies, self.parent)):
+                try:
+                    self._rel_ref.append(b.ref_pose if p < 0
+                                         else self.bodies[p].ref_pose.inverse() @ b.ref_pose)
+                except ValueError as err:
+                    raise ModelError(f"bodies[{i}].ref_pose", str(err)) from None
             self.tables = _chain_tables(self.joints, self.bodies, self._paths,
                                         self._rel_ref, self.gravity)
         for name, arr in zip(ChainTables._fields, self.tables):

@@ -6,12 +6,12 @@ Conventions used throughout the package (fixed, never reordered):
   ``(omega, v)``, joint screws ``(axis part, moment part)``.
 * A wrench is a length-6 float array ``(torque, force)``.  The pairing
   ``wrench @ twist`` is mechanical power.
-* A pose is a rotation matrix plus a translation vector (no homogeneous
-  4x4 storage; :meth:`Pose.matrix` provides a 4x4 view for I/O).
+* A pose is a read-only rotation matrix plus translation vector
+  (:meth:`Pose.matrix` gives a 4x4 copy); :class:`Pose` says which
+  constructors validate and which build trusted poses.
 
-All values are immutable in spirit: functions never mutate their inputs
-and freshly allocated arrays are returned everywhere, so everything here
-is safe to share across threads.
+Functions never mutate their inputs and pose arrays are read-only, so
+everything here is safe to share across threads.
 
 The exponential family reads one coefficient function of the rotation
 angle t, with one small-angle rule: below t = 0.5 a table of Taylor
@@ -121,7 +121,7 @@ def _finite(fn: str, x, name: str = "x") -> np.ndarray:
         bad = np.argwhere(~np.isfinite(x))[0]
         part = "translation" if x.shape == (6,) and bad[0] >= 3 else "rotation"
         raise ValueError(f"{fn}: {part} is not finite, got "
-                         f"{name}[{', '.join(map(str, bad))}] = {x[tuple(bad)]!r}")
+                         f"{name}[{', '.join(map(str, bad))}] = {float(x[tuple(bad)])}")
     return x
 
 
@@ -182,9 +182,12 @@ class Pose:
     """Element of SE(3): rotation matrix plus translation vector.
 
     ``Pose(R, r)`` maps body coordinates x to world coordinates R x + r.
-    Construction copies its inputs and validates orthogonality, det = +1
-    and a finite translation; pass arrays that satisfy them
-    (compose/inverse/exp_se3 all do).
+    For poses from outside the package (user code, a model file) it copies
+    its inputs and validates orthogonality, det = +1 and a finite
+    translation.  Poses derived from valid ones (identity, compose,
+    inverse, orthonormalized, exp_se3, forward kinematics) are trusted:
+    only a finite result, which overflow can break, is checked (compose,
+    exp_se3), and inverse and forward kinematics return views.
     """
 
     rot: np.ndarray
@@ -207,8 +210,10 @@ class Pose:
 
     @classmethod
     def _trusted(cls, rot: np.ndarray, trans: np.ndarray) -> "Pose":
-        """A pose of read-only float arrays that the package computed as a
-        rotation and a translation; skips the validation of ``Pose(...)``."""
+        """The pose of float arrays (or views) the package computed as a
+        rotation and a translation, marked read-only; not validated."""
+        rot.setflags(write=False)
+        trans.setflags(write=False)
         pose = object.__new__(cls)
         object.__setattr__(pose, "rot", rot)
         object.__setattr__(pose, "trans", trans)
@@ -216,22 +221,20 @@ class Pose:
 
     @staticmethod
     def identity() -> "Pose":
-        rot, trans = np.eye(3), np.zeros(3)
-        rot.setflags(write=False)
-        trans.setflags(write=False)
-        return Pose._trusted(rot, trans)
+        return Pose._trusted(np.eye(3), np.zeros(3))
 
     def compose(self, other: "Pose") -> "Pose":
-        return Pose(self.rot @ other.rot, self.rot @ other.trans + self.trans)
+        trans = self.rot @ other.trans + self.trans
+        if not np.isfinite(trans).all():  # rotations cannot overflow, translations can
+            raise ValueError("Pose.compose: translation is not finite")
+        return Pose._trusted(self.rot @ other.rot, trans)
 
     def __matmul__(self, other: "Pose") -> "Pose":
         return self.compose(other)
 
     def inverse(self) -> "Pose":
-        rt = self.rot.T  # a rotation, read-only as self.rot is: not validated again
-        trans = -(rt @ self.trans)
-        trans.setflags(write=False)
-        return Pose._trusted(rt, trans)
+        rt = self.rot.T  # a view of self.rot
+        return Pose._trusted(rt, -(rt @ self.trans))
 
     def apply(self, point) -> np.ndarray:
         return self.rot @ np.asarray(point, dtype=float) + self.trans
@@ -247,7 +250,7 @@ class Pose:
         """Polar projection of the rotation block onto SO(3)."""
         u, _, vt = np.linalg.svd(self.rot)
         d = np.sign(np.linalg.det(u @ vt))
-        return Pose(u @ np.diag([1.0, 1.0, d]) @ vt, self.trans)
+        return Pose._trusted(u @ np.diag([1.0, 1.0, d]) @ vt, self.trans)
 
 
 def adjoint(p: Pose) -> np.ndarray:
@@ -360,14 +363,18 @@ def dexp_inv(x, direction: str = "right") -> np.ndarray:
 def exp_se3(x) -> Pose:
     """Exponential of a screw: the rotation of :func:`exp_so3` and the
     translation V @ lin of :func:`so3_left_jacobian`, from one coefficient
-    evaluation and one skew matrix; a non-finite x raises ValueError first."""
+    evaluation and one skew matrix; ValueError for a non-finite x, and for
+    a finite one whose huge angle overflows the result."""
     x = _finite("exp_se3", x)
     omega = x[:3]
     a1, a2, a3 = _exp_coeffs(float(np.linalg.norm(omega)))[:3]
     k = hat3(omega)
     kk = k @ k
     eye = np.eye(3)
-    return Pose(eye + a1 * k + a2 * kk, (eye + a2 * k + a3 * kk) @ x[3:])
+    rot, trans = eye + a1 * k + a2 * kk, (eye + a2 * k + a3 * kk) @ x[3:]
+    if not (np.isfinite(rot).all() and np.isfinite(trans).all()):
+        raise ValueError("exp_se3: result is not finite (the angle overflows it)")
+    return Pose._trusted(rot, trans)
 
 
 def log_se3(p: Pose) -> np.ndarray:

@@ -82,6 +82,37 @@ def test_mk_step_pose_stays_orthonormal(rng):
     assert drift < 1e-10
 
 
+def test_mk_step_validates_no_pose(monkeypatch):
+    # every pose a step builds is derived from valid ones, so none goes
+    # through the validation of Pose(...)
+    state = RigidBodyState(Pose(se3.exp_so3([0.3, 0.1, -0.2]), [1.0, 0.5, -0.3]),
+                           [0.3, -0.2, 0.5, 1.0, 2.0, -3.0], "spatial")
+    validated = []
+    check = Pose.__post_init__
+    monkeypatch.setattr(Pose, "__post_init__", lambda self: validated.append(check(self)))
+    for rep in ("body", "spatial"):
+        mk_step(RigidBodyState(state.pose, state.twist, rep), lambda t, p: state.twist, 0.1)
+    assert validated == []
+
+
+def test_rigid_body_state_rejects_non_finite_twist_and_copies_it():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^RigidBodyState: rotation is not finite, "
+                                             rf"got twist\[0\] = {bad}$"):
+            RigidBodyState(Pose.identity(), [bad, 0.0, 0.0, 0.0, 0.0, 0.0])
+    v = np.ones(6)
+    state = RigidBodyState(Pose.identity(), v)
+    v[0] = 5.0
+    assert state.twist[0] == 1.0 and not state.twist.flags.writeable
+    # a field that turns NaN stops the step instead of returning a NaN state
+    for after in (0.0, 0.1):
+        def field(t, pose):
+            return np.full(6, np.nan) if t >= after else np.ones(6)
+
+        with pytest.raises(ValueError, match="not finite|must be finite"):
+            mk_step(RigidBodyState(Pose.identity(), np.ones(6)), field, 0.1)
+
+
 # ---------------------------------------------------------------- free body
 
 def test_free_body_principal_spin_is_uniform(rng):

@@ -8,6 +8,7 @@ from screwchain.kinematics import (
     hybrid_jacobian_partial2, jacobian, jacobian_partial, jacobian_partial_n,
     jacobian_partials, jerks, twists,
 )
+from screwchain.integrators import RigidBodyState
 from screwchain.model import BodyModel, ChainModel, JointModel
 from screwchain.se3 import Pose, ad_matrix, adjoint, adjoint_rot, lie_bracket, screw
 
@@ -199,6 +200,21 @@ def test_convert_twist_spatial_of_pure_rotation(rng):
         out = convert_twist(t, "spatial", [pose])
         assert np.allclose(out.s, screw(w, np.cross(pose.trans, w)), atol=1e-13)
 
+
+
+@pytest.mark.parametrize("bad, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_non_finite_entries_are_named_as_python_floats(bad, text):
+    # "got q[1] = nan", not numpy's "np.float64(nan)"
+    model = planar_2r_model()
+    x = np.zeros(6)
+    x[1] = bad
+    calls = [(lambda: se3.exp_se3(x), "x[1]"), (lambda: fk(model, [0.0, bad]), "q[1]"),
+             (lambda: JointState([0.0, 0.0], [0.0, bad]), "qd[1]"),
+             (lambda: RigidBodyState(Pose.identity(), x), "twist[1]")]
+    for call, name in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).endswith(f"got {name} = {text}")
 
 
 def test_joint_state_copies_its_inputs():

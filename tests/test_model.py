@@ -211,6 +211,33 @@ def test_body_model_validation():
         BodyModel(1.0, [0, 0, 0], np.diag([1.0, 1.0, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_constructors_reject_non_finite_numbers(bad):
+    # each names its field, before any arithmetic on the number could warn
+    inertia = np.eye(3)
+    inertia[1, 1] = bad
+    with pytest.raises(ModelError, match=r"^body\.com_offset: must be finite$"):
+        BodyModel(1.0, [0.0, bad, 0.0], np.eye(3))
+    with pytest.raises(ModelError, match=r"^body\.inertia_com: must be finite$"):
+        BodyModel(1.0, [0.0, 0.0, 0.0], inertia)
+    with pytest.raises(ModelError, match=r"^joint: joint screw must be finite$"):
+        JointModel("revolute", screw_spatial=[0.0, 0.0, 1.0, bad, 0.0, 0.0])
+    body = BodyModel(1.0, [0.0, 0.0, 0.0], np.eye(3))
+    joint = JointModel("revolute", axis=[0.0, 0.0, 1.0])
+    with pytest.raises(ModelError, match=r"^gravity: must be finite$"):
+        ChainModel([body], [joint], [-1], gravity=(bad, 0.0, 0.0))
+
+
+def test_overflowing_relative_reference_pose_names_the_body():
+    body = BodyModel(1.0, [0.0, 0.0, 0.0], np.eye(3),
+                     Pose(np.eye(3), [1e308, 0.0, 0.0]))
+    away = BodyModel(1.0, [0.0, 0.0, 0.0], np.eye(3),
+                     Pose(np.eye(3), [-1e308, 0.0, 0.0]))
+    joint = JointModel("revolute", axis=[0.0, 0.0, 1.0])
+    with pytest.raises(ModelError, match=r"^bodies\[1\]\.ref_pose: "):
+        ChainModel([body, away], [joint, joint], [-1, 0])
+
+
 # -------------------------------------------------------------------- binet
 
 def test_binet_diagonal_examples():

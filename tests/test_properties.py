@@ -6,7 +6,8 @@ dynamics, and against the closed-form mass matrix and jerks; the
 Jacobian, its table of first partials and the twist and wrench
 conversions against per-pair oracles;
 the Christoffel symbols and the Coriolis matrix against bracket-by-bracket
-loops and the matrix form."""
+loops and the matrix form; and the invariance of the dynamics under moves
+of the body frames and the world frame."""
 
 import numpy as np
 import pytest
@@ -26,17 +27,18 @@ from screwchain.kinematics import (
     jacobian_partial, jacobian_partials, jerks, twists,
 )
 from screwchain.integrators import chain_simulate
-from screwchain.model import binet_inertia, load_model
+from screwchain.model import BodyModel, ChainModel, JointModel, binet_inertia, load_model
 from screwchain.samples import sample_model_path
 from screwchain.se3 import (
-    ad_matrix, adjoint, adjoint_rot, adjoint_trans, exp_se3, lie_bracket, screw,
+    Pose, ad_matrix, adjoint, adjoint_rot, adjoint_trans, exp_se3, lie_bracket, screw,
 )
 
 from conftest import (
     JacobianOracle, fk_spatial_oracle, gravity_wrenches_oracle, inertias_oracle,
     instantaneous_screws_oracle, jerk_recursion_oracle, parent_transforms_oracle,
     pass_potential_oracle, pass_total_momentum_oracle, path_sums_oracle,
-    random_chain, spatial_backward_oracle, spatial_sweep_oracle, subtree_sums_oracle,
+    rand_rotation, random_chain, spatial_backward_oracle, spatial_sweep_oracle,
+    subtree_sums_oracle,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -380,6 +382,54 @@ def test_idyn_four_representations_agree(case):
     scale = max(1.0, max(np.abs(r).max() for r in results))
     for r in results[1:]:
         assert np.abs(r - results[0]).max() / scale < 1e-9
+
+
+def moved_frames(model, rng):
+    """(model', G, [D_i]): the model with each body frame moved by a random
+    pose D_i and the world frame by a random pose G.  Body i's reference
+    pose becomes G C_i D_i, its COM and COM inertia are carried into the
+    new body frame, a joint's axis and point are carried by G (frame
+    spatial) or by D_i^-1 (frame body), and gravity becomes R_G g."""
+    g = Pose(rand_rotation(rng), rng.normal(size=3))
+    moves = [Pose(rand_rotation(rng), rng.normal(size=3)) for _ in range(model.n)]
+    bodies, joints = [], []
+    for body, joint, d in zip(model.bodies, model.joints, moves):
+        back = d.inverse()
+        bodies.append(BodyModel(body.mass, back.apply(body.com_offset),
+                                back.rot @ body.inertia_com @ d.rot, g @ body.ref_pose @ d))
+        carry = g if joint.frame == "spatial" else back
+        joints.append(JointModel(joint.kind, axis=carry.rot @ joint.axis,
+                                 point=carry.apply(joint.point), pitch=joint.pitch,
+                                 frame=joint.frame))
+    return ChainModel(bodies, joints, model.parent, g.rot @ model.gravity), g, moves
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(), st.integers(0, 2 ** 32 - 1))
+def test_frame_invariance(case, seed):
+    # the formulation holds in any body frames and any world frame: moving
+    # them changes no joint-space quantity, maps body twists and Jacobian
+    # rows by Ad(D_i)^-1 and spatial ones by Ad(G), and body wrenches W by
+    # Ad(D_i)^T
+    model, q, qd, qdd, tau, wb = case
+    n = model.n
+    moved, g, moves = moved_frames(model, np.random.default_rng(seed))
+    wb_moved = np.array([adjoint(d).T @ w for d, w in zip(moves, wb)])
+
+    def same(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    for rep in REPS:
+        same(idyn(moved, q, qd, qdd, rep), idyn(model, q, qd, qdd, rep))
+    same(idyn(moved, q, qd, qdd, applied=wb_moved), idyn(model, q, qd, qdd, applied=wb))
+    same(mass_matrix(moved, q), mass_matrix(model, q))
+    same(fdyn(moved, q, qd, tau, applied=wb_moved), fdyn(model, q, qd, tau, applied=wb))
+    for rep, maps in (("body", np.array([adjoint(d.inverse()) for d in moves])),
+                      ("spatial", np.tile(adjoint(g), (n, 1, 1)))):
+        same(twists(moved, q, qd, rep).twists,
+             (maps @ twists(model, q, qd, rep).twists[..., None])[..., 0])
+        same(jacobian(moved, q, rep).J.reshape(n, 6, n),
+             maps @ jacobian(model, q, rep).J.reshape(n, 6, n))
 
 
 @PROPERTY_SETTINGS

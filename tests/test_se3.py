@@ -214,6 +214,31 @@ def test_pose_copies_its_inputs():
     assert np.array_equal(p.rot, np.eye(3))
 
 
+def test_derived_poses_are_read_only_and_not_validated_again(rng, monkeypatch):
+    p, q = rand_pose(rng), rand_pose(rng)
+    validated = []
+    check = Pose.__post_init__
+    monkeypatch.setattr(Pose, "__post_init__", lambda self: validated.append(check(self)))
+    derived = [Pose.identity(), p @ q, p.inverse(), p.orthonormalized(),
+               exp_se3(rand_screw(rng))]
+    assert validated == []
+    for pose in derived:
+        assert not pose.rot.flags.writeable and not pose.trans.flags.writeable
+    Pose(np.eye(3), np.zeros(3))  # a pose from outside is still validated
+    assert len(validated) == 1
+
+
+def test_derived_pose_checks_that_can_fail_still_fail():
+    # finite inputs whose arithmetic overflows: a huge angle, and two
+    # translations whose sum passes the float maximum
+    far = Pose(np.eye(3), [1e308, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            exp_se3([1e200, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            far @ far
+
+
 # ------------------------------------------------------------------- adjoint
 
 def test_adjoint_identity():

@@ -148,18 +148,26 @@ def _read_traj(path, n, need):
 
 
 def _parse_vector(text, n, name):
-    """The n finite numbers of a flag's comma-separated text.  Each cell is
-    read as a table cell of :func:`_load_table` is (:func:`_cell_number`),
-    so '1_000' or non-ASCII digits, which Python's float takes, exit 2
-    with a message that names the flag and the cell."""
+    """The n finite numbers of a flag's comma-separated text, read in one
+    np.loadtxt call as a table row of :func:`_load_table` is, so '1_000' or
+    non-ASCII digits, which Python's float takes, exit 2 with a message that
+    names the flag and the cell: only then are the cells read one by one
+    (:func:`_cell_number`), as :func:`_table_fault` reads a refused table."""
     if text is None:
         return np.zeros(n)
     cells = text.split(",")
-    values = [_cell_number(cell) for cell in cells]
-    if None in values:
-        cell = cells[values.index(None)]
-        raise CliError(EXIT_VALIDATION, f"{name}: {cell.strip()!r} is not a number")
-    vec = np.array(values)
+    with warnings.catch_warnings():  # an empty flag is no number, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            vec = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            vec = np.zeros(0)
+    if vec.size != len(cells):
+        values = [_cell_number(cell) for cell in cells]
+        if None in values:
+            cell = cells[values.index(None)]
+            raise CliError(EXIT_VALIDATION, f"{name}: {cell.strip()!r} is not a number")
+        vec = np.array(values)
     if not np.all(np.isfinite(vec)):
         raise CliError(EXIT_VALIDATION, f"{name}: values must be finite")
     if vec.size != n:

@@ -95,6 +95,13 @@ def mk_step(state: RigidBodyState, twist_field, h: float, t: float = 0.0) -> Rig
     small and dexpinv well conditioned), then updates the pose by
     C exp(X) (body) or exp(X) C (spatial).  Constant twist fields are
     reproduced exactly for any step size.
+
+    The first RK4 stage is ``state.twist``, read as the field's value at
+    (t, state.pose): there X = 0, and exp_se3(0) and dexp_inv(0) are
+    exactly the identity.  So a step evaluates the field four times, and its
+    last evaluation, the returned state's twist, is the next step's first
+    stage at t + h.  A state whose twist is not the field's value there
+    steps from its own twist instead.
     """
     pose0 = state.pose
     body = state.rep == "body"
@@ -105,7 +112,7 @@ def mk_step(state: RigidBodyState, twist_field, h: float, t: float = 0.0) -> Rig
         v = np.asarray(twist_field(tau, pose), dtype=float)
         return dexp_inv(x, "left" if body else "right") @ v
 
-    x = _rk4(xdot, t, np.zeros(6), h, xdot(t, np.zeros(6)))
+    x = _rk4(xdot, t, np.zeros(6), h, state.twist)
     step = exp_se3(x)
     pose1 = pose0 @ step if body else step @ pose0
     return RigidBodyState(pose1, twist_field(t + h, pose1), state.rep)
@@ -157,8 +164,9 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
     reports.append(report(0.0, state.pose, state.twist))
     for k in range(steps):
         state = mk_step(state, twist_field, h, t=times[k])
-        if (k + 1) % REORTHONORMALIZE_EVERY == 0:
-            state = RigidBodyState(state.pose.orthonormalized(), state.twist, "spatial")
+        if (k + 1) % REORTHONORMALIZE_EVERY == 0:  # the twist at the projected pose
+            pose = state.pose.orthonormalized()
+            state = RigidBodyState(pose, twist_field(times[k + 1], pose), "spatial")
         poses.append(state.pose)
         twists.append(state.twist)
         reports.append(report(times[k + 1], state.pose, state.twist))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from screwchain import se3
-from screwchain.model import BodyModel, ChainModel, JointModel, Pose, spatial_inertia_body
+from screwchain.model import BodyModel, ChainModel, JointModel, Pose, binet_inertia
 from screwchain.se3 import adjoint, adjoint_rot, adjoint_trans, exp_se3, hat3, screw
 
 
@@ -118,7 +118,7 @@ def inertias_oracle(model, poses, rep):
     out = []
     for body, pose in zip(model.bodies, poses):
         b_inv = np.linalg.inv(_body_to_rep(pose, rep))
-        out.append(b_inv.T @ spatial_inertia_body(body).matrix @ b_inv)
+        out.append(b_inv.T @ spatial_inertia_oracle(body) @ b_inv)
     return np.array(out)
 
 
@@ -192,6 +192,80 @@ def inertia_readout_oracle(gravity):
         out[k, 3:6, 3:] = m * np.eye(3)
         out[k, 6] = np.concatenate([np.cross(h, g), m * g])
     return out.reshape(16, 42)
+
+
+def spatial_inertia_oracle(body):
+    """6x6 body-frame inertia of one body in parallel-axes form: rotational
+    block Theta_c - m d~ d~, off-diagonal blocks +/- m d~, translational
+    block m I."""
+    m, dh = body.mass, hat3(body.com_offset)
+    out = np.zeros((6, 6))
+    out[:3, :3] = body.inertia_com - m * (dh @ dh)
+    out[:3, 3:] = m * dh
+    out[3:, :3] = -m * dh
+    out[3:, 3:] = m * np.eye(3)
+    return out
+
+
+def pseudo_inertia_oracle(body):
+    """4x4 pseudo-inertia [[S, h], [h^T, m]] of one body: S = Binet's tensor
+    of the COM inertia plus m d d^T, h = m d."""
+    m, d = body.mass, body.com_offset
+    out = np.empty((4, 4))
+    out[:3, :3] = binet_inertia(body.inertia_com) + m * np.outer(d, d)
+    out[:3, 3] = out[3, :3] = m * d
+    out[3, 3] = m
+    return out
+
+
+def model_build_oracle(bodies, joints, parent, gravity):
+    """What a model builds from its bodies, unresolved joints, parent
+    indices and gravity, body by body: (screw_spatial, screw_body, rel_ref,
+    tables) with each joint's screws carried by Ad(C) of its body's
+    reference pose C (or by Ad(C)^-1, Ad(C) with each 3x3 block
+    transposed), each reference pose relative to its parent as
+    parent.inverse() @ child, and the ChainTables fields as a dict."""
+    spatial, body_screws = [], []
+    for joint, body in zip(joints, bodies):
+        ad = adjoint(body.ref_pose)
+        if joint.screw_body is not None:
+            spatial.append(ad @ joint.screw_body)
+            body_screws.append(joint.screw_body)
+        else:
+            spatial.append(joint.screw_spatial)
+            inv = ad.reshape(2, 3, 2, 3).swapaxes(1, 3).reshape(6, 6)
+            body_screws.append(inv @ joint.screw_spatial)
+    rel_ref = [b.ref_pose if p < 0 else bodies[p].ref_pose.inverse() @ b.ref_pose
+               for b, p in zip(bodies, parent)]
+    n, screws = len(bodies), np.array(body_screws)
+    prismatic = np.array([joint.kind == "prismatic" for joint in joints])
+    rate = np.where(prismatic, 1.0, np.linalg.norm(screws[:, :3], axis=1))
+    w = np.array([np.zeros((3, 3)) if is_p else hat3(x[:3])
+                  for is_p, x in zip(prismatic, screws)]) / rate[:, None, None]
+    v = screws[:, 3:] / rate[:, None]
+    w2 = w @ w
+    w2v = np.einsum("nij,nj->ni", w2, v)
+    gen = np.zeros((n, 4, 4, 4))  # gen[i, k] = G_k of body i, as ChainTables defines it
+    gen[:, 0], gen[:, 1, :3, :3], gen[:, 2, :3, :3] = np.eye(4), w, w2
+    gen[:, 1, :3, 3], gen[:, 2, :3, 3] = -w2v, np.einsum("nij,nj->ni", w, v)
+    gen[:, 3, :3, 3] = v + w2v
+    ref = np.array([pose.matrix() for pose in rel_ref])
+    lines = np.zeros((n, 4, 3))
+    lines[:, :3, 0], lines[:, :3, 1], lines[:, 3, 2] = screws[:, :3], screws[:, 3:], 1.0
+    on_path = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        j = i
+        while j >= 0:
+            on_path[j, i], j = True, parent[j]
+    tables = {
+        "screw": screws, "inertia": np.array([spatial_inertia_oracle(b) for b in bodies]),
+        "mass": np.array([b.mass for b in bodies]),
+        "com": np.array([b.com_offset for b in bodies]),
+        "pseudo": np.array([pseudo_inertia_oracle(b) for b in bodies]),
+        "readout": inertia_readout_oracle(gravity), "lines": lines, "on_path": on_path,
+        "path": on_path.astype(float), "rate": rate,
+        "exp": (ref[:, None] @ gen).reshape(n, 4, 16)}
+    return np.array(spatial), screws, rel_ref, tables
 
 
 def spatial_sweep_oracle(model, screws, qd, qdd=None):

@@ -360,6 +360,40 @@ def test_vector_flags_take_the_numbers_of_a_table_cell(tmp_path, capsys, cell):
     assert not os.path.exists(out)
 
 
+def _vector_cell_by_cell(text, n, name):
+    """A vector flag read one cell at a time as a table cell: its n finite
+    numbers, or the message that refuses it."""
+    cells = text.split(",")
+    values = [cli._cell_number(cell) for cell in cells]
+    if None in values:
+        return f"{name}: {cells[values.index(None)].strip()!r} is not a number"
+    vec = np.array(values)
+    if not np.isfinite(vec).all():
+        return f"{name}: values must be finite"
+    return vec if vec.size == n else f"{name}: expected {n} values, got {vec.size}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f" {x:.6e} "),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["", " ", "1_000", "\u0663", "0x10", "1e400", "+.5", "1 2", "nan",
+                     "-inf", "1;2", "'1'", "1\r2", "1\n2", "1#2"])), min_size=1, max_size=8),
+       st.integers(0, 2))
+def test_vector_flag_read_in_one_call_as_cell_by_cell(cells, extra):
+    # the one np.loadtxt call over a flag gives the numbers, bit for bit,
+    # or the message of the cell-by-cell reading it replaced
+    text, n = ",".join(cells), len(cells) + extra - 1
+    want = _vector_cell_by_cell(text, n, "--q")
+    try:
+        got = cli._parse_vector(text, n, "--q")
+    except cli.CliError as err:
+        assert str(err) == want
+    else:
+        assert not isinstance(want, str) and got.tobytes() == want.tobytes()
+
+
 def test_header_only_trajectory_exit_2_without_warning(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     traj.write_text("t,q1,q2\n")

@@ -8,7 +8,7 @@ from screwchain import dynamics, integrators, kinematics, se3
 from screwchain.integrators import (
     REPORT_CHUNK, RigidBodyState, chain_simulate, free_body_simulate, mk_step,
 )
-from screwchain.model import BodyModel, ChainModel, JointModel, load_model
+from screwchain.model import BodyModel, ChainModel, JointModel, load_model, spatial_inertia_body
 from screwchain.samples import sample_model_path
 from screwchain.se3 import Pose, adjoint, exp_se3, log_se3, screw
 
@@ -93,6 +93,42 @@ def test_mk_step_validates_no_pose(monkeypatch):
     for rep in ("body", "spatial"):
         mk_step(RigidBodyState(state.pose, state.twist, rep), lambda t, p: state.twist, 0.1)
     assert validated == []
+
+
+@pytest.mark.parametrize("rep", ["body", "spatial"])
+def test_mk_step_evaluates_the_field_four_times_per_step(rep):
+    # the first stage is the state's twist, the field's value where the
+    # last step ended; RK4 needs the other three stages and the end twist
+    calls = []
+
+    def field(t, pose):
+        calls.append(t)
+        return np.array([0.3, -0.2, 0.5, 1.0, 2.0, -3.0]) * (1.0 + t)
+
+    state = RigidBodyState(Pose.identity(), field(0.0, None), rep)
+    calls.clear()
+    for k in range(3):
+        state = mk_step(state, field, 0.1, t=k * 0.1)
+    assert len(calls) == 12
+    assert np.allclose(calls, [0.05, 0.05, 0.1, 0.1, 0.15, 0.15, 0.2, 0.2,
+                               0.25, 0.25, 0.3, 0.3], rtol=0.0, atol=1e-15)
+
+
+def test_free_body_twist_is_the_field_at_a_reprojected_pose(monkeypatch):
+    # after a re-projection the state carries the field's twist at the new
+    # pose, which the next step's first stage reads; a projection that
+    # visibly turns the pose shows the twist following it
+    monkeypatch.setattr(integrators, "REORTHONORMALIZE_EVERY", 2)
+    turn = exp_se3([0.0, 0.0, 0.3, 0.0, 0.0, 0.0])
+    monkeypatch.setattr(Pose, "orthonormalized", lambda self: self @ turn)
+    body = BodyModel(2.0, [0.1, -0.05, 0.2], np.diag([0.4, 0.5, 0.3]))
+    init = RigidBodyState(Pose.identity(), [0.3, -0.2, 0.5, 1.0, 2.0, -3.0], "spatial")
+    traj = free_body_simulate(body, init, T=0.01, h=1e-3)
+    m_inv = np.linalg.inv(spatial_inertia_body(body).matrix)
+    pi = traj.reports[0].momentum_spatial
+    for pose, twist in zip(traj.poses, traj.twists_spatial):
+        ad = adjoint(pose)
+        assert np.abs(twist - ad @ (m_inv @ (ad.T @ pi))).max() < 1e-12
 
 
 def test_rigid_body_state_rejects_non_finite_twist_and_copies_it():

@@ -13,7 +13,9 @@ from screwchain.model import (
 from screwchain.se3 import Pose, adjoint, screw
 from screwchain.samples import SAMPLE_MODELS, sample_model_path
 
-from conftest import inertia_readout_oracle, rand_inertia, rand_rotation, random_chain
+from conftest import (
+    inertia_readout_oracle, model_build_oracle, rand_inertia, rand_rotation, random_chain,
+)
 
 
 # ------------------------------------------------------------ inertia_readout
@@ -228,6 +230,22 @@ def test_model_constructors_reject_non_finite_numbers(bad):
         ChainModel([body], [joint], [-1], gravity=(bad, 0.0, 0.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_body_model_rejects_an_inertia_that_overflows():
+    # a finite COM offset or mass whose inertia overflows, named as the
+    # model names its overflowing tables, with no numpy warning first
+    for mass, com in ((1.0, [1e200, 0.0, 0.0]), (1e300, [1e5, 0.0, 0.0]),
+                      (1.0, [1e154, 1e154, 0.0])):
+        with pytest.raises(ModelError) as info:
+            BodyModel(mass, com, np.eye(3))
+        assert (info.value.path, info.value.message) == ("body", "inertia table overflows")
+    with pytest.raises(ModelError, match=r"^bodies\[3\]: inertia table overflows$"):
+        BodyModel(1.0, [1e200, 0.0, 0.0], np.eye(3), _path="bodies[3]")
+    # near overflow the inertia is formed to see, and a finite one is kept
+    for mass, com in ((1.0, [1e151, 0.0, 0.0]), (1e-10, [1e153, 0.0, 0.0])):
+        assert np.isfinite(spatial_inertia_body(BodyModel(mass, com, np.eye(3))).matrix).all()
+
+
 def test_overflowing_relative_reference_pose_names_the_body():
     body = BodyModel(1.0, [0.0, 0.0, 0.0], np.eye(3),
                      Pose(np.eye(3), [1e308, 0.0, 0.0]))
@@ -246,10 +264,13 @@ def test_binet_diagonal_examples():
                        np.diag([2.0, 1.0, 0.0]), atol=0.0)
 
 
+def binet_inertia_inverse(binet):
+    """The inertia tensor of a Binet tensor: tr(B) I - B."""
+    return np.trace(binet) * np.eye(3) - binet
+
+
 def test_binet_round_trips_with_its_inverse(rng):
     # tr(B) I - B undoes tr(T)/2 I - T in either order
-    from screwchain.model import binet_inertia_inverse
-
     for _ in range(50):
         theta = rand_inertia(rng)
         assert np.allclose(binet_inertia_inverse(binet_inertia(theta)), theta,
@@ -515,3 +536,61 @@ def test_paths_and_children(rng):
     kids = [c for i in range(model.n) for c in model.children(i)]
     roots = [i for i in range(model.n) if model.parent[i] < 0]
     assert sorted(kids + roots) == list(range(model.n))
+
+
+# ------------------------------------------------------- stacked model build
+
+def _unresolved(joints):
+    """Fresh joints built as the given ones were, each carrying only the
+    screw its frame tag names."""
+    return [JointModel(j.kind, axis=j.axis, point=j.point, pitch=j.pitch, frame=j.frame)
+            for j in joints]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_stacked_model_build_matches_per_body_formulas(seed):
+    # trees with all three joint kinds, joints given in spatial and body
+    # frames and non-identity reference poses: every table, resolved screw
+    # and relative reference pose bit for bit what the per-body formulas give
+    rng = np.random.default_rng(seed)
+    model = random_chain(rng, int(rng.integers(1, 10)), tree=True,
+                         gravity=rng.normal(size=3) * 10.0)
+    joints = _unresolved(model.joints)
+    assert {j.frame for j in joints} <= {"spatial", "body"}
+    spatial, body, rel_ref, tables = model_build_oracle(model.bodies, joints, model.parent,
+                                                        model.gravity)
+    built = ChainModel(model.bodies, joints, model.parent, model.gravity)
+    for name, arr in zip(built.tables._fields, built.tables):
+        assert arr.dtype == tables[name].dtype and arr.tobytes() == tables[name].tobytes(), name
+    for i, joint in enumerate(built.joints):
+        assert joint.screw_spatial.tobytes() == spatial[i].tobytes()
+        assert joint.screw_body.tobytes() == body[i].tobytes()
+        assert built.rel_ref_pose(i).rot.tobytes() == rel_ref[i].rot.tobytes()
+        assert built.rel_ref_pose(i).trans.tobytes() == rel_ref[i].trans.tobytes()
+        assert spatial_inertia_body(built.bodies[i]).matrix.tobytes() == \
+            tables["inertia"][i].tobytes()
+
+
+def test_stacked_model_build_covers_the_joint_kinds_and_frames():
+    # the seeds of the test above draw every joint kind in both frames
+    seen = set()
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        model = random_chain(rng, int(rng.integers(1, 10)), tree=True,
+                             gravity=rng.normal(size=3) * 10.0)
+        seen |= {(j.kind, j.frame) for j in model.joints}
+    assert seen == {(k, f) for k in ("revolute", "prismatic", "helical")
+                    for f in ("spatial", "body")}
+
+
+def test_joints_given_in_both_frames_keep_their_spatial_screw(rng):
+    # a joint given both screws is cross-checked and keeps them; the
+    # tables are those of the same joints given one screw each
+    model = random_chain(rng, 6, tree=True)
+    both = [JointModel(j.kind, screw_spatial=j.screw_spatial, screw_body=j.screw_body)
+            for j in model.joints]
+    again = ChainModel(model.bodies, both, model.parent, model.gravity)
+    for got, want in zip(again.tables, model.tables):
+        assert np.array_equal(got, want)
+    for joint, given in zip(again.joints, both):
+        assert joint.screw_spatial.tobytes() == given.screw_spatial.tobytes()

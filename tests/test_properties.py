@@ -430,6 +430,15 @@ def test_frame_invariance(case, seed):
              (maps @ twists(model, q, qd, rep).twists[..., None])[..., 0])
         same(jacobian(moved, q, rep).J.reshape(n, 6, n),
              maps @ jacobian(model, q, rep).J.reshape(n, 6, n))
+    for variant in ("standard", "binet"):
+        same(christoffel(moved, q, variant), christoffel(model, q, variant))
+    # one momentum-form step: the spatial momenta it integrates move with G,
+    # the joint state it recovers does not
+    steps = [chain_simulate(m, q, qd, lambda *_: tau, T=1e-3, h=1e-3, form="momentum")
+             for m in (moved, model)]
+    same(steps[0].q, steps[1].q)
+    same(steps[0].qd, steps[1].qd)
+    same(steps[0].qdd, steps[1].qdd)
 
 
 @PROPERTY_SETTINGS

@@ -2,7 +2,8 @@
 
 The package is organized by layer:
 
-* :mod:`screwchain.se3` -- SO(3)/SE(3) kernels and screw algebra.
+* :mod:`screwchain.se3` -- SO(3)/SE(3) kernels and screw algebra, for
+  one screw and for stacks; every other layer takes its kernels from it.
 * :mod:`screwchain.model` -- chain description, validation, file I/O.
 * :mod:`screwchain.kinematics` -- POE forward kinematics, twists,
   accelerations, jerks and Jacobians in body-fixed, spatial, hybrid, and

@@ -33,7 +33,9 @@ The closed-form Coriolis matrix and Christoffel symbols contract the one
 bracket table of :mod:`screwchain.kinematics` (``_bracket_table``): the
 Lie brackets [J_la, J_lb] of each body's body-fixed Jacobian columns,
 against the body inertias; the Coriolis matrix's Jacobian rate has
-bracket columns too (dJ_lj/dq_k = [J_lj, J_lk] for j < k).
+bracket columns too (dJ_lj/dq_k = [J_lj, J_lk] for j < k).  Brackets,
+cross products and adjoints, one-screw and stacked, are the kernels of
+:mod:`screwchain.se3`.
 
 Sign conventions: ``idyn`` returns the generalized joint forces required to
 realize the given motion, with gravity and user wrenches entering as external
@@ -49,34 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChainModel, SpatialInertia, binet_inertia
-from .kinematics import (
-    JointState,
-    Twist,
-    _CROSS,
-    _Frames,
-    _PoseStack,
-    _SE3_BRACKET,
-    _bracket_table,
-    _brackets,
-    _check_rep,
-    _fk_stacks,
-    _frame_table,
-    _jacobian,
-    _kinematics,
-    _pair_table,
-    _check_indices,
-    _read_inertias,
-    _spatial_motion,
-    _twist_map,
-)
-from .se3 import (
-    Pose,
-    ad_matrix,
-    adjoint,
-    adjoint_rot,
-    lie_bracket,
-    screw,
-)
+from .kinematics import (JointState, Twist, _Frames, _PoseStack, _bracket_table, _check_indices,
+                         _check_rep, _fk_stacks, _frame_table, _jacobian, _kinematics,
+                         _read_inertias, _spatial_motion, _twist_map)
+from .se3 import (Pose, _CROSS, _SE3_BRACKET, _brackets, _pair_table, ad_matrix, adjoint,
+                  adjoint_rot, lie_bracket, screw)
 
 __all__ = [
     "OpCountReport",
@@ -390,14 +369,10 @@ class _Configuration:
         self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.T, 0.0))
         self._low = None  # L^-1 for the Cholesky factor L of the mass matrix
 
-    def twists(self, qd) -> np.ndarray:
-        """Spatial twists V^s_i: js_j qd_j summed over the path to body i."""
-        return self.model.tables.path.T @ (self.frames.screws * qd[:, None])
-
     def momenta(self, qd) -> np.ndarray:
-        """Per-body spatial momenta M^s_i V^s_i."""
+        """Per-body spatial momenta M^s_i V^s_i (:func:`_momenta`)."""
         qd = np.asarray(qd, dtype=float).reshape(self.model.n)
-        return np.einsum("ijk,ik->ij", self.frames.inertias, self.twists(qd))
+        return _momenta(self.model.tables.path, self.frames.screws, self.frames.inertias, qd)
 
     def solve(self, b) -> np.ndarray:
         """M^-1 b = L^-T (L^-1 b), with the one kept L^-1 of :func:`_spd_factor`;
@@ -433,7 +408,19 @@ class _Configuration:
         subtree = model.tables.path @ np.asarray(pi_stack, dtype=float).reshape(model.n, 6)
         qd = self.solve((js * subtree).sum(axis=1))
         qdd, _, _, rates = self.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
-        return rates + (self.frames.inertias @ self.twists(qdd)[..., None])[..., 0], qd, qdd
+        twists = _path_twists(model.tables.path, js, qdd)
+        return rates + (self.frames.inertias @ twists[..., None])[..., 0], qd, qdd
+
+
+def _path_twists(path, screws, rates) -> np.ndarray:
+    """Spatial twists V^s_i = sum of js_j rates_j over the path to body i,
+    of screws js (..., n, 6) and rates (..., n); leading axes are samples."""
+    return path.T @ (screws * rates[..., None])
+
+
+def _momenta(path, screws, inertias, qd) -> np.ndarray:
+    """Spatial momenta M^s_i V^s_i of :func:`_path_twists`, M^s (..., n, 6, 6)."""
+    return np.einsum("...ijk,...ik->...ij", inertias, _path_twists(path, screws, qd))
 
 
 # The last configuration pass of fdyn, reused as the module docstring explains.

@@ -337,8 +337,7 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
         residual = np.full(stop - start, np.nan)
         if momentum_form:
             pis, screws, inertias = momentum_form
-            twists = model.tables.path.T @ (screws * qd[..., None])
-            momenta = np.einsum("...ijk,...ik->...ij", inertias, twists)
+            momenta = dyn._momenta(model.tables.path, screws, inertias, qd)
             residual = np.linalg.norm(pis.reshape(-1, n, 6) - momenta, axis=-1).max(axis=1)
         return map(StepReport, times[start:stop].tolist(), energy.tolist(),
                    (qd[..., None] * icjs).sum(axis=1),

@@ -58,6 +58,10 @@ table of the brackets [J_la, J_lb] of each body's columns
 (:func:`_bracket_table`) gives all first partials at once
 (:func:`jacobian_partials`), and one entry brackets two columns;
 :mod:`screwchain.dynamics` contracts the same table.
+
+The kernels (skew matrices, the adjoint pair, brackets and cross
+products, one-screw and stacked) are those of :mod:`screwchain.se3`;
+this module applies them.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChainModel
-from .se3 import Pose, lie_bracket, screw
+from .se3 import (Pose, _CROSS, _SE3_BRACKET, _adjoint_pair, _blocks, _brackets, _pair_table,
+                  _product, hat3, lie_bracket, screw)
 
 __all__ = [
     "REPS",
@@ -159,36 +164,6 @@ class KinematicsCache:
     rel_poses = cached_property(lambda self: self.rel_stack.poses())
 
 
-def _brackets(v, xp) -> tuple[np.ndarray, np.ndarray]:
-    """([v_i, x_i], ad(v_i)^T p_i) for every row i of v and of the (n, 12)
-    stack xp = [x | p]: with v_i = (w, v), x_i = (a, b) and p_i = (c, d),
-    the cross products of (w x a, w x b + v x a) and -(w x c + v x d, w x d)
-    in one gathered product of 36 columns; its callers count them."""
-    p = v.take(_PAIR_COLUMNS[0], 1) * xp.take(_PAIR_COLUMNS[1], 1)
-    c = (p[:, :18] - p[:, 18:]) @ _PAIR_SUM
-    return c[:, :6], c[:, 6:]
-
-
-# Columns (l, r) of x = (w, v) and y = (a, b) whose products p = x[:, l] y[:, r]
-# give three cross products as p[:, :9] - p[:, 9:]: w x a, w x b, v x a for
-# brackets; -(w x a), -(w x b), -(v x b) for co-brackets (products swapped).
-_BRACKET_COLUMNS = np.array([[1, 2, 0, 1, 2, 0, 4, 5, 3, 2, 0, 1, 2, 0, 1, 5, 3, 4],
-                             [2, 0, 1, 5, 3, 4, 2, 0, 1, 1, 2, 0, 4, 5, 3, 1, 2, 0]])
-_COBRACKET_COLUMNS = np.array([[2, 0, 1, 2, 0, 1, 5, 3, 4, 1, 2, 0, 1, 2, 0, 4, 5, 3],
-                               [1, 2, 0, 4, 5, 3, 4, 5, 3, 2, 0, 1, 5, 3, 4, 5, 3, 4]])
-# Both side by side on v and [x | p] (the co-bracket's right columns moved past
-# the 6 of x), ordered so that p[:, :18] - p[:, 18:] is
-# (b_0, b_1, c_0, c_1, b_2, c_2) for the cross products b_k of the bracket and
-# c_k of the co-bracket.  _PAIR_SUM adds b_2 to b_1 and c_2 to c_0, at most
-# two nonzero terms per sum, so it rounds as a plain sum (an in-place sum of
-# two views of one array would cost more, in numpy's overlap check).
-_PAIR_COLUMNS = np.concatenate(
-    [cols[:, part] for part in (slice(0, 6), slice(6, 9), slice(9, 15), slice(15, 18))
-     for cols in (_BRACKET_COLUMNS, _COBRACKET_COLUMNS + [[0], [6]])], axis=1)
-_PAIR_SUM = np.zeros((18, 12))
-_PAIR_SUM[range(12), range(12)] = _PAIR_SUM[range(12, 18), range(3, 9)] = 1.0
-
-
 def fk(model: ChainModel, q) -> list[Pose]:
     """Absolute body poses, the first half of :func:`fk_body_form`."""
     return _fk_stacks(model, q, relative=False)[0].poses()
@@ -251,24 +226,6 @@ _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 
 
-def _blocks(a, c, d) -> np.ndarray:
-    """The 6x6 matrix [[a, 0], [c, d]] of 3x3 blocks; c=None is zero.
-    Leading axes of d carry through (a stack of matrices)."""
-    m = np.zeros(d.shape[:-2] + (6, 6))
-    m[..., :3, :3] = a
-    if c is not None:
-        m[..., 3:, :3] = c
-    m[..., 3:, 3:] = d
-    return m
-
-
-def _hat(t) -> np.ndarray:
-    """Skew matrices [t]x of the 3-vectors along the last axis of t."""
-    h = np.zeros(t.shape[:-1] + (3, 3))
-    h[..., 2, 1], h[..., 0, 2], h[..., 1, 0] = t[..., 0], t[..., 1], t[..., 2]
-    return h - np.swapaxes(h, -1, -2)
-
-
 def _rep_map(pose, rep: str) -> tuple[np.ndarray, np.ndarray]:
     """(B, B^-1): the map from body coordinates into ``rep`` coordinates
     of a screw attached to a body at ``pose``, and its closed-form inverse
@@ -278,8 +235,7 @@ def _rep_map(pose, rep: str) -> tuple[np.ndarray, np.ndarray]:
     if rep == "body":
         return _EYE6, _EYE6
     if rep == "spatial":
-        rh = _hat(pose.trans)
-        return _blocks(r, rh @ r, r), _blocks(rt, -rt @ rh, rt)
+        return _adjoint_pair(r, pose.trans)
     if rep == "hybrid":
         return _blocks(r, None, r), _blocks(rt, None, rt)
     _check_rep(rep)
@@ -352,8 +308,8 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
             w = w * _ROTATION_PART
             par = np.asarray(model.parent)
             parent = np.tile(_EYE6, (n, 1, 1))
-            parent[:, 3:, :3] = _hat(np.where(par[:, None] >= 0, absolute.trans[par], 0.0)
-                                     - absolute.trans)
+            parent[:, 3:, :3] = hat3(np.where(par[:, None] >= 0, absolute.trans[par], 0.0)
+                                    - absolute.trans)
         screws = _carried_screws(w, tab.lines)
         pseudo, inertias, gravity = _read_inertias(w, tab.pseudo, tab.readout)
         if ops is not None:
@@ -501,7 +457,7 @@ def _spatial_motion(model: ChainModel, frames: _Frames, qd, qdd=None, qddd=None,
     (qdd None is zero).  As d/dt js_j = [V_j, js_j], these sum js_j qd_j,
     [V_j, js_j qd_j] + js_j qdd_j and js_j qddd_j +
     [V_j, 2 js_j qdd_j + [V_j, js_j qd_j]] + [Vdot_j, js_j qd_j].  The
-    first brackets and the co-brackets are one :func:`_brackets` call; a
+    first brackets and the co-brackets are one ``se3._brackets`` call; a
     root's, [js_r qd_r, js_r qd_r], is exactly 0, so ``ops`` counts a
     recursive sweep's: a bracket per link, n co-brackets."""
     up = model.tables.path.T  # up @ a sums a over each body's path
@@ -591,30 +547,6 @@ def jerks(model: ChainModel, state: JointState, rep: str = "body") -> Kinematics
 # --------------------------------------------------------------------------
 # Partial derivatives of the Jacobian
 # --------------------------------------------------------------------------
-
-# Structure constants: (u x v)_x = _CROSS[x, y, z] u_y v_z, and for screws
-# ordered (angular, linear) [X, Y]_x = _SE3_BRACKET[x, y, z] X_y Y_z.
-_CROSS = np.zeros((3, 3, 3))
-_CROSS[0, 1, 2] = _CROSS[1, 2, 0] = _CROSS[2, 0, 1] = 1.0
-_CROSS[0, 2, 1] = _CROSS[2, 1, 0] = _CROSS[1, 0, 2] = -1.0
-_SE3_BRACKET = np.zeros((6, 6, 6))
-_SE3_BRACKET[:3, :3, :3] = _SE3_BRACKET[3:, 3:, :3] = _SE3_BRACKET[3:, :3, 3:] = _CROSS
-_CROSS.setflags(write=False)
-_SE3_BRACKET.setflags(write=False)
-
-
-def _product(consts, x, y) -> np.ndarray:
-    """The bilinear product with structure constants ``consts`` of x and y
-    along their last axes (stacks of them): x x y for _CROSS, [x, y] for
-    _SE3_BRACKET."""
-    return np.einsum("abc,...b,...c->...a", consts, x, y)
-
-
-def _pair_table(consts, u, v) -> np.ndarray:
-    """out[l, :, a, b] = the bilinear product with structure constants
-    ``consts`` of u[l, :, a] and v[l, :, b], for every body l."""
-    return np.einsum("xyz,lya,lzb->lxab", consts, u, v, optimize=True)
-
 
 def _bracket_table(model: ChainModel, q, rep: str = "body") -> tuple[np.ndarray, np.ndarray]:
     """The ``rep`` Jacobian as jb[l, :, j] = J_lj (zero off body l's path)

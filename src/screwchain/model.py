@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .se3 import Pose, screw
+from .se3 import Pose, _adjoint_pair, hat3, screw
 
 __all__ = [
     "ModelError",
@@ -192,29 +192,24 @@ class BodyModel:
         (_, t01, t02), (t10, _, t12), (t20, t21, _) = self.inertia_com.tolist()
         if max(abs(t01 - t10), abs(t02 - t20), abs(t12 - t21)) > 1e-9:
             raise ModelError(f"{_path}.inertia_com", "must be symmetric")
-        evals = np.linalg.eigvalsh(self.inertia_com)
-        if evals[0] <= 0.0:
+        # Python floats, which overflow without a warning
+        e0, e1, e2 = np.linalg.eigvalsh(self.inertia_com).tolist()
+        if e0 <= 0.0:
             raise ModelError(f"{_path}.inertia_com", "must be positive definite")
-        if evals[2] > evals[0] + evals[1] + 1e-9 * evals[2]:
+        if e2 > e0 + e1 + 1e-9 * e2:
             raise ModelError(f"{_path}.inertia_com",
                              "principal moments violate the triangle inequality")
         self.com_offset.setflags(write=False)
         self.inertia_com.setflags(write=False)
-        # the inertia overflows only where its bound, max moment + m (1 + |d|^2), does
-        d0, d1, d2 = self.com_offset.tolist()  # Python floats overflow without warning
-        if not float(evals[2]) + self.mass * (1.0 + d0 * d0 + d1 * d1 + d2 * d2) < 1e300:
+        # the inertia and pseudo-inertia overflow only where their bound,
+        # max moment + tr(Theta)/2 + m (1 + |d|^2), does
+        d0, d1, d2 = self.com_offset.tolist()
+        if not e2 + 0.5 * (e0 + e1 + e2) + self.mass * (1.0 + d0 * d0 + d1 * d1 + d2 * d2) < 1e300:
             with np.errstate(over="ignore", invalid="ignore"):
-                if not np.isfinite(spatial_inertia_body(self).matrix).all():
+                tables = _body_inertias(np.array([self.mass]), self.com_offset[None],
+                                        self.inertia_com[None])
+                if not all(np.isfinite(table).all() for table in tables):
                     raise ModelError(_path, "inertia table overflows")
-
-
-def _skew(v) -> np.ndarray:
-    """Skew matrices [v]x of 3-vectors (..., 3), entry for entry as se3.hat3."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out = np.zeros(v.shape + (3,))
-    out[..., 2, 1], out[..., 0, 2], out[..., 1, 0] = x, y, z
-    out[..., 1, 2], out[..., 2, 0], out[..., 0, 1] = -x, -y, -z
-    return out
 
 
 def _body_inertias(mass, com, inertia_com):
@@ -232,7 +227,7 @@ def _body_inertias(mass, com, inertia_com):
     carries J into the frame W maps into as W J W^T, and
     :func:`inertia_readout` reads the inertia from it.
     """
-    m, dh = mass[:, None, None], _skew(com)
+    m, dh = mass[:, None, None], hat3(com)
     inertia = np.zeros((len(mass), 6, 6))
     inertia[:, :3, :3] = inertia_com - m * (dh @ dh)
     inertia[:, :3, 3:], inertia[:, 3:, :3] = m * dh, -m * dh
@@ -255,7 +250,7 @@ def _unit_readout():
     unit = np.eye(16).reshape(16, 4, 4)  # the inertia of entry k of J, all k at once
     j = 0.5 * (unit + unit.swapaxes(1, 2))
     s, h, m = j[:, :3, :3], j[:, :3, 3], j[:, 3, 3, None, None]
-    hh = _skew(h)
+    hh = hat3(h)
     out = np.zeros((16, 7, 6))  # rows 0-5 the inertia, row 6 the wrench
     out[:, :3, :3] = np.trace(s, axis1=1, axis2=2)[:, None, None] * np.eye(3) - s
     out[:, :3, 3:], out[:, 3:6, :3], out[:, 3:6, 3:] = hh, -hh, m * np.eye(3)
@@ -319,13 +314,10 @@ class ChainTables(NamedTuple):
 
 def _resolve_screws(joints, rot, trans):
     """The spatial and body screws (n, 6) of joints whose bodies' reference
-    poses C are (rot, trans), by one stacked product with Ad(C) = [[R, 0],
-    [t~ R, R]] or, for a spatial screw, Ad(C)^-1 (each 3x3 block transposed).
+    poses C are (rot, trans), by one stacked product with Ad(C) or, for a
+    spatial screw, Ad(C)^-1 (:func:`screwchain.se3._adjoint_pair`).
     A joint given in both forms keeps its spatial screw, cross-checked."""
-    ad = np.zeros((len(rot), 6, 6))
-    ad[:, :3, :3] = ad[:, 3:, 3:] = rot
-    ad[:, 3:, :3] = _skew(trans) @ rot
-    inv = ad.reshape(-1, 2, 3, 2, 3).swapaxes(2, 4).reshape(-1, 6, 6)
+    ad, inv = _adjoint_pair(rot, trans)
     from_body = np.array([j._screw_body is not None for j in joints])[:, None]
     given = np.array([j._screw_spatial if j._screw_body is None else j._screw_body
                       for j in joints])
@@ -362,7 +354,7 @@ def _chain_tables(bodies, joints, parent, paths, gravity):
                          "Pose.compose: translation is not finite")
     prismatic = np.array([j.kind == "prismatic" for j in joints])
     rate = np.where(prismatic, 1.0, np.sqrt(np.add.reduce(screws[:, :3] ** 2, axis=1)))
-    w = _skew(screws[:, :3]) / rate[:, None, None]
+    w = hat3(screws[:, :3]) / rate[:, None, None]
     w[prismatic] = 0.0
     v = screws[:, 3:] / rate[:, None]
     w2 = w @ w

@@ -13,6 +13,15 @@ Conventions used throughout the package (fixed, never reordered):
 Functions never mutate their inputs and pose arrays are read-only, so
 everything here is safe to share across threads.
 
+Every screw-algebra kernel of the package lives here.  :func:`hat3` and
+the private ``_blocks``, ``_adjoint_pair`` (Ad(C) and its inverse),
+``_brackets``, ``_product`` and ``_pair_table`` take leading axes (stacks
+of bodies or samples).  :func:`adjoint`, :func:`adjoint_rot`,
+:func:`adjoint_trans`, :func:`ad_matrix`, :func:`lie_bracket` and the
+exponential family take one screw or pose: on one screw a broadcasting
+body costs more per call, and as the stacked kernels never call them, a
+count of their calls counts one-screw work only.
+
 The exponential family reads one coefficient function of the rotation
 angle t, with one small-angle rule: below t = 0.5 a table of Taylor
 coefficients through t**14, above it the closed forms a1 = sin t/t,
@@ -31,25 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Pose",
-    "hat3",
-    "vee3",
-    "exp_so3",
-    "log_so3",
-    "so3_left_jacobian",
-    "so3_left_jacobian_inv",
-    "exp_se3",
-    "log_se3",
-    "adjoint",
-    "adjoint_rot",
-    "adjoint_trans",
-    "screw",
-    "lie_bracket",
-    "ad_matrix",
-    "wrench_transform",
-    "reciprocal_product",
-    "dexp",
-    "dexp_inv",
+    "Pose", "hat3", "vee3", "exp_so3", "log_so3", "so3_left_jacobian",
+    "so3_left_jacobian_inv", "exp_se3", "log_se3", "adjoint", "adjoint_rot",
+    "adjoint_trans", "screw", "lie_bracket", "ad_matrix", "wrench_transform",
+    "reciprocal_product", "dexp", "dexp_inv",
 ]
 
 # Symmetric-part tolerance for vee3, orthogonality tolerance for Pose.
@@ -57,9 +51,19 @@ _SKEW_ATOL = 1e-9
 
 
 def hat3(v) -> np.ndarray:
-    """Skew matrix of a 3-vector: hat3(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew matrices [v]x of the 3-vectors along the last axis of v:
+    hat3(v) @ w == cross(v, w) for one vector, leading axes carried
+    through.  One vector is read as Python floats, which is faster and
+    gives the same entries, signs of zero included."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        x, y, z = v.tolist()
+        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 2, 1], out[..., 0, 2], out[..., 1, 0] = x, y, z
+    out[..., 1, 2], out[..., 2, 0], out[..., 0, 1] = -x, -y, -z
+    return out
 
 
 def vee3(m) -> np.ndarray:
@@ -383,3 +387,81 @@ def log_se3(p: Pose) -> np.ndarray:
     if float(np.linalg.norm(omega)) >= np.pi - 1e-9:
         raise ValueError("log_se3: rotation angle too close to pi")
     return screw(omega, so3_left_jacobian_inv(omega) @ p.trans)
+
+
+# --------------------------------------------------------------------------
+# Stacked kernels: leading axes are bodies or samples
+# --------------------------------------------------------------------------
+
+def _blocks(a, c, d) -> np.ndarray:
+    """The 6x6 matrix [[a, 0], [c, d]] of 3x3 blocks; c=None is zero.
+    Leading axes of d carry through (a stack of matrices)."""
+    m = np.zeros(d.shape[:-2] + (6, 6))
+    m[..., :3, :3] = a
+    if c is not None:
+        m[..., 3:, :3] = c
+    m[..., 3:, 3:] = d
+    return m
+
+
+def _adjoint_pair(rot, trans) -> tuple[np.ndarray, np.ndarray]:
+    """(Ad(C), Ad(C)^-1) of the poses C = (rot, trans), one or a stack:
+    Ad(C) = [[R, 0], [t~ R, R]] entry for entry as :func:`adjoint`, and
+    its inverse [[R^T, 0], [(t~ R)^T, R^T]], each 3x3 block transposed."""
+    ad = _blocks(rot, hat3(trans) @ rot, rot)
+    lead = ad.shape[:-2]
+    return ad, ad.reshape(lead + (2, 3, 2, 3)).swapaxes(-3, -1).reshape(lead + (6, 6))
+
+
+# Structure constants: (u x v)_x = _CROSS[x, y, z] u_y v_z, and for screws
+# ordered (angular, linear) [X, Y]_x = _SE3_BRACKET[x, y, z] X_y Y_z.
+_CROSS = np.zeros((3, 3, 3))
+_CROSS[0, 1, 2] = _CROSS[1, 2, 0] = _CROSS[2, 0, 1] = 1.0
+_CROSS[0, 2, 1] = _CROSS[2, 1, 0] = _CROSS[1, 0, 2] = -1.0
+_SE3_BRACKET = np.zeros((6, 6, 6))
+_SE3_BRACKET[:3, :3, :3] = _SE3_BRACKET[3:, 3:, :3] = _SE3_BRACKET[3:, :3, 3:] = _CROSS
+_CROSS.setflags(write=False)
+_SE3_BRACKET.setflags(write=False)
+
+
+def _product(consts, x, y) -> np.ndarray:
+    """The bilinear product with structure constants ``consts`` of x and y
+    along their last axes (stacks of them): x x y for _CROSS, [x, y] for
+    _SE3_BRACKET."""
+    return np.einsum("abc,...b,...c->...a", consts, x, y)
+
+
+def _pair_table(consts, u, v) -> np.ndarray:
+    """out[l, :, a, b] = the bilinear product with structure constants
+    ``consts`` of u[l, :, a] and v[l, :, b], for every body l."""
+    return np.einsum("xyz,lya,lzb->lxab", consts, u, v, optimize=True)
+
+
+def _brackets(v, xp) -> tuple[np.ndarray, np.ndarray]:
+    """([v_i, x_i], ad(v_i)^T p_i) for every row i of v and of the (n, 12)
+    stack xp = [x | p]: with v_i = (w, v), x_i = (a, b) and p_i = (c, d),
+    the cross products of (w x a, w x b + v x a) and -(w x c + v x d, w x d)
+    in one gathered product of 36 columns; its callers count them."""
+    p = v.take(_PAIR_COLUMNS[0], 1) * xp.take(_PAIR_COLUMNS[1], 1)
+    c = (p[:, :18] - p[:, 18:]) @ _PAIR_SUM
+    return c[:, :6], c[:, 6:]
+
+
+# Columns (l, r) of x = (w, v) and y = (a, b) whose products p = x[:, l] y[:, r]
+# give three cross products as p[:, :9] - p[:, 9:]: w x a, w x b, v x a for
+# brackets; -(w x a), -(w x b), -(v x b) for co-brackets (products swapped).
+_BRACKET_COLUMNS = np.array([[1, 2, 0, 1, 2, 0, 4, 5, 3, 2, 0, 1, 2, 0, 1, 5, 3, 4],
+                             [2, 0, 1, 5, 3, 4, 2, 0, 1, 1, 2, 0, 4, 5, 3, 1, 2, 0]])
+_COBRACKET_COLUMNS = np.array([[2, 0, 1, 2, 0, 1, 5, 3, 4, 1, 2, 0, 1, 2, 0, 4, 5, 3],
+                               [1, 2, 0, 4, 5, 3, 4, 5, 3, 2, 0, 1, 5, 3, 4, 5, 3, 4]])
+# Both side by side on v and [x | p] (the co-bracket's right columns moved past
+# the 6 of x), ordered so that p[:, :18] - p[:, 18:] is
+# (b_0, b_1, c_0, c_1, b_2, c_2) for the cross products b_k of the bracket and
+# c_k of the co-bracket.  _PAIR_SUM adds b_2 to b_1 and c_2 to c_0, at most
+# two nonzero terms per sum, so it rounds as a plain sum (an in-place sum of
+# two views of one array would cost more, in numpy's overlap check).
+_PAIR_COLUMNS = np.concatenate(
+    [cols[:, part] for part in (slice(0, 6), slice(6, 9), slice(9, 15), slice(15, 18))
+     for cols in (_BRACKET_COLUMNS, _COBRACKET_COLUMNS + [[0], [6]])], axis=1)
+_PAIR_SUM = np.zeros((18, 12))
+_PAIR_SUM[range(12), range(12)] = _PAIR_SUM[range(12, 18), range(3, 9)] = 1.0

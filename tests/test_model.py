@@ -241,6 +241,13 @@ def test_body_model_rejects_an_inertia_that_overflows():
         assert (info.value.path, info.value.message) == ("body", "inertia table overflows")
     with pytest.raises(ModelError, match=r"^bodies\[3\]: inertia table overflows$"):
         BodyModel(1.0, [1e200, 0.0, 0.0], np.eye(3), _path="bodies[3]")
+    # principal moments whose sum overflows: the triangle check warns of
+    # nothing, and the pseudo-inertia tr(Theta)/2 I - Theta + m d d^T, which
+    # overflows where the inertia does not, is caught here, not by ChainModel
+    for moment in (1e308, 6e307):
+        with pytest.raises(ModelError) as info:
+            BodyModel(1.0, [0.0, 0.0, 0.0], np.diag([moment] * 3))
+        assert (info.value.path, info.value.message) == ("body", "inertia table overflows")
     # near overflow the inertia is formed to see, and a finite one is kept
     for mass, com in ((1.0, [1e151, 0.0, 0.0]), (1e-10, [1e153, 0.0, 0.0])):
         assert np.isfinite(spatial_inertia_body(BodyModel(mass, com, np.eye(3))).matrix).all()

@@ -5,13 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from screwchain import se3
+from screwchain.kinematics import _fk_stacks
 from screwchain.se3 import (
     Pose, ad_matrix, adjoint, adjoint_rot, adjoint_trans, dexp, dexp_inv,
     exp_se3, exp_so3, hat3, lie_bracket, log_se3, log_so3,
     reciprocal_product, screw, vee3, wrench_transform,
 )
 
-from conftest import rand_rotation
+from conftest import rand_rotation, random_chain
 
 
 def rand_screw(rng, max_angle=np.pi - 0.05, max_lin=1.5):
@@ -40,6 +41,13 @@ def test_hat3_is_cross_product(rng):
     for _ in range(50):
         v, w = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(hat3(v) @ w, np.cross(v, w), atol=1e-14)
+    # a stack, zero rows of both signs included, is its rows' hat3 byte for byte
+    vs = rng.normal(size=(4, 5, 3))
+    vs[0, 0], vs[1, 2], vs[2, 3, 1], vs[3, 4] = 0.0, -0.0, 0.0, [-0.0, 0.0, -0.0]
+    stacked = hat3(vs)
+    assert stacked.shape == (4, 5, 3, 3)
+    for index in np.ndindex(4, 5):
+        assert stacked[index].tobytes() == hat3(vs[index]).tobytes()
 
 
 def test_vee3_round_trip(rng):
@@ -243,6 +251,30 @@ def test_derived_pose_checks_that_can_fail_still_fail():
 
 def test_adjoint_identity():
     assert np.array_equal(adjoint(Pose.identity()), np.eye(6))
+
+
+def test_adjoint_pair_matches_adjoint(rng):
+    # the stacked pair against the one-pose kernel, on random poses (one at
+    # a time and stacked) and on the pose stacks of random trees: Ad(C)
+    # bit for bit, and Ad(C)^-1, a block transpose where adjoint(C^-1)
+    # rounds -R^T t first, within 1e-14 (45 ulps) of its largest entry;
+    # 200 random trees reach 19 ulps
+    poses = [rand_pose(rng) for _ in range(20)]
+    stacks = [(p.rot, p.trans) for p in poses]
+    stacks.append((np.array([p.rot for p in poses]), np.array([p.trans for p in poses])))
+    for seed in range(8):
+        model = random_chain(np.random.default_rng(seed), 9, tree=True)
+        absolute = _fk_stacks(model, rng.normal(size=model.n) * 2.0, relative=False)[0]
+        stacks.append((absolute.rot, absolute.trans))
+    for rot, trans in stacks:
+        ad, inv = se3._adjoint_pair(rot, trans)
+        assert ad.shape == inv.shape == rot.shape[:-2] + (6, 6)
+        for r, t, a, a_inv in zip(rot.reshape(-1, 3, 3), trans.reshape(-1, 3),
+                                  ad.reshape(-1, 6, 6), inv.reshape(-1, 6, 6)):
+            pose = Pose(r, t)
+            assert a.tobytes() == adjoint(pose).tobytes()
+            expect = adjoint(pose.inverse())
+            assert np.abs(a_inv - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_adjoint_pure_translation_on_angular_screw(rng):

@@ -22,12 +22,11 @@ once per pass, solves.  The bias J^T (M Jdot qd - ad^T_V M V - loads) of
 sweep; the momentum form's rates are those balances plus M_i times the
 path sums of js_j qdd_j.
 
-Each public call builds its own pass, except ``fdyn``: it keeps its
-last pass for the next call at the same model object and the same bytes
-of q (:func:`_configuration`), which is how a state-form sample of
-:func:`screwchain.integrators.chain_simulate` reads the pass its RK4
-stage solved on.  A momentum-form stage builds its pass and hands it to
-its sample.
+Every call builds its own pass and keeps none.  A pass over an (m, n)
+stack of configurations is m passes in one set of stacked products,
+each sample's arrays bit for bit those of its own pass; the chunked
+reports of :func:`screwchain.integrators.chain_simulate` read such a
+pass.
 
 The closed-form Coriolis matrix and Christoffel symbols contract the one
 bracket table of :mod:`screwchain.kinematics` (``_bracket_table``): the
@@ -339,10 +338,11 @@ class _Configuration:
     """One configuration pass at q: the absolute pose stack of
     :func:`_fk_stacks` once, and from it the spatial frame table
     ``frames`` (the spatial joint screws js, body inertias and pose stack
-    among it) and the composite-rigid-body mass matrix.  The pass ``fdyn``
-    keeps is shared with the next reader at its configuration, so nothing
-    writes a pass's arrays; a public function hands out new arrays or
-    those of a pass of its own.
+    among it) and the composite-rigid-body mass matrix.  A q with leading
+    sample axes, (..., n), gives every array of the pass those axes, each
+    sample's entries bit for bit those of its own pass; :meth:`momenta`,
+    :meth:`solve`, :meth:`accel` and :meth:`momentum_rates` read a
+    one-sample pass.  Nothing writes a pass's arrays.
 
     Spatial inertias add without transformation, so with Ic_k the inertia
     of the subtree rooted at body k, M_jk = js_j . Ic_k js_k for every j
@@ -356,17 +356,14 @@ class _Configuration:
     """
 
     def __init__(self, model: ChainModel, q):
-        n = model.n
-        q = np.asarray(q, dtype=float).reshape(n)
         self.model = model
-        self.key = q.tobytes()
         self.frames = frames = _frame_table(model, _fk_stacks(model, q, relative=False)[0],
                                             None, "spatial")
-        tab, js = model.tables, frames.screws
-        ic = (tab.path @ frames.inertias.reshape(n, 36)).reshape(n, 6, 6)
+        tab, js, inertias = model.tables, frames.screws, frames.inertias
+        ic = (tab.path @ inertias.reshape(inertias.shape[:-2] + (36,))).reshape(inertias.shape)
         self.icjs = (ic @ js[..., None])[..., 0]  # Ic_k js_k
-        g = js @ self.icjs.T  # g[j, k] = js_j . Ic_k js_k
-        self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.T, 0.0))
+        g = js @ self.icjs.swapaxes(-1, -2)  # g[..., j, k] = js_j . Ic_k js_k
+        self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.swapaxes(-1, -2), 0.0))
         self._low = None  # L^-1 for the Cholesky factor L of the mass matrix
 
     def momenta(self, qd) -> np.ndarray:
@@ -391,11 +388,9 @@ class _Configuration:
         n = self.model.n
         qd = np.asarray(qd, dtype=float).reshape(n)
         tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
-        applied = _applied_wrenches(n, applied)
         frames = self.frames
         (V, vd), rates = _spatial_motion(self.model, frames, qd)
-        loads = (frames.gravity if gravity and applied is None
-                 else _loads(self.model, frames, applied, gravity, "body"))
+        loads = _loads(self.model, frames, applied, gravity, "body")
         bias = _backward_sweep(self.model, frames, V, vd, loads, balances=rates)[0]
         return self.solve(tau - bias), V, vd, rates
 
@@ -421,23 +416,6 @@ def _path_twists(path, screws, rates) -> np.ndarray:
 def _momenta(path, screws, inertias, qd) -> np.ndarray:
     """Spatial momenta M^s_i V^s_i of :func:`_path_twists`, M^s (..., n, 6, 6)."""
     return np.einsum("...ijk,...ik->...ij", inertias, _path_twists(path, screws, qd))
-
-
-# The last configuration pass of fdyn, reused as the module docstring explains.
-_last_configuration: _Configuration | None = None
-
-
-def _configuration(model: ChainModel, q) -> _Configuration:
-    """The :class:`_Configuration` at (model, q): the last one kept when
-    it was built for this model object at a q with the same bytes,
-    otherwise a new one, which replaces it."""
-    global _last_configuration
-    q = np.asarray(q, dtype=float).reshape(model.n)
-    last = _last_configuration
-    if last is not None and last.model is model and last.key == q.tobytes():
-        return last
-    _last_configuration = cfg = _Configuration(model, q)
-    return cfg
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
@@ -539,7 +517,7 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
     positive definite or tau - bias is not finite.  ``applied`` takes
     per-body external wrenches in body representation.
     """
-    return _configuration(model, q).accel(qd, tau, applied, gravity)[0]
+    return _Configuration(model, q).accel(qd, tau, applied, gravity)[0]
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:

@@ -12,14 +12,11 @@ SPD solve of that module; the free body recovers its twist through its
 constant body inertia.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
-step reuses.  The sample keeps what its report reads of the configuration
-pass that stage solved on (a momentum-form stage hands its pass to its
-sample, a state-form sample reads the pass ``fdyn`` kept): mass matrix,
-subtree momenta, pseudo-inertias and pose stack.  The reports of
-``REPORT_CHUNK`` samples are formed together by a few stacked products
-once the last of them is kept, and the rest at the end or abort of the
-run, so a run costs one configuration pass, one backward sweep and one
-factorization per RK4 stage.
+step reuses, so a run costs one configuration pass, one backward sweep
+and one factorization per RK4 stage.  The reports of ``REPORT_CHUNK``
+samples are formed together once the last of them is recorded, and the
+rest at the end or abort of the run: one stacked configuration pass over
+the chunk's configurations and a few stacked products.
 """
 
 from __future__ import annotations
@@ -237,24 +234,20 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     Sample k is recorded from RK4's first stage f(t_k, y_k), which the
     step from it reuses: qd is the stage's first n entries (recovered from
     the momenta in the momentum form) and qdd the acceleration the stage
-    solved, so ``torque`` runs once per stage.  The report reads the
-    configuration pass that stage solved on: the momentum-form stage
-    hands its pass to the sample (sample 0's is the pass at q0 that gave
-    the initial momenta), and the state-form sample reads the pass
-    ``fdyn`` kept.  The sample keeps the pass's mass matrix, subtree
-    momenta Ic_k js_k, pseudo-inertias and pose stack in buffers of
-    ``REPORT_CHUNK`` samples.  When a chunk is full, and at the end or
-    abort of the run, stacked products form their reports: the kinetic
-    energy from the mass matrix, the potential energy -g . sum h_i from
-    the first moments, the total momentum (Ic_k js_k)^T qd and the drift
-    from the pose stack, with no pass, sweep or factorization of their
-    own.  In both forms ``constraint_drift`` is the largest distance
-    |R^T R - I| of a body rotation from SO(3), which is roundoff of the
-    rotations FK builds.  The momentum form also reports the residual
-    that its integration can really move off zero, ``momentum_residual`` =
-    max_i |Pi_i - M^s_i V^s_i(qd)|: how far the integrated body momenta
-    sit from the momenta the recovered qd implies (it falls as h^4 with
-    RK4).
+    solved, so ``torque`` runs once per stage.  When ``REPORT_CHUNK``
+    samples are recorded, and at the end or abort of the run, one stacked
+    configuration pass over their q gives their reports by stacked
+    products: the kinetic energy from the mass matrices, the potential
+    energy -g . sum h_i from the first moments, the total momentum
+    (Ic_k js_k)^T qd and the drift from the pose stacks, with no sweep or
+    factorization of their own; only the momentum form's integrated
+    momenta are kept for them.  In both forms ``constraint_drift`` is the
+    largest distance |R^T R - I| of a body rotation from SO(3), which is
+    roundoff of the rotations FK builds.  The momentum form also reports
+    the residual that its integration can really move off zero,
+    ``momentum_residual`` = max_i |Pi_i - M^s_i V^s_i(qd)|: how far the
+    integrated body momenta sit from the momenta the recovered qd implies
+    (it falls as h^4 with RK4).
 
     A step that fails (a floating-point overflow, division by zero or
     invalid operation, a mass matrix that is not positive definite, a
@@ -282,71 +275,61 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
             return np.zeros(n)
         return np.asarray(torque(t, q, qd), dtype=float).reshape(n)
 
-    def stage(t, y, cfg=None):
-        """f(t, y) of the form's ODE, the qdd it solved and, in the
-        momentum form, the configuration pass at y's q that it solved on
-        (``cfg`` if given); the state form solves by ``fdyn``, which keeps
-        its pass, and returns None for it."""
+    def stage(t, y):
+        """f(t, y) of the form's ODE and the qdd it solved."""
         q = y[:n]
         if form == "state":
             qdd = dyn.fdyn(model, q, y[n:], tau_at(t, q, y[n:]), applied=applied,
                            gravity=gravity)
-            return np.concatenate([y[n:], qdd]), qdd, None
-        cfg = dyn._Configuration(model, q) if cfg is None else cfg
-        rates, qd, qdd = cfg.momentum_rates(y[n:], lambda qd_: tau_at(t, q, qd_),
-                                            applied, gravity)
-        return np.concatenate([qd, rates.reshape(-1)]), qdd, cfg
+            return np.concatenate([y[n:], qdd]), qdd
+        rates, qd, qdd = dyn._Configuration(model, q).momentum_rates(
+            y[n:], lambda qd_: tau_at(t, q, qd_), applied, gravity)
+        return np.concatenate([qd, rates.reshape(-1)]), qdd
 
     def f(t, y):
         return stage(t, y)[0]
 
-    # what a chunk's reports read: mass matrices, Ic_k js_k, pseudo-inertias and
-    # poses, and in the momentum form the integrated momenta, screws and inertias
     rows = min(REPORT_CHUNK, len(times))
-    kept = [np.empty((rows, *shape)) for shape in ((n, n), (n, 6), (n, 4, 4), (n, 4, 4))
-            + (((6 * n,), (n, 6), (n, 6, 6)) if form == "momentum" else ())]
-    reports, done = [], 0  # done: samples whose products are kept
+    pis = np.empty((rows, n, 6)) if form == "momentum" else None  # a chunk's momenta
+    reports, done = [], 0  # done: samples recorded with their first stage
 
-    def sample(k, y, cfg=None):
-        """Record sample k of the state y, keep its pass products, return f(t_k, y)."""
+    def sample(k, y):
+        """Record sample k of the state y, return f(t_k, y)."""
         nonlocal done
-        q = qs[k] = y[:n]
+        qs[k] = y[:n]
         if form == "state":  # kept if the stage fails
             qds[k] = y[n:]
-        k1, qdds[k], cfg = stage(times[k], y, cfg)
+        k1, qdds[k] = stage(times[k], y)
         qds[k] = k1[:n]
-        if cfg is None:  # the pass fdyn kept for the stage
-            cfg = dyn._configuration(model, q)
-        frames = cfg.frames
-        for buf, value in zip(kept, (cfg.mass, cfg.icjs, frames.pseudo, frames.poses.mat,
-                                     y[n:], frames.screws, frames.inertias)):
-            buf[k % rows] = value
+        if pis is not None:
+            pis[k % rows] = y[n:].reshape(n, 6)
         done = k + 1
         if done % rows == 0:
             form_reports()
         return k1
 
     def chunk_reports(start, stop):
-        """The reports of the kept samples start .. stop - 1, all of one chunk."""
-        mass, icjs, pseudo, poses, *momentum_form = (buf[start % rows:][:stop - start]
-                                                     for buf in kept)
-        qd = qds[start:stop]
-        energy = 0.5 * ((qd[..., None] * mass).sum(axis=1) * qd).sum(axis=1)
+        """The reports of the recorded samples start .. stop - 1, all of one chunk."""
+        cfg = dyn._Configuration(model, qs[start:stop])
+        frames, qd = cfg.frames, qds[start:stop]
+        energy = 0.5 * ((qd[..., None] * cfg.mass).sum(axis=1) * qd).sum(axis=1)
         if gravity:  # -g . sum h_i, h_i the first moments
-            energy -= pseudo[..., :3, 3].sum(axis=1) @ model.gravity
+            energy -= frames.pseudo[..., :3, 3].sum(axis=1) @ model.gravity
         residual = np.full(stop - start, np.nan)
-        if momentum_form:
-            pis, screws, inertias = momentum_form
-            momenta = dyn._momenta(model.tables.path, screws, inertias, qd)
-            residual = np.linalg.norm(pis.reshape(-1, n, 6) - momenta, axis=-1).max(axis=1)
+        if pis is not None:
+            momenta = dyn._momenta(model.tables.path, frames.screws, frames.inertias, qd)
+            residual = np.linalg.norm(pis[start % rows:][:stop - start] - momenta,
+                                      axis=-1).max(axis=1)
         return map(StepReport, times[start:stop].tolist(), energy.tolist(),
-                   (qd[..., None] * icjs).sum(axis=1),
-                   _drift(poses[..., :3, :3]).max(axis=1).tolist(), residual.tolist())
+                   (qd[..., None] * cfg.icjs).sum(axis=1),
+                   _drift(frames.poses.rot).max(axis=1).tolist(), residual.tolist())
 
     def form_reports():
-        """Append the reports of the kept samples from len(reports) to
-        done - 1; at a floating-point fault, those before the first sample
-        whose own report faults, and raise that fault."""
+        """Append the reports of the recorded samples from len(reports) to
+        done - 1, if any; at a floating-point fault, those before the first
+        sample whose own report faults, and raise that fault."""
+        if len(reports) == done:
+            return
         try:
             reports.extend(chunk_reports(len(reports), done))
         except ArithmeticError:
@@ -358,10 +341,9 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     # floating-point faults raise, so the first one is the abort reason
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            cfg = None if form == "state" else dyn._Configuration(model, q0)
-            rest = qd0 if cfg is None else cfg.momenta(qd0)
+            rest = qd0 if form == "state" else dyn._Configuration(model, q0).momenta(qd0)
             y = np.concatenate([q0, rest.reshape(-1)])
-            k1 = sample(0, y, cfg)
+            k1 = sample(0, y)
             for k in range(steps):
                 y = _rk4(f, times[k], y, h, k1)
                 if not np.all(np.isfinite(y)):

@@ -170,40 +170,45 @@ def fk(model: ChainModel, q) -> list[Pose]:
 
 
 class _PoseStack(NamedTuple):
-    """The poses of all bodies as one (n, 4, 4) stack ``mat`` of homogeneous
-    matrices, which nothing writes once built; ``rot`` (n, 3, 3) and
-    ``trans`` (n, 3) are views, and :meth:`poses` reads read-only ones."""
+    """The poses of all bodies as one (..., n, 4, 4) stack ``mat`` of
+    homogeneous matrices, which nothing writes once built; leading axes
+    are samples.  ``rot`` (..., n, 3, 3) and ``trans`` (..., n, 3) are
+    views, and :meth:`poses` reads read-only ones of a one-sample stack."""
 
     mat: np.ndarray
 
     @property
     def rot(self) -> np.ndarray:
-        return self.mat[:, :3, :3]
+        return self.mat[..., :3, :3]
 
     @property
     def trans(self) -> np.ndarray:
-        return self.mat[:, :3, 3]
+        return self.mat[..., :3, 3]
 
     def poses(self) -> list[Pose]:
         return [Pose._trusted(r, t) for r, t in zip(self.rot, self.trans)]
 
 
 def _fk_stacks(model: ChainModel, q, relative=True) -> tuple[_PoseStack, _PoseStack | None]:
-    """(absolute, relative) poses of :func:`fk_body_form` as (n, 4, 4) stacks;
-    with ``relative`` False the walk runs in place and leaves it out (None)."""
-    q = np.asarray(q, dtype=float).reshape(model.n)
+    """(absolute, relative) poses of :func:`fk_body_form` as (..., n, 4, 4)
+    stacks, one pose stack per row of an (..., n) q (a vector is one
+    sample); with ``relative`` False the walk runs in place and leaves it
+    out (None).  Each sample's stacks are those of its own call, bit for bit."""
+    q = np.asarray(q, dtype=float)
+    q = q.reshape(q.shape[:-1] + (model.n,))
     if not np.isfinite(q).all():
-        bad = np.flatnonzero(~np.isfinite(q))
+        bad = np.flatnonzero(~np.isfinite(q))[0]
         raise ValueError(f"fk_body_form: q must be finite, "
-                         f"got q[{bad[0]}] = {float(q[bad[0]])}")
+                         f"got q[{bad % model.n}] = {float(q.flat[bad])}")
     tab = model.tables
     a = tab.rate * q
-    coef = np.ones((model.n, 1, 4))
-    coef[:, 0, 1], coef[:, 0, 2], coef[:, 0, 3] = np.sin(a), 1.0 - np.cos(a), a
-    rel = (coef @ tab.exp).reshape(model.n, 4, 4)
+    coef = np.ones(a.shape + (1, 4))
+    coef[..., 0, 1], coef[..., 0, 2], coef[..., 0, 3] = np.sin(a), 1.0 - np.cos(a), a
+    rel = (coef @ tab.exp).reshape(a.shape + (4, 4))
     walk = rel.copy() if relative else rel
+    down = walk.swapaxes(0, -3)  # body axis first, so a link is one integer index
     for i, p in model.links:
-        walk[i] = walk[p] @ walk[i]
+        down[i] = down[p] @ down[i]
     return _PoseStack(walk), _PoseStack(rel) if relative else None
 
 
@@ -257,7 +262,9 @@ class _Frames(NamedTuple):
     ``rep`` coordinates, which nothing writes after they are built, and
     the pose stacks they came from;
     ``pseudo`` holds the carried pseudo-inertias W J W^T (None in body
-    form)."""
+    form).  A spatial table at a pose stack with leading sample axes has
+    them too, each sample's rows those of its own table; the sweeps and
+    the body and hybrid tables read one sample."""
 
     rep: str
     poses: _PoseStack
@@ -321,10 +328,10 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
 
 def _carried_screws(w, lines) -> np.ndarray:
     """The screws (R w, t x R w + R v) of the body screws (w, v) whose
-    ``tables.lines`` the 4x4 matrices W = (R, t) carry, one gathered
-    product of the columns of W lines."""
-    f = (w @ lines).reshape(len(w), 12)
-    return (f.take(_SCREW_COLUMNS[0], 1) * f.take(_SCREW_COLUMNS[1], 1)) @ _SCREW_SUM
+    ``tables.lines`` the 4x4 matrices W = (R, t) carry (leading axes
+    are samples), one gathered product of the columns of W lines."""
+    f = (w @ lines).reshape(w.shape[:-2] + (12,))
+    return (f.take(_SCREW_COLUMNS[0], -1) * f.take(_SCREW_COLUMNS[1], -1)) @ _SCREW_SUM
 
 
 def _read_inertias(w, pseudo, readout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

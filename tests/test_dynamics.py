@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from screwchain import dynamics, se3
+from screwchain import dynamics, kinematics, se3
 from screwchain.cli import _benchmark_chain
 from screwchain.dynamics import (
     christoffel, convert_wrench, coriolis_matrix, fdyn, gravity_potential,
@@ -550,9 +550,9 @@ def test_non_finite_rate_is_rejected_as_such(entry, field, value):
 
 
 def test_reused_configuration_cannot_go_stale(rng):
-    # fdyn at (A, q), (B, q), then (B, q written in place) must each equal
-    # a pass built afresh; so must fdyn after the caller writes into the
-    # mass matrix it was handed
+    # fdyn keeps nothing between calls: at (A, q), (B, q), then (B, q
+    # written in place) it must each time equal a pass built afresh; so
+    # must fdyn after the caller writes into the mass matrix it was handed
     a, b = random_chain(rng, 4, tree=True), random_chain(rng, 4, tree=True)
     q, qd, tau = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
 
@@ -570,8 +570,8 @@ def test_reused_configuration_cannot_go_stale(rng):
     m[:] = np.eye(4)
     assert np.array_equal(fdyn(b, q, qd, tau), fresh(b))
 
-    # the kept bias solve: another qd, tau, applied or gravity must give a
-    # solve of its own, also when the caller's array was written in place
+    # another qd, tau, applied or gravity must give a solve of its own,
+    # also when the caller's array was written in place
     wb = rng.normal(size=(4, 6))
     kept = fdyn(b, q, qd, tau)
     for args in ((qd + 1e-3, tau, None, True), (qd, tau + 1e-3, None, True),
@@ -586,11 +586,42 @@ def test_reused_configuration_cannot_go_stale(rng):
         fresh_solve = dynamics._Configuration(b, q).accel(qd, tau, wb, True)[0]
         assert np.array_equal(after, fresh_solve)
         assert not np.array_equal(after, before)
-    # writing into what fdyn returned leaves the kept solve as it was
+    # writing into what fdyn returned changes no later call
     out = fdyn(b, q, qd, tau)
     expect = out.copy()
     out[:] = 0.0
     assert np.array_equal(fdyn(b, q, qd, tau), expect)
+
+
+def test_stacked_configuration_pass_equals_its_rows(rng):
+    # FK and the configuration pass over an (m, n) or (2, 3, n) stack of
+    # configurations give the calls made row by row, byte for byte: poses,
+    # relative poses, screws, inertias, pseudo-inertias, gravity loads,
+    # mass matrices and Ic_k js_k, on trees with every joint kind and
+    # non-identity reference poses
+    def same(a, b):
+        return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+    for n in (1, 3, 7, 12):
+        model = random_chain(rng, n, tree=True)
+        while len({joint.kind for joint in model.joints}) < min(n, 3):
+            model = random_chain(rng, n, tree=True)
+        assert not np.array_equal(model.bodies[-1].ref_pose.matrix(), np.eye(4))
+        for lead in ((9,), (2, 3)):
+            qs = rng.normal(size=lead + (n,)) * 2.0
+            absolute, relative = kinematics._fk_stacks(model, qs)
+            cfg = dynamics._Configuration(model, qs)
+            stacked = (absolute.mat, relative.mat, cfg.frames.poses.mat, cfg.frames.screws,
+                       cfg.frames.inertias, cfg.frames.pseudo, cfg.frames.gravity, cfg.mass,
+                       cfg.icjs)
+            for idx in np.ndindex(lead):
+                row_absolute, row_relative = kinematics._fk_stacks(model, qs[idx])
+                row = dynamics._Configuration(model, qs[idx])
+                rows = (row_absolute.mat, row_relative.mat, row.frames.poses.mat,
+                        row.frames.screws, row.frames.inertias, row.frames.pseudo,
+                        row.frames.gravity, row.mass, row.icjs)
+                for k, (got, want) in enumerate(zip(stacked, rows)):
+                    assert same(got[idx], np.ascontiguousarray(want)), (n, lead, idx, k)
 
 
 def test_fdyn_balanced_coriolis_gives_zero_accel(rng):
@@ -699,19 +730,17 @@ def test_predicted_counts_reference_values():
 
 
 @pytest.mark.parametrize("rep", ["body", "spatial", "hybrid"])
-def test_idyn_counts_do_not_depend_on_the_configuration_cache(rng, monkeypatch, rep):
+def test_idyn_counts_do_not_depend_on_the_configuration_cache(rng, rep):
     # idyn builds its frame table through its own counter: its report is
-    # the prediction on a cold cache and right after fdyn and mass_matrix
-    # left a configuration pass at the same (model, q)
+    # the prediction before and right after fdyn and mass_matrix built
+    # configuration passes at the same (model, q)
     model = random_chain(rng, 5)
     q, qd, qdd = rng.normal(size=5), rng.normal(size=5), rng.normal(size=5)
     applied = rng.normal(size=(5, 6))
     pred = predict_op_counts(rep, model.n)
-    monkeypatch.setattr(dynamics, "_last_configuration", None)
     assert idyn(model, q, qd, qdd, rep, applied, full=True).report == pred
     fdyn(model, q, qd)
     mass_matrix(model, q)
-    assert dynamics._last_configuration.model is model
     assert idyn(model, q, qd, qdd, rep, applied, full=True).report == pred
 
 

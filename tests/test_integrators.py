@@ -416,46 +416,98 @@ def test_report_that_overflows_ends_the_kept_samples(monkeypatch, form):
 
 @pytest.mark.parametrize("form", ["state", "momentum"])
 def test_one_configuration_pass_per_rk4_stage(rng, monkeypatch, form):
-    # four stages per step and one for the last sample: the samples' qdd
-    # and reports (and the momentum form's initial momenta) reuse the pass
-    # of the stage at their configuration
+    # four one-sample passes per step and one for the last sample (one more
+    # in the momentum form, for the initial momenta at q0), and one stacked
+    # pass per chunk of reports
     model = random_chain(rng, 3, tree=True)
-    built = []
+    built = {"one": 0, "stacked": 0}
     init = dynamics._Configuration.__init__
 
-    def counted(self, *args):
-        built.append(1)
-        init(self, *args)
+    def counted(self, model, q):
+        built["one" if np.ndim(q) == 1 else "stacked"] += 1
+        init(self, model, q)
 
-    monkeypatch.setattr(dynamics, "_last_configuration", None, raising=False)
     monkeypatch.setattr(dynamics._Configuration, "__init__", counted)
     steps, h = 10, 1e-3
-    traj = chain_simulate(model, rng.normal(size=3), rng.normal(size=3),
-                          torque=lambda t, q, qd: -0.5 * qd, T=steps * h, h=h,
-                          form=form)
-    assert len(traj.times) == steps + 1
-    assert len(built) == 4 * steps + 1
+    for chunk in (4, REPORT_CHUNK):
+        monkeypatch.setattr(integrators, "REPORT_CHUNK", chunk)
+        built.update(one=0, stacked=0)
+        traj = chain_simulate(model, rng.normal(size=3), rng.normal(size=3),
+                              torque=lambda t, q, qd: -0.5 * qd, T=steps * h, h=h,
+                              form=form)
+        assert len(traj.times) == steps + 1
+        assert built == {"one": 4 * steps + 1 + (form == "momentum"),
+                         "stacked": -(-(steps + 1) // chunk)}
 
 
-def test_only_fdyn_keeps_a_configuration_pass(rng, monkeypatch):
-    # mass_matrix, spatial_momenta, momentum_rhs and the momentum form's
-    # stages own their passes; fdyn keeps its last one, which a state-form
-    # sample reads
+def test_no_module_keeps_a_configuration_pass(rng):
+    # every call builds its own pass and keeps none, so no module of the
+    # package holds one after the calls that build them
+    import screwchain
+    from screwchain import cli, model as model_module
+
     model = random_chain(rng, 3, tree=True)
     q, qd = rng.normal(size=3), rng.normal(size=3)
-
-    def kept():
-        return [name for name, value in vars(dynamics).items()
-                if isinstance(value, dynamics._Configuration)]
-
-    monkeypatch.setattr(dynamics, "_last_configuration", None)
+    dynamics.fdyn(model, q, qd)
     dynamics.mass_matrix(model, q)
     dynamics.momentum_rhs(model, q, dynamics.spatial_momenta(model, q, qd))
-    chain_simulate(model, q, qd, torque=lambda t, q, qd: -0.5 * qd, T=5e-3, h=1e-3,
-                   form="momentum")
-    assert kept() == []
-    dynamics.fdyn(model, q, qd)
-    assert kept() == ["_last_configuration"]
+    for form in ("state", "momentum"):
+        chain_simulate(model, q, qd, torque=lambda t, q, qd: -0.5 * qd, T=5e-3, h=1e-3,
+                       form=form)
+    kept = [(module.__name__, name)
+            for module in (screwchain, cli, dynamics, integrators, kinematics, model_module, se3)
+            for name, value in vars(module).items()
+            if isinstance(value, dynamics._Configuration)]
+    assert kept == []
+
+
+def _chunked_runs(rng, form):
+    """(label, run) pairs: a run with torques and applied wrenches over
+    more than two chunks of 7, one that aborts at step 12 on an
+    overflowing torque, one whose report overflows at sample 4, and one
+    whose sample 0 fails."""
+    model = _all_kinds_tree(rng)
+    q0, qd0 = rng.normal(size=(2, model.n)) * 0.4
+    applied = rng.normal(size=(model.n, 6))
+    spin = ChainModel([BodyModel(1.0, [0, 0, 0], np.eye(3))],
+                      [JointModel("revolute", axis=[0, 0, 1])], [-1])
+    return [
+        ("plain", lambda: chain_simulate(
+            model, q0, qd0, torque=lambda t, q, qd: np.sin(7.0 * t) - 0.4 * qd, T=0.02,
+            h=1e-3, form=form, applied=applied)),
+        ("abort", lambda: chain_simulate(
+            model, q0, qd0, torque=lambda t, q, qd: np.full(model.n, 1e308 if t > 12.5e-3
+                                                            else 0.5) - 0.3 * qd,
+            T=0.03, h=1e-3, form=form)),
+        ("overflow", lambda: chain_simulate(
+            spin, np.zeros(1), np.array([1e154]), torque=lambda t, q, qd: [1e156], T=0.01,
+            h=1e-3, form=form, gravity=False)),
+        ("sample 0", lambda: chain_simulate(
+            model, np.zeros(model.n), np.full(model.n, 1e200), T=0.03, h=1e-3, form=form)),
+    ]
+
+
+@pytest.mark.parametrize("form", ["state", "momentum"])
+def test_reports_do_not_depend_on_the_chunk_size(rng, monkeypatch, form):
+    # one stacked pass per chunk gives each sample the report of its own
+    # one-sample chunk, byte for byte, in runs that end, abort, overflow in
+    # a report or fail at sample 0
+    def record(traj):
+        fields = [np.array([r.t, r.energy, *r.momentum_spatial, r.constraint_drift,
+                            r.momentum_residual]) for r in traj.reports]
+        return (traj.abort_step, traj.abort_reason, np.array(fields).tobytes(),
+                *(a.tobytes() for a in (traj.times, traj.q, traj.qd, traj.qdd)))
+
+    runs = _chunked_runs(rng, form)
+    got = {}
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(integrators, "REPORT_CHUNK", chunk)
+        for label, run in runs:
+            got.setdefault(label, []).append(record(run()))
+    steps = {label: rec[0][0] for label, rec in got.items()}
+    assert steps == {"plain": None, "abort": 12, "overflow": 3, "sample 0": 0}
+    for label, records in got.items():
+        assert records[0] == records[1] == records[2], label
 
 
 @pytest.mark.parametrize("form", ["state", "momentum"])
@@ -513,7 +565,6 @@ def _count_sweeps_and_factors(rng, monkeypatch, form, steps=10, h=1e-3):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dynamics, "_last_configuration", None, raising=False)
     monkeypatch.setattr(kinematics, "_forward_sweep",
                         counted("forward", kinematics._forward_sweep))
     monkeypatch.setattr(dynamics, "_backward_sweep",

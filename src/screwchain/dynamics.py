@@ -403,8 +403,7 @@ class _Configuration:
         subtree = model.tables.path @ np.asarray(pi_stack, dtype=float).reshape(model.n, 6)
         qd = self.solve((js * subtree).sum(axis=1))
         qdd, _, _, rates = self.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
-        twists = _path_twists(model.tables.path, js, qdd)
-        return rates + (self.frames.inertias @ twists[..., None])[..., 0], qd, qdd
+        return rates + _momenta(model.tables.path, js, self.frames.inertias, qdd), qd, qdd
 
 
 def _path_twists(path, screws, rates) -> np.ndarray:
@@ -415,7 +414,7 @@ def _path_twists(path, screws, rates) -> np.ndarray:
 
 def _momenta(path, screws, inertias, qd) -> np.ndarray:
     """Spatial momenta M^s_i V^s_i of :func:`_path_twists`, M^s (..., n, 6, 6)."""
-    return np.einsum("...ijk,...ik->...ij", inertias, _path_twists(path, screws, qd))
+    return (inertias @ _path_twists(path, screws, qd)[..., None])[..., 0]
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:

@@ -52,7 +52,7 @@ import numpy as np
 from .model import ChainModel, SpatialInertia, binet_inertia
 from .kinematics import (JointState, Twist, _Frames, _PoseStack, _bracket_table, _check_indices,
                          _check_rep, _fk_stacks, _frame_table, _jacobian, _kinematics,
-                         _read_inertias, _spatial_motion, _twist_map)
+                         _one_sample, _read_inertias, _spatial_motion, _twist_map)
 from .se3 import (Pose, _CROSS, _SE3_BRACKET, _brackets, _pair_table, ad_matrix, adjoint,
                   adjoint_rot, lie_bracket, screw)
 
@@ -419,7 +419,7 @@ def _momenta(path, screws, inertias, qd) -> np.ndarray:
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Generalized mass matrix by the composite-rigid-body algorithm."""
-    return _Configuration(model, q).mass
+    return _Configuration(model, _one_sample(model, q)).mass
 
 
 def _spd_factor(m) -> np.ndarray:
@@ -516,12 +516,12 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
     positive definite or tau - bias is not finite.  ``applied`` takes
     per-body external wrenches in body representation.
     """
-    return _Configuration(model, q).accel(qd, tau, applied, gravity)[0]
+    return _Configuration(model, _one_sample(model, q)).accel(qd, tau, applied, gravity)[0]
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
     """Stacked per-body spatial momentum co-screws Pi_i = M^s_i V^s_i."""
-    return _Configuration(model, q).momenta(qd)
+    return _Configuration(model, _one_sample(model, q)).momenta(qd)
 
 
 def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
@@ -540,7 +540,8 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
     be a callable of the recovered qd; applied wrenches are in body
     representation.
     """
-    return _Configuration(model, q).momentum_rates(pi_stack, tau, applied, gravity)[:2]
+    cfg = _Configuration(model, _one_sample(model, q))
+    return cfg.momentum_rates(pi_stack, tau, applied, gravity)[:2]
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:
@@ -553,6 +554,6 @@ def gravity_potential(model: ChainModel, q) -> float:
     """Potential energy -sum m_i g . r_com_i of the configuration, one
     product over the pose stack."""
     tab = model.tables
-    poses = _fk_stacks(model, q, relative=False)[0]
+    poses = _fk_stacks(model, _one_sample(model, q), relative=False)[0]
     com = np.einsum("nij,nj->ni", poses.rot, tab.com) + poses.trans
     return -float(tab.mass @ (com @ model.gravity))

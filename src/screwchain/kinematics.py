@@ -166,7 +166,14 @@ class KinematicsCache:
 
 def fk(model: ChainModel, q) -> list[Pose]:
     """Absolute body poses, the first half of :func:`fk_body_form`."""
-    return _fk_stacks(model, q, relative=False)[0].poses()
+    return _fk_stacks(model, _one_sample(model, q), relative=False)[0].poses()
+
+
+def _one_sample(model: ChainModel, q) -> np.ndarray:
+    """The q of a one-sample call, n numbers in any shape, as a vector
+    (ValueError for another count), where :func:`_fk_stacks` would read
+    the leading axes of a (1, n) q as samples."""
+    return np.asarray(q, dtype=float).reshape(model.n)
 
 
 class _PoseStack(NamedTuple):
@@ -223,7 +230,7 @@ def fk_body_form(model: ChainModel, q) -> tuple[list[Pose], list[Pose]]:
     then makes one homogeneous 4x4 product per link.  The poses are
     trusted (:class:`screwchain.se3.Pose`); q must be finite (ValueError).
     """
-    absolute, relative = _fk_stacks(model, q)
+    absolute, relative = _fk_stacks(model, _one_sample(model, q))
     return absolute.poses(), relative.poses()
 
 
@@ -393,7 +400,7 @@ def _jacobian(model: ChainModel, absolute: _PoseStack, rep: str) -> SystemJacobi
 
 def jacobian(model: ChainModel, q, rep: str = "body") -> SystemJacobian:
     _check_rep(rep)
-    return _jacobian(model, _fk_stacks(model, q, relative=False)[0], rep)
+    return _jacobian(model, _fk_stacks(model, _one_sample(model, q), relative=False)[0], rep)
 
 
 def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
@@ -687,7 +694,7 @@ def accel_ik(model: ChainModel, q, body_twists, body_accels) -> np.ndarray:
     n = model.n
     V = np.asarray(body_twists, dtype=float).reshape(n, 6)
     Vd = np.asarray(body_accels, dtype=float).reshape(n, 6)
-    frames = _frame_table(model, *_fk_stacks(model, q), "body")
+    frames = _frame_table(model, *_fk_stacks(model, _one_sample(model, q)), "body")
     x, par = frames.screws, np.asarray(model.parent)
     xa = np.where(par[:, None] >= 0, np.einsum("nji,nj->ni", frames.parent, x), 0.0)
     norm2 = np.einsum("ij,ij->i", x, x)

@@ -624,6 +624,34 @@ def test_stacked_configuration_pass_equals_its_rows(rng):
                     assert same(got[idx], np.ascontiguousarray(want)), (n, lead, idx, k)
 
 
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1)])
+def test_one_sample_calls_read_q_of_any_shape(rng, shape):
+    # n numbers in any shape are one configuration, as a vector is: a
+    # (1, n) q is not a stack of one sample for the public calls
+    model = random_chain(rng, 4, tree=True)
+    q, qd, tau = rng.normal(size=(3, 4))
+    pis, v = rng.normal(size=(2, 4, 6))
+    calls = {
+        "fk": lambda q: [p.matrix() for p in fk(model, q)],
+        "fk_body_form": lambda q: [p.matrix() for p in kinematics.fk_body_form(model, q)[1]],
+        "jacobian": lambda q: jacobian(model, q, "hybrid").J,
+        "accel_ik": lambda q: kinematics.accel_ik(model, q, v, v),
+        "mass_matrix": lambda q: mass_matrix(model, q),
+        "kinetic_energy": lambda q: kinetic_energy(model, q, qd),
+        "gravity_potential": lambda q: gravity_potential(model, q),
+        "fdyn": lambda q: fdyn(model, q, qd, tau),
+        "spatial_momenta": lambda q: spatial_momenta(model, q, qd),
+        "momentum_rhs": lambda q: np.concatenate([a.ravel() for a in
+                                                  momentum_rhs(model, q, pis, tau)]),
+        "coriolis_matrix": lambda q: coriolis_matrix(model, q, qd),
+        "christoffel": lambda q: christoffel(model, q),
+    }
+    for name, call in calls.items():
+        want, got = call(q), call(q.reshape(shape))
+        assert np.array_equal(np.shape(got), np.shape(want)), name
+        assert np.array_equal(np.asarray(got, dtype=float), np.asarray(want, dtype=float)), name
+
+
 def test_fdyn_balanced_coriolis_gives_zero_accel(rng):
     model = random_chain(rng, 4, gravity=(0, 0, 0))
     q, qd = rng.normal(size=4), rng.normal(size=4)

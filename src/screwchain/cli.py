@@ -268,16 +268,18 @@ def _torque_fn_from_file(path, n):
     with np.errstate(over="ignore"):  # knots closer than 1e-308 s apart
         slope = np.diff(tq, axis=0) / np.diff(tt)[:, None]
     knots = tt.tolist()  # a search of a list costs less than np.searchsorted
+    last = [None, None]  # the last t and its read-only forces: RK4 asks twice at t + h/2
 
     def torque(t, q, qd):
         # np.interp of every column from one search: the end rows outside
         # the knots, the row at a knot, a line from the knot before t
-        k = bisect.bisect_right(knots, t) - 1
-        if k < 0:
-            return tq[0].copy()
-        if k == len(knots) - 1 or t == knots[k]:
-            return tq[k].copy()
-        return slope[k] * (t - knots[k]) + tq[k]
+        if t != last[0]:
+            k = bisect.bisect_right(knots, t) - 1
+            end = k < 0 or k == len(knots) - 1 or t == knots[k]
+            tau = tq[max(k, 0)] if end else slope[k] * (t - knots[k]) + tq[k]
+            tau.setflags(write=False)
+            last[:] = t, tau
+        return last[1]
 
     return torque
 

@@ -26,7 +26,8 @@ Every call builds its own pass and keeps none.  A pass over an (m, n)
 stack of configurations is m passes in one set of stacked products,
 each sample's arrays bit for bit those of its own pass; the chunked
 reports of :func:`screwchain.integrators.chain_simulate` read such a
-pass.
+pass.  Its products follow the rule of ``screwchain.se3._dot``, and a
+one-sample call coerces each joint vector once on its way to the pass.
 
 The closed-form Coriolis matrix and Christoffel symbols contract the one
 bracket table of :mod:`screwchain.kinematics` (``_bracket_table``): the
@@ -53,8 +54,8 @@ from .model import ChainModel, SpatialInertia, binet_inertia
 from .kinematics import (JointState, Twist, _Frames, _PoseStack, _bracket_table, _check_indices,
                          _check_rep, _fk_stacks, _frame_table, _jacobian, _kinematics,
                          _one_sample, _read_inertias, _spatial_motion, _twist_map)
-from .se3 import (Pose, _CROSS, _SE3_BRACKET, _brackets, _pair_table, ad_matrix, adjoint,
-                  adjoint_rot, lie_bracket, screw)
+from .se3 import (Pose, _CROSS, _SE3_BRACKET, _brackets, _dot, _pair_table, ad_matrix,
+                  adjoint, adjoint_rot, lie_bracket, screw)
 
 __all__ = [
     "OpCountReport",
@@ -306,7 +307,7 @@ def _backward_sweep(model: ChainModel, frames: _Frames, V, Vd, ext,
     the loop's transforms, one per link (translations in hybrid form)."""
     W = (_balances(frames, V, Vd, ops) if balances is None else balances) - ext
     if frames.rep == "spatial":
-        W = model.tables.path @ W
+        W = _dot(model.tables.path, W)
     else:
         for i, p in reversed(model.links):
             W[p] += frames.parent[i].T @ W[i]
@@ -350,9 +351,7 @@ class _Configuration:
     which also gives the total momentum sum_i M^s_i V^s_i = qd . icjs.  The
     twists, the accelerations at qdd = 0 and the balances of :meth:`accel`
     are the path sums of :func:`screwchain.kinematics._spatial_motion`.
-
-    At the first :meth:`solve` M = L L^T is factored, and L^-1 is kept
-    (``_low``), so every solve is two matrix products.
+    The first :meth:`solve` keeps L^-1 of M = L L^T (``_low``).
     """
 
     def __init__(self, model: ChainModel, q):
@@ -360,38 +359,43 @@ class _Configuration:
         self.frames = frames = _frame_table(model, _fk_stacks(model, q, relative=False)[0],
                                             None, "spatial")
         tab, js, inertias = model.tables, frames.screws, frames.inertias
-        ic = (tab.path @ inertias.reshape(inertias.shape[:-2] + (36,))).reshape(inertias.shape)
+        ic = _dot(tab.path, inertias.reshape(js.shape[:-1] + (36,))).reshape(inertias.shape)
         self.icjs = (ic @ js[..., None])[..., 0]  # Ic_k js_k
-        g = js @ self.icjs.swapaxes(-1, -2)  # g[..., j, k] = js_j . Ic_k js_k
-        self.mass = np.where(tab.on_path, g, np.where(tab.on_path.T, g.swapaxes(-1, -2), 0.0))
-        self._low = None  # L^-1 for the Cholesky factor L of the mass matrix
+        g = _dot(js, self.icjs.swapaxes(-1, -2))  # g[..., j, k] = js_j . Ic_k js_k
+        self.mass = np.where(tab.on_path, g, np.where(model._on_path_t, g.swapaxes(-1, -2), 0.0))
+        self._low = None
 
     def momenta(self, qd) -> np.ndarray:
         """Per-body spatial momenta M^s_i V^s_i (:func:`_momenta`)."""
-        qd = np.asarray(qd, dtype=float).reshape(self.model.n)
-        return _momenta(self.model.tables.path, self.frames.screws, self.frames.inertias, qd)
+        return _momenta(self.model, self.frames.screws, self.frames.inertias,
+                        _one_sample(self.model, qd))
 
     def solve(self, b) -> np.ndarray:
-        """M^-1 b = L^-T (L^-1 b), with the one kept L^-1 of :func:`_spd_factor`;
-        ValueError when b holds a NaN or an infinity."""
+        """M^-1 b = L^-T (L^-1 b), two products.  ValueError when M or b
+        holds a NaN or an infinity (which numpy would carry through
+        silently) or when M is not positive definite."""
         if self._low is None:
-            self._low = _spd_factor(self.mass)
+            if not np.isfinite(self.mass).all():
+                raise ValueError("array must not contain infs or NaNs")
+            try:
+                self._low = np.linalg.inv(np.linalg.cholesky(self.mass))
+            except np.linalg.LinAlgError as err:
+                raise ValueError(f"matrix is not positive definite: {err}") from None
         if not np.isfinite(b).all():
             raise ValueError("array must not contain infs or NaNs")
-        return self._low.T @ (self._low @ b)
+        return _dot(self._low.T, _dot(self._low, b))
 
     def accel(self, qd, tau, applied, gravity: bool):
         """(qdd, twists, accelerations and balances at qdd = 0),
         qdd = M^-1 (tau - bias) with the bias J^T (M Jdot qd - ad^T_V M V - loads)
         from the path sums of ``_spatial_motion`` and one :func:`_backward_sweep`.
-        ``tau`` may be None; ``applied`` is in body representation."""
-        n = self.model.n
-        qd = np.asarray(qd, dtype=float).reshape(n)
-        tau = np.zeros(n) if tau is None else np.asarray(tau, dtype=float).reshape(n)
-        frames = self.frames
-        (V, vd), rates = _spatial_motion(self.model, frames, qd)
-        loads = _loads(self.model, frames, applied, gravity, "body")
-        bias = _backward_sweep(self.model, frames, V, vd, loads, balances=rates)[0]
+        qd is a float vector, ``tau`` may be None; ``applied`` is in body
+        representation."""
+        model, frames = self.model, self.frames
+        tau = np.zeros(model.n) if tau is None else _one_sample(model, tau)
+        (V, vd), rates = _spatial_motion(model, frames, qd)
+        loads = _loads(model, frames, applied, gravity, "body")
+        bias = _backward_sweep(model, frames, V, vd, loads, balances=rates)[0]
         return self.solve(tau - bias), V, vd, rates
 
     def momentum_rates(self, pi_stack, tau, applied, gravity: bool):
@@ -400,39 +404,23 @@ class _Configuration:
         callable of the recovered qd."""
         model, js = self.model, self.frames.screws
         # (J^s)^T Pi: each joint screw pairs with the momentum of its subtree
-        subtree = model.tables.path @ np.asarray(pi_stack, dtype=float).reshape(model.n, 6)
+        subtree = _dot(model.tables.path, np.asarray(pi_stack, dtype=float).reshape(model.n, 6))
         qd = self.solve((js * subtree).sum(axis=1))
         qdd, _, _, rates = self.accel(qd, tau(qd) if callable(tau) else tau, applied, gravity)
-        return rates + _momenta(model.tables.path, js, self.frames.inertias, qdd), qd, qdd
+        return rates + _momenta(model, js, self.frames.inertias, qdd), qd, qdd
 
 
-def _path_twists(path, screws, rates) -> np.ndarray:
-    """Spatial twists V^s_i = sum of js_j rates_j over the path to body i,
-    of screws js (..., n, 6) and rates (..., n); leading axes are samples."""
-    return path.T @ (screws * rates[..., None])
-
-
-def _momenta(path, screws, inertias, qd) -> np.ndarray:
-    """Spatial momenta M^s_i V^s_i of :func:`_path_twists`, M^s (..., n, 6, 6)."""
-    return (inertias @ _path_twists(path, screws, qd)[..., None])[..., 0]
+def _momenta(model: ChainModel, screws, inertias, rates) -> np.ndarray:
+    """Spatial momenta M^s_i V^s_i (M^s (..., n, 6, 6)) of the spatial
+    twists V^s_i, the sums of js_j rates_j over the path to body i, of
+    screws js (..., n, 6) and rates (..., n); leading axes are samples."""
+    twists = _dot(model._path_t, screws * rates[..., None])
+    return (inertias @ twists[..., None])[..., 0]
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Generalized mass matrix by the composite-rigid-body algorithm."""
     return _Configuration(model, _one_sample(model, q)).mass
-
-
-def _spd_factor(m) -> np.ndarray:
-    """L^-1 for the Cholesky factor L of a symmetric positive-definite m,
-    to solve m x = b as L^-T (L^-1 b).  Raises ValueError when m holds a
-    NaN or an infinity (which numpy would carry through silently) or when
-    m is not positive definite."""
-    if not np.isfinite(m).all():
-        raise ValueError("array must not contain infs or NaNs")
-    try:
-        return np.linalg.inv(np.linalg.cholesky(m))
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"matrix is not positive definite: {err}") from None
 
 
 def _mirror_upper(g) -> np.ndarray:
@@ -516,7 +504,8 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
     positive definite or tau - bias is not finite.  ``applied`` takes
     per-body external wrenches in body representation.
     """
-    return _Configuration(model, _one_sample(model, q)).accel(qd, tau, applied, gravity)[0]
+    return _Configuration(model, _one_sample(model, q)).accel(_one_sample(model, qd), tau,
+                                                              applied, gravity)[0]
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:

@@ -13,14 +13,16 @@ constant body inertia.
 
 A chain sample's qd and qdd come from RK4's first stage there, which the
 step reuses, so a run costs one configuration pass, one backward sweep
-and one factorization per RK4 stage.  The reports of ``REPORT_CHUNK``
-samples are formed together once the last of them is recorded, and the
-rest at the end or abort of the run: one stacked configuration pass over
-the chunk's configurations and a few stacked products.
+and one factorization per RK4 stage, which coerces the torque's forces
+once.  The reports of ``REPORT_CHUNK`` samples are formed together once
+the last of them is recorded, and the rest at the end or abort of the
+run: one stacked configuration pass over the chunk's configurations and
+a few stacked products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from .model import BodyModel, ChainModel, spatial_inertia_body
 from .se3 import Pose, _finite, adjoint, dexp_inv, exp_se3
 from . import dynamics as dyn
-from .kinematics import _twist_map
+from .kinematics import _one_sample, _twist_map
 
 __all__ = [
     "RigidBodyState",
@@ -131,8 +133,8 @@ def free_body_simulate(body: BodyModel, initial: RigidBodyState, T: float,
     Munthe-Kaas RK4 under the twist V^s = Ad(C) M_b^-1 Ad(C)^T Pi, with
     M_b^-1 formed once from the constant body inertia.  Each report gives
     M^s(C_k) V^s_k = Ad(C_k^-1)^T M_b Ad(C_k^-1) V^s_k, recomputed from the
-    integrated pose and twist, so its constancy is a check.  Raises
-    ValueError as :func:`chain_simulate` does for T and h.
+    integrated pose and twist, so its constancy is a check.  Steps, T and
+    h are those of :func:`chain_simulate`, ValueError included.
     """
     m_body = spatial_inertia_body(body).matrix
     m_inv = np.linalg.inv(m_body)
@@ -194,18 +196,19 @@ def _drift(rot) -> np.ndarray:
 
 
 def _sample_arrays(T, h, *widths) -> tuple[np.ndarray, ...]:
-    """The sample times 0, h, ..., steps * h of the fixed steps of size h
-    covering [0, T], and one NaN-filled (steps + 1, width) array for each
-    of ``widths``.  Raises ValueError unless h is finite and positive and
-    T finite and non-negative, and, naming T, h and the step count, when
-    the samples cannot be stored."""
+    """The sample times 0, h, ..., steps * h and one NaN-filled (steps + 1,
+    width) array for each of ``widths``, steps the smallest count that
+    covers T within a relative 1e-9, steps * h >= T (1 - 1e-9): 2.5 h takes
+    3 steps, and 0.1 at h = 1e-3 takes 100.  Raises ValueError unless h is
+    finite and positive and T finite and non-negative, and, naming T, h
+    and the step count, when the samples cannot be stored."""
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"step size h must be finite and positive, got {h!r}")
     if not (np.isfinite(T) and T >= 0.0):
         raise ValueError(f"duration T must be finite and non-negative, got {T!r}")
-    steps = float(T) / float(h)  # may overflow to inf, which int() refuses
+    steps = float(T) / float(h) * (1.0 - 1e-9)  # may overflow to inf, which ceil() refuses
     try:
-        steps = int(round(steps))
+        steps = math.ceil(steps)
         return (np.linspace(0.0, steps * h, steps + 1),
                 *(np.full((steps + 1, w), np.nan) for w in widths))
     except (MemoryError, ValueError, OverflowError) as err:
@@ -229,7 +232,8 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     ``form="state"`` advances (q, qd) with the mass-matrix forward
     dynamics; ``form="momentum"`` advances (q, stacked spatial momenta)
     with the phase-space right-hand side.  ``torque`` is an optional
-    callable (t, q, qd) -> generalized forces.
+    callable (t, q, qd) -> generalized forces.  The run ends at the first
+    step at or past T (1 - 1e-9), the smallest count covering T.
 
     Sample k is recorded from RK4's first stage f(t_k, y_k), which the
     step from it reuses: qd is the stage's first n entries (recovered from
@@ -262,46 +266,40 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
     """
     if form not in ("state", "momentum"):
         raise ValueError("form must be 'state' or 'momentum'")
-    n = model.n
+    n, state = model.n, form == "state"
     applied = dyn._applied_wrenches(n, applied)
     # NaN where a failed step left no qd or qdd
     times, qs, qds, qdds = _sample_arrays(T, h, n, n, n)
     steps = len(times) - 1
-    q0 = np.asarray(q0, dtype=float).reshape(n)
-    qd0 = np.asarray(qd0, dtype=float).reshape(n)
-
-    def tau_at(t, q, qd):
-        if torque is None:
-            return np.zeros(n)
-        return np.asarray(torque(t, q, qd), dtype=float).reshape(n)
+    q0, qd0 = _one_sample(model, q0), _one_sample(model, qd0)
 
     def stage(t, y):
         """f(t, y) of the form's ODE and the qdd it solved."""
-        q = y[:n]
-        if form == "state":
-            qdd = dyn.fdyn(model, q, y[n:], tau_at(t, q, y[n:]), applied=applied,
-                           gravity=gravity)
-            return np.concatenate([y[n:], qdd]), qdd
-        rates, qd, qdd = dyn._Configuration(model, q).momentum_rates(
-            y[n:], lambda qd_: tau_at(t, q, qd_), applied, gravity)
-        return np.concatenate([qd, rates.reshape(-1)]), qdd
+        q, rest = y[:n], y[n:]
+        if state:
+            tau = None if torque is None else torque(t, q, rest)
+            qdd = dyn.fdyn(model, q, rest, tau, applied=applied, gravity=gravity)
+            return np.concatenate((rest, qdd)), qdd
+        tau = None if torque is None else (lambda qd: torque(t, q, qd))
+        rates, qd, qdd = dyn._Configuration(model, q).momentum_rates(rest, tau, applied, gravity)
+        return np.concatenate((qd, rates.reshape(-1))), qdd
 
     def f(t, y):
         return stage(t, y)[0]
 
     rows = min(REPORT_CHUNK, len(times))
-    pis = np.empty((rows, n, 6)) if form == "momentum" else None  # a chunk's momenta
+    pis = None if state else np.empty((rows, n, 6))  # a chunk's momenta
     reports, done = [], 0  # done: samples recorded with their first stage
 
     def sample(k, y):
         """Record sample k of the state y, return f(t_k, y)."""
         nonlocal done
         qs[k] = y[:n]
-        if form == "state":  # kept if the stage fails
+        if state:  # kept if the stage fails
             qds[k] = y[n:]
-        k1, qdds[k] = stage(times[k], y)
-        qds[k] = k1[:n]
-        if pis is not None:
+        k1, qdds[k] = stage(ts[k], y)
+        if not state:
+            qds[k] = k1[:n]
             pis[k % rows] = y[n:].reshape(n, 6)
         done = k + 1
         if done % rows == 0:
@@ -317,7 +315,7 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
             energy -= frames.pseudo[..., :3, 3].sum(axis=1) @ model.gravity
         residual = np.full(stop - start, np.nan)
         if pis is not None:
-            momenta = dyn._momenta(model.tables.path, frames.screws, frames.inertias, qd)
+            momenta = dyn._momenta(model, frames.screws, frames.inertias, qd)
             residual = np.linalg.norm(pis[start % rows:][:stop - start] - momenta,
                                       axis=-1).max(axis=1)
         return map(StepReport, times[start:stop].tolist(), energy.tolist(),
@@ -336,17 +334,17 @@ def chain_simulate(model: ChainModel, q0, qd0, torque=None, T: float = 1.0,
             for j in range(len(reports), done):
                 reports.extend(chunk_reports(j, j + 1))
 
-    k = 0
+    k, ts = 0, times.tolist()  # the loop's times as floats, which add faster
     qs[0], qds[0] = q0, qd0
     # floating-point faults raise, so the first one is the abort reason
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            rest = qd0 if form == "state" else dyn._Configuration(model, q0).momenta(qd0)
-            y = np.concatenate([q0, rest.reshape(-1)])
+            rest = qd0 if state else dyn._Configuration(model, q0).momenta(qd0)
+            y = np.concatenate((q0, rest.reshape(-1)))
             k1 = sample(0, y)
             for k in range(steps):
-                y = _rk4(f, times[k], y, h, k1)
-                if not np.all(np.isfinite(y)):
+                y = _rk4(f, ts[k], y, h, k1)
+                if not np.isfinite(y).all():
                     raise ValueError("non-finite state")
                 k1 = sample(k + 1, y)
             form_reports()

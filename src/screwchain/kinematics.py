@@ -73,8 +73,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChainModel
-from .se3 import (Pose, _CROSS, _SE3_BRACKET, _adjoint_pair, _blocks, _brackets, _pair_table,
-                  _product, hat3, lie_bracket, screw)
+from .se3 import (Pose, _CROSS, _SE3_BRACKET, _adjoint_pair, _blocks, _brackets, _dot,
+                  _pair_table, _product, hat3, lie_bracket, screw)
 
 __all__ = [
     "REPS",
@@ -170,8 +170,8 @@ def fk(model: ChainModel, q) -> list[Pose]:
 
 
 def _one_sample(model: ChainModel, q) -> np.ndarray:
-    """The q of a one-sample call, n numbers in any shape, as a vector
-    (ValueError for another count), where :func:`_fk_stacks` would read
+    """The q or qd of a one-sample call, n numbers in any shape, as a float
+    vector (ValueError for another count); :func:`_fk_stacks` would read
     the leading axes of a (1, n) q as samples."""
     return np.asarray(q, dtype=float).reshape(model.n)
 
@@ -198,11 +198,9 @@ class _PoseStack(NamedTuple):
 
 def _fk_stacks(model: ChainModel, q, relative=True) -> tuple[_PoseStack, _PoseStack | None]:
     """(absolute, relative) poses of :func:`fk_body_form` as (..., n, 4, 4)
-    stacks, one pose stack per row of an (..., n) q (a vector is one
-    sample); with ``relative`` False the walk runs in place and leaves it
-    out (None).  Each sample's stacks are those of its own call, bit for bit."""
-    q = np.asarray(q, dtype=float)
-    q = q.reshape(q.shape[:-1] + (model.n,))
+    stacks, one per row of a float (..., n) q (a :func:`_one_sample` vector
+    is one sample), bit for bit those of its own call; with ``relative``
+    False the walk runs in place and leaves it out (None)."""
     if not np.isfinite(q).all():
         bad = np.flatnonzero(~np.isfinite(q))[0]
         raise ValueError(f"fk_body_form: q must be finite, "
@@ -215,7 +213,7 @@ def _fk_stacks(model: ChainModel, q, relative=True) -> tuple[_PoseStack, _PoseSt
     walk = rel.copy() if relative else rel
     down = walk.swapaxes(0, -3)  # body axis first, so a link is one integer index
     for i, p in model.links:
-        down[i] = down[p] @ down[i]
+        down[i] = _dot(down[p], down[i])
     return _PoseStack(walk), _PoseStack(rel) if relative else None
 
 
@@ -338,7 +336,7 @@ def _carried_screws(w, lines) -> np.ndarray:
     ``tables.lines`` the 4x4 matrices W = (R, t) carry (leading axes
     are samples), one gathered product of the columns of W lines."""
     f = (w @ lines).reshape(w.shape[:-2] + (12,))
-    return (f.take(_SCREW_COLUMNS[0], -1) * f.take(_SCREW_COLUMNS[1], -1)) @ _SCREW_SUM
+    return _dot(f.take(_SCREW_COLUMNS[0], -1) * f.take(_SCREW_COLUMNS[1], -1), _SCREW_SUM)
 
 
 def _read_inertias(w, pseudo, readout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,7 +346,7 @@ def _read_inertias(w, pseudo, readout) -> tuple[np.ndarray, np.ndarray, np.ndarr
     :func:`screwchain.model.inertia_readout`."""
     carried = w @ pseudo @ w.swapaxes(-1, -2)
     lead = carried.shape[:-2]
-    read = carried.reshape(lead + (16,)) @ readout
+    read = _dot(carried.reshape(lead + (16,)), readout)
     return carried, read[..., :36].reshape(lead + (6, 6)), read[..., 36:]
 
 
@@ -394,7 +392,7 @@ def _jacobian(model: ChainModel, absolute: _PoseStack, rep: str) -> SystemJacobi
     n = model.n
     js = _carried_screws(absolute.mat, model.tables.lines)
     blocks = _twist_map(absolute, "spatial", rep) @ js.T  # blocks[i, :, j] = T_i js_j
-    J = np.where(model.tables.on_path.T[:, None, :], blocks, 0.0)
+    J = np.where(model._on_path_t[:, None, :], blocks, 0.0)
     return SystemJacobian(rep, J.reshape(6 * n, n), n)
 
 
@@ -474,22 +472,22 @@ def _spatial_motion(model: ChainModel, frames: _Frames, qd, qdd=None, qddd=None,
     first brackets and the co-brackets are one ``se3._brackets`` call; a
     root's, [js_r qd_r, js_r qd_r], is exactly 0, so ``ops`` counts a
     recursive sweep's: a bracket per link, n co-brackets."""
-    up = model.tables.path.T  # up @ a sums a over each body's path
+    up = model._path_t  # up @ a sums a over each body's path
     js, inertias = frames.screws, frames.inertias
     x = js * qd[:, None]
-    V = up @ x
+    V = _dot(up, x)
     xp = np.concatenate((x, (inertias @ V[..., None])[..., 0]), axis=1)  # [x | M V]
     rates, cob = _brackets(V, xp)
     if ops is not None:
         ops.lie_brackets += len(model.links) + len(V)
     if qdd is not None:
         rates += js * qdd[:, None]
-    Vd = up @ rates
+    Vd = _dot(up, rates)
     motion = [V, Vd]
     if qddd is not None:  # [V_j, rates_j + js_j qdd_j] and [Vdot_j, js_j qd_j]
         second = _product(_SE3_BRACKET, np.stack((V, Vd)),
                           np.stack((rates + js * qdd[:, None], x)))
-        motion.append(up @ (js * qddd[:, None] + second[0] + second[1]))
+        motion.append(_dot(up, js * qddd[:, None] + second[0] + second[1]))
     return motion, (inertias @ Vd[..., None])[..., 0] - cob
 
 
@@ -498,7 +496,7 @@ def _kinematics(model: ChainModel, state: JointState, rep: str, level: int,
     """(frame table, motion, balances) of ``rep`` at ``state``, counted into
     ``ops``: :func:`_spatial_motion` in spatial form, else
     :func:`_forward_sweep` and None."""
-    frames = _frame_table(model, *_fk_stacks(model, state.q), rep, ops)
+    frames = _frame_table(model, *_fk_stacks(model, _one_sample(model, state.q)), rep, ops)
     if rep != "spatial":
         return frames, _forward_sweep(model, frames, state, level, ops), None
     qd = np.zeros(model.n) if state.qd is None else state.qd
@@ -539,7 +537,7 @@ def jerks(model: ChainModel, state: JointState, rep: str = "body") -> Kinematics
     if state.qd is None or state.qdd is None or state.qddd is None:
         raise ValueError("jerks: state.qd, state.qdd and state.qddd are required")
     _check_rep(rep)
-    frames = _frame_table(model, *_fk_stacks(model, state.q), "spatial")
+    frames = _frame_table(model, *_fk_stacks(model, _one_sample(model, state.q)), "spatial")
     motion = np.stack(_spatial_motion(model, frames, state.qd, state.qdd, state.qddd)[0])
     work = "hybrid" if rep == "mixed" else rep
     if work != "spatial":

@@ -415,6 +415,7 @@ class ChainModel:
         self.links = tuple((i, p) for i, p in enumerate(self.parent) if p >= 0)
         self.tables, spatial, self._rel_ref = _chain_tables(
             self.bodies, joints, self.parent, self._paths, self.gravity)
+        self._path_t, self._on_path_t = self.tables.path.T, self.tables.on_path.T  # for every pass
         self.joints: tuple[JointModel, ...] = tuple(
             j._resolved(x, y) for j, x, y in zip(joints, spatial, self.tables.screw))
         per_body = [(name, arr.reshape(n, -1)) for name, arr in zip(

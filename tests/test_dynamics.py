@@ -598,15 +598,18 @@ def test_stacked_configuration_pass_equals_its_rows(rng):
     # configurations give the calls made row by row, byte for byte: poses,
     # relative poses, screws, inertias, pseudo-inertias, gravity loads,
     # mass matrices and Ic_k js_k, on trees with every joint kind and
-    # non-identity reference poses
+    # non-identity reference poses, and on the 30-joint benchmark chain
     def same(a, b):
         return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
 
-    for n in (1, 3, 7, 12):
-        model = random_chain(rng, n, tree=True)
-        while len({joint.kind for joint in model.joints}) < min(n, 3):
+    for n in (1, 3, 7, 12, 30):
+        if n == 30:  # the longest walk, its one-sample ndarray.dot against the batched @
+            model = _benchmark_chain(n)
+        else:
             model = random_chain(rng, n, tree=True)
-        assert not np.array_equal(model.bodies[-1].ref_pose.matrix(), np.eye(4))
+            while len({joint.kind for joint in model.joints}) < min(n, 3):
+                model = random_chain(rng, n, tree=True)
+            assert not np.array_equal(model.bodies[-1].ref_pose.matrix(), np.eye(4))
         for lead in ((9,), (2, 3)):
             qs = rng.normal(size=lead + (n,)) * 2.0
             absolute, relative = kinematics._fk_stacks(model, qs)

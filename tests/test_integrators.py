@@ -732,6 +732,20 @@ def test_chain_simulate_names_step_counts_it_cannot_store(simulate, T, h):
         simulate(T, h)
 
 
+@pytest.mark.parametrize("T, steps", [(0.5e-3, 1), (1.5e-3, 2), (2.5e-3, 3), (3.5e-3, 4),
+                                      (0.1, 100), (0.02, 20), (0.01, 10)])
+def test_steps_cover_T(T, steps):
+    # the smallest step count covering T at h = 1e-3, where round(T / h)
+    # rounded half to even (T = 0.5 h took no step, T = 2.5 h stopped at
+    # 2 h); a whole number of steps up to rounding, as perfbench's 0.1,
+    # 0.02 and 0.01 are (0.1 / 1e-3 is 100.00000000000001), keeps its count
+    h = 1e-3
+    for simulate in (_simulate_chain, _simulate_free_body):
+        times = simulate(T, h).times
+        assert len(times) == steps + 1
+        assert T <= times[-1] < T + h
+
+
 def test_chain_simulate_aborts_on_blow_up(rng):
     model, _ = pendulum_model()
 

@@ -524,3 +524,49 @@ def test_exp_family_matches_expm_oracles(theta, rng):
             assert np.abs(got - oracle).max() <= 2e-14 * np.abs(oracle).max()
         for got, oracle in inverse:
             assert np.abs(got @ oracle - np.eye(len(got))).max() <= inverse_tol
+
+
+# ------------------------------------------------------------ product rule
+
+def _stage_operands(rng, n, m=None):
+    """(a, b) pairs of every product shape of an RK4 stage on n bodies,
+    one sample (m None) or stacks of m: the FK link, the screw, readout
+    and bracket sums, the path sums through a 0/1 matrix shaped like a
+    path matrix and its transposed view, Ic_k js_k against the screws,
+    and the solve's triangular factor and its transposed view against a
+    vector."""
+    lead = () if m is None else (m,)
+    path = np.triu(rng.integers(0, 2, size=(n, n)), 1) + np.eye(n)
+    low = np.tril(rng.normal(size=(n, n))) + n * np.eye(n)
+
+    def x(*shape):
+        return rng.normal(size=lead + shape)
+
+    pairs = [(x(4, 4), x(4, 4)), (x(n, 12), rng.normal(size=(12, 6))),
+             (x(n, 16), rng.normal(size=(16, 42))), (x(n, 18), rng.normal(size=(18, 12))),
+             (path, x(n, 6)), (path.T, x(n, 6)), (path, x(n, 36)),
+             (x(n, 6), x(n, 6).swapaxes(-1, -2))]
+    if m is None:
+        pairs += [(low, rng.normal(size=n)), (low.T, rng.normal(size=n))]
+    return pairs
+
+
+def _same(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_product_rule_gives_the_matmul_bytes(rng, n):
+    # se3._dot sends a 2-D left operand through ndarray.dot and stacks
+    # through the batched @: at every product shape of an RK4 stage, on
+    # one sample it gives @'s bytes (2-D x 2-D and 2-D x 1-D), and on a
+    # stack each sample gets the bytes of its own one-sample product, so
+    # a numpy or BLAS update that broke either would fail here
+    for a, b in _stage_operands(rng, n):
+        assert _same(se3._dot(a, b), a @ b), (n, a.shape, b.shape)
+    for a, b in _stage_operands(rng, n, m=5):
+        got = se3._dot(a, b)
+        assert _same(got, a @ b), (n, a.shape, b.shape)
+        for k in range(5):
+            row = se3._dot(*(v[k] if v.ndim == 3 else v for v in (a, b)))
+            assert _same(got[k], row), (n, a.shape, b.shape, k)

@@ -4,16 +4,18 @@ motion (mass matrix, Coriolis matrix, Christoffel symbols), forward dynamics,
 and the spatial-momentum phase-space form.
 
 Recursive Newton-Euler is one algorithm in three representations: the
-motion of :mod:`screwchain.kinematics` followed by the one backward
-wrench sweep here, both over the frame table of their representation
-(:func:`screwchain.kinematics._frame_table`).  The motion is the counted
-forward recursion in body and hybrid form, and in spatial form the one
-path-sum kernel (:func:`screwchain.kinematics._spatial_motion`).  The
-balances of all bodies are one stacked product in every form (the kernel
-forms the spatial ones with the motion); the sweep then only carries
-wrenches to the parents, unchanged in spatial form (subtree sums) and by
-the transposed parent transforms in body and hybrid form.  Each step
-adds its operation counts to the one report of :func:`idyn`.
+twists and accelerations of :func:`screwchain.kinematics._kinematics`
+followed by the one backward wrench sweep here, both over the frame
+table of their representation (:func:`screwchain.kinematics._frame_table`).
+The motion is the counted forward recursion
+(:func:`screwchain.kinematics._forward_sweep`) in body and hybrid form,
+and in spatial form the one path-sum kernel
+(:func:`screwchain.kinematics._spatial_motion`) with the table's
+inertias.  The balances of all bodies are one stacked product in every
+form (the kernel forms the spatial ones with the motion); the sweep then
+only carries wrenches to the parents, unchanged in spatial form (subtree
+sums) and by the transposed parent transforms in body and hybrid form.
+Each step adds its operation counts to the one report of :func:`idyn`.
 Everything else reads one configuration pass (:class:`_Configuration`):
 the pose stack once, the spatial frame table at it and the
 composite-rigid-body mass matrix, whose inverse Cholesky factor, made
@@ -53,7 +55,8 @@ import numpy as np
 from .model import ChainModel, SpatialInertia, binet_inertia
 from .kinematics import (JointState, Twist, _Frames, _PoseStack, _bracket_table, _check_indices,
                          _check_rep, _fk_stacks, _frame_table, _jacobian, _kinematics,
-                         _one_sample, _read_inertias, _spatial_motion, _twist_map)
+                         _one_sample, _rate, _read_inertias, _spatial_motion, _twist_map,
+                         accelerations)
 from .se3 import (Pose, _CROSS, _SE3_BRACKET, _brackets, _dot, _pair_table, ad_matrix,
                   adjoint, adjoint_rot, lie_bracket, screw)
 
@@ -165,11 +168,10 @@ def convert_wrench(w, from_rep: str, to_rep: str, pose: Pose) -> np.ndarray:
 def gravity_wrenches(model: ChainModel, poses, rep: str) -> np.ndarray:
     """Per-body gravity wrench in the requested representation at one
     pose per body (else ValueError): the gravity loads of the frame table
-    at the poses
-    (:func:`screwchain.kinematics._frame_table`), each body's inertia
-    times the acceleration of the gravity field.  The weight enters the
-    recursions as a load in every representation rather than as a
-    fictitious base acceleration.
+    at the poses (:func:`screwchain.kinematics._frame_table`), each body's
+    inertia times the acceleration of the gravity field.  The weight
+    enters the recursions as a load in every representation rather than
+    as a fictitious base acceleration.
     """
     _check_rep(rep, ("body", "spatial", "hybrid"))
     if len(poses) != model.n:
@@ -196,8 +198,6 @@ def ne_wrench_arbitrary(model: ChainModel, state: JointState, i: int,
     ``k = None`` the hybrid one, ``j = k = None`` the spatial one.
     Raises IndexError unless i, j and k (when given) name bodies.
     """
-    from .kinematics import accelerations
-
     _check_indices("ne_wrench_arbitrary", model.n, *(m for m in (i, j, k) if m is not None))
     cache = accelerations(model, state, "spatial")
     poses = cache.poses
@@ -260,9 +260,9 @@ def idyn(model: ChainModel, q, qd, qdd, rep: str = "body", applied=None,
     _check_rep(rep)
     work_rep = "hybrid" if rep == "mixed" else rep
     report = OpCountReport(work_rep, model.n)
-    frames, cache, balances = _kinematics(model, JointState(q, qd, qdd), work_rep, 1, report)
+    frames, V, Vd, balances = _kinematics(model, JointState(q, qd, qdd), work_rep, report)
     ext = _loads(model, frames, applied, gravity, rep)
-    Q, W = _backward_sweep(model, frames, cache.twists, cache.accels, ext, report, balances)
+    Q, W = _backward_sweep(model, frames, V, Vd, ext, report, balances)
     if full:
         return IdynResult(Q, W, report, work_rep)
     return Q
@@ -393,7 +393,7 @@ class _Configuration:
         representation."""
         model, frames = self.model, self.frames
         tau = np.zeros(model.n) if tau is None else _one_sample(model, tau)
-        (V, vd), rates = _spatial_motion(model, frames, qd)
+        (V, vd), rates = _spatial_motion(model, frames.screws, qd, inertias=frames.inertias)
         loads = _loads(model, frames, applied, gravity, "body")
         bias = _backward_sweep(model, frames, V, vd, loads, balances=rates)[0]
         return self.solve(tau - bias), V, vd, rates
@@ -438,8 +438,7 @@ def coriolis_matrix(model: ChainModel, q, qd) -> np.ndarray:
     for j < k on the path of l (zero for j >= k), so Jdot_l is the strict
     upper triangle of the bracket table contracted with qd.
     """
-    n = model.n
-    qd = np.asarray(qd, dtype=float).reshape(n)
+    qd = _rate("coriolis_matrix", "qd", qd, model.n)
     jb, br = _bracket_table(model, q)
     mj = model.tables.inertia @ jb
     jdot = np.einsum("lxjk,k->lxj", np.triu(br, 1), qd)
@@ -484,12 +483,14 @@ def christoffel(model: ChainModel, q, variant: str = "standard") -> np.ndarray:
 def projection_eom(model: ChainModel, q, qd, qdd, applied=None,
                    gravity: bool = True) -> np.ndarray:
     """Virtual-power projection residual (J^b)^T of the stacked per-body
-    NE balances (:func:`_balances` less the loads); zero at states
+    NE balances (:func:`_balances` less the loads) at the body twists and
+    accelerations of the counted forward recursion, as ``idyn`` forms
+    them (:func:`screwchain.kinematics._kinematics`); zero at states
     consistent with the applied loads."""
-    frames, cache, _ = _kinematics(model, JointState(q, qd, qdd), "body", 1)
+    frames, V, Vd, _ = _kinematics(model, JointState(q, qd, qdd), "body")
     sj = _jacobian(model, frames.poses, "body")
     ext = _loads(model, frames, applied, gravity, "body")
-    return sj.J.T @ (_balances(frames, cache.twists, cache.accels) - ext).reshape(-1)
+    return sj.J.T @ (_balances(frames, V, Vd) - ext).reshape(-1)
 
 
 def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
@@ -509,7 +510,9 @@ def fdyn(model: ChainModel, q, qd, tau=None, applied=None,
 
 
 def spatial_momenta(model: ChainModel, q, qd) -> np.ndarray:
-    """Stacked per-body spatial momentum co-screws Pi_i = M^s_i V^s_i."""
+    """Stacked per-body spatial momentum co-screws Pi_i = M^s_i V^s_i;
+    qd must be finite (ValueError)."""
+    qd = _rate("spatial_momenta", "qd", qd, model.n)
     return _Configuration(model, _one_sample(model, q)).momenta(qd)
 
 
@@ -534,9 +537,9 @@ def momentum_rhs(model: ChainModel, q, pi_stack, tau=None, applied=None,
 
 
 def kinetic_energy(model: ChainModel, q, qd) -> float:
-    m = mass_matrix(model, q)
-    qd = np.asarray(qd, dtype=float)
-    return 0.5 * float(qd @ m @ qd)
+    """Kinetic energy qd . M(q) qd / 2; qd must be finite (ValueError)."""
+    qd = _rate("kinetic_energy", "qd", qd, model.n)
+    return 0.5 * float(qd @ mass_matrix(model, q) @ qd)
 
 
 def gravity_potential(model: ChainModel, q) -> float:

@@ -12,17 +12,18 @@ would make them meaningless, is rejected with a ValueError instead.
 Spatial motion is path sums at every level (:func:`_spatial_motion`):
 as d/dt js_j = [V_j, js_j], the twists, accelerations and jerks of all
 bodies are sums over each body's path of the spatial joint screws js_j
-and their stacked brackets, and the Newton-Euler balances come with
-them.  Body and hybrid twists and accelerations keep the counted forward
-recursion (:func:`_forward_sweep`), O(n) in the number of bodies, the
-second level the time derivative of the first; their jerks map the
-spatial ones (:func:`jerks`).  Neither builds frame data of its own:
-both read the frame table of their representation (:func:`_frame_table`),
-in which the joint screws, inertias, parent transforms and gravity loads
-of all bodies are one stacked product each, and which the Jacobian,
-:func:`screwchain.dynamics.idyn`, ``fdyn`` and ``momentum_rhs`` read too.
-The table, the sweep and the path sums count the operations of ``idyn``
-into its report ``ops``, once per stacked call or loop.
+and their stacked brackets, and given the inertias the Newton-Euler
+balances come with them.  :func:`twists`, :func:`accelerations` and
+:func:`jerks` are one function (:func:`_motion`): the path sums over the
+screws alone, then fixed maps into each representation at every level.
+Inverse dynamics (:func:`screwchain.dynamics.idyn`) reads the frame table
+of its representation (:func:`_frame_table`), in which the joint screws,
+inertias, parent transforms and gravity loads of all bodies are one
+stacked product each, and which ``fdyn`` and ``momentum_rhs`` read too;
+its motion (:func:`_kinematics`) is the path sums in spatial form and
+the counted O(n) forward recursion (:func:`_forward_sweep`) in body and
+hybrid form.  The table, the recursion and the path sums count the
+operations of ``idyn`` into its report ``ops``, once per stacked call.
 The spatial and hybrid tables work on the homogeneous 4x4 pose stack of
 FK: each inertia is read out of one congruence W J W^T of the body's
 4x4 pseudo-inertia J (W the pose, or its rotation alone in hybrid form),
@@ -47,11 +48,11 @@ wrench by B_b^-T B_a^T, an inertia by B^-T M B^-1, a joint screw is
 B_j X_j, and block row i of the system Jacobian is the spatial joint
 screws mapped into body i's coordinates by B_i Ad(C_i)^-1.
 
-Mixed quantities are a derived view of the hybrid ones through the
-hybrid-to-mixed map blockdiag(R^T, I), at every differentiation level.
-At the jerk level this is a transformation convention (it is not the
-plain second time derivative of the mixed twist, whose angular part
-picks up an extra omega x omega-dot term).
+Mixed motion is the hybrid motion under the hybrid-to-mixed map
+blockdiag(R^T, I), at every differentiation level.  At the jerk level
+this is a transformation convention (it is not the plain second time
+derivative of the mixed twist, whose angular part picks up an extra
+omega x omega-dot term).
 
 Every partial of a Jacobian column is a Lie bracket of columns, so one
 table of the brackets [J_la, J_lb] of each body's columns
@@ -104,11 +105,26 @@ def _check_rep(rep: str, allowed=REPS):
         raise ValueError(f"unknown representation {rep!r} (allowed: {allowed})")
 
 
+def _rate(fn: str, name: str, v, n: int, finite: bool = True) -> np.ndarray:
+    """The joint vector ``v`` as a read-only float vector: n numbers in
+    any shape, all finite unless ``finite`` is False, else a ValueError
+    from ``fn`` that names ``name`` and its first NaN or infinity."""
+    v = np.array(v, dtype=float).reshape(-1)
+    if v.size != n:
+        raise ValueError(f"{fn}: {name} must have {n} entries, got {v.size}")
+    if finite and not np.isfinite(v).all():
+        bad = np.flatnonzero(~np.isfinite(v))[0]
+        raise ValueError(f"{fn}: {name} must be finite, got {name}[{bad}] = {float(v[bad])}")
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class JointState:
-    """Joint position/rate vectors; qdd and qddd may be omitted.  Raises
-    ValueError when a vector has the wrong length or a rate is not finite
-    (q is checked where the poses are built, :func:`_fk_stacks`)."""
+    """Joint position/rate vectors, each n numbers in any shape, n the
+    size of q; qdd and qddd may be omitted.  Raises ValueError when a rate
+    has another size or is not finite (:func:`_rate`; q is checked where
+    the poses are built, :func:`_fk_stacks`)."""
 
     q: np.ndarray
     qd: np.ndarray | None = None
@@ -116,20 +132,10 @@ class JointState:
     qddd: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(np.atleast_1d(self.q))
+        n = np.size(self.q)
         for name in ("q", "qd", "qdd", "qddd"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.array(v, dtype=float).reshape(-1)
-            if v.size != n:
-                raise ValueError(f"JointState.{name}: expected length {n}, got {v.size}")
-            if name != "q" and not np.isfinite(v).all():
-                bad = np.flatnonzero(~np.isfinite(v))[0]
-                raise ValueError(f"JointState: {name} must be finite, "
-                                 f"got {name}[{bad}] = {float(v[bad])}")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            if (v := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _rate("JointState", name, v, n, name != "q"))
 
 
 @dataclass(frozen=True)
@@ -149,9 +155,9 @@ class Twist:
 
 @dataclass
 class KinematicsCache:
-    """Per-body kinematic quantities from a forward sweep or from the path
-    sums of :func:`_spatial_motion`; ``poses`` and ``rel_poses`` are built
-    from the pose stacks on first read."""
+    """The twists, accelerations and jerks of all bodies in ``rep`` that
+    :func:`_motion` formed, at its FK pose stacks; ``poses`` and
+    ``rel_poses`` are built from the stacks on first read."""
 
     rep: str
     pose_stack: _PoseStack
@@ -265,15 +271,14 @@ def _twist_map(pose, from_rep: str, to_rep: str) -> np.ndarray:
 class _Frames(NamedTuple):
     """The frame table of :func:`_frame_table`: stacks over the bodies in
     ``rep`` coordinates, which nothing writes after they are built, and
-    the pose stacks they came from;
-    ``pseudo`` holds the carried pseudo-inertias W J W^T (None in body
-    form).  A spatial table at a pose stack with leading sample axes has
-    them too, each sample's rows those of its own table; the sweeps and
-    the body and hybrid tables read one sample."""
+    the absolute pose stack they came from; ``pseudo`` holds the carried
+    pseudo-inertias W J W^T (None in body form).  A spatial table at a
+    pose stack with leading sample axes has them too, each sample's rows
+    those of its own table; the sweeps and the body and hybrid tables
+    read one sample."""
 
     rep: str
     poses: _PoseStack
-    rels: _PoseStack | None
     screws: np.ndarray
     inertias: np.ndarray
     parent: np.ndarray | None
@@ -328,7 +333,7 @@ def _frame_table(model: ChainModel, absolute: _PoseStack, relative: _PoseStack |
             ops.frame_transforms_screw += len(w)
             ops.frame_transforms_tensor += len(w)
             ops.rotations_screw += len(w) * (rep == "hybrid")
-    return _Frames(rep, absolute, relative, screws, inertias, parent, gravity, pseudo)
+    return _Frames(rep, absolute, screws, inertias, parent, gravity, pseudo)
 
 
 def _carried_screws(w, lines) -> np.ndarray:
@@ -401,159 +406,149 @@ def jacobian(model: ChainModel, q, rep: str = "body") -> SystemJacobian:
     return _jacobian(model, _fk_stacks(model, _one_sample(model, q), relative=False)[0], rep)
 
 
-def _mixed_view(cache: KinematicsCache) -> KinematicsCache:
-    """Hybrid-to-mixed map B_mixed B_hybrid^-1 at the cache's pose stack
-    applied at every level."""
-    maps = _twist_map(cache.pose_stack, "hybrid", "mixed")
-
-    def conv(arr):
-        return None if arr is None else np.einsum("ijk,ik->ij", maps, arr)
-
-    return KinematicsCache("mixed", cache.pose_stack, cache.rel_stack,
-                           conv(cache.twists), conv(cache.accels),
-                           conv(cache.jerks))
-
-
-def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState, level: int,
-                   ops=None) -> KinematicsCache:
-    """The body or hybrid forward recursion in the representation of the
-    frame table ``frames`` (:func:`_frame_table`), up to the requested
-    level (0 = twists, 1 = accelerations).
+def _forward_sweep(model: ChainModel, frames: _Frames, state: JointState,
+                   ops=None) -> tuple[np.ndarray, np.ndarray]:
+    """(twists, accelerations) of all bodies by the counted forward
+    recursion of inverse dynamics in the body or hybrid frame table
+    ``frames`` (:func:`_frame_table`); a rate left out of ``state`` is 0.
 
     The accelerations are the time derivative of the twist recursion, so
-    every body costs O(1) screw operations per level.  The joint screws
-    and parent transforms come from the table; the loop only applies
-    them; after it, ``ops`` counts per link one transform a level and one
-    bracket at level 1 (hybrid: translations, and n brackets more).
+    every body costs O(1) screw operations.  The joint screws and parent
+    transforms come from the table; the loop only applies them; after
+    it, ``ops`` counts per link two transforms and one bracket (hybrid:
+    translations, and n brackets more).
     """
     n = model.n
     rep = frames.rep
     qd, qdd = (np.zeros(n) if v is None else v for v in (state.qd, state.qdd))
     x, xf = frames.screws, frames.parent
-    V = np.zeros((n, 6))
-    Vd = np.zeros((n, 6)) if level >= 1 else None
+    V, Vd = np.zeros((2, n, 6))
     zero3 = np.zeros(3)
 
     for i in range(n):
         p = model.parent[i]
         V[i] = x[i] * qd[i]
-        if level >= 1:
-            Vd[i] = x[i] * qdd[i]
+        Vd[i] = x[i] * qdd[i]
         if rep == "body":
             # xf[i] = Ad(rel_i^-1), d/dt Ad(rel_i^-1) = -qd_i ad(X_i) Ad(rel_i^-1)
             if p >= 0:
                 V[i] += xf[i] @ V[p]
-                if level >= 1:
-                    Vd[i] += xf[i] @ Vd[p] - qd[i] * lie_bracket(x[i], V[i])
+                Vd[i] += xf[i] @ Vd[p] - qd[i] * lie_bracket(x[i], V[i])
         else:  # hybrid: d/dt X^h_i = [omega_i, X^h_i], d/dt Ad(r) = ad(r-dot)
             if p >= 0:
                 V[i] += xf[i] @ V[p]
-            if level >= 1:
-                Vd[i] += lie_bracket(screw(V[i][:3], zero3), x[i]) * qd[i]
-                if p >= 0:
-                    rdot_rel = screw(zero3, V[p][3:] - V[i][3:])
-                    Vd[i] += xf[i] @ Vd[p] + lie_bracket(rdot_rel, V[p])
+            Vd[i] += lie_bracket(screw(V[i][:3], zero3), x[i]) * qd[i]
+            if p >= 0:
+                rdot_rel = screw(zero3, V[p][3:] - V[i][3:])
+                Vd[i] += xf[i] @ Vd[p] + lie_bracket(rdot_rel, V[p])
     if ops is not None:
-        hybrid, accel = rep == "hybrid", level >= 1
-        ops.frame_transforms_screw += len(model.links) * (1 + accel)
-        ops.translations_screw += len(model.links) * (1 + accel) * hybrid
-        ops.lie_brackets += (len(model.links) + n * hybrid) * accel
-    return KinematicsCache(rep, frames.poses, frames.rels, V, Vd)
+        hybrid = rep == "hybrid"
+        ops.frame_transforms_screw += 2 * len(model.links)
+        ops.translations_screw += 2 * len(model.links) * hybrid
+        ops.lie_brackets += len(model.links) + n * hybrid
+    return V, Vd
 
 
-def _spatial_motion(model: ChainModel, frames: _Frames, qd, qdd=None, qddd=None,
-                    ops=None) -> tuple[list[np.ndarray], np.ndarray]:
+def _spatial_motion(model: ChainModel, screws, qd, qdd=None, qddd=None, inertias=None,
+                    ops=None) -> tuple[list[np.ndarray], np.ndarray | None]:
     """([V, Vdot] or, with qddd, [V, Vdot, Vddot], balances): the spatial
-    motion and Newton-Euler balances M_i Vdot_i - ad^T_{V_i} M_i V_i of all
-    bodies, as sums over each body's path in the spatial frame table
-    (qdd None is zero).  As d/dt js_j = [V_j, js_j], these sum js_j qd_j,
-    [V_j, js_j qd_j] + js_j qdd_j and js_j qddd_j +
-    [V_j, 2 js_j qdd_j + [V_j, js_j qd_j]] + [Vdot_j, js_j qd_j].  The
-    first brackets and the co-brackets are one ``se3._brackets`` call; a
+    motion of all bodies, sums over each body's path of the spatial joint
+    ``screws`` js (qdd None is zero), and given ``inertias`` the balances
+    M_i Vdot_i - ad^T_{V_i} M_i V_i (else None).  As d/dt js_j =
+    [V_j, js_j], these sum js_j qd_j, [V_j, js_j qd_j] + js_j qdd_j and
+    js_j qddd_j + [V_j, 2 js_j qdd_j + [V_j, js_j qd_j]] + [Vdot_j, js_j qd_j].
+    The first brackets and the co-brackets of M V (0 without inertias;
+    the brackets do not read them) are one ``se3._brackets`` call; a
     root's, [js_r qd_r, js_r qd_r], is exactly 0, so ``ops`` counts a
     recursive sweep's: a bracket per link, n co-brackets."""
     up = model._path_t  # up @ a sums a over each body's path
-    js, inertias = frames.screws, frames.inertias
-    x = js * qd[:, None]
+    x = screws * qd[:, None]
     V = _dot(up, x)
-    xp = np.concatenate((x, (inertias @ V[..., None])[..., 0]), axis=1)  # [x | M V]
-    rates, cob = _brackets(V, xp)
+    mv = np.zeros_like(x) if inertias is None else (inertias @ V[..., None])[..., 0]
+    rates, cob = _brackets(V, np.concatenate((x, mv), axis=1))
     if ops is not None:
         ops.lie_brackets += len(model.links) + len(V)
     if qdd is not None:
-        rates += js * qdd[:, None]
+        rates += screws * qdd[:, None]
     Vd = _dot(up, rates)
     motion = [V, Vd]
     if qddd is not None:  # [V_j, rates_j + js_j qdd_j] and [Vdot_j, js_j qd_j]
         second = _product(_SE3_BRACKET, np.stack((V, Vd)),
-                          np.stack((rates + js * qdd[:, None], x)))
-        motion.append(_dot(up, js * qddd[:, None] + second[0] + second[1]))
-    return motion, (inertias @ Vd[..., None])[..., 0] - cob
+                          np.stack((rates + screws * qdd[:, None], x)))
+        motion.append(_dot(up, screws * qddd[:, None] + second[0] + second[1]))
+    return motion, None if inertias is None else (inertias @ Vd[..., None])[..., 0] - cob
 
 
-def _kinematics(model: ChainModel, state: JointState, rep: str, level: int,
-                ops=None) -> tuple[_Frames, KinematicsCache, np.ndarray | None]:
-    """(frame table, motion, balances) of ``rep`` at ``state``, counted into
-    ``ops``: :func:`_spatial_motion` in spatial form, else
-    :func:`_forward_sweep` and None."""
+def _kinematics(model: ChainModel, state: JointState, rep: str,
+                ops=None) -> tuple[_Frames, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(frame table, twists, accelerations, balances) of ``idyn`` in
+    ``rep`` at ``state``, counted into ``ops``: :func:`_spatial_motion`
+    with inertias in spatial form, else :func:`_forward_sweep` and None."""
     frames = _frame_table(model, *_fk_stacks(model, _one_sample(model, state.q)), rep, ops)
     if rep != "spatial":
-        return frames, _forward_sweep(model, frames, state, level, ops), None
+        return (frames, *_forward_sweep(model, frames, state, ops), None)
     qd = np.zeros(model.n) if state.qd is None else state.qd
-    (V, Vd), balances = _spatial_motion(model, frames, qd, state.qdd, ops=ops)
-    cache = KinematicsCache(rep, frames.poses, frames.rels, V, Vd if level >= 1 else None)
-    return frames, cache, balances
+    (V, Vd), balances = _spatial_motion(model, frames.screws, qd, state.qdd,
+                                        inertias=frames.inertias, ops=ops)
+    return frames, V, Vd, balances
 
 
-def _sweep(model: ChainModel, state: JointState, rep: str, level: int) -> KinematicsCache:
-    """The motion of :func:`_kinematics` in any representation; mixed views hybrid."""
+def _motion(model: ChainModel, state: JointState, rep: str, level: int) -> KinematicsCache:
+    """The twists of all bodies in ``rep`` and their first ``level`` time
+    derivatives (1: accelerations, 2: jerks; a rate left out of ``state``
+    is zero), from one FK pass and the spatial joint screws alone.
+
+    The spatial motion is the path sums of :func:`_spatial_motion`.  The
+    body motion is Ad(C)^-1 of it, R^T (omega, v + omega x r) at every
+    level, less [V, Vdot] at the jerk level.  The hybrid motion is
+    (omega, r-dot) and its derivatives: r-dot = v + omega x r,
+    r-ddot = v-dot + omega-dot x r + omega x r-dot and r-dddot = v-ddot +
+    omega-ddot x r + 2 omega-dot x r-dot + omega x r-ddot.  Mixed is the
+    hybrid motion with its angular part rotated by R^T at every level.
+    """
     _check_rep(rep)
-    if rep == "mixed":
-        return _mixed_view(_kinematics(model, state, "hybrid", level)[1])
-    return _kinematics(model, state, rep, level)[1]
+    absolute, relative = _fk_stacks(model, _one_sample(model, state.q))
+    screws = _carried_screws(absolute.mat, model.tables.lines)
+    qd = np.zeros(model.n) if state.qd is None else state.qd
+    if level == 0:  # the twists alone are the first path sum
+        motion = _dot(model._path_t, screws * qd[:, None])[None]
+    else:
+        motion = np.stack(_spatial_motion(model, screws, qd, state.qdd,
+                                          state.qddd if level == 2 else None)[0])
+    if rep != "spatial":
+        ang = motion[..., :3]
+        lin = motion[..., 3:] + _product(_CROSS, ang, absolute.trans)  # v + omega x r
+        if rep != "body" and level >= 1:
+            rates = _product(_CROSS, ang[:2], lin[0])  # omega x r-dot, omega-dot x r-dot
+            lin[1] += rates[0]
+            if level == 2:
+                lin[2] += 2.0 * rates[1] + _product(_CROSS, ang[0], lin[1])
+        if rep == "mixed":  # R^T omega, as the row omega^T R
+            ang = (ang[..., None, :] @ absolute.rot)[..., 0, :]
+        motion = np.concatenate((ang, lin), axis=-1)
+        if rep == "body":  # R^T of (omega, v + omega x r), less [V, Vdot] for the jerks
+            motion = (motion.reshape(-1, model.n, 2, 3) @ absolute.rot).reshape(motion.shape)
+            if level == 2:
+                motion[2] -= _product(_SE3_BRACKET, motion[0], motion[1])
+    return KinematicsCache(rep, absolute, relative, *motion)
 
 
 def twists(model: ChainModel, q, qd, rep: str = "body") -> KinematicsCache:
-    """Twists in the requested representation (:func:`_kinematics`)."""
-    return _sweep(model, JointState(np.asarray(q, float), np.asarray(qd, float)), rep, 0)
+    """Twists in the requested representation (:func:`_motion`)."""
+    return _motion(model, JointState(q, qd), rep, 0)
 
 
 def accelerations(model: ChainModel, state: JointState, rep: str = "body") -> KinematicsCache:
-    """Twists and accelerations in the requested representation."""
-    return _sweep(model, state, rep, 1)
+    """Twists and accelerations in the requested representation (:func:`_motion`)."""
+    return _motion(model, state, rep, 1)
 
 
 def jerks(model: ChainModel, state: JointState, rep: str = "body") -> KinematicsCache:
-    """Twists, accelerations and jerks in closed form from one FK pass;
-    requires state.qd, state.qdd and state.qddd.
-
-    The spatial motion is the path sums of :func:`_spatial_motion`.  The
-    body motion is Ad(C)^-1 of it, less [V, Vdot] at the jerk level.  The
-    hybrid motion is (omega, r-dot) and its derivatives: r-dot = v + omega x r,
-    r-ddot = v-dot + omega-dot x r + omega x r-dot and
-    r-dddot = v-ddot + omega-ddot x r + 2 omega-dot x r-dot + omega x r-ddot.
-    Mixed is the view of hybrid.
-    """
+    """Twists, accelerations and jerks in the requested representation
+    (:func:`_motion`); requires state.qd, state.qdd and state.qddd."""
     if state.qd is None or state.qdd is None or state.qddd is None:
         raise ValueError("jerks: state.qd, state.qdd and state.qddd are required")
-    _check_rep(rep)
-    frames = _frame_table(model, *_fk_stacks(model, _one_sample(model, state.q)), "spatial")
-    motion = np.stack(_spatial_motion(model, frames, state.qd, state.qdd, state.qddd)[0])
-    work = "hybrid" if rep == "mixed" else rep
-    if work != "spatial":
-        ang, lin = motion[..., :3], motion[..., 3:]
-        lin = lin + _product(_CROSS, ang, frames.poses.trans)  # v + omega x r at every level
-        if work == "body":  # R^T of (omega, v + omega x r), then less [V, Vdot]
-            motion = (np.concatenate((ang, lin), axis=-1).reshape(3, model.n, 2, 3)
-                      @ frames.poses.rot).reshape(3, model.n, 6)
-            motion[2] -= _product(_SE3_BRACKET, motion[0], motion[1])
-        else:
-            rates = _product(_CROSS, ang[:2], lin[0])  # omega x r-dot, omega-dot x r-dot
-            lin[1] += rates[0]
-            lin[2] += 2.0 * rates[1] + _product(_CROSS, ang[0], lin[1])
-            motion = np.concatenate((ang, lin), axis=-1)
-    cache = KinematicsCache(work, frames.poses, frames.rels, *motion)
-    return _mixed_view(cache) if rep == "mixed" else cache
+    return _motion(model, state, rep, 2)
 
 
 # --------------------------------------------------------------------------

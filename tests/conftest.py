@@ -299,8 +299,7 @@ def jerk_recursion_oracle(model, state, rep):
     if work == "spatial":
         V, Vd = spatial_sweep_oracle(model, frames.screws, state.qd, state.qdd)
     else:
-        cache = _forward_sweep(model, frames, state, 1)
-        V, Vd = cache.twists, cache.accels
+        V, Vd = _forward_sweep(model, frames, state)
     x, xf = frames.screws, frames.parent
     qd, qdd, qddd = state.qd, state.qdd, state.qddd
     zero3 = np.zeros(3)

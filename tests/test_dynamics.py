@@ -532,6 +532,9 @@ NON_FINITE_RATE_ENTRY_POINTS = {
     "jerks": (lambda model, r: jerks(model, JointState(**r)), ("qd", "qdd", "qddd")),
     "projection_eom": (lambda model, r: projection_eom(model, r["q"], r["qd"], r["qdd"]),
                        ("qd", "qdd")),
+    "kinetic_energy": (lambda model, r: kinetic_energy(model, r["q"], r["qd"]), ("qd",)),
+    "spatial_momenta": (lambda model, r: spatial_momenta(model, r["q"], r["qd"]), ("qd",)),
+    "coriolis_matrix": (lambda model, r: coriolis_matrix(model, r["q"], r["qd"]), ("qd",)),
 }
 
 
@@ -547,6 +550,15 @@ def test_non_finite_rate_is_rejected_as_such(entry, field, value):
     call = NON_FINITE_RATE_ENTRY_POINTS[entry][0]
     with pytest.raises(ValueError, match=rf"{field} must be finite, got {field}\[1\]"):
         call(planar_2r_model(), rates)
+
+
+@pytest.mark.parametrize("entry", ["kinetic_energy", "spatial_momenta", "coriolis_matrix"])
+def test_qd_of_another_size_is_rejected_by_name(entry):
+    # the qd of these three calls is checked where it enters, not by a
+    # product deep inside that fails with numpy's message
+    call = NON_FINITE_RATE_ENTRY_POINTS[entry][0]
+    with pytest.raises(ValueError, match=rf"^{entry}: qd must have 2 entries, got 3$"):
+        call(planar_2r_model(), {"q": np.zeros(2), "qd": np.zeros(3)})
 
 
 def test_reused_configuration_cannot_go_stale(rng):
@@ -632,9 +644,14 @@ def test_one_sample_calls_read_q_of_any_shape(rng, shape):
     # n numbers in any shape are one configuration, as a vector is: a
     # (1, n) q is not a stack of one sample for the public calls
     model = random_chain(rng, 4, tree=True)
-    q, qd, tau = rng.normal(size=(3, 4))
+    q, qd, qdd, qddd, tau = rng.normal(size=(5, 4))
     pis, v = rng.normal(size=(2, 4, 6))
     calls = {
+        "twists": lambda q: twists(model, q, qd, "hybrid").twists,
+        "accelerations": lambda q: accelerations(model, JointState(q, qd, qdd), "body").accels,
+        "jerks": lambda q: jerks(model, JointState(q, qd, qdd, qddd), "mixed").jerks,
+        "idyn": lambda q: idyn(model, q, qd, qdd, "hybrid"),
+        "projection_eom": lambda q: projection_eom(model, q, qd, qdd),
         "fk": lambda q: [p.matrix() for p in fk(model, q)],
         "fk_body_form": lambda q: [p.matrix() for p in kinematics.fk_body_form(model, q)[1]],
         "jacobian": lambda q: jacobian(model, q, "hybrid").J,

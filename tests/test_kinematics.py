@@ -380,6 +380,25 @@ def test_jerks_require_rates():
         jerks(model, JointState(np.zeros(2), np.zeros(2), np.zeros(2)), "body")
 
 
+def test_kinematic_queries_read_neither_inertias_nor_the_recursion(rng, monkeypatch):
+    # twists, accelerations and jerks in every representation are maps of
+    # the spatial path sums over the joint screws alone: they carry no
+    # inertia and never run the counted recursion of inverse dynamics
+    import screwchain.kinematics as kin
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kinematic query built a frame table or ran the recursion")
+
+    model = random_chain(rng, 5, tree=True)
+    q, qd, qdd, qddd = rng.normal(size=(4, 5))
+    for name in ("_frame_table", "_read_inertias", "_forward_sweep"):
+        monkeypatch.setattr(kin, name, refuse)
+    for rep in REPS4:
+        twists(model, q, qd, rep)
+        accelerations(model, JointState(q, qd, qdd), rep)
+        jerks(model, JointState(q, qd, qdd, qddd), rep)
+
+
 # ---------------------------------------------------- jacobian derivatives
 
 def test_jacobian_partial_domain_trivials(rng):

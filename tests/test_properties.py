@@ -556,23 +556,57 @@ def test_jerks_match_closed_forms(case, seed):
 @given(chain_states(max_n=9), st.integers(0, 2 ** 32 - 1))
 def test_closed_form_jerks_match_recursion(case, seed):
     # the closed-form motion of jerks() against the recursive sweeps: the
-    # twists and accelerations of _forward_sweep (spatial_sweep_oracle in
-    # spatial form) and the jerk-level recursion of the oracle, in all four
-    # representations
+    # twists and accelerations of the counted _forward_sweep (mixed through
+    # the hybrid-to-mixed map, spatial_sweep_oracle in spatial form) and the
+    # jerk-level recursion of the oracle, in all four representations
     model, q, qd, qdd = case[:4]
     qddd = np.random.default_rng(seed).normal(size=model.n)
     state = JointState(q, qd, qdd, qddd)
-    screws = _frame_table(model, *_fk_stacks(model, q), "spatial").screws
     for rep in REPS:
         got = jerks(model, state, rep)
-        if rep == "spatial":
-            sweep = spatial_sweep_oracle(model, screws, qd, qdd)
-        else:
-            cache = accelerations(model, state, rep)
-            sweep = cache.twists, cache.accels
         for g, e in zip((got.twists, got.accels, got.jerks),
-                        (*sweep, jerk_recursion_oracle(model, state, rep))):
+                        (*recursive_motion(model, state, rep),
+                         jerk_recursion_oracle(model, state, rep))):
             assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(initial=0.0)
+
+
+def recursive_motion(model, state, rep):
+    """(twists, accelerations) in ``rep`` by a per-body recursion: the
+    counted ``kinematics._forward_sweep`` in body and hybrid form, mixed
+    its hybrid motion under ``_twist_map``, spatial_sweep_oracle in spatial
+    form; none of them reads the path sums of the public queries."""
+    work = "hybrid" if rep == "mixed" else rep
+    frames = _frame_table(model, *_fk_stacks(model, state.q), work)
+    if work == "spatial":
+        return spatial_sweep_oracle(model, frames.screws, state.qd, state.qdd)
+    motion = kinematics._forward_sweep(model, frames, state)
+    if rep == "mixed":
+        maps = kinematics._twist_map(frames.poses, "hybrid", "mixed")
+        motion = tuple((maps @ m[..., None])[..., 0] for m in motion)
+    return motion
+
+
+@PROPERTY_SETTINGS
+@given(chain_states(max_n=9), st.integers(0, 2 ** 32 - 1))
+def test_kinematic_queries_match_recursion(case, seed):
+    # public twists and accelerations in all four representations against
+    # the per-body recursions, to 1e-12 of the largest entry, and the
+    # lower levels of one query bit for bit those of the others: the
+    # queries share one path-sum motion, so twists, accelerations and the
+    # first two levels of jerks must agree exactly
+    model, q, qd, qdd = case[:4]
+    qddd = np.random.default_rng(seed).normal(size=model.n)
+    for rep in REPS:
+        tw = twists(model, q, qd, rep)
+        acc = accelerations(model, JointState(q, qd, qdd), rep)
+        jerk = jerks(model, JointState(q, qd, qdd, qddd), rep)
+        V, Vd = recursive_motion(model, JointState(q, qd, qdd), rep)
+        for g, e in ((tw.twists, V), (acc.twists, V), (acc.accels, Vd)):
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(initial=0.0), rep
+        assert tw.accels is None and acc.jerks is None
+        assert np.array_equal(tw.twists, acc.twists), rep
+        assert np.array_equal(jerk.twists, acc.twists), rep
+        assert np.array_equal(jerk.accels, acc.accels), rep
 
 
 @PROPERTY_SETTINGS
@@ -582,13 +616,13 @@ def test_spatial_motion_kernel_matches_per_body_oracles(case, seed):
     # oracle, to 1e-12 of the largest entry: the public spatial twists and
     # accelerations and the kernel's own motion against the recursion, its
     # balances against the ne_wrench loop and its jerks against the
-    # jerk-level recursion (public jerks: the test above)
+    # jerk-level recursion (public jerks: the tests above)
     model, q, qd, qdd = case[:4]
     qddd = np.random.default_rng(seed).normal(size=model.n)
     state = JointState(q, qd, qdd, qddd)
     frames = _frame_table(model, *_fk_stacks(model, q), "spatial")
     V, Vd = spatial_sweep_oracle(model, frames.screws, qd, qdd)
-    motion, balances = _spatial_motion(model, frames, qd, qdd, qddd)
+    motion, balances = _spatial_motion(model, frames.screws, qd, qdd, qddd, frames.inertias)
     rates = np.array([ne_wrench(V[i], Vd[i], frames.inertias[i], "spatial")
                       for i in range(model.n)])
     acc = accelerations(model, state, "spatial")
@@ -596,6 +630,9 @@ def test_spatial_motion_kernel_matches_per_body_oracles(case, seed):
                  (acc.accels, Vd), (motion[0], V), (motion[1], Vd), (balances, rates),
                  (motion[2], jerk_recursion_oracle(model, state, "spatial"))):
         assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
+    # without inertias the motion is the same bits, and no balances
+    alone, none = _spatial_motion(model, frames.screws, qd, qdd, qddd)
+    assert none is None and all(np.array_equal(a, m) for a, m in zip(alone, motion))
 
 
 @PROPERTY_SETTINGS
